@@ -4,14 +4,14 @@ Each Gaussian has a full covariance, so a stretch or shear of the cage
 should stretch and shear the splats too -- not just move their centers.
 This script runs a small cloud through a shearing cage, once with
 covariance transport on and once with it off, and compares the resulting
-splat shapes.  Along the way it checks the two independent Jacobian
-estimators against each other.
+splat shapes.  Along the way it checks the finite-difference Jacobian
+against the shear that was applied to the cage.
 """
 
 import numpy as np
 
 from cagewarp import (GaussianCloud, build_template_cage, deform_cloud,
-                      jacobian_analytic, jacobian_fd)
+                      jacobian_fd)
 from cagewarp.splats import covariances_of
 
 rng = np.random.default_rng(3)
@@ -34,13 +34,10 @@ shear = np.array([[1.0, 0.0, 0.5],
                   [0.0, 0.0, 1.4]])
 sheared = cage.with_vertices(cage.vertices @ shear.T, validate=False)
 
-# the two jacobian routes agree to near machine precision on an affine map
+# the warp of an affine cage map is that map, so its jacobian is the shear
 probe = centers[::100]
 j_fd = jacobian_fd(probe, cage, sheared)
-j_an = jacobian_analytic(probe, cage, sheared)
-print(f"fd vs analytic jacobians ({len(probe)} probes): "
-      f"max diff {np.abs(j_fd - j_an).max():.2e}")
-print(f"jacobian vs prescribed shear: max diff "
+print(f"jacobian vs prescribed shear ({len(probe)} probes): max diff "
       f"{np.abs(j_fd - shear).max():.2e}")
 
 moved, _ = deform_cloud(cloud, cage, sheared, m=2000, seed=0)

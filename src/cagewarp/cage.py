@@ -101,13 +101,12 @@ class CageMesh:
         a, b, c = (v[self.triangles[:, i]] for i in range(3))
         return float(np.einsum("ij,ij->", a, np.cross(b, c)) / 6.0)
 
-    def face_normals(self, normalize: bool = True) -> np.ndarray:
+    def face_normals(self) -> np.ndarray:
+        """Unit outward normal of each triangle, (T, 3)."""
         v = self.vertices
         n = np.cross(v[self.triangles[:, 1]] - v[self.triangles[:, 0]],
                      v[self.triangles[:, 2]] - v[self.triangles[:, 0]])
-        if normalize:
-            n = n / np.linalg.norm(n, axis=1, keepdims=True)
-        return n
+        return n / np.linalg.norm(n, axis=1, keepdims=True)
 
     def with_vertices(self, vertices: np.ndarray,
                       validate: bool = True) -> "CageMesh":

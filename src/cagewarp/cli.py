@@ -32,10 +32,9 @@ logger = logging.getLogger("cagewarp")
 
 _CONFIG_KEYS = {
     "source", "target", "target_kind", "output_dir", "lambdas",
-    "sample_count", "jacobian_sites", "jacobian_method",
-    "update_covariance", "normalize", "baseline_mode", "cage_in",
-    "cage_out", "cage_resolution", "cage_padding", "seed", "workers",
-    "center_chunk",
+    "sample_count", "jacobian_sites", "update_covariance", "normalize",
+    "baseline_mode", "cage_in", "cage_out", "cage_resolution",
+    "cage_padding", "seed", "workers", "center_chunk",
 }
 _FIT_KEYS = set(FitConfig.__dataclass_fields__)
 
@@ -111,9 +110,6 @@ def _add_deform_flags(parser):
                              "[0,1], one output per value (default 1)")
     parser.add_argument("--sites", type=int, dest="jacobian_sites",
                         help="Jacobian evaluation sites (default 10000)")
-    parser.add_argument("--method", choices=("fd", "analytic"),
-                        dest="jacobian_method",
-                        help="Jacobian estimator (default fd)")
     parser.add_argument("--covariance", dest="update_covariance",
                         action=argparse.BooleanOptionalAction,
                         help="transport covariances through the local "

@@ -21,9 +21,8 @@ from scipy.spatial import cKDTree
 
 from .cage import CageMesh, build_template_cage, winding_numbers
 from .errors import FitDivergedError
-from .metrics import TriangleMesh, chamfer_distance, sample_mesh_surface
+from .metrics import as_points, chamfer_distance, sample_points
 from .mvc import mvc_weights
-from .points import PointSet
 from .splats import GaussianCloud, sample_centers
 
 
@@ -129,36 +128,11 @@ def _normal_term(vertices: np.ndarray, triangles: np.ndarray,
     return loss, grad
 
 
-def _point_array(obj, what: str) -> np.ndarray:
-    if isinstance(obj, GaussianCloud):
-        pts = obj.centers
-    elif isinstance(obj, PointSet):
-        pts = obj.points
-    else:
-        pts = np.asarray(obj, dtype=np.float64)
-    if pts.ndim != 2 or pts.shape[1] != 3 or len(pts) == 0:
-        raise ValueError(f"{what} must provide a non-empty (N, 3) point array")
-    return pts
-
-
-def _subsample(points: np.ndarray, count, seed: int) -> np.ndarray:
-    if count is None or count >= len(points):
-        return points
-    rng = np.random.default_rng(seed)
-    return points[np.sort(rng.choice(len(points), size=count, replace=False))]
-
-
 def _source_points(source, count, seed) -> np.ndarray:
     if isinstance(source, GaussianCloud) and count is not None \
             and count < len(source):
         return sample_centers(source, n=count, seed=seed).points
-    return _subsample(_point_array(source, "source"), count, seed)
-
-
-def _target_points(target, count, seed) -> np.ndarray:
-    if isinstance(target, TriangleMesh):
-        return sample_mesh_surface(target, n=count, seed=seed).points
-    return _subsample(_point_array(target, "target"), count, seed)
+    return sample_points(as_points(source, "source"), count, seed)
 
 
 def fit_deformed_cage(source, target, source_cage: CageMesh,
@@ -174,8 +148,8 @@ def fit_deformed_cage(source, target, source_cage: CageMesh,
     """
     config = config or FitConfig()
     samples = _source_points(source, config.source_sample_count, config.seed)
-    targets = _target_points(target, config.source_sample_count,
-                             config.seed + 1)
+    targets = sample_points(target, config.source_sample_count,
+                            config.seed + 1, what="target")
 
     outside = winding_numbers(samples, source_cage) < 0.5
     outside_fraction = float(np.mean(outside))

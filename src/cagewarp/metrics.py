@@ -8,12 +8,12 @@ for fitting and evaluation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.spatial import cKDTree
 
-from .cage import read_obj_arrays
+from .cage import read_obj_arrays, triangle_areas
 from .points import PointSet, inflate_degenerate_axes
 from .splats import GaussianCloud, read_gs_ply, _parse_header
 from .transport import transform_covariance
@@ -43,12 +43,6 @@ class TriangleMesh:
                                     or self.triangles.max() >= len(self.vertices)):
             raise ValueError("triangle index out of range")
 
-    def face_areas(self) -> np.ndarray:
-        a = self.vertices[self.triangles[:, 0]]
-        cross = np.cross(self.vertices[self.triangles[:, 1]] - a,
-                         self.vertices[self.triangles[:, 2]] - a)
-        return 0.5 * np.linalg.norm(cross, axis=1)
-
 
 def sample_mesh_surface(mesh: TriangleMesh, n: int = 30000,
                         seed: int = 0) -> PointSet:
@@ -60,7 +54,7 @@ def sample_mesh_surface(mesh: TriangleMesh, n: int = 30000,
     """
     if n < 1:
         raise ValueError(f"sample count must be >= 1, got {n}")
-    areas = mesh.face_areas()
+    areas = triangle_areas(mesh.vertices, mesh.triangles)
     total = areas.sum()
     if len(areas) == 0 or total <= 0.0:
         raise ValueError("mesh has no positive-area faces to sample")
@@ -85,13 +79,40 @@ def sample_mesh_surface(mesh: TriangleMesh, n: int = 30000,
     return PointSet(points=points, normals=normals)
 
 
-def _as_points(obj) -> np.ndarray:
-    if isinstance(obj, PointSet):
-        return obj.points
-    arr = np.asarray(obj, dtype=np.float64)
-    if arr.ndim != 2 or arr.shape[1] != 3:
-        raise ValueError(f"point set must be (N, 3), got {arr.shape}")
-    return arr
+def as_points(obj, what: str = "point set") -> np.ndarray:
+    """The (N, 3) points of a GaussianCloud, PointSet, or array-like.
+
+    Raises ValueError naming `what` unless they form a non-empty (N, 3)
+    array.
+    """
+    if isinstance(obj, GaussianCloud):
+        pts = obj.centers
+    elif isinstance(obj, PointSet):
+        pts = obj.points
+    else:
+        pts = np.asarray(obj, dtype=np.float64)
+    if pts.ndim != 2 or pts.shape[1] != 3 or len(pts) == 0:
+        raise ValueError(f"{what} must provide a non-empty (N, 3) point "
+                         f"array, got shape {pts.shape}")
+    return pts
+
+
+def sample_points(geometry, count: int | None, seed: int,
+                  what: str = "point set") -> np.ndarray:
+    """Up to count points of a geometry, deterministic for a seed.
+
+    A TriangleMesh is sampled by area (exactly count points). Anything
+    as_points accepts yields the rows at count distinct indices drawn
+    without replacement, in increasing order, or every row when count is
+    None or covers them all.
+    """
+    if isinstance(geometry, TriangleMesh):
+        return sample_mesh_surface(geometry, n=count, seed=seed).points
+    points = as_points(geometry, what)
+    if count is None or count >= len(points):
+        return points
+    rng = np.random.default_rng(seed)
+    return points[np.sort(rng.choice(len(points), size=count, replace=False))]
 
 
 def chamfer_distance(a, b) -> float:
@@ -101,10 +122,8 @@ def chamfer_distance(a, b) -> float:
     mean_a min_b |a - b|^2 + mean_b min_a |b - a|^2. Units are squared
     length; identical sets score zero.
     """
-    pa = _as_points(a)
-    pb = _as_points(b)
-    if len(pa) == 0 or len(pb) == 0:
-        raise ValueError("chamfer distance of an empty point set")
+    pa = as_points(a)
+    pb = as_points(b)
     d_ab, _ = cKDTree(pb).query(pa, k=1)
     d_ba, _ = cKDTree(pa).query(pb, k=1)
     return float(np.mean(d_ab ** 2) + np.mean(d_ba ** 2))
@@ -118,7 +137,8 @@ def baseline_bbox_scale(cloud: GaussianCloud, target_lo, target_hi,
     cloud's center bbox onto [target_lo, target_hi] axis by axis. Uniform
     scaling shifts log-scales directly and leaves rotations untouched;
     anisotropic scaling transports covariances like any other Jacobian.
-    An identical source and target box returns a bit-exact copy.
+    An identical source and target box returns a bit-exact copy. The new
+    cloud never shares an array with the input.
     """
     target_lo = np.asarray(target_lo, dtype=np.float64)
     target_hi = np.asarray(target_hi, dtype=np.float64)
@@ -140,27 +160,18 @@ def baseline_bbox_scale(cloud: GaussianCloud, target_lo, target_hi,
     tgt_center = 0.5 * (tgt_lo_i + tgt_hi_i)
     centers = tgt_center + (cloud.centers - src_center) * scale
 
+    moved = replace(cloud.copy(), centers=centers)
     if not update_covariance or np.all(scale == 1.0):
-        log_scales = cloud.log_scales.copy()
-        rotations = cloud.rotations.copy()
-    elif scale.max() - scale.min() <= 1e-12 * scale.max():
+        return moved
+    if scale.max() - scale.min() <= 1e-12 * scale.max():
         # Uniform (to rounding) scaling: covariances scale isotropically,
         # so rotations pass through untouched.
-        log_scales = cloud.log_scales + np.mean(np.log(scale))
-        rotations = cloud.rotations.copy()
-    else:
-        jac = np.broadcast_to(np.diag(scale), (len(cloud), 3, 3))
-        rotations, log_scales = transform_covariance(
-            jac, cloud.rotations, cloud.log_scales)
-
-    return GaussianCloud(
-        centers=centers,
-        log_scales=log_scales,
-        rotations=rotations,
-        opacity_logits=cloud.opacity_logits.copy(),
-        sh_dc=cloud.sh_dc.copy(),
-        sh_rest=cloud.sh_rest.copy(),
-    )
+        return replace(moved,
+                       log_scales=cloud.log_scales + np.mean(np.log(scale)))
+    jac = np.broadcast_to(np.diag(scale), (len(cloud), 3, 3))
+    rotations, log_scales = transform_covariance(
+        jac, cloud.rotations, cloud.log_scales)
+    return replace(moved, rotations=rotations, log_scales=log_scales)
 
 
 def load_target(path, kind: str = "auto"):

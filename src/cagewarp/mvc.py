@@ -1,4 +1,4 @@
-"""Mean value coordinates for closed triangle cages, with analytic gradients.
+"""Mean value coordinates for closed triangle cages.
 
 For a query point x and cage vertices v_i, the weight of vertex i is
 assembled triangle by triangle from the projection of each triangle onto
@@ -14,8 +14,9 @@ normalization reproduces linear functions exactly: sum_i w_i (v_i - x) = 0
 because the per-triangle vector areas of a closed surface cancel.
 
 Weights are smooth away from the cage surface. On the surface they reduce
-to barycentric interpolation (handled by explicit branches); gradients are
-refused near the surface instead of returning garbage.
+to barycentric interpolation (handled by explicit branches). The warp's
+Jacobian is estimated from these weights by central differences in
+transport.jacobian_fd.
 """
 
 from __future__ import annotations
@@ -24,8 +25,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cage import CageMesh, surface_distance
-from .errors import NearSurfaceError, TopologyMismatchError
+from .cage import CageMesh
+from .errors import TopologyMismatchError
 
 # Distance below which a query point is treated as sitting on a cage
 # vertex, as a fraction of the cage bbox diagonal.
@@ -41,8 +42,6 @@ DET_SKIP = 1e-12
 # Pairs with |det| below this are recomputed in extended precision: the
 # Cramer solve loses ~eps/|det| digits to cancellation there.
 DET_REFINE = 1e-6
-# Gradients are refused within this fraction of the diagonal from the cage.
-SURFACE_GUARD = 1e-8
 
 
 @dataclass
@@ -76,6 +75,8 @@ def mvc_weights(points: np.ndarray, cage: CageMesh,
     n_tri = len(cage.triangles)
     if chunk_size is None:
         chunk_size = int(np.clip(1_500_000 // max(n_tri, 1), 128, 8192))
+    if chunk_size < 1:
+        raise ValueError(f"chunk_size must be >= 1, got {chunk_size}")
     rows = []
     for start in range(0, len(points), chunk_size):
         rows.append(_weights_chunk(points[start:start + chunk_size], cage))
@@ -90,35 +91,6 @@ def deform_points(weights: MVCWeights, deformed: CageMesh) -> np.ndarray:
         raise TopologyMismatchError(
             "deformed cage does not share the source cage topology")
     return weights.weights @ deformed.vertices
-
-
-def mvc_gradient(points: np.ndarray, cage: CageMesh,
-                 chunk_size: int | None = None) -> np.ndarray:
-    """Spatial gradients of the normalized coordinates.
-
-    Returns (P, V, 3) with entry [p, i, :] = d omega_i / dx at point p.
-    Rows satisfy sum_i grad omega_i = 0 and sum_i grad omega_i v_i^T = I.
-    Raises NearSurfaceError for points closer to the cage surface than
-    SURFACE_GUARD times its bbox diagonal, where the derivative blows up.
-    """
-    points = np.ascontiguousarray(np.atleast_2d(points), dtype=np.float64)
-    if points.ndim != 2 or points.shape[1] != 3:
-        raise ValueError(f"points must be (P, 3), got {points.shape}")
-    guard = SURFACE_GUARD * cage.bbox_diagonal()
-    dist = surface_distance(points, cage)
-    if np.any(dist < guard):
-        bad = int(np.argmin(dist))
-        raise NearSurfaceError(
-            f"point {bad} is {dist[bad]:.3e} from the cage surface "
-            f"(< {guard:.3e}); gradients are not defined there")
-    n_tri = len(cage.triangles)
-    if chunk_size is None:
-        chunk_size = int(np.clip(200_000 // max(n_tri, 1), 32, 4096))
-    grads = []
-    for start in range(0, len(points), chunk_size):
-        grads.append(_gradient_chunk(points[start:start + chunk_size], cage))
-    return np.concatenate(grads, axis=0) if grads else \
-        np.zeros((0, len(cage.vertices), 3))
 
 
 def _spherical_setup(x: np.ndarray, cage: CageMesh):
@@ -250,82 +222,3 @@ def _refine_pairs(x: np.ndarray, tri_verts: np.ndarray) -> np.ndarray:
         m += 0.5 * (theta[k] / s)[:, None] * cr[k]
     lam = np.stack([np.sum(m * cr[k], axis=1) / det for k in range(3)], axis=1)
     return lam.astype(np.float64)
-
-
-def _gradient_chunk(x: np.ndarray, cage: CageMesh) -> np.ndarray:
-    n_pts = len(x)
-    n_vert = len(cage.vertices)
-    tri = cage.triangles
-    eye = np.eye(3)
-
-    geo = _spherical_setup(x, cage)
-    e, dcorn, theta, cr, det = (geo["e"], geo["dcorn"], geo["theta"],
-                                geo["cr"], geo["det"])
-    m = _vector_area(geo)
-    det_safe = np.where(np.abs(det) < 1e-300, 1.0, det)
-    lam = [np.einsum("ptx,ptx->pt", m, cr[k]) / det_safe for k in range(3)]
-    drop = np.abs(det) < DET_SKIP
-
-    # d(u_hat)/dx per corner: (u u^T - I) / d,  symmetric.
-    Du = [(np.einsum("ptx,pty->ptxy", e[k], e[k]) - eye)
-          / dcorn[k][:, :, None, None] for k in range(3)]
-
-    def skew(v):
-        K = np.zeros(v.shape[:-1] + (3, 3))
-        K[..., 0, 1] = -v[..., 2]
-        K[..., 0, 2] = v[..., 1]
-        K[..., 1, 0] = v[..., 2]
-        K[..., 1, 2] = -v[..., 0]
-        K[..., 2, 0] = -v[..., 1]
-        K[..., 2, 1] = v[..., 0]
-        return K
-
-    # Dm = 1/2 sum_k (N_k grad(theta_k)^T + theta_k DN_k)
-    Dm = np.zeros((n_pts, len(tri), 3, 3))
-    for k in range(3):
-        a, b = e[(k + 1) % 3], e[(k + 2) % 3]
-        Da, Db = Du[(k + 1) % 3], Du[(k + 2) % 3]
-        Dcr = -skew(b) @ Da + skew(a) @ Db
-        s = np.linalg.norm(cr[k], axis=2)
-        s_safe = np.where(s < 1e-300, 1.0, s)[:, :, None]
-        N = cr[k] / s_safe
-        grad_s = np.einsum("ptxy,ptx->pty", Dcr, N)
-        # cos(theta) = a . b; Du is symmetric so grad(cos) = Da b + Db a.
-        cos_t = np.einsum("ptx,ptx->pt", a, b)
-        grad_cos = np.einsum("ptxy,pty->ptx", Da, b) \
-            + np.einsum("ptxy,pty->ptx", Db, a)
-        grad_theta = cos_t[:, :, None] * grad_s \
-            - np.sin(theta[k])[:, :, None] * grad_cos
-        DN = (Dcr - np.einsum("ptx,pty->ptxy", N,
-                              np.einsum("ptx,ptxy->pty", N, Dcr))) / s_safe[..., None]
-        Dm += 0.5 * (np.einsum("ptx,pty->ptxy", N, grad_theta)
-                     + theta[k][:, :, None, None] * DN)
-
-    M = sum(lam[k][:, :, None, None] * Du[k] for k in range(3))
-    rhs = Dm - M
-    grad_w = np.zeros((n_pts, n_vert, 3))
-    flat_p3 = np.repeat(np.arange(n_pts), len(tri))
-    for k in range(3):
-        grad_lam = np.einsum("ptx,ptxy->pty", cr[k], rhs) \
-            / det_safe[:, :, None]
-        contrib = grad_lam / dcorn[k][:, :, None] \
-            + (lam[k] / dcorn[k] ** 2)[:, :, None] * e[k]
-        contrib = np.where(drop[:, :, None], 0.0, contrib)
-        flat_v = np.tile(tri[:, k], n_pts)
-        for c in range(3):
-            grad_w[:, :, c] += np.bincount(
-                flat_p3 * n_vert + flat_v, weights=contrib[:, :, c].ravel(),
-                minlength=n_pts * n_vert).reshape(n_pts, n_vert)
-
-    # Forward weights for the normalization term, reusing lam.
-    w = np.zeros((n_pts, n_vert))
-    for k in range(3):
-        contrib = np.where(drop, 0.0, lam[k] / dcorn[k])
-        flat_v = np.tile(tri[:, k], n_pts)
-        w += np.bincount(flat_p3 * n_vert + flat_v, weights=contrib.ravel(),
-                         minlength=n_pts * n_vert).reshape(n_pts, n_vert)
-    total = w.sum(axis=1)
-    omega = w / total[:, None]
-    grad_total = grad_w.sum(axis=1)                      # (P, 3)
-    return (grad_w - omega[:, :, None] * grad_total[:, None, :]) \
-        / total[:, None, None]

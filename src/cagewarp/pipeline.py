@@ -30,8 +30,8 @@ from .cage import (CageMesh, build_template_cage, interpolate_cage,
 from .errors import PipelineError
 from .fitting import FitConfig, fit_deformed_cage
 from .metrics import (TriangleMesh, baseline_bbox_scale, chamfer_distance,
-                      load_target, sample_mesh_surface)
-from .points import PointSet, bbox_of, inflate_degenerate_axes
+                      load_target, sample_points)
+from .points import bbox_of, inflate_degenerate_axes
 from .splats import read_gs_ply, sample_centers, write_gs_ply
 from .transport import deform_cloud
 
@@ -68,7 +68,6 @@ class PipelineConfig:
     cage_out: tuple | None = None
     cage_resolution: int = 2
     cage_padding: float = 0.1
-    jacobian_method: str = "fd"
     center_chunk: int = 30000
     workers: int = 0
 
@@ -82,12 +81,12 @@ class PipelineConfig:
             raise ValueError(f"duplicate lambda values: {lams}")
         if self.target_kind not in TARGET_KINDS:
             raise ValueError(f"target_kind must be one of {TARGET_KINDS}")
-        if self.jacobian_method not in ("fd", "analytic"):
-            raise ValueError("jacobian_method must be 'fd' or 'analytic'")
         if self.jacobian_sites < 1:
             raise ValueError("jacobian_sites must be >= 1")
         if self.sample_count < 1:
             raise ValueError("sample_count must be >= 1")
+        if self.center_chunk < 1:
+            raise ValueError("center_chunk must be >= 1")
         if self.workers < 0:
             raise ValueError("workers must be >= 0")
         if self.cage_in is not None and len(tuple(self.cage_in)) != 2:
@@ -168,18 +167,6 @@ class _Run:
                 logger.warning("could not remove partial output %s", path)
 
 
-def _target_points_world(target, count: int, seed: int) -> np.ndarray:
-    """World-frame target points: sampled for meshes, subsampled for sets."""
-    if isinstance(target, TriangleMesh):
-        return sample_mesh_surface(target, n=count, seed=seed).points
-    points = target.points if isinstance(target, PointSet) else target
-    if count < len(points):
-        rng = np.random.default_rng(seed)
-        keep = np.sort(rng.choice(len(points), size=count, replace=False))
-        return points[keep]
-    return points
-
-
 def _normalized_chamfer(a: np.ndarray, b: np.ndarray,
                         frame: _Frame) -> float:
     return chamfer_distance(frame.to_canonical(a), frame.to_canonical(b))
@@ -257,8 +244,7 @@ def run_pipeline(config: PipelineConfig, cages_only: bool = False,
 def _load_target_points(config: PipelineConfig, run: _Run):
     with run.stage("load-target"):
         target = load_target(config.target, kind=config.target_kind)
-        points = _target_points_world(target, config.sample_count,
-                                      config.seed + 1)
+        points = sample_points(target, config.sample_count, config.seed + 1)
         logger.info("target: %d points (%s)", len(points),
                     type(target).__name__)
     return points
@@ -348,7 +334,6 @@ def _run_deform(config: PipelineConfig, run: _Run,
                     cloud, source_cage, cage_lam,
                     update_covariance=config.update_covariance,
                     m=config.jacobian_sites, seed=config.seed,
-                    method=config.jacobian_method,
                     center_chunk=config.center_chunk,
                     workers=config.effective_workers())
                 path = run.claim(f"deformed_lam{_lambda_tag(lam)}.ply")
@@ -360,9 +345,8 @@ def _run_deform(config: PipelineConfig, run: _Run,
                     entry["singular_sites"] = jac_field.n_singular
                 if target_points is not None:
                     entry["chamfer_sq_normalized"] = _normalized_chamfer(
-                        _target_points_world(moved.centers,
-                                             config.sample_count,
-                                             config.seed),
+                        sample_points(moved.centers, config.sample_count,
+                                      config.seed),
                         target_points, metric_frame)
                 outputs.append(entry)
 
@@ -374,7 +358,6 @@ def _run_deform(config: PipelineConfig, run: _Run,
         "splats": len(cloud),
         "normalize": config.normalize,
         "update_covariance": config.update_covariance,
-        "jacobian_method": config.jacobian_method,
         "seed": config.seed,
         "chamfer_frame": "unit-diagonal box of the target points",
         "outputs": outputs,
@@ -408,8 +391,8 @@ def _run_baseline(config: PipelineConfig, run: _Run) -> dict:
         full = target.vertices if isinstance(target, TriangleMesh) \
             else target.points
         lo, hi = bbox_of(full)
-        target_points = _target_points_world(target, config.sample_count,
-                                             config.seed + 1)
+        target_points = sample_points(target, config.sample_count,
+                                      config.seed + 1)
 
     with run.stage("baseline"):
         moved = baseline_bbox_scale(cloud, lo, hi,
@@ -418,8 +401,7 @@ def _run_baseline(config: PipelineConfig, run: _Run) -> dict:
         write_gs_ply(moved, path)
         frame = _Frame.of_points(target_points)
         chamfer = _normalized_chamfer(
-            _target_points_world(moved.centers, config.sample_count,
-                                 config.seed),
+            sample_points(moved.centers, config.sample_count, config.seed),
             target_points, frame)
 
     summary = {
@@ -448,8 +430,7 @@ def compare_models(path_a, path_b, kind_a: str = "auto",
     points = []
     for path, kind, offset in ((path_a, kind_a, 0), (path_b, kind_b, 1)):
         geometry = load_target(path, kind=kind)
-        points.append(_target_points_world(geometry, sample_count,
-                                           seed + offset))
+        points.append(sample_points(geometry, sample_count, seed + offset))
     frame = _Frame.of_points(points[1])
     return {
         "model": str(path_a),

@@ -35,24 +35,11 @@ class PointSet:
     def __len__(self) -> int:
         return self.points.shape[0]
 
-    def bbox(self) -> tuple[np.ndarray, np.ndarray]:
-        """Axis-aligned bounding box as (min, max) corners."""
-        return self.points.min(axis=0), self.points.max(axis=0)
-
-    def bbox_diagonal(self) -> float:
-        lo, hi = self.bbox()
-        return float(np.linalg.norm(hi - lo))
-
 
 def bbox_of(points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(min, max) corners of a raw (N, 3) array."""
     pts = np.asarray(points, dtype=np.float64)
     return pts.min(axis=0), pts.max(axis=0)
-
-
-def bbox_diagonal(points: np.ndarray) -> float:
-    lo, hi = bbox_of(points)
-    return float(np.linalg.norm(hi - lo))
 
 
 def inflate_degenerate_axes(lo: np.ndarray, hi: np.ndarray,

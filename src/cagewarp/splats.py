@@ -15,6 +15,7 @@ rotation as an unnormalized (w, x, y, z) quaternion.
 
 from __future__ import annotations
 
+import dataclasses
 import io
 from dataclasses import dataclass
 
@@ -41,18 +42,6 @@ _REQUIRED_PROPERTIES = (
 )
 
 _FLOAT_NAMES = {"float", "float32"}
-
-
-@dataclass
-class GaussianSplat:
-    """A single Gaussian, as a read-only view row of a cloud."""
-
-    center: np.ndarray        # (3,) world position
-    log_scale: np.ndarray     # (3,) pre-activation; scale = exp(log_scale)
-    rotation: np.ndarray      # (4,) quaternion w, x, y, z, unnormalized
-    opacity_logit: float
-    sh_dc: np.ndarray         # (3,) degree-0 color coefficients
-    sh_rest: np.ndarray       # (K,) higher-degree coefficients, may be empty
 
 
 @dataclass
@@ -108,25 +97,15 @@ class GaussianCloud:
     def sh_degree(self) -> int:
         return _SH_DEGREE_BY_WIDTH[self.sh_rest.shape[1]]
 
-    def splat(self, i: int) -> GaussianSplat:
-        return GaussianSplat(
-            center=self.centers[i],
-            log_scale=self.log_scales[i],
-            rotation=self.rotations[i],
-            opacity_logit=float(self.opacity_logits[i]),
-            sh_dc=self.sh_dc[i],
-            sh_rest=self.sh_rest[i],
-        )
-
     def copy(self) -> "GaussianCloud":
-        return GaussianCloud(
-            centers=self.centers.copy(),
-            log_scales=self.log_scales.copy(),
-            rotations=self.rotations.copy(),
-            opacity_logits=self.opacity_logits.copy(),
-            sh_dc=self.sh_dc.copy(),
-            sh_rest=self.sh_rest.copy(),
-        )
+        """Deep copy: the new cloud shares no array with this one.
+
+        Derived clouds start here and swap in their new fields with
+        dataclasses.replace, so untouched fields are never aliased.
+        """
+        return dataclasses.replace(self, **{
+            f.name: getattr(self, f.name).copy()
+            for f in dataclasses.fields(self)})
 
     def bbox(self) -> tuple[np.ndarray, np.ndarray]:
         """Axis-aligned bounding box of the centers."""
@@ -145,12 +124,6 @@ def covariances_of(rotations: np.ndarray, log_scales: np.ndarray) -> np.ndarray:
     var = np.exp(2.0 * np.asarray(log_scales, dtype=np.float64))
     # R @ diag(var) @ R^T without materializing the diagonal matrices
     return np.einsum("...ik,...k,...jk->...ij", R, var, R)
-
-
-def covariance_of(rotation: np.ndarray, log_scale: np.ndarray) -> np.ndarray:
-    """Covariance of a single Gaussian from its quaternion and log-scales."""
-    return covariances_of(np.asarray(rotation, dtype=np.float64),
-                          np.asarray(log_scale, dtype=np.float64))
 
 
 def sample_centers(cloud: GaussianCloud, n: int = 30000, seed: int = 0) -> PointSet:

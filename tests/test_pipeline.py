@@ -162,7 +162,8 @@ def test_config_validation_failures(fixture_paths, tmp_path):
             (dict(lambdas=(1.5,)), "lambda"),
             (dict(lambdas=()), "lambda"),
             (dict(lambdas=(0.5, 0.5)), "duplicate"),
-            (dict(jacobian_method="magic"), "jacobian_method"),
+            (dict(center_chunk=0), "center_chunk"),
+            (dict(center_chunk=-7), "center_chunk"),
             (dict(target_kind="volume"), "target_kind"),
             (dict(jacobian_sites=0), "jacobian_sites"),
     ):

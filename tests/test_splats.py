@@ -10,7 +10,6 @@ from cagewarp.errors import (
 from cagewarp.rotations import quat_to_matrix
 from cagewarp.splats import (
     GaussianCloud,
-    covariance_of,
     covariances_of,
     read_gs_ply,
     sample_centers,
@@ -48,24 +47,18 @@ class TestCloudValidation:
             GaussianCloud(centers, cloud.log_scales, cloud.rotations,
                           cloud.opacity_logits, cloud.sh_dc, cloud.sh_rest)
 
-    def test_splat_view_shares_memory(self):
-        cloud = random_cloud(4)
-        s = cloud.splat(2)
-        assert np.shares_memory(s.center, cloud.centers)
-        assert s.opacity_logit == cloud.opacity_logits[2]
-
 
 class TestCovariance:
     def test_identity_rotation_gives_diagonal(self):
         log_scale = np.array([0.1, -0.3, 0.7])
-        cov = covariance_of(np.array([1.0, 0.0, 0.0, 0.0]), log_scale)
+        cov = covariances_of(np.array([1.0, 0.0, 0.0, 0.0]), log_scale)
         assert np.allclose(cov, np.diag(np.exp(2 * log_scale)), rtol=0, atol=1e-15)
 
     def test_rotation_preserves_eigenvalues(self):
         rng = np.random.default_rng(3)
         q = rng.normal(size=4)
         log_scale = np.array([-1.0, 0.0, 0.5])
-        cov = covariance_of(q, log_scale)
+        cov = covariances_of(q, log_scale)
         eig = np.sort(np.linalg.eigvalsh(cov))
         assert np.allclose(eig, np.sort(np.exp(2 * log_scale)), rtol=1e-12)
 
@@ -75,14 +68,14 @@ class TestCovariance:
         rng = np.random.default_rng(4)
         q = rng.normal(size=4)
         ls = rng.normal(size=3)
-        assert np.allclose(covariance_of(q, ls), covariance_of(5.0 * q, ls),
+        assert np.allclose(covariances_of(q, ls), covariances_of(5.0 * q, ls),
                            rtol=1e-12)
 
     def test_batched_matches_single(self):
         cloud = random_cloud(10, seed=5)
         batch = covariances_of(cloud.rotations, cloud.log_scales)
         for i in range(10):
-            single = covariance_of(cloud.rotations[i], cloud.log_scales[i])
+            single = covariances_of(cloud.rotations[i], cloud.log_scales[i])
             assert np.allclose(batch[i], single, rtol=0, atol=1e-15)
 
     def test_spd(self):
@@ -99,7 +92,7 @@ class TestCovariance:
         ls = rng.normal(size=3)
         R = quat_to_matrix(q)
         S = np.diag(np.exp(ls))
-        assert np.allclose(covariance_of(q, ls), R @ S @ S.T @ R.T, rtol=1e-14)
+        assert np.allclose(covariances_of(q, ls), R @ S @ S.T @ R.T, rtol=1e-14)
 
 
 class TestSampleCenters:

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -9,12 +11,12 @@ from cagewarp.transport import (
     JacobianField,
     build_jacobian_field,
     deform_cloud,
-    jacobian_analytic,
     jacobian_fd,
     transform_covariance,
 )
 
 from conftest import cage_pair, interior_points, random_cloud
+from jacobian_oracle import jacobian_analytic
 
 
 class TestJacobians:
@@ -300,3 +302,30 @@ class TestDeformCloud:
                             center_chunk=64, workers=4)
         for name in ("centers", "log_scales", "rotations"):
             assert np.array_equal(getattr(a, name), getattr(b, name))
+
+    @pytest.mark.parametrize("update_covariance", [True, False])
+    @pytest.mark.parametrize("center_chunk", [0, -7])
+    def test_center_chunk_below_one_rejected(self, center_chunk,
+                                             update_covariance):
+        cloud = random_cloud(30, seed=42)
+        source = build_template_cage(cloud.centers, resolution=2)
+        deformed = source.with_vertices(source.vertices * 1.1, validate=False)
+        with pytest.raises(ValueError, match="center_chunk"):
+            deform_cloud(cloud, source, deformed, m=10,
+                         update_covariance=update_covariance,
+                         center_chunk=center_chunk)
+
+    @pytest.mark.parametrize("update_covariance, scale", [
+        (True, 1.1), (False, 1.1), (True, 1.0)])
+    def test_output_shares_no_memory_with_input(self, update_covariance,
+                                                scale):
+        # scale 1.0 takes the identical-cage short circuit.
+        cloud = random_cloud(60, seed=43)
+        source = build_template_cage(cloud.centers, resolution=2)
+        deformed = source.with_vertices(source.vertices * scale,
+                                        validate=False)
+        out, _ = deform_cloud(cloud, source, deformed, m=20,
+                              update_covariance=update_covariance)
+        for f in dataclasses.fields(cloud):
+            assert not np.shares_memory(getattr(out, f.name),
+                                        getattr(cloud, f.name)), f.name
