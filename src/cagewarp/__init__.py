@@ -14,15 +14,13 @@ from .errors import (CagewarpError, NonManifoldCageError,
                      NearSurfaceError, PipelineError, PlyFormatError,
                      PlyReadError, TopologyMismatchError,
                      UnsupportedLayoutError)
-from .fitting import (FitConfig, FitReport, build_source_cage,
-                      fit_deformed_cage)
+from .fitting import FitConfig, FitReport, fit_deformed_cage
 from .metrics import (TriangleMesh, baseline_bbox_scale, chamfer_distance,
-                      load_target, sample_mesh_surface)
+                      load_target, sample_mesh_surface, sample_points)
 from .mvc import MVCWeights, deform_points, mvc_weights
 from .pipeline import PipelineConfig, compare_models, run_pipeline
 from .points import PointSet
-from .splats import (GaussianCloud, read_gs_ply, sample_centers,
-                     write_gs_ply)
+from .splats import GaussianCloud, read_gs_ply, write_gs_ply
 from .transport import (JacobianField, build_jacobian_field, deform_cloud,
                         jacobian_fd, transform_covariance)
 
@@ -35,10 +33,10 @@ __all__ = [
     "PipelineConfig", "PipelineError", "PlyFormatError", "PlyReadError",
     "PointSet", "TopologyMismatchError", "TriangleMesh",
     "UnsupportedLayoutError", "baseline_bbox_scale", "build_jacobian_field",
-    "build_source_cage", "build_template_cage", "chamfer_distance",
+    "build_template_cage", "chamfer_distance",
     "compare_models", "deform_cloud", "deform_points", "fit_deformed_cage",
     "interpolate_cage", "jacobian_fd", "load_target", "mvc_weights",
-    "read_cage_obj", "read_gs_ply", "run_pipeline", "sample_centers",
-    "sample_mesh_surface", "transform_covariance", "write_cage_obj",
+    "read_cage_obj", "read_gs_ply", "run_pipeline", "sample_mesh_surface",
+    "sample_points", "transform_covariance", "write_cage_obj",
     "write_gs_ply",
 ]

@@ -30,12 +30,9 @@ from .pipeline import (TARGET_KINDS, PipelineConfig, compare_models,
 
 logger = logging.getLogger("cagewarp")
 
-_CONFIG_KEYS = {
-    "source", "target", "target_kind", "output_dir", "lambdas",
-    "sample_count", "jacobian_sites", "update_covariance", "normalize",
-    "baseline_mode", "cage_in", "cage_out", "cage_resolution",
-    "cage_padding", "seed", "workers", "center_chunk",
-}
+# The subcommand, not the config file, decides baseline_mode.
+_CONFIG_KEYS = set(PipelineConfig.__dataclass_fields__) \
+    - {"fit", "baseline_mode"}
 _FIT_KEYS = set(FitConfig.__dataclass_fields__)
 
 
@@ -131,9 +128,6 @@ def _add_fit_flags(parser):
                              "(default 2)")
     parser.add_argument("--cage-padding", type=float, dest="cage_padding",
                         help="template cage margin fraction (default 0.1)")
-    parser.add_argument("--cage-out", nargs=2, dest="cage_out",
-                        metavar=("SRC_OBJ", "DEF_OBJ"),
-                        help="explicit paths for the written cage pair")
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -216,9 +210,8 @@ def _build_config(args, parser) -> PipelineConfig:
     merged["baseline_mode"] = args.command == "baseline"
     if "lambdas" in merged:
         merged["lambdas"] = tuple(float(l) for l in merged["lambdas"])
-    for key in ("cage_in", "cage_out"):
-        if merged.get(key) is not None:
-            merged[key] = tuple(str(p) for p in merged[key])
+    if merged.get("cage_in") is not None:
+        merged["cage_in"] = tuple(str(p) for p in merged["cage_in"])
 
     if merged.get("source") is None:
         parser.error("a source model is required (--source or config file)")

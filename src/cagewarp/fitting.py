@@ -1,9 +1,9 @@
 """Fitting a deformed cage so the enclosed model matches a target shape.
 
-The deformed cage is found by direct optimization: sample points from the
-source model, tie them to the source cage once via mean value coordinates
-(the weight matrix W is independent of the deformed cage, so deformed
-sample positions are just W @ C for candidate vertices C), and descend an
+The deformed cage is found by direct optimization: tie the given source
+points to the source cage once via mean value coordinates (the weight
+matrix W is independent of the deformed cage, so deformed sample
+positions are just W @ C for candidate vertices C), and descend an
 alignment-plus-regularization loss with Adam on the vertex offsets.
 
 Nearest-neighbor assignments for the alignment term are refreshed every
@@ -19,11 +19,18 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.spatial import cKDTree
 
-from .cage import CageMesh, build_template_cage, winding_numbers
+from .cage import CageMesh, winding_numbers
 from .errors import FitDivergedError
-from .metrics import as_points, chamfer_distance, sample_points
+from .metrics import as_points, chamfer_distance
 from .mvc import mvc_weights
-from .splats import GaussianCloud, sample_centers
+
+# Adam's moment decay rates and denominator guard, and how many iterations
+# the best loss may improve by less than convergence_tol before the fit
+# counts as converged.
+ADAM_DECAY1 = 0.9
+ADAM_DECAY2 = 0.999
+ADAM_EPS = 1e-8
+CONVERGENCE_WINDOW = 20
 
 
 @dataclass
@@ -37,16 +44,10 @@ class FitConfig:
 
     iterations: int = 500
     step_size: float = 0.01
-    beta1: float = 0.9
-    beta2: float = 0.999
-    adam_eps: float = 1e-8
     align_weight: float = 1.0
     barrier_weight: float = 0.1
     normal_weight: float = 0.05
-    source_sample_count: int = 30000
     convergence_tol: float = 1e-5
-    convergence_window: int = 20
-    seed: int = 0
 
 
 @dataclass
@@ -64,26 +65,6 @@ class FitReport:
     iterations_run: int
     converged: bool
     outside_fraction: float = field(default=0.0)
-
-
-def build_source_cage(source, resolution: int = 2, padding: float = 0.1,
-                      shrink: float = 0.0, seed: int = 0) -> CageMesh:
-    """Template cage around a source model.
-
-    source may be a GaussianCloud, PointSet, or (N, 3) array. A nonzero
-    shrink in (0, 1] pulls each cage vertex that fraction of the way
-    toward its nearest source point, tightening loose boxes; the result
-    must still be a valid cage or the shrink is rejected.
-    """
-    points = _source_points(source, count=None, seed=seed)
-    cage = build_template_cage(points, resolution=resolution, padding=padding)
-    if shrink == 0.0:
-        return cage
-    if not 0.0 < shrink <= 1.0:
-        raise ValueError(f"shrink must be in (0, 1], got {shrink}")
-    _, idx = cKDTree(points).query(cage.vertices, k=1)
-    pulled = cage.vertices + shrink * (points[idx] - cage.vertices)
-    return CageMesh(pulled, cage.triangles.copy())
 
 
 def alignment_loss(positions: np.ndarray, target_points: np.ndarray):
@@ -128,28 +109,21 @@ def _normal_term(vertices: np.ndarray, triangles: np.ndarray,
     return loss, grad
 
 
-def _source_points(source, count, seed) -> np.ndarray:
-    if isinstance(source, GaussianCloud) and count is not None \
-            and count < len(source):
-        return sample_centers(source, n=count, seed=seed).points
-    return sample_points(as_points(source, "source"), count, seed)
-
-
 def fit_deformed_cage(source, target, source_cage: CageMesh,
                       config: FitConfig | None = None):
     """Optimize deformed cage vertices so the source matches the target.
 
-    source: GaussianCloud, PointSet, or (N, 3) array of source geometry.
-    target: TriangleMesh (sampled by area), PointSet, or (M, 3) array.
+    source, target: GaussianCloud, PointSet, or (N, 3) array. Every point
+    is used; subsample with metrics.sample_points beforehand, which also
+    turns a TriangleMesh target into points.
 
     Returns (deformed_cage, FitReport). The returned cage carries the
     best-loss vertices seen, not necessarily the last iterate. Raises
     FitDivergedError if the loss leaves the realm of finite numbers.
     """
     config = config or FitConfig()
-    samples = _source_points(source, config.source_sample_count, config.seed)
-    targets = sample_points(target, config.source_sample_count,
-                            config.seed + 1, what="target")
+    samples = as_points(source, "source")
+    targets = as_points(target, "target")
 
     outside = winding_numbers(samples, source_cage) < 0.5
     outside_fraction = float(np.mean(outside))
@@ -201,15 +175,14 @@ def fit_deformed_cage(source, target, source_cage: CageMesh,
 
         grad = config.align_weight * (weight_matrix.T @ grad_pts) \
             + config.normal_weight * grad_normal
-        adam_m = config.beta1 * adam_m + (1.0 - config.beta1) * grad
-        adam_v = config.beta2 * adam_v + (1.0 - config.beta2) * grad * grad
-        m_hat = adam_m / (1.0 - config.beta1 ** it)
-        v_hat = adam_v / (1.0 - config.beta2 ** it)
-        delta = delta - alpha * m_hat / (np.sqrt(v_hat) + config.adam_eps)
+        adam_m = ADAM_DECAY1 * adam_m + (1.0 - ADAM_DECAY1) * grad
+        adam_v = ADAM_DECAY2 * adam_v + (1.0 - ADAM_DECAY2) * grad * grad
+        m_hat = adam_m / (1.0 - ADAM_DECAY1 ** it)
+        v_hat = adam_v / (1.0 - ADAM_DECAY2 ** it)
+        delta = delta - alpha * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
 
-        window = config.convergence_window
-        if len(best_trace) > window:
-            then = best_trace[-window - 1]
+        if len(best_trace) > CONVERGENCE_WINDOW:
+            then = best_trace[-CONVERGENCE_WINDOW - 1]
             if (then - best_loss) < config.convergence_tol * max(abs(then),
                                                                  1e-300):
                 converged = True

@@ -104,8 +104,10 @@ def sample_points(geometry, count: int | None, seed: int,
     A TriangleMesh is sampled by area (exactly count points). Anything
     as_points accepts yields the rows at count distinct indices drawn
     without replacement, in increasing order, or every row when count is
-    None or covers them all.
+    None or covers them all. A count below 1 raises ValueError.
     """
+    if count is not None and count < 1:
+        raise ValueError(f"sample count must be >= 1, got {count}")
     if isinstance(geometry, TriangleMesh):
         return sample_mesh_surface(geometry, n=count, seed=seed).points
     points = as_points(geometry, what)

@@ -14,7 +14,6 @@ invariant under similarity transforms of the cage.
 
 from __future__ import annotations
 
-import dataclasses
 import json
 import logging
 import os
@@ -32,7 +31,7 @@ from .fitting import FitConfig, fit_deformed_cage
 from .metrics import (TriangleMesh, baseline_bbox_scale, chamfer_distance,
                       load_target, sample_points)
 from .points import bbox_of, inflate_degenerate_axes
-from .splats import read_gs_ply, sample_centers, write_gs_ply
+from .splats import read_gs_ply, write_gs_ply
 from .transport import deform_cloud
 
 logger = logging.getLogger("cagewarp")
@@ -48,8 +47,8 @@ class PipelineConfig:
     written per factor. jacobian_sites (m) bounds how many Jacobians are
     evaluated; sample_count (N) bounds how many centers/target points the
     fit sees. cage_in is an optional (source_cage, deformed_cage) OBJ
-    pair that skips fitting entirely. workers = 0 means one thread per
-    available core.
+    pair that skips fitting entirely; a fitted pair is written to
+    output_dir. workers = 0 means one thread per available core.
     """
 
     source: str
@@ -65,7 +64,6 @@ class PipelineConfig:
     normalize: bool = True
     baseline_mode: bool = False
     cage_in: tuple | None = None
-    cage_out: tuple | None = None
     cage_resolution: int = 2
     cage_padding: float = 0.1
     center_chunk: int = 30000
@@ -257,6 +255,7 @@ def _run_deform(config: PipelineConfig, run: _Run,
         logger.info("source: %d splats from %s", len(cloud), config.source)
 
     report = None
+    cage_paths = {}
     if config.cage_in is not None:
         with run.stage("load-cages"):
             source_cage = read_cage_obj(config.cage_in[0])
@@ -275,8 +274,7 @@ def _run_deform(config: PipelineConfig, run: _Run,
         target_points = _load_target_points(config, run)
 
         with run.stage("sample-source"):
-            n = min(config.sample_count, len(cloud))
-            samples = sample_centers(cloud, n=n, seed=config.seed).points
+            samples = sample_points(cloud, config.sample_count, config.seed)
 
         with run.stage("fit-cage"):
             src_frame = _Frame.of_points(cloud.centers) if config.normalize \
@@ -287,12 +285,10 @@ def _run_deform(config: PipelineConfig, run: _Run,
                 src_frame.to_canonical(cloud.centers),
                 resolution=config.cage_resolution,
                 padding=config.cage_padding)
-            fit_cfg = dataclasses.replace(
-                config.fit, source_sample_count=len(samples))
             fitted_canonical, report = fit_deformed_cage(
                 src_frame.to_canonical(samples),
                 tgt_frame.to_canonical(target_points),
-                cage_canonical, fit_cfg)
+                cage_canonical, config.fit)
             source_cage = cage_canonical.with_vertices(
                 src_frame.from_canonical(cage_canonical.vertices))
             deformed_cage = fitted_canonical.with_vertices(
@@ -303,22 +299,14 @@ def _run_deform(config: PipelineConfig, run: _Run,
                 "(normalized frame)", report.iterations_run,
                 report.converged, report.final_chamfer)
 
-    cage_paths = {}
-    if config.cage_in is None or config.cage_out is not None:
         with run.stage("write-cages"):
-            if config.cage_out is not None:
-                src_path = Path(config.cage_out[0])
-                def_path = Path(config.cage_out[1])
-                run.artifacts.extend([src_path, def_path])
-            else:
-                src_path = run.claim("source_cage.obj")
-                def_path = run.claim("deformed_cage.obj")
+            src_path = run.claim("source_cage.obj")
+            def_path = run.claim("deformed_cage.obj")
             write_cage_obj(source_cage, src_path)
             write_cage_obj(deformed_cage, def_path)
             cage_paths = {"source_cage": src_path.name,
                           "deformed_cage": def_path.name}
 
-    if report is not None:
         with run.stage("fit-trace"):
             _write_fit_trace(run.claim("fit_trace.csv"), report)
 

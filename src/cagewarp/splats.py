@@ -27,7 +27,6 @@ from .errors import (
     PlyReadError,
     UnsupportedLayoutError,
 )
-from .points import PointSet
 from .rotations import quat_to_matrix
 
 _SH_REST_WIDTHS = {0: 0, 1: 9, 2: 24, 3: 45}
@@ -124,22 +123,6 @@ def covariances_of(rotations: np.ndarray, log_scales: np.ndarray) -> np.ndarray:
     var = np.exp(2.0 * np.asarray(log_scales, dtype=np.float64))
     # R @ diag(var) @ R^T without materializing the diagonal matrices
     return np.einsum("...ik,...k,...jk->...ij", R, var, R)
-
-
-def sample_centers(cloud: GaussianCloud, n: int = 30000, seed: int = 0) -> PointSet:
-    """Draw n Gaussian centers, uniformly and deterministically for a seed.
-
-    Sampling is without replacement when n <= len(cloud) and with
-    replacement otherwise.
-    """
-    if len(cloud) == 0:
-        raise ValueError("cannot sample from an empty cloud")
-    if n < 1:
-        raise ValueError(f"sample count must be >= 1, got {n}")
-    rng = np.random.default_rng(seed)
-    replace = n > len(cloud)
-    idx = rng.choice(len(cloud), size=n, replace=replace)
-    return PointSet(points=cloud.centers[idx])
 
 
 def _vertex_dtype(sh_rest_width: int) -> np.dtype:

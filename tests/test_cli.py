@@ -147,13 +147,18 @@ def test_config_file_supplies_defaults_cli_overrides(model_files, tmp_path,
     assert len(rows) == 1 + 4
 
 
-def test_unknown_config_key_exits_two(model_files, tmp_path):
+@pytest.mark.parametrize("extra", [
+    {"wiggle": 3}, {"baseline_mode": True},
+    {"cage_out": ["a.obj", "b.obj"]}, {"fit": {"seed": 0}},
+    {"fit": {"beta1": 0.5}},
+], ids=["wiggle", "baseline_mode", "cage_out", "fit.seed", "fit.beta1"])
+def test_unknown_config_key_exits_two(model_files, tmp_path, extra):
     source, target = model_files
     cfg_path = tmp_path / "bad.json"
     cfg_path.write_text(json.dumps({"source": str(source),
                                     "target": str(target),
                                     "output_dir": str(tmp_path / "o"),
-                                    "wiggle": 3}))
+                                    **extra}))
     with pytest.raises(SystemExit) as excinfo:
         main(["deform", "--config", str(cfg_path)])
     assert excinfo.value.code == 2

@@ -2,6 +2,7 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cagewarp.cage import build_template_cage
 from cagewarp.metrics import (
@@ -10,6 +11,7 @@ from cagewarp.metrics import (
     chamfer_distance,
     load_target,
     sample_mesh_surface,
+    sample_points,
     write_point_ply,
 )
 from cagewarp.mvc import deform_points, mvc_weights
@@ -67,6 +69,61 @@ class TestSampling:
         mesh = TriangleMesh(np.zeros((3, 3)), np.array([[0, 1, 2]]))
         with pytest.raises(ValueError):
             sample_mesh_surface(mesh, n=10)
+
+
+def _indexed_geometry(kind, n):
+    """n points whose x is the row index, as the given point geometry."""
+    rng = np.random.default_rng(n)
+    points = np.column_stack([np.arange(n, dtype=np.float64),
+                              rng.standard_normal((n, 2))])
+    if kind == "cloud":
+        return points, dataclasses.replace(random_cloud(n), centers=points)
+    if kind == "pointset":
+        return points, PointSet(points=points)
+    return points, points
+
+
+_KINDS = st.sampled_from(["array", "pointset", "cloud"])
+_SEEDS = st.integers(0, 2**32 - 1)
+
+
+class TestSamplePoints:
+    @settings(max_examples=40, deadline=None)
+    @given(kind=_KINDS, n=st.integers(2, 60), data=st.data(), seed=_SEEDS)
+    def test_distinct_rows_in_source_order(self, kind, n, data, seed):
+        points, geometry = _indexed_geometry(kind, n)
+        count = data.draw(st.integers(1, n - 1))
+        out = sample_points(geometry, count, seed)
+        assert out.shape == (count, 3)
+        rows = out[:, 0].astype(np.int64)
+        assert np.all(np.diff(rows) > 0)
+        np.testing.assert_array_equal(out, points[rows])
+
+    @settings(max_examples=40, deadline=None)
+    @given(kind=_KINDS, n=st.integers(1, 60), data=st.data(), seed=_SEEDS)
+    def test_every_row_when_count_is_none_or_covers_all(self, kind, n, data,
+                                                        seed):
+        points, geometry = _indexed_geometry(kind, n)
+        count = data.draw(st.none() | st.integers(n, 3 * n))
+        np.testing.assert_array_equal(sample_points(geometry, count, seed),
+                                      points)
+
+    @settings(max_examples=40, deadline=None)
+    @given(kind=_KINDS, n=st.integers(1, 60), count=st.integers(1, 60),
+           seed=_SEEDS)
+    def test_same_rows_for_same_seed(self, kind, n, count, seed):
+        _, geometry = _indexed_geometry(kind, n)
+        np.testing.assert_array_equal(sample_points(geometry, count, seed),
+                                      sample_points(geometry, count, seed))
+
+    @settings(max_examples=40, deadline=None)
+    @given(kind=st.sampled_from(["array", "pointset", "cloud", "mesh"]),
+           count=st.integers(-5, 0), seed=_SEEDS)
+    def test_count_below_one_rejected(self, kind, count, seed):
+        geometry = two_triangle_mesh() if kind == "mesh" \
+            else _indexed_geometry(kind, 10)[1]
+        with pytest.raises(ValueError, match="sample count"):
+            sample_points(geometry, count, seed)
 
 
 class TestChamfer:

@@ -12,7 +12,6 @@ from cagewarp.splats import (
     GaussianCloud,
     covariances_of,
     read_gs_ply,
-    sample_centers,
     write_gs_ply,
 )
 
@@ -93,34 +92,6 @@ class TestCovariance:
         R = quat_to_matrix(q)
         S = np.diag(np.exp(ls))
         assert np.allclose(covariances_of(q, ls), R @ S @ S.T @ R.T, rtol=1e-14)
-
-
-class TestSampleCenters:
-    def test_without_replacement_when_enough(self):
-        cloud = random_cloud(100, seed=8)
-        ps = sample_centers(cloud, n=60, seed=1)
-        assert ps.points.shape == (60, 3)
-        # All sampled points are distinct rows of the cloud.
-        seen = {tuple(p) for p in ps.points}
-        assert len(seen) == 60
-
-    def test_with_replacement_when_oversampled(self):
-        cloud = random_cloud(10, seed=9)
-        ps = sample_centers(cloud, n=40, seed=1)
-        assert ps.points.shape == (40, 3)
-
-    def test_deterministic_for_seed(self):
-        cloud = random_cloud(50, seed=10)
-        a = sample_centers(cloud, n=20, seed=7)
-        b = sample_centers(cloud, n=20, seed=7)
-        assert np.array_equal(a.points, b.points)
-        c = sample_centers(cloud, n=20, seed=8)
-        assert not np.array_equal(a.points, c.points)
-
-    def test_empty_and_bad_count(self):
-        cloud = random_cloud(5)
-        with pytest.raises(ValueError):
-            sample_centers(cloud, n=0)
 
 
 class TestPlyRoundtrip:
