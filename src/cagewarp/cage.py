@@ -118,9 +118,13 @@ class CageMesh:
                 f"got {vertices.shape[0]}")
         return CageMesh(vertices, self.triangles.copy(), _trusted=not validate)
 
-    def same_topology(self, other: "CageMesh") -> bool:
-        return (len(self.vertices) == len(other.vertices)
-                and np.array_equal(self.triangles, other.triangles))
+    def check_same_topology(self, other: "CageMesh") -> None:
+        """Raise TopologyMismatchError unless other has this vertex count
+        and these triangles."""
+        if not (len(self.vertices) == len(other.vertices)
+                and np.array_equal(self.triangles, other.triangles)):
+            raise TopologyMismatchError(
+                "cages differ in vertex count or triangles")
 
 
 def triangle_areas(vertices: np.ndarray, triangles: np.ndarray) -> np.ndarray:
@@ -217,9 +221,7 @@ def interpolate_cage(source: CageMesh, deformed: CageMesh,
     the source positions bit-for-bit and lam = 1 the deformed ones. Values
     outside [0, 1] extrapolate and are allowed with a warning.
     """
-    if not source.same_topology(deformed):
-        raise TopologyMismatchError(
-            "source and deformed cages differ in vertex count or triangles")
+    source.check_same_topology(deformed)
     lam = float(lam)
     if lam < 0.0 or lam > 1.0:
         warnings.warn(f"interpolation factor {lam} is outside [0, 1]; "

@@ -7,8 +7,10 @@ Subcommands:
   metrics     chamfer distance between two models
   baseline    bounding-box scaling instead of a cage (ablation comparator)
 
-Flags mirror PipelineConfig; a --config file (JSON, or TOML on Python
-3.11+) supplies the same keys, with explicit flags winning. Progress and
+The subcommand is the run's mode (pipeline.run_pipeline); a setting the
+mode cannot use, such as cage_in outside apply-cage, exits with status 2
+before anything is written. Flags mirror PipelineConfig; a --config JSON
+file supplies the same keys, with explicit flags winning. Progress and
 timings go to stderr; the run summary is printed to stdout as JSON. The
 CAGEWARP_LOG environment variable (DEBUG/INFO/WARNING/ERROR) sets the log
 level, -v forces DEBUG.
@@ -30,26 +32,14 @@ from .pipeline import (TARGET_KINDS, PipelineConfig, compare_models,
 
 logger = logging.getLogger("cagewarp")
 
-# The subcommand, not the config file, decides baseline_mode.
-_CONFIG_KEYS = set(PipelineConfig.__dataclass_fields__) \
-    - {"fit", "baseline_mode"}
+_CONFIG_KEYS = set(PipelineConfig.__dataclass_fields__) - {"fit"}
 _FIT_KEYS = set(FitConfig.__dataclass_fields__)
 
 
 def _read_config_file(path: Path) -> dict:
-    text = Path(path).read_text(encoding="utf-8")
-    if str(path).lower().endswith(".toml"):
-        try:
-            import tomllib
-        except ImportError:
-            raise ValueError(
-                "TOML configs need Python 3.11+; use the identical JSON "
-                "schema instead") from None
-        data = tomllib.loads(text)
-    else:
-        data = json.loads(text)
+    data = json.loads(Path(path).read_text(encoding="utf-8"))
     if not isinstance(data, dict):
-        raise ValueError(f"{path}: config must be a table/object")
+        raise ValueError(f"{path}: config must be a JSON object")
     fit_part = data.pop("fit", {})
     unknown = set(data) - _CONFIG_KEYS
     if unknown:
@@ -69,19 +59,18 @@ def _parse_lambdas(text: str):
             f"expected comma-separated numbers, got {text!r}") from None
 
 
-def _add_io_flags(parser, need_target: bool):
+def _add_io_flags(parser):
     parser.add_argument("--source", "-s", help="input splat model (.ply)")
-    if need_target:
-        parser.add_argument("--target", "-t",
-                            help="target geometry (.obj mesh or .ply)")
-        parser.add_argument("--target-kind", choices=TARGET_KINDS,
-                            dest="target_kind",
-                            help="how to interpret the target file")
+    parser.add_argument("--target", "-t",
+                        help="target geometry (.obj mesh or .ply)")
+    parser.add_argument("--target-kind", choices=TARGET_KINDS,
+                        dest="target_kind",
+                        help="how to interpret the target file")
     parser.add_argument("--out", "-o", dest="output_dir",
                         help="output directory for all artifacts")
     parser.add_argument("--config", type=Path,
                         help="JSON config file with the same keys as the "
-                             "flags (TOML works on Python 3.11+)")
+                             "flags")
 
 
 def _add_run_flags(parser):
@@ -114,9 +103,6 @@ def _add_deform_flags(parser):
 
 
 def _add_fit_flags(parser):
-    parser.add_argument("--normalize", dest="normalize",
-                        action=argparse.BooleanOptionalAction,
-                        help="fit in unit-diagonal frames (default on)")
     parser.add_argument("--iterations", type=int, dest="fit_iterations",
                         help="max fit iterations (default 500)")
     parser.add_argument("--step-size", type=float, dest="fit_step_size",
@@ -137,19 +123,19 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("deform", help="fit a cage pair and deform")
-    _add_io_flags(p, need_target=True)
+    _add_io_flags(p)
     _add_deform_flags(p)
     _add_fit_flags(p)
     _add_run_flags(p)
 
     p = sub.add_parser("fit-cage", help="fit and write the cage pair only")
-    _add_io_flags(p, need_target=True)
+    _add_io_flags(p)
     _add_fit_flags(p)
     _add_run_flags(p)
 
     p = sub.add_parser("apply-cage",
                        help="deform with an existing cage pair")
-    _add_io_flags(p, need_target=True)
+    _add_io_flags(p)
     p.add_argument("--cage-in", nargs=2, dest="cage_in", required=False,
                    metavar=("SRC_OBJ", "DEF_OBJ"),
                    help="the cage pair to replay")
@@ -158,7 +144,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("baseline",
                        help="bounding-box scaling toward the target")
-    _add_io_flags(p, need_target=True)
+    _add_io_flags(p)
     p.add_argument("--covariance", dest="update_covariance",
                    action=argparse.BooleanOptionalAction,
                    help="rescale covariances too (default on)")
@@ -207,7 +193,6 @@ def _build_config(args, parser) -> PipelineConfig:
         value = getattr(args, key, None)
         if value is not None:
             merged[key] = value
-    merged["baseline_mode"] = args.command == "baseline"
     if "lambdas" in merged:
         merged["lambdas"] = tuple(float(l) for l in merged["lambdas"])
     if merged.get("cage_in") is not None:
@@ -218,12 +203,12 @@ def _build_config(args, parser) -> PipelineConfig:
     if merged.get("output_dir") is None:
         parser.error("an output directory is required (--out or config "
                      "file)")
-    if args.command == "apply-cage" and merged.get("cage_in") is None:
-        parser.error("apply-cage needs --cage-in SRC_OBJ DEF_OBJ")
     try:
-        return PipelineConfig(fit=FitConfig(**fit_cfg), **merged)
-    except TypeError as exc:
+        config = PipelineConfig(fit=FitConfig(**fit_cfg), **merged)
+        config.validate(args.command)
+    except (TypeError, ValueError) as exc:
         parser.error(f"bad configuration: {exc}")
+    return config
 
 
 def main(argv=None) -> int:
@@ -244,10 +229,8 @@ def main(argv=None) -> int:
             return 0
 
         config = _build_config(args, parser)
-        summary = run_pipeline(config,
-                               cages_only=args.command == "fit-cage",
-                               timings_out=getattr(args, "timings_out",
-                                                   None))
+        summary = run_pipeline(config, args.command,
+                               timings_out=args.timings_out)
         print(json.dumps(summary, indent=2, sort_keys=True))
         return 0
     except CagewarpError as exc:

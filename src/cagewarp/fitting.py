@@ -14,7 +14,7 @@ ICP-style treatment of a piecewise-smooth objective.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.spatial import cKDTree
@@ -37,15 +37,14 @@ CONVERGENCE_WINDOW = 20
 class FitConfig:
     """Knobs for fit_deformed_cage.
 
-    step_size is relative to the source cage diagonal; the barrier weight
-    scores source samples that fall outside the source cage; the normal
-    weight discourages face flips relative to the source cage.
+    step_size is relative to the source cage diagonal. normal_weight
+    scales the face-flip penalty against the alignment term; it is the
+    objective's one free ratio, since Adam's steps do not change when
+    both terms are scaled alike.
     """
 
     iterations: int = 500
     step_size: float = 0.01
-    align_weight: float = 1.0
-    barrier_weight: float = 0.1
     normal_weight: float = 0.05
     convergence_tol: float = 1e-5
 
@@ -54,17 +53,18 @@ class FitConfig:
 class FitReport:
     """Per-iteration record of a cage fit.
 
-    loss_trace columns are total, alignment, barrier, and flip penalty,
-    each already multiplied by its weight so the last three sum to the
-    first. best_trace is the running minimum of the total.
+    loss_trace columns are total, alignment and flip penalty, the last
+    already multiplied by normal_weight, so the last two sum to the first.
+    best_trace is the running minimum of the total. outside_fraction is
+    the share of source samples outside the source cage.
     """
 
-    loss_trace: np.ndarray          # (K, 4)
+    loss_trace: np.ndarray          # (K, 3)
     best_trace: np.ndarray          # (K,)
     final_chamfer: float
     iterations_run: int
     converged: bool
-    outside_fraction: float = field(default=0.0)
+    outside_fraction: float = 0.0
 
 
 def alignment_loss(positions: np.ndarray, target_points: np.ndarray):
@@ -134,10 +134,6 @@ def fit_deformed_cage(source, target, source_cage: CageMesh,
             "fit may be poorly conditioned", stacklevel=2)
 
     weight_matrix = mvc_weights(samples, source_cage).weights    # (m, V)
-    # The coordinates are tied to the source cage, so the negativity
-    # barrier does not change during optimization; it scores the setup.
-    barrier = config.barrier_weight * float(
-        np.sum(np.minimum(weight_matrix, 0.0) ** 2))
     source_normals = source_cage.face_normals()
 
     n_vert = len(source_cage.vertices)
@@ -162,19 +158,17 @@ def fit_deformed_cage(source, target, source_cage: CageMesh,
         align, grad_pts = alignment_loss(moved, targets)
         normal, grad_normal = _normal_term(cage_now, source_cage.triangles,
                                            source_normals)
-        align = config.align_weight * align
         normal = config.normal_weight * normal
-        total = align + barrier + normal
+        total = align + normal
         if not np.isfinite(total):
             raise FitDivergedError(it)
-        trace.append((total, align, barrier, normal))
+        trace.append((total, align, normal))
         if total < best_loss:
             best_loss = total
             best_delta = delta.copy()
         best_trace.append(best_loss)
 
-        grad = config.align_weight * (weight_matrix.T @ grad_pts) \
-            + config.normal_weight * grad_normal
+        grad = weight_matrix.T @ grad_pts + config.normal_weight * grad_normal
         adam_m = ADAM_DECAY1 * adam_m + (1.0 - ADAM_DECAY1) * grad
         adam_v = ADAM_DECAY2 * adam_v + (1.0 - ADAM_DECAY2) * grad * grad
         m_hat = adam_m / (1.0 - ADAM_DECAY1 ** it)

@@ -101,14 +101,17 @@ def sample_points(geometry, count: int | None, seed: int,
                   what: str = "point set") -> np.ndarray:
     """Up to count points of a geometry, deterministic for a seed.
 
-    A TriangleMesh is sampled by area (exactly count points). Anything
-    as_points accepts yields the rows at count distinct indices drawn
-    without replacement, in increasing order, or every row when count is
-    None or covers them all. A count below 1 raises ValueError.
+    A TriangleMesh is sampled by area (exactly count points; a mesh has
+    no "every row", so count None raises ValueError). Anything as_points
+    accepts yields the rows at count distinct indices drawn without
+    replacement, in increasing order, or every row when count is None or
+    covers them all. A count below 1 raises ValueError.
     """
     if count is not None and count < 1:
         raise ValueError(f"sample count must be >= 1, got {count}")
     if isinstance(geometry, TriangleMesh):
+        if count is None:
+            raise ValueError("sampling a mesh needs an explicit count")
         return sample_mesh_surface(geometry, n=count, seed=seed).points
     points = as_points(geometry, what)
     if count is None or count >= len(points):

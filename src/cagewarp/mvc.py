@@ -26,7 +26,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cage import CageMesh
-from .errors import TopologyMismatchError
 
 # Distance below which a query point is treated as sitting on a cage
 # vertex, as a fraction of the cage bbox diagonal.
@@ -87,9 +86,7 @@ def mvc_weights(points: np.ndarray, cage: CageMesh,
 
 def deform_points(weights: MVCWeights, deformed: CageMesh) -> np.ndarray:
     """Map the stored query points through a deformed copy of the cage."""
-    if not weights.cage.same_topology(deformed):
-        raise TopologyMismatchError(
-            "deformed cage does not share the source cage topology")
+    weights.cage.check_same_topology(deformed)
     return weights.weights @ deformed.vertices
 
 

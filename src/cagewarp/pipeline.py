@@ -2,7 +2,8 @@
 
 A run reads a splat model, fits (or loads) a cage pair, deforms the model
 once per interpolation factor, and writes the results plus cages, a fit
-trace, and a metrics report. Every artifact is deterministic for a given
+trace, and a metrics report; the baseline mode scales the model onto the
+target's bounding box instead. Every artifact is deterministic for a given
 config and seed: timings go to the log, never into output files.
 
 Fitting happens in normalized frames (source and target each mapped to a
@@ -37,18 +38,22 @@ from .transport import deform_cloud
 logger = logging.getLogger("cagewarp")
 
 TARGET_KINDS = ("auto", "mesh", "pointcloud", "gsplat")
+MODES = ("deform", "fit-cage", "apply-cage", "baseline")
 
 
 @dataclass
 class PipelineConfig:
-    """Everything a deformation run needs.
+    """Everything a run needs; the run's mode (see run_pipeline) is not
+    part of it.
 
     lambdas are interpolation factors in [0, 1]; one output model is
     written per factor. jacobian_sites (m) bounds how many Jacobians are
     evaluated; sample_count (N) bounds how many centers/target points the
-    fit sees. cage_in is an optional (source_cage, deformed_cage) OBJ
-    pair that skips fitting entirely; a fitted pair is written to
-    output_dir. workers = 0 means one thread per available core.
+    fit sees. cage_in is the (source_cage, deformed_cage) OBJ pair that
+    apply-cage replays, and no other mode takes one; a fitted pair is
+    written to output_dir. target is required by every mode except
+    apply-cage, where it only adds a chamfer per output. workers = 0
+    means one thread per available core.
     """
 
     source: str
@@ -61,15 +66,23 @@ class PipelineConfig:
     lambdas: tuple = (1.0,)
     seed: int = 0
     update_covariance: bool = True
-    normalize: bool = True
-    baseline_mode: bool = False
     cage_in: tuple | None = None
     cage_resolution: int = 2
     cage_padding: float = 0.1
     center_chunk: int = 30000
     workers: int = 0
 
-    def validate(self) -> None:
+    def validate(self, mode: str = "deform") -> None:
+        if mode not in MODES:
+            raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
+        if mode == "apply-cage" and self.cage_in is None:
+            raise ValueError("apply-cage needs cage_in (source cage, "
+                             "deformed cage)")
+        if mode != "apply-cage" and self.cage_in is not None:
+            raise ValueError(f"{mode} takes no cage_in; only apply-cage "
+                             "replays a cage pair")
+        if mode != "apply-cage" and self.target is None:
+            raise ValueError(f"a target is required by {mode}")
         lams = tuple(float(l) for l in self.lambdas)
         if not lams:
             raise ValueError("at least one lambda value is required")
@@ -108,10 +121,6 @@ class _Frame:
 
     center: np.ndarray
     scale: float
-
-    @classmethod
-    def identity(cls) -> "_Frame":
-        return cls(center=np.zeros(3), scale=1.0)
 
     @classmethod
     def of_points(cls, points: np.ndarray) -> "_Frame":
@@ -176,7 +185,7 @@ def _write_json(path: Path, payload: dict) -> None:
 
 
 def _write_fit_trace(path: Path, report) -> None:
-    lines = ["iteration,total,alignment,barrier,flip_penalty,best"]
+    lines = ["iteration,total,alignment,flip_penalty,best"]
     for i, (row, best) in enumerate(zip(report.loss_trace,
                                         report.best_trace), start=1):
         cells = ",".join(repr(float(v)) for v in (*row, best))
@@ -207,19 +216,23 @@ def _verify_artifacts(run: _Run) -> None:
                                           f"readback check: {exc}") from exc
 
 
-def run_pipeline(config: PipelineConfig, cages_only: bool = False,
+def run_pipeline(config: PipelineConfig, mode: str = "deform",
                  timings_out=None) -> dict:
-    """Execute a full run; returns a summary dict (also saved as JSON).
+    """Execute one run; returns a summary dict (also saved as JSON).
 
-    Stage failures raise PipelineError tagged with the stage name after
-    removing any partially written outputs. cages_only stops after the
-    cage fit: it writes the cage pair and fit trace but no splat models.
+    mode is the CLI subcommand: "deform" fits a cage pair to the target
+    and writes one model per lambda; "fit-cage" writes the cage pair and
+    fit trace but no models; "apply-cage" deforms with config.cage_in and
+    fits nothing; "baseline" scales the model onto the target's bounding
+    box. A configuration the mode cannot use fails at stage "config"
+    before anything is written. Stage failures raise PipelineError tagged
+    with the stage name after removing any partially written outputs.
     timings_out optionally names a JSON file for per-stage wall-clock
     seconds; it is diagnostic output, kept apart from the deterministic
     artifacts.
     """
     try:
-        config.validate()
+        config.validate(mode)
     except ValueError as exc:
         raise PipelineError("config", str(exc)) from exc
 
@@ -227,10 +240,7 @@ def run_pipeline(config: PipelineConfig, cages_only: bool = False,
     out_dir.mkdir(parents=True, exist_ok=True)
     run = _Run(out_dir)
     try:
-        if config.baseline_mode:
-            summary = _run_baseline(config, run)
-        else:
-            summary = _run_deform(config, run, cages_only)
+        summary = _execute(config, mode, run)
     except BaseException:
         run.discard_artifacts()
         raise
@@ -239,48 +249,41 @@ def run_pipeline(config: PipelineConfig, cages_only: bool = False,
     return summary
 
 
-def _load_target_points(config: PipelineConfig, run: _Run):
-    with run.stage("load-target"):
-        target = load_target(config.target, kind=config.target_kind)
-        points = sample_points(target, config.sample_count, config.seed + 1)
-        logger.info("target: %d points (%s)", len(points),
-                    type(target).__name__)
-    return points
-
-
-def _run_deform(config: PipelineConfig, run: _Run,
-                cages_only: bool) -> dict:
+def _execute(config: PipelineConfig, mode: str, run: _Run) -> dict:
     with run.stage("load-source"):
         cloud = read_gs_ply(config.source)
         logger.info("source: %d splats from %s", len(cloud), config.source)
 
-    report = None
-    cage_paths = {}
-    if config.cage_in is not None:
+    if mode == "apply-cage":
         with run.stage("load-cages"):
             source_cage = read_cage_obj(config.cage_in[0])
             deformed_cage = read_cage_obj(config.cage_in[1])
-            if not source_cage.same_topology(deformed_cage):
-                raise PipelineError(
-                    "load-cages", "source and deformed cages must share "
-                    "vertex count and triangulation")
-        target_points = None
-        if config.target is not None:
-            target_points = _load_target_points(config, run)
-    else:
-        if config.target is None:
-            raise PipelineError(
-                "config", "a target is required unless cage_in is given")
-        target_points = _load_target_points(config, run)
+            source_cage.check_same_topology(deformed_cage)
 
+    target_points = None
+    if config.target is not None:
+        with run.stage("load-target"):
+            target = load_target(config.target, kind=config.target_kind)
+            target_points = sample_points(target, config.sample_count,
+                                          config.seed + 1)
+            logger.info("target: %d points (%s)", len(target_points),
+                        type(target).__name__)
+        metric_frame = _Frame.of_points(target_points)
+
+    def chamfer_to_target(moved) -> float:
+        return _normalized_chamfer(
+            sample_points(moved.centers, config.sample_count, config.seed),
+            target_points, metric_frame)
+
+    report = None
+    cage_paths = {}
+    if mode in ("deform", "fit-cage"):
         with run.stage("sample-source"):
             samples = sample_points(cloud, config.sample_count, config.seed)
 
         with run.stage("fit-cage"):
-            src_frame = _Frame.of_points(cloud.centers) if config.normalize \
-                else _Frame.identity()
-            tgt_frame = _Frame.of_points(target_points) if config.normalize \
-                else _Frame.identity()
+            src_frame = _Frame.of_points(cloud.centers)
+            tgt_frame = _Frame.of_points(target_points)
             cage_canonical = build_template_cage(
                 src_frame.to_canonical(cloud.centers),
                 resolution=config.cage_resolution,
@@ -311,9 +314,21 @@ def _run_deform(config: PipelineConfig, run: _Run,
             _write_fit_trace(run.claim("fit_trace.csv"), report)
 
     outputs = []
-    if not cages_only:
-        metric_frame = _Frame.of_points(target_points) \
-            if target_points is not None else _Frame.identity()
+    if mode == "baseline":
+        with run.stage("baseline"):
+            # The box comes from the full geometry, not from samples, so
+            # the map hits the exact extents; samples are only for the
+            # metric.
+            full = target.vertices if isinstance(target, TriangleMesh) \
+                else target.points
+            moved = baseline_bbox_scale(
+                cloud, *bbox_of(full),
+                update_covariance=config.update_covariance)
+            path = run.claim("baseline.ply")
+            write_gs_ply(moved, path)
+            outputs.append({"path": path.name, "chamfer_sq_normalized":
+                            chamfer_to_target(moved)})
+    elif mode != "fit-cage":
         for lam in config.lambdas:
             with run.stage(f"deform-lam{_lambda_tag(lam)}"):
                 cage_lam = interpolate_cage(source_cage, deformed_cage,
@@ -332,19 +347,14 @@ def _run_deform(config: PipelineConfig, run: _Run,
                         len(jac_field.site_indices))
                     entry["singular_sites"] = jac_field.n_singular
                 if target_points is not None:
-                    entry["chamfer_sq_normalized"] = _normalized_chamfer(
-                        sample_points(moved.centers, config.sample_count,
-                                      config.seed),
-                        target_points, metric_frame)
+                    entry["chamfer_sq_normalized"] = chamfer_to_target(moved)
                 outputs.append(entry)
 
     summary = {
-        "mode": "fit-cage" if cages_only else
-                ("apply-cage" if config.cage_in is not None else "deform"),
+        "mode": mode,
         "source": str(config.source),
         "target": None if config.target is None else str(config.target),
         "splats": len(cloud),
-        "normalize": config.normalize,
         "update_covariance": config.update_covariance,
         "seed": config.seed,
         "chamfer_frame": "unit-diagonal box of the target points",
@@ -361,50 +371,6 @@ def _run_deform(config: PipelineConfig, run: _Run,
     with run.stage("metrics"):
         _write_json(run.claim("metrics.json"), summary)
 
-    with run.stage("verify"):
-        _verify_artifacts(run)
-    return summary
-
-
-def _run_baseline(config: PipelineConfig, run: _Run) -> dict:
-    if config.target is None:
-        raise PipelineError("config", "baseline mode requires a target")
-    with run.stage("load-source"):
-        cloud = read_gs_ply(config.source)
-
-    with run.stage("load-target"):
-        target = load_target(config.target, kind=config.target_kind)
-        # The box comes from the full geometry, not from samples, so the
-        # map hits the exact extents; samples are only for the metric.
-        full = target.vertices if isinstance(target, TriangleMesh) \
-            else target.points
-        lo, hi = bbox_of(full)
-        target_points = sample_points(target, config.sample_count,
-                                      config.seed + 1)
-
-    with run.stage("baseline"):
-        moved = baseline_bbox_scale(cloud, lo, hi,
-                                    update_covariance=config.update_covariance)
-        path = run.claim("baseline.ply")
-        write_gs_ply(moved, path)
-        frame = _Frame.of_points(target_points)
-        chamfer = _normalized_chamfer(
-            sample_points(moved.centers, config.sample_count, config.seed),
-            target_points, frame)
-
-    summary = {
-        "mode": "baseline",
-        "source": str(config.source),
-        "target": str(config.target),
-        "splats": len(cloud),
-        "update_covariance": config.update_covariance,
-        "seed": config.seed,
-        "chamfer_frame": "unit-diagonal box of the target points",
-        "outputs": [{"path": path.name,
-                     "chamfer_sq_normalized": chamfer}],
-    }
-    with run.stage("metrics"):
-        _write_json(run.claim("metrics.json"), summary)
     with run.stage("verify"):
         _verify_artifacts(run)
     return summary

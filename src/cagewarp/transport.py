@@ -20,7 +20,7 @@ import numpy as np
 from scipy.spatial import cKDTree
 
 from .cage import CageMesh, surface_distance
-from .errors import NearSurfaceError, TopologyMismatchError
+from .errors import NearSurfaceError
 from .mvc import deform_points, mvc_weights
 from .rotations import matrix_to_quat
 from .splats import GaussianCloud, covariances_of
@@ -66,12 +66,6 @@ class JacobianField:
         return int(np.count_nonzero(self.singular))
 
 
-def _check_pair(source: CageMesh, deformed: CageMesh) -> None:
-    if not source.same_topology(deformed):
-        raise TopologyMismatchError(
-            "source and deformed cages differ in vertex count or triangles")
-
-
 def jacobian_fd(points: np.ndarray, source: CageMesh,
                 deformed: CageMesh) -> np.ndarray:
     """Deformation Jacobians by central differences, (P, 3, 3).
@@ -82,7 +76,7 @@ def jacobian_fd(points: np.ndarray, source: CageMesh,
     NearSurfaceError, since the deformation is discontinuous across the
     cage.
     """
-    _check_pair(source, deformed)
+    source.check_same_topology(deformed)
     points = np.ascontiguousarray(np.atleast_2d(points), dtype=np.float64)
     base = FD_STEP_FRACTION * source.bbox_diagonal()
     dist = surface_distance(points, source)
@@ -209,7 +203,7 @@ def deform_cloud(cloud: GaussianCloud, source: CageMesh, deformed: CageMesh,
     short-circuits to a bit-exact copy of the input. The new cloud never
     shares an array with the input.
     """
-    _check_pair(source, deformed)
+    source.check_same_topology(deformed)
     if len(cloud) == 0:
         raise ValueError("cannot deform an empty cloud")
     if center_chunk < 1:

@@ -10,7 +10,7 @@ checks on each other.
 import numpy as np
 
 from cagewarp.cage import CageMesh, surface_distance
-from cagewarp.errors import NearSurfaceError, TopologyMismatchError
+from cagewarp.errors import NearSurfaceError
 from cagewarp.mvc import DET_SKIP, _spherical_setup, _vector_area
 
 # Gradients are refused within this fraction of the diagonal from the cage.
@@ -24,9 +24,7 @@ def jacobian_analytic(points: np.ndarray, source: CageMesh,
     J(x) = sum_i v'_i grad(omega_i)(x)^T with v'_i the deformed cage
     vertices. Agrees with jacobian_fd away from the cage surface.
     """
-    if not source.same_topology(deformed):
-        raise TopologyMismatchError(
-            "source and deformed cages differ in vertex count or triangles")
+    source.check_same_topology(deformed)
     grads = mvc_gradient(points, source)               # (P, V, 3)
     return np.einsum("vd,pvg->pdg", deformed.vertices, grads)
 

@@ -1,7 +1,6 @@
 """Exercising the command-line interface through its main() entry point."""
 
 import json
-import sys
 
 import numpy as np
 import pytest
@@ -150,8 +149,10 @@ def test_config_file_supplies_defaults_cli_overrides(model_files, tmp_path,
 @pytest.mark.parametrize("extra", [
     {"wiggle": 3}, {"baseline_mode": True},
     {"cage_out": ["a.obj", "b.obj"]}, {"fit": {"seed": 0}},
-    {"fit": {"beta1": 0.5}},
-], ids=["wiggle", "baseline_mode", "cage_out", "fit.seed", "fit.beta1"])
+    {"fit": {"beta1": 0.5}}, {"normalize": False},
+    {"fit": {"align_weight": 2.0}}, {"fit": {"barrier_weight": 0.0}},
+], ids=["wiggle", "baseline_mode", "cage_out", "fit.seed", "fit.beta1",
+        "normalize", "fit.align_weight", "fit.barrier_weight"])
 def test_unknown_config_key_exits_two(model_files, tmp_path, extra):
     source, target = model_files
     cfg_path = tmp_path / "bad.json"
@@ -164,12 +165,16 @@ def test_unknown_config_key_exits_two(model_files, tmp_path, extra):
     assert excinfo.value.code == 2
 
 
-@pytest.mark.skipif(sys.version_info >= (3, 11),
-                    reason="TOML parses fine on 3.11+")
-def test_toml_config_needs_modern_interpreter(model_files, tmp_path):
+@pytest.mark.parametrize("command", ["fit-cage", "deform", "baseline"])
+def test_cage_in_outside_apply_cage_exits_two(model_files, tmp_path,
+                                               command):
     source, target = model_files
-    cfg_path = tmp_path / "run.toml"
-    cfg_path.write_text(f'source = "{source}"\n')
+    cfg_path = tmp_path / "cages.json"
+    cfg_path.write_text(json.dumps({"cage_in": ["a.obj", "b.obj"]}))
+    out = tmp_path / "o"
     with pytest.raises(SystemExit) as excinfo:
-        main(["deform", "--config", str(cfg_path)])
+        main([command, "--source", str(source), "--target", str(target),
+              "--out", str(out), "--config", str(cfg_path),
+              "--samples", "300", "--iterations", "5"])
     assert excinfo.value.code == 2
+    assert not out.exists()

@@ -125,6 +125,10 @@ class TestSamplePoints:
         with pytest.raises(ValueError, match="sample count"):
             sample_points(geometry, count, seed)
 
+    def test_mesh_needs_explicit_count(self):
+        with pytest.raises(ValueError, match="explicit count"):
+            sample_points(two_triangle_mesh(), None, 0)
+
 
 class TestChamfer:
     def test_identical_sets_zero(self):

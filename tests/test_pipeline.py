@@ -104,7 +104,7 @@ def test_apply_cage_replays_fit_output(fixture_paths, tmp_path):
     cfg = _config(source, None, second,
                   cage_in=(str(first / "source_cage.obj"),
                            str(first / "deformed_cage.obj")))
-    summary = run_pipeline(cfg)
+    summary = run_pipeline(cfg, "apply-cage")
     assert summary["mode"] == "apply-cage"
     assert "fit" not in summary
     assert (second / "deformed_lam1.00.ply").read_bytes() \
@@ -114,7 +114,7 @@ def test_apply_cage_replays_fit_output(fixture_paths, tmp_path):
 def test_fit_cage_only_writes_no_models(fixture_paths, tmp_path):
     _, source, target = fixture_paths
     out = tmp_path / "cages"
-    summary = run_pipeline(_config(source, target, out), cages_only=True)
+    summary = run_pipeline(_config(source, target, out), "fit-cage")
     names = {p.name for p in out.iterdir()}
     assert names == {"source_cage.obj", "deformed_cage.obj",
                      "fit_trace.csv", "metrics.json"}
@@ -123,15 +123,14 @@ def test_fit_cage_only_writes_no_models(fixture_paths, tmp_path):
     header, first_row = (out / "fit_trace.csv").read_text() \
         .splitlines()[:2]
     assert header.split(",") == ["iteration", "total", "alignment",
-                                 "barrier", "flip_penalty", "best"]
+                                 "flip_penalty", "best"]
     assert first_row.startswith("1,")
 
 
 def test_baseline_mode_matches_library_call(fixture_paths, tmp_path):
     cloud, source, target = fixture_paths
     out = tmp_path / "bl"
-    summary = run_pipeline(_config(source, target, out,
-                                   baseline_mode=True))
+    summary = run_pipeline(_config(source, target, out), "baseline")
     assert summary["mode"] == "baseline"
     written = read_gs_ply(out / "baseline.ply")
 
@@ -179,6 +178,32 @@ def test_config_validation_failures(fixture_paths, tmp_path):
         run_pipeline(_config(source, None, out))
 
 
+@pytest.mark.parametrize("mode, with_cages, with_target, fragment", [
+    ("deform", True, True, "takes no cage_in"),
+    ("fit-cage", True, True, "takes no cage_in"),
+    ("baseline", True, True, "takes no cage_in"),
+    ("deform", False, False, "target is required"),
+    ("fit-cage", False, False, "target is required"),
+    ("baseline", False, False, "target is required"),
+    ("apply-cage", False, True, "needs cage_in"),
+    ("apply-cage", False, False, "needs cage_in"),
+    ("morph", False, True, "mode must be one of"),
+])
+def test_mode_rejects_settings_it_cannot_use(fixture_paths, tmp_path, mode,
+                                             with_cages, with_target,
+                                             fragment):
+    _, source, target = fixture_paths
+    cages = (tmp_path / "src.obj", tmp_path / "def.obj")
+    out = tmp_path / "out"
+    out.mkdir()
+    cfg = _config(source, target if with_target else None, out,
+                  cage_in=tuple(map(str, cages)) if with_cages else None)
+    with pytest.raises(PipelineError, match=fragment) as excinfo:
+        run_pipeline(cfg, mode)
+    assert excinfo.value.stage == "config"
+    assert not any(out.iterdir())
+
+
 def test_covariance_ablation_keeps_centers(fixture_paths, tmp_path):
     _, source, target = fixture_paths
     full_dir, abl_dir = tmp_path / "full", tmp_path / "abl"
@@ -193,16 +218,6 @@ def test_covariance_ablation_keeps_centers(fixture_paths, tmp_path):
     np.testing.assert_array_equal(ablated.log_scales,
                                   source_cloud.log_scales)
     assert not np.array_equal(full.rotations, source_cloud.rotations)
-
-
-def test_normalize_off_still_fits(fixture_paths, tmp_path):
-    _, source, target = fixture_paths
-    out = tmp_path / "raw_frame"
-    summary = run_pipeline(_config(source, target, out, normalize=False))
-    assert summary["normalize"] is False
-    assert (out / "deformed_lam1.00.ply").is_file()
-    # the raw-frame fit still lands near the target
-    assert summary["outputs"][0]["chamfer_sq_normalized"] < 5e-3
 
 
 def test_mesh_target_runs(fixture_paths, tmp_path):
