@@ -27,8 +27,8 @@ from pathlib import Path
 
 from .errors import CagewarpError
 from .fitting import FitConfig
-from .pipeline import (TARGET_KINDS, PipelineConfig, compare_models,
-                       run_pipeline)
+from .metrics import TARGET_KINDS
+from .pipeline import PipelineConfig, compare_models, run_pipeline
 
 logger = logging.getLogger("cagewarp")
 
@@ -233,10 +233,7 @@ def main(argv=None) -> int:
                                timings_out=args.timings_out)
         print(json.dumps(summary, indent=2, sort_keys=True))
         return 0
-    except CagewarpError as exc:
-        logger.error("%s", exc)
-        return 1
-    except (OSError, ValueError) as exc:
+    except (CagewarpError, OSError, ValueError) as exc:
         logger.error("%s", exc)
         return 1
 

@@ -15,8 +15,10 @@ from scipy.spatial import cKDTree
 
 from .cage import read_obj_arrays, triangle_areas
 from .points import PointSet, inflate_degenerate_axes
-from .splats import GaussianCloud, read_gs_ply, _parse_header
+from .splats import GaussianCloud, _parse_header, _read_records, read_gs_ply
 from .transport import transform_covariance
+
+TARGET_KINDS = ("auto", "mesh", "pointcloud", "gsplat")
 
 
 @dataclass
@@ -182,14 +184,16 @@ def baseline_bbox_scale(cloud: GaussianCloud, target_lo, target_hi,
 def load_target(path, kind: str = "auto"):
     """Load target geometry: returns a TriangleMesh or a PointSet.
 
-    kind is one of "auto", "mesh", "pointcloud", or "gsplat". On "auto",
-    .obj files load as meshes, .ply files holding a splat model (detected
-    by their f_dc_0 property) contribute their centers, and any other PLY
-    with x/y/z vertex properties loads as a plain point cloud.
+    kind is one of TARGET_KINDS: "auto", "mesh", "pointcloud", or
+    "gsplat". On "auto", .obj files load as meshes, .ply files holding a
+    splat model (detected by their f_dc_0 property) contribute their
+    centers, and any other PLY with x/y/z vertex properties loads as a
+    plain point cloud. A truncated PLY body raises PlyReadError naming
+    the byte offset where the file ends.
     """
     path = str(path)
     lower = path.lower()
-    if kind not in ("auto", "mesh", "pointcloud", "gsplat"):
+    if kind not in TARGET_KINDS:
         raise ValueError(f"unknown target kind {kind!r}")
     if kind == "mesh" or (kind == "auto" and lower.endswith(".obj")):
         vertices, triangles = read_obj_arrays(path)
@@ -198,23 +202,21 @@ def load_target(path, kind: str = "auto"):
         return PointSet(points=read_gs_ply(path).centers)
     if lower.endswith(".ply"):
         with open(path, "rb") as stream:
-            properties, count, _ = _parse_header(stream, path)
-        if kind == "auto" and "f_dc_0" in properties:
-            return PointSet(points=read_gs_ply(path).centers)
-        return _read_point_ply(path, properties, count)
+            properties, count, header_bytes = _parse_header(stream, path)
+            if kind == "auto" and "f_dc_0" in properties:
+                return PointSet(points=read_gs_ply(path).centers)
+            return _read_point_ply(stream, path, properties, count,
+                                   header_bytes)
     raise ValueError(f"{path}: unsupported target format "
                      "(expected .obj or .ply)")
 
 
-def _read_point_ply(path, properties, count) -> PointSet:
+def _read_point_ply(stream, path, properties, count,
+                    header_bytes) -> PointSet:
     for name in ("x", "y", "z"):
         if name not in properties:
             raise ValueError(f"{path}: point PLY missing property {name!r}")
-    dtype = np.dtype([(name, "<f4") for name in properties])
-    with open(path, "rb") as stream:
-        _parse_header(stream, path)
-        records = np.frombuffer(stream.read(count * dtype.itemsize),
-                                dtype=dtype, count=count)
+    records = _read_records(stream, path, properties, count, header_bytes)
     points = np.stack([records[name].astype(np.float64)
                        for name in ("x", "y", "z")], axis=1)
     if {"nx", "ny", "nz"} <= set(properties):

@@ -13,9 +13,18 @@ accumulating w_i += lambda_i / d_i over all triangles yields weights whose
 normalization reproduces linear functions exactly: sum_i w_i (v_i - x) = 0
 because the per-triangle vector areas of a closed surface cancel.
 
-Weights are smooth away from the cage surface. On the surface they reduce
-to barycentric interpolation (handled by explicit branches). The warp's
-Jacobian is estimated from these weights by central differences in
+One routine, _spherical_triangle, turns the corner directions into the
+arc angles, the Cramer solution lambda and det [u_0 u_1 u_2]. It runs once
+in float64 over every (point, triangle) pair of a chunk, and once more in
+long double over the pairs whose |det| lies in [DET_SKIP, DET_REFINE):
+near-coplanar pairs, such as points just off a face's supporting plane
+outside the face, where the float64 solve cancels catastrophically.
+
+Weights are smooth away from the cage surface. Two kinds of rows are
+replaced outright: a point within VERTEX_SNAP of a vertex gets that
+vertex's unit row, and a point on a face (ON_FACE_EPS) gets the
+barycentric coordinates of the first such face. The warp's Jacobian is
+estimated from these weights by central differences in
 transport.jacobian_fd.
 """
 
@@ -90,78 +99,68 @@ def deform_points(weights: MVCWeights, deformed: CageMesh) -> np.ndarray:
     return weights.weights @ deformed.vertices
 
 
-def _spherical_setup(x: np.ndarray, cage: CageMesh):
-    """Shared geometry: unit directions, distances, arcs, crosses, dets.
+def _spherical_triangle(e):
+    """Arc angles, Cramer coefficients and det of spherical triangles.
 
-    Returns a dict of arrays over (P points, T triangles, 3 corners).
+    e holds the unit directions to a triangle's three corners, each an
+    (..., 3) array of any float dtype. theta[k] is the arc angle opposite
+    corner k, lam solves [e0 e1 e2] lam = m for the vector area m, and
+    det = det [e0 e1 e2]; all are (...) arrays of e's dtype.
     """
-    verts = cage.vertices
-    tri = cage.triangles
-    u = verts[None, :, :] - x[:, None, :]            # (P, V, 3)
-    d = np.linalg.norm(u, axis=2)                    # (P, V)
-    d_safe = np.maximum(d, 1e-300)
-    uh = u / d_safe[:, :, None]
-
-    e = [uh[:, tri[:, k], :] for k in range(3)]      # 3 x (P, T, 3)
-    dcorn = [d_safe[:, tri[:, k]] for k in range(3)]  # 3 x (P, T)
-
-    # Arc angle opposite corner k, from the chord length (stable for both
-    # tiny and obtuse angles).
-    theta = []
+    theta, cr = [], []
     for k in range(3):
-        chord = np.linalg.norm(e[(k + 1) % 3] - e[(k + 2) % 3], axis=2)
+        a, b = e[(k + 1) % 3], e[(k + 2) % 3]
+        # From the chord length: stable for both tiny and obtuse angles.
+        chord = np.linalg.norm(a - b, axis=-1)
         theta.append(2.0 * np.arcsin(np.clip(0.5 * chord, 0.0, 1.0)))
-
-    # cr[k] = e_{k+1} x e_{k+2}: arc-plane normals scaled by sin(theta_k),
-    # and simultaneously the Cramer adjugate rows of U = [e0 e1 e2].
-    cr = [np.cross(e[(k + 1) % 3], e[(k + 2) % 3]) for k in range(3)]
-    det = np.einsum("ptx,ptx->pt", e[0], cr[0])
-    return {"u": u, "d": d, "d_safe": d_safe, "uh": uh, "e": e,
-            "dcorn": dcorn, "theta": theta, "cr": cr, "det": det}
-
-
-def _vector_area(geo) -> np.ndarray:
-    """m = 1/2 sum_k theta_k * cr_k / |cr_k|, guarded against |cr| ~ 0."""
-    m = np.zeros_like(geo["cr"][0])
+        # Arc-plane normal scaled by sin(theta_k), and simultaneously a
+        # Cramer adjugate row of [e0 e1 e2].
+        cr.append(np.cross(a, b))
+    det = np.einsum("...x,...x->...", e[0], cr[0])
+    # m = 1/2 sum_k theta_k * cr_k / |cr_k|, guarded against |cr| ~ 0.
+    m = np.zeros_like(cr[0])
     for k in range(3):
-        s = np.linalg.norm(geo["cr"][k], axis=2)
+        s = np.linalg.norm(cr[k], axis=-1)
         s_safe = np.where(s < 1e-300, 1.0, s)
-        m += 0.5 * (geo["theta"][k] / s_safe)[:, :, None] * geo["cr"][k]
-    return m
+        m += 0.5 * (theta[k] / s_safe)[..., None] * cr[k]
+    det_safe = np.where(np.abs(det) < 1e-300, 1.0, det)
+    lam = [np.einsum("...x,...x->...", m, cr[k]) / det_safe for k in range(3)]
+    return theta, lam, det
 
 
 def _weights_chunk(x: np.ndarray, cage: CageMesh) -> np.ndarray:
     n_pts = len(x)
-    n_vert = len(cage.vertices)
+    verts = cage.vertices
+    n_vert = len(verts)
     tri = cage.triangles
-    diag = cage.bbox_diagonal()
 
-    geo = _spherical_setup(x, cage)
-    d, theta, cr, det = geo["d"], geo["theta"], geo["cr"], geo["det"]
-    m = _vector_area(geo)
+    u = verts[None, :, :] - x[:, None, :]               # (P, V, 3)
+    d = np.maximum(np.linalg.norm(u, axis=2), 1e-300)   # (P, V)
+    u /= d[:, :, None]
+    theta, lam, det = _spherical_triangle([u[:, tri[:, k]] for k in range(3)])
+    dcorn = [d[:, tri[:, k]] for k in range(3)]         # 3 x (P, T)
 
     half_sum = 0.5 * (theta[0] + theta[1] + theta[2])
     on_face = (np.pi - half_sum) < ON_FACE_EPS          # (P, T)
-    snap_rows = np.min(d, axis=1) < VERTEX_SNAP * diag  # (P,)
+    snap_rows = np.min(d, axis=1) < VERTEX_SNAP * cage.bbox_diagonal()
 
-    det_safe = np.where(np.abs(det) < 1e-300, 1.0, det)
-    lam = [np.einsum("ptx,ptx->pt", m, cr[k]) / det_safe for k in range(3)]
-
-    # Extended-precision rescue for near-coplanar (point, triangle) pairs,
-    # where the float64 Cramer solve cancels catastrophically.
+    # Long-double rescue of near-coplanar (point, triangle) pairs, where
+    # the float64 Cramer solve cancels catastrophically.
     refine = (np.abs(det) < DET_REFINE) & (np.abs(det) >= DET_SKIP) \
         & ~on_face & ~snap_rows[:, None]
     if np.any(refine):
         p_idx, t_idx = np.nonzero(refine)
-        lam_ref = _refine_pairs(x[p_idx], cage.vertices[tri[t_idx]])
+        uq = verts[tri[t_idx]].astype(np.longdouble) - x[p_idx, None, :]
+        uq /= np.linalg.norm(uq, axis=2)[:, :, None]    # (K, 3 corners, 3)
+        _, lam_q, _ = _spherical_triangle([uq[:, k] for k in range(3)])
         for k in range(3):
-            lam[k][p_idx, t_idx] = lam_ref[:, k]
+            lam[k][p_idx, t_idx] = lam_q[k]
 
     drop = (np.abs(det) < DET_SKIP) | on_face
     w = np.zeros((n_pts, n_vert))
     flat_p = np.repeat(np.arange(n_pts), len(tri))
     for k in range(3):
-        contrib = np.where(drop, 0.0, lam[k] / geo["dcorn"][k])
+        contrib = np.where(drop, 0.0, lam[k] / dcorn[k])
         flat_v = np.tile(tri[:, k], n_pts)
         w += np.bincount(flat_p * n_vert + flat_v,
                          weights=contrib.ravel(),
@@ -170,23 +169,20 @@ def _weights_chunk(x: np.ndarray, cage: CageMesh) -> np.ndarray:
     # On-surface rows: barycentric interpolation inside the first flagged
     # triangle replaces the whole row (the weight field is discontinuous
     # across the surface, with on-surface values interpolating the face).
-    face_rows = np.nonzero(on_face.any(axis=1) & ~snap_rows)[0]
-    for p in face_rows:
-        t = int(np.argmax(on_face[p]))
-        row = np.zeros(n_vert)
-        for k in range(3):
-            # An arc within fp noise of pi means the point sits on the
-            # opposite edge; that corner's weight is exactly zero.
-            th = theta[k][p, t]
-            s_k = 0.0 if np.pi - th < ON_FACE_EPS else np.sin(th)
-            row[tri[t, k]] += s_k * geo["dcorn"][(k + 1) % 3][p, t] \
-                * geo["dcorn"][(k + 2) % 3][p, t]
-        w[p] = row
+    p = np.nonzero(on_face.any(axis=1) & ~snap_rows)[0]
+    t = np.argmax(on_face[p], axis=1)
+    w[p] = 0.0
+    for k in range(3):
+        # An arc within fp noise of pi means the point sits on the
+        # opposite edge; that corner's weight is exactly zero.
+        th = theta[k][p, t]
+        s_k = np.where(np.pi - th < ON_FACE_EPS, 0.0, np.sin(th))
+        w[p, tri[t, k]] += s_k * dcorn[(k + 1) % 3][p, t] \
+            * dcorn[(k + 2) % 3][p, t]
 
-    for p in np.nonzero(snap_rows)[0]:
-        row = np.zeros(n_vert)
-        row[int(np.argmin(d[p]))] = 1.0
-        w[p] = row
+    p = np.nonzero(snap_rows)[0]
+    w[p] = 0.0
+    w[p, np.argmin(d[p], axis=1)] = 1.0
 
     total = w.sum(axis=1)
     bad = np.abs(total) < 1e-12 * np.abs(w).max(axis=1)
@@ -195,27 +191,3 @@ def _weights_chunk(x: np.ndarray, cage: CageMesh) -> np.ndarray:
             f"mean value weights vanish at point index {int(np.nonzero(bad)[0][0])}; "
             "the query point is too far outside the cage")
     return w / total[:, None]
-
-
-def _refine_pairs(x: np.ndarray, tri_verts: np.ndarray) -> np.ndarray:
-    """Recompute lambda for (point, triangle) pairs in long double."""
-    xq = x.astype(np.longdouble)
-    vq = tri_verts.astype(np.longdouble)          # (K, 3, 3)
-    u = vq - xq[:, None, :]
-    d = np.sqrt(np.sum(u * u, axis=2))
-    uh = u / d[:, :, None]
-    e = [uh[:, k, :] for k in range(3)]
-    theta, cr = [], []
-    for k in range(3):
-        diff = e[(k + 1) % 3] - e[(k + 2) % 3]
-        chord = np.sqrt(np.sum(diff * diff, axis=1))
-        theta.append(2.0 * np.arcsin(np.clip(0.5 * chord, 0.0, 1.0)))
-        cr.append(np.cross(e[(k + 1) % 3], e[(k + 2) % 3]))
-    det = np.sum(e[0] * cr[0], axis=1)
-    m = np.zeros_like(e[0])
-    for k in range(3):
-        s = np.sqrt(np.sum(cr[k] * cr[k], axis=1))
-        s = np.where(s < np.longdouble(1e-300), np.longdouble(1.0), s)
-        m += 0.5 * (theta[k] / s)[:, None] * cr[k]
-    lam = np.stack([np.sum(m * cr[k], axis=1) / det for k in range(3)], axis=1)
-    return lam.astype(np.float64)

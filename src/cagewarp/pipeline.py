@@ -29,15 +29,14 @@ from .cage import (CageMesh, build_template_cage, interpolate_cage,
                    read_cage_obj, write_cage_obj)
 from .errors import PipelineError
 from .fitting import FitConfig, fit_deformed_cage
-from .metrics import (TriangleMesh, baseline_bbox_scale, chamfer_distance,
-                      load_target, sample_points)
+from .metrics import (TARGET_KINDS, TriangleMesh, baseline_bbox_scale,
+                      chamfer_distance, load_target, sample_points)
 from .points import bbox_of, inflate_degenerate_axes
 from .splats import read_gs_ply, write_gs_ply
 from .transport import deform_cloud
 
 logger = logging.getLogger("cagewarp")
 
-TARGET_KINDS = ("auto", "mesh", "pointcloud", "gsplat")
 MODES = ("deform", "fit-cage", "apply-cage", "baseline")
 
 

@@ -182,6 +182,22 @@ def _parse_header(stream: io.BufferedReader, path) -> tuple[list[str], int, int]
     return properties, vertex_count, header_bytes
 
 
+def _read_records(stream: io.BufferedReader, path, properties: list[str],
+                  count: int, header_bytes: int) -> np.ndarray:
+    """The count float32 vertex records that follow the header.
+
+    Raises PlyReadError with the byte offset when the body is truncated.
+    """
+    dtype = np.dtype([(name, "<f4") for name in properties])
+    body = stream.read(count * dtype.itemsize)
+    if len(body) < count * dtype.itemsize:
+        raise PlyReadError(
+            f"{path}: truncated body, expected {count * dtype.itemsize} bytes "
+            f"after the header but the file ends at byte offset "
+            f"{header_bytes + len(body)}")
+    return np.frombuffer(body, dtype=dtype, count=count)
+
+
 def read_gs_ply(path) -> GaussianCloud:
     """Read a Gaussian splat PLY file.
 
@@ -205,14 +221,8 @@ def read_gs_ply(path) -> GaussianCloud:
                 f"layout (expected a complete f_rest_0..K-1 with K in "
                 f"{sorted(_SH_DEGREE_BY_WIDTH)})")
 
-        dtype = np.dtype([(name, "<f4") for name in properties])
-        body = stream.read(count * dtype.itemsize)
-        if len(body) < count * dtype.itemsize:
-            raise PlyReadError(
-                f"{path}: truncated body, expected {count * dtype.itemsize} bytes "
-                f"after the header but the file ends at byte offset "
-                f"{header_bytes + len(body)}")
-        records = np.frombuffer(body, dtype=dtype, count=count)
+        records = _read_records(stream, path, properties, count,
+                                header_bytes)
 
     def col(name):
         return records[name].astype(np.float64)

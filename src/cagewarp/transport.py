@@ -57,10 +57,6 @@ class JacobianField:
     assignment: np.ndarray
     singular: np.ndarray
 
-    def jacobians(self) -> np.ndarray:
-        """Per-point Jacobians, (n, 3, 3)."""
-        return self.site_jacobians[self.assignment]
-
     @property
     def n_singular(self) -> int:
         return int(np.count_nonzero(self.singular))

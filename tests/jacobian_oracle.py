@@ -2,8 +2,9 @@
 
 The product estimates the warp Jacobian by central differences
 (cagewarp.transport.jacobian_fd). This module differentiates the mean
-value coordinates in closed form instead, sharing only the spherical
-geometry of the weight kernel, so the two estimators are independent
+value coordinates in closed form instead. It keeps its own copy of the
+spherical geometry of Ju, Schaefer & Warren (SIGGRAPH 2005) rather than
+importing the weight kernel's, so the two estimators are independent
 checks on each other.
 """
 
@@ -11,10 +12,12 @@ import numpy as np
 
 from cagewarp.cage import CageMesh, surface_distance
 from cagewarp.errors import NearSurfaceError
-from cagewarp.mvc import DET_SKIP, _spherical_setup, _vector_area
 
 # Gradients are refused within this fraction of the diagonal from the cage.
 SURFACE_GUARD = 1e-8
+# |det [u0 u1 u2]| below which a triangle is taken as coplanar with the
+# query point and contributes nothing (the value cagewarp.mvc uses).
+DET_SKIP = 1e-12
 
 
 def jacobian_analytic(points: np.ndarray, source: CageMesh,
@@ -135,3 +138,42 @@ def _gradient_chunk(x: np.ndarray, cage: CageMesh) -> np.ndarray:
     grad_total = grad_w.sum(axis=1)                      # (P, 3)
     return (grad_w - omega[:, :, None] * grad_total[:, None, :]) \
         / total[:, None, None]
+
+
+def _spherical_setup(x: np.ndarray, cage: CageMesh):
+    """Spherical geometry: unit directions, distances, arcs, crosses, dets.
+
+    Returns a dict of arrays over (P points, T triangles, 3 corners).
+    """
+    verts = cage.vertices
+    tri = cage.triangles
+    u = verts[None, :, :] - x[:, None, :]            # (P, V, 3)
+    d = np.linalg.norm(u, axis=2)                    # (P, V)
+    d_safe = np.maximum(d, 1e-300)
+    uh = u / d_safe[:, :, None]
+
+    e = [uh[:, tri[:, k], :] for k in range(3)]      # 3 x (P, T, 3)
+    dcorn = [d_safe[:, tri[:, k]] for k in range(3)]  # 3 x (P, T)
+
+    # Arc angle opposite corner k, from the chord length (stable for both
+    # tiny and obtuse angles).
+    theta = []
+    for k in range(3):
+        chord = np.linalg.norm(e[(k + 1) % 3] - e[(k + 2) % 3], axis=2)
+        theta.append(2.0 * np.arcsin(np.clip(0.5 * chord, 0.0, 1.0)))
+
+    # cr[k] = e_{k+1} x e_{k+2}: arc-plane normals scaled by sin(theta_k),
+    # and simultaneously the Cramer adjugate rows of U = [e0 e1 e2].
+    cr = [np.cross(e[(k + 1) % 3], e[(k + 2) % 3]) for k in range(3)]
+    det = np.einsum("ptx,ptx->pt", e[0], cr[0])
+    return {"e": e, "dcorn": dcorn, "theta": theta, "cr": cr, "det": det}
+
+
+def _vector_area(geo) -> np.ndarray:
+    """m = 1/2 sum_k theta_k * cr_k / |cr_k|, guarded against |cr| ~ 0."""
+    m = np.zeros_like(geo["cr"][0])
+    for k in range(3):
+        s = np.linalg.norm(geo["cr"][k], axis=2)
+        s_safe = np.where(s < 1e-300, 1.0, s)
+        m += 0.5 * (geo["theta"][k] / s_safe)[:, :, None] * geo["cr"][k]
+    return m

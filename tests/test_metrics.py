@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from cagewarp.cage import build_template_cage
+from cagewarp.errors import PlyReadError
 from cagewarp.metrics import (
     TriangleMesh,
     baseline_bbox_scale,
@@ -280,6 +281,19 @@ class TestTargetIO:
         assert np.array_equal(back.points, pts)
         assert back.normals is not None
         assert np.max(np.abs(back.normals - nrm)) < 1e-6
+
+    @pytest.mark.parametrize("kind", ["auto", "pointcloud"])
+    def test_truncated_point_ply_reports_path_and_offset(self, tmp_path,
+                                                         kind):
+        rng = np.random.default_rng(16)
+        path = tmp_path / "cloud.ply"
+        write_point_ply(PointSet(points=rng.normal(size=(20, 3))), path)
+        raw = path.read_bytes()
+        bad = tmp_path / "cut.ply"
+        bad.write_bytes(raw[:-10])
+        with pytest.raises(PlyReadError,
+                           match=f"cut.ply.*byte offset {len(raw) - 10}"):
+            load_target(bad, kind=kind)
 
     def test_unknown_extension(self, tmp_path):
         path = tmp_path / "t.stl"
