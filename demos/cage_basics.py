@@ -10,8 +10,8 @@ import os
 
 import numpy as np
 
-from cagewarp import (PointSet, build_template_cage, deform_points,
-                      mvc_weights, write_cage_obj)
+from cagewarp import (build_template_cage, deform_points, mvc_weights,
+                      write_cage_obj)
 from cagewarp.metrics import write_point_ply
 
 out_dir = "demo_output"
@@ -46,7 +46,6 @@ print(f"point displacement: min {shift.min():.3f}, "
 
 write_cage_obj(cage, f"{out_dir}/basics_cage_before.obj")
 write_cage_obj(bent, f"{out_dir}/basics_cage_after.obj")
-write_point_ply(PointSet(points=points), f"{out_dir}/basics_points_before.ply")
-write_point_ply(PointSet(points=bent_points),
-                f"{out_dir}/basics_points_after.ply")
+write_point_ply(points, f"{out_dir}/basics_points_before.ply")
+write_point_ply(bent_points, f"{out_dir}/basics_points_after.ply")
 print(f"wrote before/after cages and point clouds to {out_dir}/")

@@ -16,10 +16,9 @@ from .errors import (CagewarpError, NonManifoldCageError,
                      UnsupportedLayoutError)
 from .fitting import FitConfig, FitReport, fit_deformed_cage
 from .metrics import (TriangleMesh, baseline_bbox_scale, chamfer_distance,
-                      load_target, sample_mesh_surface, sample_points)
+                      load_target, sample_points)
 from .mvc import MVCWeights, deform_points, mvc_weights
 from .pipeline import PipelineConfig, compare_models, run_pipeline
-from .points import PointSet
 from .splats import GaussianCloud, read_gs_ply, write_gs_ply
 from .transport import (JacobianField, build_jacobian_field, deform_cloud,
                         jacobian_fd, transform_covariance)
@@ -31,12 +30,11 @@ __all__ = [
     "DegenerateRotationError", "FitConfig", "FitDivergedError", "FitReport",
     "GaussianCloud", "JacobianField", "MVCWeights", "NearSurfaceError",
     "PipelineConfig", "PipelineError", "PlyFormatError", "PlyReadError",
-    "PointSet", "TopologyMismatchError", "TriangleMesh",
-    "UnsupportedLayoutError", "baseline_bbox_scale", "build_jacobian_field",
-    "build_template_cage", "chamfer_distance",
-    "compare_models", "deform_cloud", "deform_points", "fit_deformed_cage",
-    "interpolate_cage", "jacobian_fd", "load_target", "mvc_weights",
-    "read_cage_obj", "read_gs_ply", "run_pipeline", "sample_mesh_surface",
+    "TopologyMismatchError", "TriangleMesh", "UnsupportedLayoutError",
+    "baseline_bbox_scale", "build_jacobian_field", "build_template_cage",
+    "chamfer_distance", "compare_models", "deform_cloud", "deform_points",
+    "fit_deformed_cage", "interpolate_cage", "jacobian_fd", "load_target",
+    "mvc_weights", "read_cage_obj", "read_gs_ply", "run_pipeline",
     "sample_points", "transform_covariance", "write_cage_obj",
     "write_gs_ply",
 ]

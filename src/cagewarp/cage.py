@@ -15,7 +15,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import NonManifoldCageError, TopologyMismatchError
-from .points import bbox_of, inflate_degenerate_axes
 
 
 @dataclass
@@ -131,6 +130,35 @@ def triangle_areas(vertices: np.ndarray, triangles: np.ndarray) -> np.ndarray:
     a = vertices[triangles[:, 0]]
     cross = np.cross(vertices[triangles[:, 1]] - a, vertices[triangles[:, 2]] - a)
     return 0.5 * np.linalg.norm(cross, axis=1)
+
+
+def bbox_of(points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(min, max) corners of a raw (N, 3) array."""
+    pts = np.asarray(points, dtype=np.float64)
+    return pts.min(axis=0), pts.max(axis=0)
+
+
+def inflate_degenerate_axes(lo: np.ndarray, hi: np.ndarray,
+                            fraction: float = 1e-3) -> tuple[np.ndarray, np.ndarray]:
+    """Grow near-zero box extents to `fraction` of the box diagonal.
+
+    A fully degenerate box (a single point) gets unit extent on every axis
+    so downstream padding still has something to work with.
+    """
+    lo = np.asarray(lo, dtype=np.float64).copy()
+    hi = np.asarray(hi, dtype=np.float64).copy()
+    extent = hi - lo
+    diag = float(np.linalg.norm(extent))
+    if diag == 0.0:
+        half = 0.5
+        return lo - half, hi + half
+    floor = fraction * diag
+    thin = extent < floor
+    if np.any(thin):
+        pad = 0.5 * (floor - extent[thin])
+        lo[thin] -= pad
+        hi[thin] += pad
+    return lo, hi
 
 
 def build_template_cage(points: np.ndarray, resolution: int = 2,
@@ -358,8 +386,3 @@ def winding_numbers(points: np.ndarray, cage: CageMesh) -> np.ndarray:
                  + np.einsum("ij,ij->i", c, a) * lb)
         total += 2.0 * np.arctan2(numer, denom)
     return total / (4.0 * np.pi)
-
-
-def contains(points: np.ndarray, cage: CageMesh) -> np.ndarray:
-    """Boolean mask of points strictly inside the cage (winding > 1/2)."""
-    return winding_numbers(points, cage) > 0.5

@@ -27,7 +27,6 @@ from pathlib import Path
 
 from .errors import CagewarpError
 from .fitting import FitConfig
-from .metrics import TARGET_KINDS
 from .pipeline import PipelineConfig, compare_models, run_pipeline
 
 logger = logging.getLogger("cagewarp")
@@ -62,10 +61,8 @@ def _parse_lambdas(text: str):
 def _add_io_flags(parser):
     parser.add_argument("--source", "-s", help="input splat model (.ply)")
     parser.add_argument("--target", "-t",
-                        help="target geometry (.obj mesh or .ply)")
-    parser.add_argument("--target-kind", choices=TARGET_KINDS,
-                        dest="target_kind",
-                        help="how to interpret the target file")
+                        help="target geometry: an .obj mesh, or a .ply "
+                             "whose vertex x/y/z are used")
     parser.add_argument("--out", "-o", dest="output_dir",
                         help="output directory for all artifacts")
     parser.add_argument("--config", type=Path,
@@ -157,8 +154,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--reference", "-r", required=True,
                    help="reference model; its bounding box sets the "
                         "normalized frame")
-    p.add_argument("--model-kind", choices=TARGET_KINDS, default="auto")
-    p.add_argument("--reference-kind", choices=TARGET_KINDS, default="auto")
     p.add_argument("--samples", type=int, default=30000,
                    help="points sampled per model (default 30000)")
     p.add_argument("--seed", type=int, default=0)
@@ -219,8 +214,7 @@ def main(argv=None) -> int:
     try:
         if args.command == "metrics":
             result = compare_models(
-                args.model, args.reference, kind_a=args.model_kind,
-                kind_b=args.reference_kind, sample_count=args.samples,
+                args.model, args.reference, sample_count=args.samples,
                 seed=args.seed)
             text = json.dumps(result, indent=2, sort_keys=True)
             if args.out is not None:

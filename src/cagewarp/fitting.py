@@ -113,9 +113,9 @@ def fit_deformed_cage(source, target, source_cage: CageMesh,
                       config: FitConfig | None = None):
     """Optimize deformed cage vertices so the source matches the target.
 
-    source, target: GaussianCloud, PointSet, or (N, 3) array. Every point
-    is used; subsample with metrics.sample_points beforehand, which also
-    turns a TriangleMesh target into points.
+    source, target: GaussianCloud or (N, 3) array. Every point is used;
+    subsample with metrics.sample_points beforehand, which also turns a
+    TriangleMesh target into points.
 
     Returns (deformed_cage, FitReport). The returned cage carries the
     best-loss vertices seen, not necessarily the last iterate. Raises

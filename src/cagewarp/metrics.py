@@ -2,8 +2,9 @@
 
 Targets for cage fitting come in three flavors: a triangle mesh (possibly
 open, e.g. a scan or an edited surface), a plain point cloud, or another
-splat model whose centers stand in for its shape. All reduce to a PointSet
-for fitting and evaluation.
+splat model whose centers stand in for its shape. A target is either a
+TriangleMesh or an (N, 3) float64 array; sample_points turns both into
+points for fitting and evaluation.
 """
 
 from __future__ import annotations
@@ -13,12 +14,10 @@ from dataclasses import dataclass, replace
 import numpy as np
 from scipy.spatial import cKDTree
 
-from .cage import read_obj_arrays, triangle_areas
-from .points import PointSet, inflate_degenerate_axes
-from .splats import GaussianCloud, _parse_header, _read_records, read_gs_ply
+from .cage import inflate_degenerate_axes, read_obj_arrays, triangle_areas
+from .errors import PlyFormatError
+from .splats import GaussianCloud, _parse_header, _read_records
 from .transport import transform_covariance
-
-TARGET_KINDS = ("auto", "mesh", "pointcloud", "gsplat")
 
 
 @dataclass
@@ -46,16 +45,48 @@ class TriangleMesh:
             raise ValueError("triangle index out of range")
 
 
-def sample_mesh_surface(mesh: TriangleMesh, n: int = 30000,
-                        seed: int = 0) -> PointSet:
-    """Sample n points uniformly by area over a mesh surface.
+def as_points(obj, what: str = "point set") -> np.ndarray:
+    """The (N, 3) points of a GaussianCloud or array-like.
+
+    Raises ValueError naming `what` unless they form a non-empty (N, 3)
+    array.
+    """
+    pts = obj.centers if isinstance(obj, GaussianCloud) \
+        else np.asarray(obj, dtype=np.float64)
+    if pts.ndim != 2 or pts.shape[1] != 3 or len(pts) == 0:
+        raise ValueError(f"{what} must provide a non-empty (N, 3) point "
+                         f"array, got shape {pts.shape}")
+    return pts
+
+
+def sample_points(geometry, count: int | None, seed: int) -> np.ndarray:
+    """Up to count points of a geometry, deterministic for a seed.
+
+    A TriangleMesh is sampled by area (exactly count points; a mesh has
+    no "every row", so count None raises ValueError). Anything as_points
+    accepts yields the rows at count distinct indices drawn without
+    replacement, in increasing order, or every row when count is None or
+    covers them all. A count below 1 raises ValueError.
+    """
+    if count is not None and count < 1:
+        raise ValueError(f"sample count must be >= 1, got {count}")
+    if isinstance(geometry, TriangleMesh):
+        if count is None:
+            raise ValueError("sampling a mesh needs an explicit count")
+        return _sample_mesh_surface(geometry, count, seed)
+    points = as_points(geometry)
+    if count is None or count >= len(points):
+        return points
+    rng = np.random.default_rng(seed)
+    return points[np.sort(rng.choice(len(points), size=count, replace=False))]
+
+
+def _sample_mesh_surface(mesh: TriangleMesh, n: int, seed: int) -> np.ndarray:
+    """n points uniformly by area over a mesh surface.
 
     Faces are chosen with probability proportional to their area, then a
-    point is placed uniformly inside each chosen face. Face normals ride
-    along on the samples (zero-area faces are never chosen).
+    point is placed uniformly inside each chosen face.
     """
-    if n < 1:
-        raise ValueError(f"sample count must be >= 1, got {n}")
     areas = triangle_areas(mesh.vertices, mesh.triangles)
     total = areas.sum()
     if len(areas) == 0 or total <= 0.0:
@@ -73,53 +104,7 @@ def sample_mesh_surface(mesh: TriangleMesh, n: int = 30000,
     # Uniform barycentric placement via the square-root trick.
     r1 = np.sqrt(rng.uniform(size=(n, 1)))
     r2 = rng.uniform(size=(n, 1))
-    points = (1.0 - r1) * a + r1 * (1.0 - r2) * b + r1 * r2 * c
-
-    normals = np.cross(b - a, c - a)
-    norms = np.linalg.norm(normals, axis=1, keepdims=True)
-    normals = normals / np.maximum(norms, 1e-300)
-    return PointSet(points=points, normals=normals)
-
-
-def as_points(obj, what: str = "point set") -> np.ndarray:
-    """The (N, 3) points of a GaussianCloud, PointSet, or array-like.
-
-    Raises ValueError naming `what` unless they form a non-empty (N, 3)
-    array.
-    """
-    if isinstance(obj, GaussianCloud):
-        pts = obj.centers
-    elif isinstance(obj, PointSet):
-        pts = obj.points
-    else:
-        pts = np.asarray(obj, dtype=np.float64)
-    if pts.ndim != 2 or pts.shape[1] != 3 or len(pts) == 0:
-        raise ValueError(f"{what} must provide a non-empty (N, 3) point "
-                         f"array, got shape {pts.shape}")
-    return pts
-
-
-def sample_points(geometry, count: int | None, seed: int,
-                  what: str = "point set") -> np.ndarray:
-    """Up to count points of a geometry, deterministic for a seed.
-
-    A TriangleMesh is sampled by area (exactly count points; a mesh has
-    no "every row", so count None raises ValueError). Anything as_points
-    accepts yields the rows at count distinct indices drawn without
-    replacement, in increasing order, or every row when count is None or
-    covers them all. A count below 1 raises ValueError.
-    """
-    if count is not None and count < 1:
-        raise ValueError(f"sample count must be >= 1, got {count}")
-    if isinstance(geometry, TriangleMesh):
-        if count is None:
-            raise ValueError("sampling a mesh needs an explicit count")
-        return sample_mesh_surface(geometry, n=count, seed=seed).points
-    points = as_points(geometry, what)
-    if count is None or count >= len(points):
-        return points
-    rng = np.random.default_rng(seed)
-    return points[np.sort(rng.choice(len(points), size=count, replace=False))]
+    return (1.0 - r1) * a + r1 * (1.0 - r2) * b + r1 * r2 * c
 
 
 def chamfer_distance(a, b) -> float:
@@ -181,72 +166,45 @@ def baseline_bbox_scale(cloud: GaussianCloud, target_lo, target_hi,
     return replace(moved, rotations=rotations, log_scales=log_scales)
 
 
-def load_target(path, kind: str = "auto"):
-    """Load target geometry: returns a TriangleMesh or a PointSet.
+def load_target(path):
+    """Load target geometry: a TriangleMesh or an (N, 3) float64 array.
 
-    kind is one of TARGET_KINDS: "auto", "mesh", "pointcloud", or
-    "gsplat". On "auto", .obj files load as meshes, .ply files holding a
-    splat model (detected by their f_dc_0 property) contribute their
-    centers, and any other PLY with x/y/z vertex properties loads as a
-    plain point cloud. A truncated PLY body raises PlyReadError naming
+    .obj files load as meshes. A .ply file contributes the x/y/z of its
+    vertex element, so a splat model gives its centers and a point cloud
+    its points; every other property is ignored. Non-finite coordinates
+    raise ValueError, and a truncated PLY body raises PlyReadError naming
     the byte offset where the file ends.
     """
     path = str(path)
     lower = path.lower()
-    if kind not in TARGET_KINDS:
-        raise ValueError(f"unknown target kind {kind!r}")
-    if kind == "mesh" or (kind == "auto" and lower.endswith(".obj")):
+    if lower.endswith(".obj"):
         vertices, triangles = read_obj_arrays(path)
         return TriangleMesh(vertices=vertices, triangles=triangles)
-    if kind == "gsplat":
-        return PointSet(points=read_gs_ply(path).centers)
-    if lower.endswith(".ply"):
-        with open(path, "rb") as stream:
-            properties, count, header_bytes = _parse_header(stream, path)
-            if kind == "auto" and "f_dc_0" in properties:
-                return PointSet(points=read_gs_ply(path).centers)
-            return _read_point_ply(stream, path, properties, count,
-                                   header_bytes)
-    raise ValueError(f"{path}: unsupported target format "
-                     "(expected .obj or .ply)")
-
-
-def _read_point_ply(stream, path, properties, count,
-                    header_bytes) -> PointSet:
-    for name in ("x", "y", "z"):
-        if name not in properties:
-            raise ValueError(f"{path}: point PLY missing property {name!r}")
-    records = _read_records(stream, path, properties, count, header_bytes)
+    if not lower.endswith(".ply"):
+        raise ValueError(f"{path}: unsupported target format "
+                         "(expected .obj or .ply)")
+    with open(path, "rb") as stream:
+        properties, count, header_bytes = _parse_header(stream, path)
+        for name in ("x", "y", "z"):
+            if name not in properties:
+                raise PlyFormatError(f"{path}: missing property {name!r}")
+        records = _read_records(stream, path, properties, count,
+                                header_bytes)
     points = np.stack([records[name].astype(np.float64)
                        for name in ("x", "y", "z")], axis=1)
-    if {"nx", "ny", "nz"} <= set(properties):
-        normals = np.stack([records[name].astype(np.float64)
-                            for name in ("nx", "ny", "nz")], axis=1)
-        lengths = np.linalg.norm(normals, axis=1, keepdims=True)
-        if np.all(lengths > 1e-6):
-            return PointSet(points=points, normals=normals / lengths)
-    return PointSet(points=points)
+    if not np.all(np.isfinite(points)):
+        raise ValueError(f"{path}: non-finite point coordinates")
+    return points
 
 
-def write_point_ply(points: PointSet, path) -> None:
-    """Write a PointSet as a binary little-endian PLY (x, y, z [+ normals])."""
-    n = len(points)
-    if n == 0:
-        raise ValueError("refusing to write an empty point set")
-    names = ["x", "y", "z"]
-    if points.normals is not None:
-        names += ["nx", "ny", "nz"]
-    dtype = np.dtype([(name, "<f4") for name in names])
-    records = np.zeros(n, dtype=dtype)
-    for i, name in enumerate(("x", "y", "z")):
-        records[name] = points.points[:, i]
-    if points.normals is not None:
-        for i, name in enumerate(("nx", "ny", "nz")):
-            records[name] = points.normals[:, i]
+def write_point_ply(points, path) -> None:
+    """Write points (anything as_points accepts) as a binary
+    little-endian PLY of float x, y, z."""
+    records = as_points(points).astype("<f4")
     header = ["ply", "format binary_little_endian 1.0",
-              f"element vertex {n}"]
-    header += [f"property float {name}" for name in names]
-    header.append("end_header")
+              f"element vertex {len(records)}",
+              "property float x", "property float y", "property float z",
+              "end_header"]
     with open(path, "wb") as stream:
         stream.write(("\n".join(header) + "\n").encode("ascii"))
         stream.write(records.tobytes())

@@ -62,11 +62,7 @@ class MVCWeights:
     """
 
     weights: np.ndarray      # (P, V), rows sum to 1
-    points: np.ndarray       # (P, 3) the query points
     cage: CageMesh           # source cage the weights were computed against
-
-    def __len__(self) -> int:
-        return len(self.points)
 
 
 def mvc_weights(points: np.ndarray, cage: CageMesh,
@@ -90,11 +86,11 @@ def mvc_weights(points: np.ndarray, cage: CageMesh,
         rows.append(_weights_chunk(points[start:start + chunk_size], cage))
     weights = np.concatenate(rows, axis=0) if rows else \
         np.zeros((0, len(cage.vertices)))
-    return MVCWeights(weights=weights, points=points, cage=cage)
+    return MVCWeights(weights=weights, cage=cage)
 
 
 def deform_points(weights: MVCWeights, deformed: CageMesh) -> np.ndarray:
-    """Map the stored query points through a deformed copy of the cage."""
+    """Map the weights' query points through a deformed copy of the cage."""
     weights.cage.check_same_topology(deformed)
     return weights.weights @ deformed.vertices
 

@@ -25,13 +25,12 @@ from pathlib import Path
 
 import numpy as np
 
-from .cage import (CageMesh, build_template_cage, interpolate_cage,
-                   read_cage_obj, write_cage_obj)
+from .cage import (bbox_of, build_template_cage, inflate_degenerate_axes,
+                   interpolate_cage, read_cage_obj, write_cage_obj)
 from .errors import PipelineError
 from .fitting import FitConfig, fit_deformed_cage
-from .metrics import (TARGET_KINDS, TriangleMesh, baseline_bbox_scale,
-                      chamfer_distance, load_target, sample_points)
-from .points import bbox_of, inflate_degenerate_axes
+from .metrics import (TriangleMesh, baseline_bbox_scale, chamfer_distance,
+                      load_target, sample_points)
 from .splats import read_gs_ply, write_gs_ply
 from .transport import deform_cloud
 
@@ -58,7 +57,6 @@ class PipelineConfig:
     source: str
     output_dir: str
     target: str | None = None
-    target_kind: str = "auto"
     fit: FitConfig = field(default_factory=FitConfig)
     jacobian_sites: int = 10000
     sample_count: int = 30000
@@ -89,16 +87,22 @@ class PipelineConfig:
             raise ValueError(f"lambda values must lie in [0, 1]: {lams}")
         if len(set(_lambda_tag(l) for l in lams)) != len(lams):
             raise ValueError(f"duplicate lambda values: {lams}")
-        if self.target_kind not in TARGET_KINDS:
-            raise ValueError(f"target_kind must be one of {TARGET_KINDS}")
-        if self.jacobian_sites < 1:
-            raise ValueError("jacobian_sites must be >= 1")
-        if self.sample_count < 1:
-            raise ValueError("sample_count must be >= 1")
-        if self.center_chunk < 1:
-            raise ValueError("center_chunk must be >= 1")
-        if self.workers < 0:
-            raise ValueError("workers must be >= 0")
+        fit = self.fit
+        for rule, holds in (
+                ("jacobian_sites must be >= 1", self.jacobian_sites >= 1),
+                ("sample_count must be >= 1", self.sample_count >= 1),
+                ("center_chunk must be >= 1", self.center_chunk >= 1),
+                ("workers must be >= 0", self.workers >= 0),
+                ("seed must be >= 0", self.seed >= 0),
+                ("cage_resolution must be >= 1", self.cage_resolution >= 1),
+                ("cage_padding must be >= 0", self.cage_padding >= 0),
+                ("fit.iterations must be >= 1", fit.iterations >= 1),
+                ("fit.step_size must be > 0", fit.step_size > 0),
+                ("fit.normal_weight must be >= 0", fit.normal_weight >= 0),
+                ("fit.convergence_tol must be >= 0",
+                 fit.convergence_tol >= 0)):
+            if not holds:
+                raise ValueError(rule)
         if self.cage_in is not None and len(tuple(self.cage_in)) != 2:
             raise ValueError("cage_in needs exactly two paths "
                              "(source cage, deformed cage)")
@@ -109,6 +113,11 @@ class PipelineConfig:
             paths.extend(str(p) for p in self.cage_in)
         if len(set(map(os.path.abspath, paths))) != len(paths):
             raise ValueError(f"input paths must be distinct: {paths}")
+        inputs = {Path(p).resolve() for p in paths}
+        for name in _artifact_names(self, mode):
+            if Path(self.output_dir, name).resolve() in inputs:
+                raise ValueError(f"output {name} in {self.output_dir} "
+                                 "would overwrite an input")
 
     def effective_workers(self) -> int:
         return self.workers if self.workers > 0 else (os.cpu_count() or 1)
@@ -138,15 +147,34 @@ def _lambda_tag(lam: float) -> str:
     return f"{lam:.2f}"
 
 
-class _Run:
-    """Tracks artifacts and stage timings; removes artifacts on failure."""
+def _artifact_names(config: PipelineConfig, mode: str) -> list[str]:
+    """The files a run in this mode writes into config.output_dir."""
+    names = ["metrics.json"]
+    if mode in ("deform", "fit-cage"):
+        names += ["source_cage.obj", "deformed_cage.obj", "fit_trace.csv"]
+    if mode == "baseline":
+        names.append("baseline.ply")
+    elif mode != "fit-cage":
+        names += [f"deformed_lam{_lambda_tag(float(lam))}.ply"
+                  for lam in config.lambdas]
+    return names
 
-    def __init__(self, out_dir: Path):
+
+class _Run:
+    """Tracks artifacts and stage timings; removes artifacts on failure.
+
+    Only planned names may be claimed: validate checked those against
+    the inputs."""
+
+    def __init__(self, out_dir: Path, planned: list[str]):
         self.out_dir = out_dir
+        self.planned = set(planned)
         self.artifacts: list[Path] = []
         self.timings: dict[str, float] = {}
 
     def claim(self, name: str) -> Path:
+        if name not in self.planned:
+            raise ValueError(f"{name} is not a planned artifact")
         path = self.out_dir / name
         self.artifacts.append(path)
         return path
@@ -237,7 +265,7 @@ def run_pipeline(config: PipelineConfig, mode: str = "deform",
 
     out_dir = Path(config.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    run = _Run(out_dir)
+    run = _Run(out_dir, _artifact_names(config, mode))
     try:
         summary = _execute(config, mode, run)
     except BaseException:
@@ -262,7 +290,7 @@ def _execute(config: PipelineConfig, mode: str, run: _Run) -> dict:
     target_points = None
     if config.target is not None:
         with run.stage("load-target"):
-            target = load_target(config.target, kind=config.target_kind)
+            target = load_target(config.target)
             target_points = sample_points(target, config.sample_count,
                                           config.seed + 1)
             logger.info("target: %d points (%s)", len(target_points),
@@ -319,7 +347,7 @@ def _execute(config: PipelineConfig, mode: str, run: _Run) -> dict:
             # the map hits the exact extents; samples are only for the
             # metric.
             full = target.vertices if isinstance(target, TriangleMesh) \
-                else target.points
+                else target
             moved = baseline_bbox_scale(
                 cloud, *bbox_of(full),
                 update_covariance=config.update_covariance)
@@ -375,15 +403,12 @@ def _execute(config: PipelineConfig, mode: str, run: _Run) -> dict:
     return summary
 
 
-def compare_models(path_a, path_b, kind_a: str = "auto",
-                   kind_b: str = "auto", sample_count: int = 30000,
+def compare_models(path_a, path_b, sample_count: int = 30000,
                    seed: int = 0) -> dict:
     """Symmetric squared chamfer between two models, reported in the
     unit-diagonal frame of the second (reference) model."""
-    points = []
-    for path, kind, offset in ((path_a, kind_a, 0), (path_b, kind_b, 1)):
-        geometry = load_target(path, kind=kind)
-        points.append(sample_points(geometry, sample_count, seed + offset))
+    points = [sample_points(load_target(path), sample_count, seed + offset)
+              for offset, path in enumerate((path_a, path_b))]
     frame = _Frame.of_points(points[1])
     return {
         "model": str(path_a),

@@ -29,8 +29,7 @@ from .errors import (
 )
 from .rotations import quat_to_matrix
 
-_SH_REST_WIDTHS = {0: 0, 1: 9, 2: 24, 3: 45}
-_SH_DEGREE_BY_WIDTH = {v: k for k, v in _SH_REST_WIDTHS.items()}
+_SH_REST_WIDTHS = (0, 9, 24, 45)
 
 _REQUIRED_PROPERTIES = (
     "x", "y", "z",
@@ -80,9 +79,9 @@ class GaussianCloud:
                 raise ValueError(f"{name} must have shape {shape}, got {arr.shape}")
             if not np.all(np.isfinite(arr)):
                 raise ValueError(f"{name} contains non-finite values")
-        if self.sh_rest.shape[0] != n or self.sh_rest.shape[1] not in _SH_DEGREE_BY_WIDTH:
+        if self.sh_rest.shape[0] != n or self.sh_rest.shape[1] not in _SH_REST_WIDTHS:
             raise UnsupportedLayoutError(
-                f"sh_rest width must be one of {sorted(_SH_DEGREE_BY_WIDTH)}, "
+                f"sh_rest width must be one of {list(_SH_REST_WIDTHS)}, "
                 f"got shape {self.sh_rest.shape}")
         if not np.all(np.isfinite(self.sh_rest)):
             raise ValueError("sh_rest contains non-finite values")
@@ -91,10 +90,6 @@ class GaussianCloud:
 
     def __len__(self) -> int:
         return self.centers.shape[0]
-
-    @property
-    def sh_degree(self) -> int:
-        return _SH_DEGREE_BY_WIDTH[self.sh_rest.shape[1]]
 
     def copy(self) -> "GaussianCloud":
         """Deep copy: the new cloud shares no array with this one.
@@ -151,6 +146,11 @@ def _parse_header(stream: io.BufferedReader, path) -> tuple[list[str], int, int]
         tokens = line.decode("ascii", errors="replace").split()
         if not tokens or tokens[0] == "comment":
             continue
+        if (tokens[0] == "element" and (len(tokens) != 3
+                                        or not tokens[2].isdigit())) \
+                or (tokens[0] == "property" and len(tokens) < 3):
+            raise PlyFormatError(f"{path}: malformed header line "
+                                 f"{' '.join(tokens)!r}")
         if tokens[0] == "format":
             if tokens[1:] != ["binary_little_endian", "1.0"]:
                 raise PlyFormatError(
@@ -214,12 +214,12 @@ def read_gs_ply(path) -> GaussianCloud:
                 raise PlyFormatError(f"{path}: missing required property {name!r}")
         rest_names = [p for p in properties if p.startswith("f_rest_")]
         width = len(rest_names)
-        if width not in _SH_DEGREE_BY_WIDTH or \
+        if width not in _SH_REST_WIDTHS or \
                 set(rest_names) != {f"f_rest_{i}" for i in range(width)}:
             raise UnsupportedLayoutError(
                 f"{path}: {width} f_rest properties do not form a supported "
                 f"layout (expected a complete f_rest_0..K-1 with K in "
-                f"{sorted(_SH_DEGREE_BY_WIDTH)})")
+                f"{list(_SH_REST_WIDTHS)})")
 
         records = _read_records(stream, path, properties, count,
                                 header_bytes)

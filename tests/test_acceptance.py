@@ -18,7 +18,6 @@ from cagewarp.fitting import FitConfig, fit_deformed_cage
 from cagewarp.metrics import baseline_bbox_scale, write_point_ply
 from cagewarp.mvc import deform_points, mvc_weights
 from cagewarp.pipeline import PipelineConfig, run_pipeline
-from cagewarp.points import PointSet
 from cagewarp.splats import (GaussianCloud, covariances_of, read_gs_ply,
                              write_gs_ply)
 from cagewarp.transport import deform_cloud, jacobian_fd, transform_covariance
@@ -330,7 +329,7 @@ def test_criterion_9_end_to_end_determinism(tmp_path):
         squeezed = cloud.centers * np.array([0.8, 1.25, 1.0]) \
             + np.array([0.05, -0.3, 0.2])
         target_path = tmp_path / "target.ply"
-        write_point_ply(PointSet(points=squeezed), target_path)
+        write_point_ply(squeezed, target_path)
 
         def config(out, **kwargs):
             options = dict(

@@ -5,7 +5,6 @@ from cagewarp.cage import (
     CageMesh,
     box_cage,
     build_template_cage,
-    contains,
     interpolate_cage,
     read_cage_obj,
     surface_distance,
@@ -38,7 +37,7 @@ class TestTemplateCage:
         clo, chi = cage.bbox()
         assert np.allclose(clo, lo - 0.1 * (hi - lo), rtol=1e-12)
         assert np.allclose(chi, hi + 0.1 * (hi - lo), rtol=1e-12)
-        assert np.all(contains(pts, cage))
+        assert np.all(winding_numbers(pts, cage) > 0.5)
 
     def test_volume_matches_box(self):
         cage = box_cage(np.array([0.0, 0, 0]), np.array([2.0, 3, 5]),
@@ -243,5 +242,3 @@ class TestGeometricQueries:
         w_out = winding_numbers(outside, cage)
         assert np.allclose(w_in, 1.0, atol=1e-10)
         assert np.allclose(w_out, 0.0, atol=1e-10)
-        assert np.all(contains(inside, cage))
-        assert not np.any(contains(outside, cage))

@@ -7,7 +7,6 @@ import pytest
 
 from cagewarp.cli import main
 from cagewarp.metrics import write_point_ply
-from cagewarp.points import PointSet
 from cagewarp.splats import read_gs_ply, write_gs_ply
 
 from conftest import random_cloud
@@ -20,7 +19,7 @@ def model_files(tmp_path):
     write_gs_ply(cloud, source)
     stretched = cloud.centers * np.array([1.4, 0.9, 1.0]) + 0.2
     target = tmp_path / "goal.ply"
-    write_point_ply(PointSet(points=stretched), target)
+    write_point_ply(stretched, target)
     return source, target
 
 
@@ -151,8 +150,10 @@ def test_config_file_supplies_defaults_cli_overrides(model_files, tmp_path,
     {"cage_out": ["a.obj", "b.obj"]}, {"fit": {"seed": 0}},
     {"fit": {"beta1": 0.5}}, {"normalize": False},
     {"fit": {"align_weight": 2.0}}, {"fit": {"barrier_weight": 0.0}},
+    {"target_kind": "mesh"},
 ], ids=["wiggle", "baseline_mode", "cage_out", "fit.seed", "fit.beta1",
-        "normalize", "fit.align_weight", "fit.barrier_weight"])
+        "normalize", "fit.align_weight", "fit.barrier_weight",
+        "target_kind"])
 def test_unknown_config_key_exits_two(model_files, tmp_path, extra):
     source, target = model_files
     cfg_path = tmp_path / "bad.json"
@@ -163,6 +164,20 @@ def test_unknown_config_key_exits_two(model_files, tmp_path, extra):
     with pytest.raises(SystemExit) as excinfo:
         main(["deform", "--config", str(cfg_path)])
     assert excinfo.value.code == 2
+
+
+def test_output_over_an_input_exits_two(model_files, tmp_path):
+    source, target = model_files
+    out = tmp_path / "o"
+    out.mkdir()
+    inside = out / "deformed_lam1.00.ply"
+    inside.write_bytes(source.read_bytes())
+    with pytest.raises(SystemExit) as excinfo:
+        main(["deform", "-s", str(inside), "-t", str(target), "-o", str(out),
+              "--samples", "300", "--iterations", "5"])
+    assert excinfo.value.code == 2
+    assert inside.read_bytes() == source.read_bytes()
+    assert [p.name for p in out.iterdir()] == [inside.name]
 
 
 @pytest.mark.parametrize("command", ["fit-cage", "deform", "baseline"])

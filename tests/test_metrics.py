@@ -11,13 +11,11 @@ from cagewarp.metrics import (
     baseline_bbox_scale,
     chamfer_distance,
     load_target,
-    sample_mesh_surface,
     sample_points,
     write_point_ply,
 )
 from cagewarp.mvc import deform_points, mvc_weights
-from cagewarp.points import PointSet
-from cagewarp.splats import covariances_of, write_gs_ply
+from cagewarp.splats import covariances_of, read_gs_ply, write_gs_ply
 from cagewarp.transport import deform_cloud
 
 from conftest import random_cloud
@@ -37,39 +35,31 @@ class TestSampling:
     def test_area_weighted_counts(self):
         mesh = two_triangle_mesh()
         n = 20000
-        ps = sample_mesh_surface(mesh, n=n, seed=0)
+        pts = sample_points(mesh, n, seed=0)
         # Count samples landing near each triangle: the split must follow
         # the area ratio 8 : 0.5 within binomial noise (3 sigma).
-        on_small = ps.points[:, 0] > 5.0
+        on_small = pts[:, 0] > 5.0
         p = 0.5 / 8.5
         sigma = np.sqrt(n * p * (1 - p))
         assert abs(on_small.sum() - n * p) < 3 * sigma
 
     def test_samples_lie_on_faces(self):
         mesh = two_triangle_mesh()
-        ps = sample_mesh_surface(mesh, n=500, seed=1)
-        assert np.allclose(ps.points[:, 2], 0.0, atol=1e-12)
+        pts = sample_points(mesh, 500, seed=1)
+        assert np.allclose(pts[:, 2], 0.0, atol=1e-12)
         # Inside the union of the two triangles: x + y <= 4 on the big one.
-        big = ps.points[:, 0] <= 5.0
-        assert np.all(ps.points[big, 0] + ps.points[big, 1] <= 4.0 + 1e-9)
-
-    def test_normals_attached_and_unit(self):
-        mesh = two_triangle_mesh()
-        ps = sample_mesh_surface(mesh, n=100, seed=2)
-        assert ps.normals is not None
-        assert np.allclose(np.linalg.norm(ps.normals, axis=1), 1.0)
-        assert np.allclose(np.abs(ps.normals[:, 2]), 1.0)
+        big = pts[:, 0] <= 5.0
+        assert np.all(pts[big, 0] + pts[big, 1] <= 4.0 + 1e-9)
 
     def test_deterministic(self):
         mesh = two_triangle_mesh()
-        a = sample_mesh_surface(mesh, n=50, seed=3)
-        b = sample_mesh_surface(mesh, n=50, seed=3)
-        assert np.array_equal(a.points, b.points)
+        assert np.array_equal(sample_points(mesh, 50, seed=3),
+                              sample_points(mesh, 50, seed=3))
 
     def test_zero_area_rejected(self):
         mesh = TriangleMesh(np.zeros((3, 3)), np.array([[0, 1, 2]]))
-        with pytest.raises(ValueError):
-            sample_mesh_surface(mesh, n=10)
+        with pytest.raises(ValueError, match="positive-area"):
+            sample_points(mesh, 10, seed=0)
 
 
 def _indexed_geometry(kind, n):
@@ -79,12 +69,10 @@ def _indexed_geometry(kind, n):
                               rng.standard_normal((n, 2))])
     if kind == "cloud":
         return points, dataclasses.replace(random_cloud(n), centers=points)
-    if kind == "pointset":
-        return points, PointSet(points=points)
     return points, points
 
 
-_KINDS = st.sampled_from(["array", "pointset", "cloud"])
+_KINDS = st.sampled_from(["array", "cloud"])
 _SEEDS = st.integers(0, 2**32 - 1)
 
 
@@ -118,7 +106,7 @@ class TestSamplePoints:
                                       sample_points(geometry, count, seed))
 
     @settings(max_examples=40, deadline=None)
-    @given(kind=st.sampled_from(["array", "pointset", "cloud", "mesh"]),
+    @given(kind=st.sampled_from(["array", "cloud", "mesh"]),
            count=st.integers(-5, 0), seed=_SEEDS)
     def test_count_below_one_rejected(self, kind, count, seed):
         geometry = two_triangle_mesh() if kind == "mesh" \
@@ -150,12 +138,6 @@ class TestChamfer:
         b = rng.normal(size=(60, 3))
         assert np.isclose(chamfer_distance(a, b), chamfer_distance(b, a),
                           rtol=1e-12)
-
-    def test_accepts_pointsets(self):
-        rng = np.random.default_rng(6)
-        a = PointSet(points=rng.normal(size=(30, 3)))
-        b = rng.normal(size=(30, 3))
-        assert chamfer_distance(a, b) == chamfer_distance(a.points, b)
 
     def test_translation_increases(self):
         rng = np.random.default_rng(7)
@@ -263,37 +245,50 @@ class TestTargetIO:
         path = tmp_path / "model.ply"
         write_gs_ply(cloud, path)
         target = load_target(path)
-        assert isinstance(target, PointSet)
-        assert np.array_equal(target.points, cloud.centers)
+        assert target.dtype == np.float64 and target.shape == (20, 3)
+        assert np.array_equal(target, cloud.centers)
+        assert np.array_equal(target, read_gs_ply(path).centers)
 
     def test_point_ply_roundtrip(self, tmp_path):
         rng = np.random.default_rng(15)
         pts = rng.normal(size=(60, 3)).astype(np.float32).astype(np.float64)
-        nrm = rng.normal(size=(60, 3))
-        nrm /= np.linalg.norm(nrm, axis=1, keepdims=True)
-        nrm = nrm.astype(np.float32).astype(np.float64)
-        nrm /= np.linalg.norm(nrm, axis=1, keepdims=True)
-        ps = PointSet(points=pts, normals=nrm)
         path = tmp_path / "cloud.ply"
-        write_point_ply(ps, path)
+        write_point_ply(pts, path)
         back = load_target(path)
-        assert isinstance(back, PointSet)
-        assert np.array_equal(back.points, pts)
-        assert back.normals is not None
-        assert np.max(np.abs(back.normals - nrm)) < 1e-6
+        assert back.dtype == np.float64
+        assert np.array_equal(back, pts)
 
-    @pytest.mark.parametrize("kind", ["auto", "pointcloud"])
-    def test_truncated_point_ply_reports_path_and_offset(self, tmp_path,
-                                                         kind):
+    def test_point_ply_with_normals_loads_its_points(self, tmp_path):
+        rng = np.random.default_rng(17)
+        records = rng.normal(size=(30, 6)).astype("<f4")
+        header = "".join(["ply\nformat binary_little_endian 1.0\n",
+                          "element vertex 30\n",
+                          *(f"property float {name}\n"
+                            for name in ("x", "y", "z", "nx", "ny", "nz")),
+                          "end_header\n"])
+        path = tmp_path / "normals.ply"
+        path.write_bytes(header.encode("ascii") + records.tobytes())
+        np.testing.assert_array_equal(load_target(path),
+                                      records[:, :3].astype(np.float64))
+
+    def test_non_finite_point_rejected(self, tmp_path):
+        pts = np.random.default_rng(18).normal(size=(10, 3))
+        pts[4, 1] = np.nan
+        path = tmp_path / "nan.ply"
+        write_point_ply(pts, path)
+        with pytest.raises(ValueError, match="nan.ply.*non-finite"):
+            load_target(path)
+
+    def test_truncated_point_ply_reports_path_and_offset(self, tmp_path):
         rng = np.random.default_rng(16)
         path = tmp_path / "cloud.ply"
-        write_point_ply(PointSet(points=rng.normal(size=(20, 3))), path)
+        write_point_ply(rng.normal(size=(20, 3)), path)
         raw = path.read_bytes()
         bad = tmp_path / "cut.ply"
         bad.write_bytes(raw[:-10])
         with pytest.raises(PlyReadError,
                            match=f"cut.ply.*byte offset {len(raw) - 10}"):
-            load_target(bad, kind=kind)
+            load_target(bad)
 
     def test_unknown_extension(self, tmp_path):
         path = tmp_path / "t.stl"

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 
 from cagewarp.cage import CageMesh, box_cage, build_template_cage
 from cagewarp.errors import NearSurfaceError, TopologyMismatchError
@@ -50,10 +52,19 @@ class TestWeights:
         assert np.allclose(w[lo], w[lo[0]], rtol=0, atol=1e-13)
         assert np.isclose(w.sum(), 1.0, rtol=0, atol=1e-12)
 
-    def test_partition_of_unity_and_reproduction(self):
-        rng = np.random.default_rng(0)
-        cage = build_template_cage(rng.normal(size=(50, 3)), resolution=3)
-        pts = interior_points(cage, 200, seed=1)
+    @settings(max_examples=40, deadline=None)
+    @given(lo=hnp.arrays(np.float64, 3, elements=st.floats(-100, 100)),
+           extent=hnp.arrays(np.float64, 3, elements=st.floats(0.5, 5)),
+           resolution=st.integers(1, 3),
+           fractions=hnp.arrays(np.float64, st.tuples(st.integers(1, 40),
+                                                      st.just(3)),
+                                elements=st.floats(0.0, 1.0)))
+    def test_partition_of_unity_and_reproduction(self, lo, extent,
+                                                 resolution, fractions):
+        # A template cage around a random box, queried inside the box.
+        box = np.stack([lo, lo + extent])
+        cage = build_template_cage(box, resolution=resolution)
+        pts = lo + fractions * extent
         mw = mvc_weights(pts, cage)
         assert np.allclose(mw.weights.sum(axis=1), 1.0, rtol=0, atol=1e-12)
         recon = mw.weights @ cage.vertices

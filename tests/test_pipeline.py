@@ -6,11 +6,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from cagewarp.cage import bbox_of
 from cagewarp.errors import PipelineError
 from cagewarp.fitting import FitConfig
 from cagewarp.metrics import baseline_bbox_scale, write_point_ply
 from cagewarp.pipeline import PipelineConfig, run_pipeline
-from cagewarp.points import PointSet, bbox_of
 from cagewarp.splats import read_gs_ply, write_gs_ply
 
 from conftest import random_cloud
@@ -30,7 +30,7 @@ def fixture_paths(tmp_path):
     source = tmp_path / "source.ply"
     write_gs_ply(cloud, source)
     target = tmp_path / "target.ply"
-    write_point_ply(PointSet(points=_affine(cloud.centers)), target)
+    write_point_ply(_affine(cloud.centers), target)
     return cloud, source, target
 
 
@@ -163,8 +163,16 @@ def test_config_validation_failures(fixture_paths, tmp_path):
             (dict(lambdas=(0.5, 0.5)), "duplicate"),
             (dict(center_chunk=0), "center_chunk"),
             (dict(center_chunk=-7), "center_chunk"),
-            (dict(target_kind="volume"), "target_kind"),
             (dict(jacobian_sites=0), "jacobian_sites"),
+            (dict(fit=FitConfig(iterations=0)), "iterations"),
+            (dict(fit=FitConfig(iterations=-3)), "iterations"),
+            (dict(fit=FitConfig(step_size=-0.5)), "step_size"),
+            (dict(fit=FitConfig(step_size=0.0)), "step_size"),
+            (dict(fit=FitConfig(normal_weight=-1.0)), "normal_weight"),
+            (dict(fit=FitConfig(convergence_tol=-1e-5)), "convergence_tol"),
+            (dict(cage_resolution=0), "cage_resolution"),
+            (dict(cage_padding=-1.0), "cage_padding"),
+            (dict(seed=-1), "seed"),
     ):
         with pytest.raises(PipelineError) as excinfo:
             run_pipeline(_config(source, target, out, **kwargs))
@@ -176,6 +184,26 @@ def test_config_validation_failures(fixture_paths, tmp_path):
 
     with pytest.raises(PipelineError, match="target is required"):
         run_pipeline(_config(source, None, out))
+
+
+@pytest.mark.parametrize("mode, name", [
+    ("deform", "deformed_lam1.00.ply"), ("deform", "fit_trace.csv"),
+    ("fit-cage", "source_cage.obj"), ("baseline", "baseline.ply"),
+    ("baseline", "metrics.json"),
+])
+def test_run_never_writes_over_its_source(fixture_paths, tmp_path, mode,
+                                          name):
+    _, source, target = fixture_paths
+    out = tmp_path / "out"
+    out.mkdir()
+    inside = out / name
+    inside.write_bytes(source.read_bytes())
+    before = inside.read_bytes()
+    with pytest.raises(PipelineError, match="overwrite an input") as excinfo:
+        run_pipeline(_config(inside, target, out), mode)
+    assert excinfo.value.stage == "config"
+    assert inside.read_bytes() == before
+    assert [p.name for p in out.iterdir()] == [name]
 
 
 @pytest.mark.parametrize("mode, with_cages, with_target, fragment", [

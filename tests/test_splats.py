@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 
 from cagewarp.errors import (
     DegenerateRotationError,
@@ -7,6 +9,7 @@ from cagewarp.errors import (
     PlyReadError,
     UnsupportedLayoutError,
 )
+from cagewarp.metrics import load_target
 from cagewarp.rotations import quat_to_matrix
 from cagewarp.splats import (
     GaussianCloud,
@@ -22,9 +25,8 @@ class TestCloudValidation:
     def test_shapes_and_degree(self):
         cloud = random_cloud(5, sh_rest_width=24)
         assert len(cloud) == 5
-        assert cloud.sh_degree == 2
-        assert random_cloud(3, sh_rest_width=0).sh_degree == 0
-        assert random_cloud(3, sh_rest_width=45).sh_degree == 3
+        assert cloud.sh_rest.shape == (5, 24)
+        assert random_cloud(3, sh_rest_width=0).sh_rest.shape == (3, 0)
 
     def test_bad_sh_width_rejected(self):
         with pytest.raises(UnsupportedLayoutError):
@@ -102,13 +104,25 @@ class TestPlyRoundtrip:
         write_gs_ply(cloud, path)
         back = read_gs_ply(path)
         assert len(back) == 17
-        assert back.sh_degree == cloud.sh_degree
         for name in ("centers", "log_scales", "rotations", "opacity_logits",
                      "sh_dc", "sh_rest"):
             assert np.array_equal(getattr(back, name), getattr(cloud, name)), name
 
-    def test_write_read_write_byte_identical(self, tmp_path):
-        cloud = random_cloud(23, seed=12)  # full float64, first write is lossy
+    @settings(max_examples=40, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(width=st.sampled_from([0, 9, 24, 45]), data=st.data())
+    def test_write_read_write_byte_identical(self, tmp_path, width, data):
+        def field(*shape, elements=st.floats(-1e30, 1e30)):
+            return data.draw(hnp.arrays(np.float64, shape,
+                                        elements=elements))
+
+        # Full float64 values, so the first write rounds them.
+        n = data.draw(st.integers(1, 12))
+        cloud = GaussianCloud(
+            centers=field(n, 3), log_scales=field(n, 3),
+            rotations=field(n, 4, elements=st.floats(0.25, 4.0)),
+            opacity_logits=field(n), sh_dc=field(n, 3),
+            sh_rest=field(n, width))
         p1 = tmp_path / "a.ply"
         p2 = tmp_path / "b.ply"
         write_gs_ply(cloud, p1)
@@ -191,6 +205,22 @@ class TestPlyErrors:
         bad.write_bytes(b"OFF\n3 1 0\n")
         with pytest.raises(PlyFormatError):
             read_gs_ply(bad)
+
+    @pytest.mark.parametrize("lines", [
+        b"element vertex\nproperty float x\n",
+        b"element vertex 2.5\nproperty float x\n",
+        b"element vertex -3\nproperty float x\n",
+        b"element vertex 1\nproperty float\n",
+    ], ids=["no-count", "non-integer-count", "negative-count", "no-name"])
+    @pytest.mark.parametrize("reader", [read_gs_ply, load_target],
+                             ids=["read_gs_ply", "load_target"])
+    def test_malformed_header_line_named(self, tmp_path, lines, reader):
+        bad = tmp_path / "m.ply"
+        bad.write_bytes(b"ply\nformat binary_little_endian 1.0\n" + lines
+                        + b"end_header\n" + bytes(4))
+        with pytest.raises(PlyFormatError,
+                           match="m.ply: malformed header line"):
+            reader(bad)
 
     def test_ascii_format_rejected(self, tmp_path):
         bad = tmp_path / "y.ply"

@@ -2,6 +2,8 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 
 from cagewarp.cage import build_template_cage
 from cagewarp.errors import NearSurfaceError, TopologyMismatchError
@@ -148,17 +150,26 @@ class TestTransformCovariance:
         after = covariances_of(q, ls)
         assert np.max(np.abs(after - before)) < 1e-12 * np.abs(before).max()
 
-    def test_reconstruction_of_mapped_covariance(self):
-        rng = np.random.default_rng(23)
-        cloud = random_cloud(500, seed=24)
-        jac = np.eye(3) + 0.5 * rng.normal(size=(500, 3, 3))
-        q, ls = transform_covariance(jac, cloud.rotations, cloud.log_scales)
-        sigma = covariances_of(cloud.rotations, cloud.log_scales)
+    @settings(max_examples=40, deadline=None)
+    @given(n=st.integers(1, 30), seed=st.integers(0, 2**32 - 1),
+           singular_values=hnp.arrays(np.float64, 3,
+                                      elements=st.floats(1e-2, 1e2)),
+           log_scales=hnp.arrays(np.float64, 3, elements=st.floats(-5, 1)))
+    def test_reconstruction_of_mapped_covariance(self, n, seed,
+                                                 singular_values,
+                                                 log_scales):
+        # Non-singular J = U diag(s) V^T with random rotations U and V.
+        cloud = random_cloud(n, seed=seed)
+        rng = np.random.default_rng(seed)
+        u, v = quat_to_matrix(rng.normal(size=(2, n, 4)))
+        jac = u * singular_values @ np.swapaxes(v, -1, -2)
+        scales = cloud.log_scales + log_scales
+        q, ls = transform_covariance(jac, cloud.rotations, scales)
+        sigma = covariances_of(cloud.rotations, scales)
         target = np.einsum("nij,njk,nlk->nil", jac, sigma, jac)
-        target = 0.5 * (target + np.transpose(target, (0, 2, 1)))
         recon = covariances_of(q, ls)
-        rel = np.linalg.norm((recon - target).reshape(500, -1), axis=1) \
-            / np.linalg.norm(target.reshape(500, -1), axis=1)
+        rel = np.linalg.norm((recon - target).reshape(n, -1), axis=1) \
+            / np.linalg.norm(target.reshape(n, -1), axis=1)
         assert rel.max() < 1e-10
 
     def test_rotations_are_proper(self):
