@@ -7,13 +7,14 @@ Subcommands:
   metrics     chamfer distance between two models
   baseline    bounding-box scaling instead of a cage (ablation comparator)
 
-The subcommand is the run's mode (pipeline.run_pipeline); a setting the
-mode cannot use, such as cage_in outside apply-cage, exits with status 2
-before anything is written. Flags mirror PipelineConfig; a --config JSON
-file supplies the same keys, with explicit flags winning. Progress and
-timings go to stderr; the run summary is printed to stdout as JSON. The
-CAGEWARP_LOG environment variable (DEBUG/INFO/WARNING/ERROR) sets the log
-level, -v forces DEBUG.
+The subcommand is the run's mode (pipeline.run_pipeline). A setting the
+mode cannot use, such as cage_in outside apply-cage, an out-of-range value
+and an output that would overwrite an input exit with status 2 before
+anything is written; metrics checks its flags the same way. Flags mirror
+PipelineConfig; a --config JSON file supplies the same keys, with
+explicit flags winning. Progress and timings go to stderr; the run
+summary is printed to stdout as JSON. The CAGEWARP_LOG environment
+variable (DEBUG/INFO/WARNING/ERROR) sets the log level, -v forces DEBUG.
 """
 
 from __future__ import annotations
@@ -200,16 +201,28 @@ def _build_config(args, parser) -> PipelineConfig:
                      "file)")
     try:
         config = PipelineConfig(fit=FitConfig(**fit_cfg), **merged)
-        config.validate(args.command)
+        config.validate(args.command, args.timings_out)
     except (TypeError, ValueError) as exc:
         parser.error(f"bad configuration: {exc}")
     return config
+
+
+def _check_metrics_args(args, parser) -> None:
+    if args.samples < 1:
+        parser.error("--samples must be >= 1")
+    if args.seed < 0:
+        parser.error("--seed must be >= 0")
+    if args.out is not None and args.out.resolve() in {
+            Path(args.model).resolve(), Path(args.reference).resolve()}:
+        parser.error(f"--out {args.out} would overwrite an input")
 
 
 def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     _configure_logging(getattr(args, "verbose", False))
+    if args.command == "metrics":
+        _check_metrics_args(args, parser)
 
     try:
         if args.command == "metrics":

@@ -1,10 +1,12 @@
 """End-to-end deformation runs: load, fit, deform, write, verify.
 
 A run reads a splat model, fits (or loads) a cage pair, deforms the model
-once per interpolation factor, and writes the results plus cages, a fit
-trace, and a metrics report; the baseline mode scales the model onto the
-target's bounding box instead. Every artifact is deterministic for a given
-config and seed: timings go to the log, never into output files.
+once through the full pair, serves every interpolation factor as a blend
+of that deformation and the identity, and writes the results plus cages,
+a fit trace, and a metrics report; the baseline mode scales the model
+onto the target's bounding box instead. Every artifact is deterministic
+for a given config and seed: timings go to the log, never into output
+files.
 
 Fitting happens in normalized frames (source and target each mapped to a
 unit-diagonal box at the origin) so step sizes and tolerances are
@@ -26,13 +28,13 @@ from pathlib import Path
 import numpy as np
 
 from .cage import (bbox_of, build_template_cage, inflate_degenerate_axes,
-                   interpolate_cage, read_cage_obj, write_cage_obj)
+                   read_cage_obj, write_cage_obj)
 from .errors import PipelineError
 from .fitting import FitConfig, fit_deformed_cage
 from .metrics import (TriangleMesh, baseline_bbox_scale, chamfer_distance,
                       load_target, sample_points)
 from .splats import read_gs_ply, write_gs_ply
-from .transport import deform_cloud
+from .transport import blend_deformation, deform_cloud
 
 logger = logging.getLogger("cagewarp")
 
@@ -45,13 +47,17 @@ class PipelineConfig:
     part of it.
 
     lambdas are interpolation factors in [0, 1]; one output model is
-    written per factor. jacobian_sites (m) bounds how many Jacobians are
-    evaluated; sample_count (N) bounds how many centers/target points the
-    fit sees. cage_in is the (source_cage, deformed_cage) OBJ pair that
-    apply-cage replays, and no other mode takes one; a fitted pair is
-    written to output_dir. target is required by every mode except
-    apply-cage, where it only adds a chamfer per output. workers = 0
-    means one thread per available core.
+    written per factor. The model is deformed once, through the full cage
+    pair, if any factor is above 0, and each output blends that result
+    with the identity (transport.blend_deformation); up to rounding, that
+    is the deformation through the cage pair interpolated at the factor.
+    jacobian_sites (m) bounds how many Jacobians are evaluated;
+    sample_count (N) bounds how many centers/target points the fit sees.
+    cage_in is the (source_cage, deformed_cage) OBJ pair that apply-cage
+    replays, and no other mode takes one; a fitted pair is written to
+    output_dir. target is required by every mode except apply-cage, where
+    it only adds a chamfer per output. workers = 0 means one thread per
+    available core.
     """
 
     source: str
@@ -69,7 +75,11 @@ class PipelineConfig:
     center_chunk: int = 30000
     workers: int = 0
 
-    def validate(self, mode: str = "deform") -> None:
+    def validate(self, mode: str = "deform", timings_out=None) -> None:
+        """Raise ValueError for a setting the mode cannot use, an
+        out-of-range value, an artifact that would overwrite an input, or
+        a timings_out file that would overwrite an input or an
+        artifact."""
         if mode not in MODES:
             raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
         if mode == "apply-cage" and self.cage_in is None:
@@ -114,10 +124,17 @@ class PipelineConfig:
         if len(set(map(os.path.abspath, paths))) != len(paths):
             raise ValueError(f"input paths must be distinct: {paths}")
         inputs = {Path(p).resolve() for p in paths}
+        artifacts = set()
         for name in _artifact_names(self, mode):
-            if Path(self.output_dir, name).resolve() in inputs:
+            artifact = Path(self.output_dir, name).resolve()
+            if artifact in inputs:
                 raise ValueError(f"output {name} in {self.output_dir} "
                                  "would overwrite an input")
+            artifacts.add(artifact)
+        if timings_out is not None and \
+                Path(timings_out).resolve() in inputs | artifacts:
+            raise ValueError(f"timings_out {timings_out} would overwrite an "
+                             "input or an artifact")
 
     def effective_workers(self) -> int:
         return self.workers if self.workers > 0 else (os.cpu_count() or 1)
@@ -256,10 +273,10 @@ def run_pipeline(config: PipelineConfig, mode: str = "deform",
     with the stage name after removing any partially written outputs.
     timings_out optionally names a JSON file for per-stage wall-clock
     seconds; it is diagnostic output, kept apart from the deterministic
-    artifacts.
+    artifacts, and may be neither an input nor an artifact.
     """
     try:
-        config.validate(mode)
+        config.validate(mode, timings_out)
     except ValueError as exc:
         raise PipelineError("config", str(exc)) from exc
 
@@ -356,23 +373,29 @@ def _execute(config: PipelineConfig, mode: str, run: _Run) -> dict:
             outputs.append({"path": path.name, "chamfer_sq_normalized":
                             chamfer_to_target(moved)})
     elif mode != "fit-cage":
-        for lam in config.lambdas:
-            with run.stage(f"deform-lam{_lambda_tag(lam)}"):
-                cage_lam = interpolate_cage(source_cage, deformed_cage,
-                                            float(lam))
-                moved, jac_field = deform_cloud(
-                    cloud, source_cage, cage_lam,
+        lambdas = [float(lam) for lam in config.lambdas]
+        workers = config.effective_workers()
+        full = full_field = None
+        if any(lambdas):
+            with run.stage("deform"):
+                full, full_field = deform_cloud(
+                    cloud, source_cage, deformed_cage,
                     update_covariance=config.update_covariance,
                     m=config.jacobian_sites, seed=config.seed,
-                    center_chunk=config.center_chunk,
-                    workers=config.effective_workers())
+                    center_chunk=config.center_chunk, workers=workers)
+        for lam in lambdas:
+            with run.stage(f"deform-lam{_lambda_tag(lam)}"):
+                moved, jac_field = blend_deformation(
+                    cloud, full, full_field, lam,
+                    center_chunk=config.center_chunk, workers=workers)
                 path = run.claim(f"deformed_lam{_lambda_tag(lam)}.ply")
                 write_gs_ply(moved, path)
-                entry = {"lambda": float(lam), "path": path.name}
+                entry = {"lambda": lam, "path": path.name}
                 if jac_field is not None:
                     entry["jacobian_sites"] = int(
                         len(jac_field.site_indices))
                     entry["singular_sites"] = jac_field.n_singular
+                    entry["inverted_sites"] = jac_field.n_inverted
                 if target_points is not None:
                     entry["chamfer_sq_normalized"] = chamfer_to_target(moved)
                 outputs.append(entry)

@@ -9,6 +9,9 @@ Computing a Jacobian per splat is wasteful when nearby splats share
 essentially the same local map, so Jacobians are evaluated at a sampled
 subset of centers ("sites") and every splat uses its nearest site's
 Jacobian.
+
+A partial-strength edit blends the identity with the full deformation
+(blend_deformation) instead of deforming again.
 """
 
 from __future__ import annotations
@@ -27,7 +30,11 @@ from .splats import GaussianCloud, covariances_of
 
 # |det J| at or below this marks a site as singular: the local map
 # collapses a direction and the transported covariance is degenerate.
-SINGULAR_DET = 1e-12
+# It sits above the rounding noise of jacobian_fd: the MVC sums carry
+# about one ulp of the cage coordinates, divided by the step, so an
+# exactly collapsed direction reads as |det J| up to about 3e-12 on box
+# cages around the origin, and more on cages far from it.
+SINGULAR_DET = 1e-9
 
 # Relative finite-difference step, as a fraction of the cage diagonal.
 FD_STEP_FRACTION = 1e-5
@@ -50,16 +57,29 @@ class JacobianField:
         For every original point, the row in site_jacobians it uses.
     singular : (m,) bool
         Sites where |det J| <= SINGULAR_DET.
+    inverted : (m,) bool
+        Sites where det J < 0: the local map flips orientation.
     """
 
     site_indices: np.ndarray
     site_jacobians: np.ndarray
     assignment: np.ndarray
     singular: np.ndarray
+    inverted: np.ndarray
 
     @property
     def n_singular(self) -> int:
         return int(np.count_nonzero(self.singular))
+
+    @property
+    def n_inverted(self) -> int:
+        return int(np.count_nonzero(self.inverted))
+
+
+def _site_flags(jacobians: np.ndarray) -> dict:
+    """JacobianField's singular and inverted masks for these Jacobians."""
+    det = np.linalg.det(jacobians)
+    return {"singular": np.abs(det) <= SINGULAR_DET, "inverted": det < 0.0}
 
 
 def jacobian_fd(points: np.ndarray, source: CageMesh,
@@ -135,9 +155,8 @@ def build_jacobian_field(points: np.ndarray, source: CageMesh,
             tied = dist == dist[:, :1]
             assignment = np.where(tied, idx, len(site_indices)).min(axis=1)
 
-    singular = np.abs(np.linalg.det(jac)) <= SINGULAR_DET
     return JacobianField(site_indices=site_indices, site_jacobians=jac,
-                         assignment=assignment, singular=singular)
+                         assignment=assignment, **_site_flags(jac))
 
 
 def transform_covariance(jacobians: np.ndarray, rotations: np.ndarray,
@@ -208,8 +227,7 @@ def deform_cloud(cloud: GaussianCloud, source: CageMesh, deformed: CageMesh,
     if np.array_equal(source.vertices, deformed.vertices):
         return cloud.copy(), None
 
-    spans = [(lo, min(lo + center_chunk, len(cloud)))
-             for lo in range(0, len(cloud), center_chunk)]
+    spans = _spans(len(cloud), center_chunk)
     new_centers = np.empty_like(cloud.centers)
 
     def _move(span):
@@ -219,11 +237,51 @@ def deform_cloud(cloud: GaussianCloud, source: CageMesh, deformed: CageMesh,
 
     _run_spans(_move, spans, workers)
 
-    if not update_covariance:
-        return replace(cloud.copy(), centers=new_centers), None
+    field = build_jacobian_field(cloud.centers, source, deformed, m=m,
+                                 seed=seed) if update_covariance else None
+    return _transported(cloud, new_centers, field, spans, workers), field
 
-    field = build_jacobian_field(cloud.centers, source, deformed,
-                                 m=m, seed=seed)
+
+def blend_deformation(cloud: GaussianCloud, full: GaussianCloud,
+                      field: JacobianField | None, lam: float,
+                      center_chunk: int = 30000, workers: int = 1):
+    """Deform a splat cloud at strength lam, given its full deformation.
+
+    full and field are deform_cloud's result for cloud and a cage pair.
+    MVC reproduce linear functions and interpolate_cage is affine in lam,
+    so, up to rounding, the pair interpolated at lam maps a center x to
+    (1 - lam) x + lam x1 and has the Jacobian (1 - lam) I + lam J1 at each
+    site. Both are blended here: no MVC runs and each splat keeps its
+    site. Covariances use deform_cloud's span grid, so the bits do not
+    depend on workers. Returns (new_cloud, blended field or None, as in
+    deform_cloud); lam = 0 gives a bit-exact copy of cloud and lam = 1
+    gives (full, field) themselves.
+    """
+    if lam == 0.0:
+        return cloud.copy(), None
+    if lam == 1.0:
+        return full, field
+    # The increment form keeps an identical cage pair (full equal to
+    # cloud) exact.
+    centers = cloud.centers + lam * (full.centers - cloud.centers)
+    if field is not None:
+        jac = (1.0 - lam) * np.eye(3) + lam * field.site_jacobians
+        field = replace(field, site_jacobians=jac, **_site_flags(jac))
+    return _transported(cloud, centers, field,
+                        _spans(len(cloud), center_chunk), workers), field
+
+
+def _spans(n: int, chunk: int) -> list:
+    return [(lo, min(lo + chunk, n)) for lo in range(0, n, chunk)]
+
+
+def _transported(cloud: GaussianCloud, centers: np.ndarray,
+                 field: JacobianField | None, spans, workers: int):
+    """A copy of cloud at the given centers, its covariances carried
+    through field's Jacobians span by span (unchanged when field is
+    None)."""
+    if field is None:
+        return replace(cloud.copy(), centers=centers)
     quats = np.empty_like(cloud.rotations)
     log_scales = np.empty_like(cloud.log_scales)
 
@@ -234,6 +292,5 @@ def deform_cloud(cloud: GaussianCloud, source: CageMesh, deformed: CageMesh,
             jac, cloud.rotations[lo:hi], cloud.log_scales[lo:hi])
 
     _run_spans(_reshape, spans, workers)
-
-    return replace(cloud.copy(), centers=new_centers, log_scales=log_scales,
-                   rotations=quats), field
+    return replace(cloud.copy(), centers=centers, log_scales=log_scales,
+                   rotations=quats)

@@ -5,6 +5,7 @@ import json
 import numpy as np
 import pytest
 
+from cagewarp.cage import build_template_cage, write_cage_obj
 from cagewarp.cli import main
 from cagewarp.metrics import write_point_ply
 from cagewarp.splats import read_gs_ply, write_gs_ply
@@ -82,6 +83,19 @@ def test_metrics_of_model_with_itself_is_zero(model_files, capsys):
     assert code == 0
     assert json.loads(capsys.readouterr().out)["chamfer_sq_normalized"] \
         == 0.0
+
+
+@pytest.mark.parametrize("flags", [
+    ("--out", "MODEL"), ("--seed", "-1"), ("--samples", "0"),
+], ids=["out-over-model", "negative-seed", "zero-samples"])
+def test_metrics_bad_flags_exit_two(model_files, flags):
+    source, target = model_files
+    before = source.read_bytes()
+    flags = [str(source) if f == "MODEL" else f for f in flags]
+    with pytest.raises(SystemExit) as excinfo:
+        main(["metrics", "-m", str(source), "-r", str(target), *flags])
+    assert excinfo.value.code == 2
+    assert source.read_bytes() == before
 
 
 def test_baseline_subcommand(model_files, tmp_path, capsys):
@@ -178,6 +192,22 @@ def test_output_over_an_input_exits_two(model_files, tmp_path):
     assert excinfo.value.code == 2
     assert inside.read_bytes() == source.read_bytes()
     assert [p.name for p in out.iterdir()] == [inside.name]
+
+
+def test_timings_over_an_input_exits_two(model_files, tmp_path):
+    source, _ = model_files
+    cage = build_template_cage(read_gs_ply(source).centers, resolution=1)
+    cages = (tmp_path / "src.obj", tmp_path / "def.obj")
+    write_cage_obj(cage, cages[0])
+    write_cage_obj(cage.with_vertices(cage.vertices * 1.1), cages[1])
+    before = source.read_bytes()
+    out = tmp_path / "o"
+    with pytest.raises(SystemExit) as excinfo:
+        main(["apply-cage", "-s", str(source), "--cage-in", *map(str, cages),
+              "-o", str(out), "--sites", "60", "--timings-out", str(source)])
+    assert excinfo.value.code == 2
+    assert source.read_bytes() == before
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("command", ["fit-cage", "deform", "baseline"])

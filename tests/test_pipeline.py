@@ -6,12 +6,15 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from cagewarp.cage import bbox_of
+from cagewarp import pipeline, transport
+from cagewarp.cage import (bbox_of, build_template_cage, interpolate_cage,
+                           read_cage_obj, write_cage_obj)
 from cagewarp.errors import PipelineError
 from cagewarp.fitting import FitConfig
 from cagewarp.metrics import baseline_bbox_scale, write_point_ply
 from cagewarp.pipeline import PipelineConfig, run_pipeline
-from cagewarp.splats import read_gs_ply, write_gs_ply
+from cagewarp.splats import covariances_of, read_gs_ply, write_gs_ply
+from cagewarp.transport import deform_cloud
 
 from conftest import random_cloud
 
@@ -90,8 +93,9 @@ def test_worker_count_does_not_change_results(fixture_paths, tmp_path):
     for workers in (1, 3):
         d = tmp_path / f"w{workers}"
         run_pipeline(_config(source, target, d, workers=workers,
-                             center_chunk=128))
-        outs[workers] = (d / "deformed_lam1.00.ply").read_bytes()
+                             center_chunk=128, lambdas=(0.25, 0.5, 1.0)))
+        outs[workers] = {p.name: p.read_bytes() for p in d.glob("*.ply")}
+    assert len(outs[1]) == 3
     assert outs[1] == outs[3]
 
 
@@ -235,17 +239,21 @@ def test_mode_rejects_settings_it_cannot_use(fixture_paths, tmp_path, mode,
 def test_covariance_ablation_keeps_centers(fixture_paths, tmp_path):
     _, source, target = fixture_paths
     full_dir, abl_dir = tmp_path / "full", tmp_path / "abl"
-    run_pipeline(_config(source, target, full_dir))
-    run_pipeline(_config(source, target, abl_dir,
-                         update_covariance=False))
-    full = read_gs_ply(full_dir / "deformed_lam1.00.ply")
-    ablated = read_gs_ply(abl_dir / "deformed_lam1.00.ply")
-    np.testing.assert_array_equal(full.centers, ablated.centers)
+    run_pipeline(_config(source, target, full_dir, lambdas=(0.5, 1.0)))
+    summary = run_pipeline(_config(source, target, abl_dir,
+                                   lambdas=(0.5, 1.0),
+                                   update_covariance=False))
+    assert all("singular_sites" not in o for o in summary["outputs"])
     source_cloud = read_gs_ply(source)
-    np.testing.assert_array_equal(ablated.rotations, source_cloud.rotations)
-    np.testing.assert_array_equal(ablated.log_scales,
-                                  source_cloud.log_scales)
-    assert not np.array_equal(full.rotations, source_cloud.rotations)
+    for name in ("deformed_lam0.50.ply", "deformed_lam1.00.ply"):
+        full = read_gs_ply(full_dir / name)
+        ablated = read_gs_ply(abl_dir / name)
+        np.testing.assert_array_equal(full.centers, ablated.centers)
+        np.testing.assert_array_equal(ablated.rotations,
+                                      source_cloud.rotations)
+        np.testing.assert_array_equal(ablated.log_scales,
+                                      source_cloud.log_scales)
+        assert not np.array_equal(full.rotations, source_cloud.rotations)
 
 
 def test_mesh_target_runs(fixture_paths, tmp_path):
@@ -262,6 +270,117 @@ def test_mesh_target_runs(fixture_paths, tmp_path):
                                    fit=FitConfig(iterations=30)))
     assert (out / "deformed_lam1.00.ply").is_file()
     assert summary["outputs"][0]["chamfer_sq_normalized"] >= 0.0
+
+
+@pytest.mark.parametrize("inside_out", [False, True])
+def test_timings_file_never_overwrites_an_input_or_artifact(
+        fixture_paths, tmp_path, inside_out):
+    _, source, target = fixture_paths
+    out = tmp_path / "out"
+    out.mkdir()
+    # Either the source itself, or a file in --out that the run plans to
+    # write.
+    timings = out / "metrics.json" if inside_out else source
+    timings.write_bytes(source.read_bytes())
+    with pytest.raises(PipelineError, match="timings_out") as excinfo:
+        run_pipeline(_config(source, target, out), timings_out=timings)
+    assert excinfo.value.stage == "config"
+    assert timings.read_bytes() == source.read_bytes()
+    assert [p.name for p in out.iterdir()] == (
+        ["metrics.json"] if inside_out else [])
+
+
+SWEEP = (0.0, 0.25, 0.5, 0.75, 1.0)
+
+
+@pytest.fixture()
+def cage_files(fixture_paths, tmp_path):
+    """A box cage around the fixture cloud and a smooth, valid warp of
+    it, as the OBJ pair apply-cage replays."""
+    cloud = fixture_paths[0]
+    source = build_template_cage(cloud.centers, resolution=2)
+    wave = np.sin(source.vertices @ np.array([[0.9, -0.4, 0.3],
+                                              [0.2, 0.8, -0.6],
+                                              [-0.5, 0.1, 0.7]]))
+    deformed = source.with_vertices(
+        source.vertices + 0.04 * source.bbox_diagonal() * wave)
+    paths = (tmp_path / "src.obj", tmp_path / "def.obj")
+    write_cage_obj(source, paths[0])
+    write_cage_obj(deformed, paths[1])
+    return tuple(map(str, paths))
+
+
+def _replay(source, cage_in, out, **kwargs):
+    settings = dict(cage_in=cage_in, lambdas=SWEEP, center_chunk=128)
+    settings.update(kwargs)
+    return run_pipeline(_config(source, None, out, **settings),
+                        "apply-cage")
+
+
+def test_lambda_sweep_is_served_from_one_deform(fixture_paths, cage_files,
+                                                tmp_path, monkeypatch):
+    _, source, _ = fixture_paths
+    cloud = read_gs_ply(source)
+    src, dst = map(read_cage_obj, cage_files)
+    written = {}
+    write = pipeline.write_gs_ply
+
+    def keep_and_write(moved, path):
+        written[path.name] = moved
+        write(moved, path)
+
+    mvc_calls = []
+    mvc = transport.mvc_weights
+
+    def count_mvc(*args, **kwargs):
+        mvc_calls.append(1)
+        return mvc(*args, **kwargs)
+
+    monkeypatch.setattr(pipeline, "write_gs_ply", keep_and_write)
+    monkeypatch.setattr(transport, "mvc_weights", count_mvc)
+    out = tmp_path / "sweep"
+    summary = _replay(source, cage_files, out, workers=2)
+    sweep_calls = len(mvc_calls)
+    mvc_calls.clear()
+    _replay(source, cage_files, tmp_path / "one", lambdas=(1.0,))
+    assert sweep_calls == len(mvc_calls) > 0
+
+    def deform(cage):
+        return deform_cloud(cloud, src, cage, m=80, seed=0,
+                            center_chunk=128)[0]
+
+    assert (out / "deformed_lam0.00.ply").read_bytes() == source.read_bytes()
+    write(deform(dst), tmp_path / "library_lam1.ply")
+    assert (out / "deformed_lam1.00.ply").read_bytes() \
+        == (tmp_path / "library_lam1.ply").read_bytes()
+    diag = src.bbox_diagonal()
+    for lam in SWEEP[1:-1]:
+        got = written[f"deformed_lam{lam:.2f}.ply"]
+        ref = deform(interpolate_cage(src, dst, lam))
+        assert np.abs(got.centers - ref.centers).max() <= 1e-10 * diag
+        cov_got = covariances_of(got.rotations, got.log_scales)
+        cov_ref = covariances_of(ref.rotations, ref.log_scales)
+        rel = np.linalg.norm(cov_got - cov_ref, axis=(1, 2)) \
+            / np.linalg.norm(cov_ref, axis=(1, 2))
+        assert rel.max() <= 1e-8, lam
+
+    entries = {o["lambda"]: o for o in summary["outputs"]}
+    assert "inverted_sites" not in entries[0.0]
+    for lam in SWEEP[1:]:
+        assert entries[lam]["singular_sites"] == 0
+        assert entries[lam]["inverted_sites"] == 0
+
+
+def test_lambda_sweep_of_identical_cages_returns_the_source(
+        fixture_paths, cage_files, tmp_path):
+    _, source, _ = fixture_paths
+    twin = tmp_path / "twin.obj"
+    twin.write_bytes(Path(cage_files[0]).read_bytes())
+    out = tmp_path / "same"
+    _replay(source, (cage_files[0], str(twin)), out)
+    for lam in SWEEP:
+        assert (out / f"deformed_lam{lam:.2f}.ply").read_bytes() \
+            == source.read_bytes()
 
 
 def test_timings_file_is_optional_diagnostic(fixture_paths, tmp_path):

@@ -11,6 +11,7 @@ from cagewarp.rotations import quat_to_matrix
 from cagewarp.splats import GaussianCloud, covariances_of
 from cagewarp.transport import (
     JacobianField,
+    blend_deformation,
     build_jacobian_field,
     deform_cloud,
     jacobian_fd,
@@ -340,3 +341,21 @@ class TestDeformCloud:
         for f in dataclasses.fields(cloud):
             assert not np.shares_memory(getattr(out, f.name),
                                         getattr(cloud, f.name)), f.name
+
+
+class TestBlendDeformation:
+    def test_mirror_cage_flags_inverted_and_singular_sites(self):
+        # The mirror in x has J = diag(-1, 1, 1), so the blend at lam has
+        # det J = 1 - 2 lam: positive below 0.5, zero at 0.5, -1 at 1.
+        source = build_template_cage(np.array([[-1.0] * 3, [1.0] * 3]),
+                                     resolution=2, padding=0.0)
+        mirror = source.with_vertices(source.vertices * [-1.0, 1.0, 1.0],
+                                      validate=False)
+        cloud = random_cloud(300, seed=44)
+        cloud.centers = interior_points(source, 300, seed=45)
+        full, field = deform_cloud(cloud, source, mirror, m=100)
+        at = {lam: blend_deformation(cloud, full, field, lam)[1]
+              for lam in (0.25, 0.5, 1.0)}
+        assert at[0.25].n_inverted == at[0.25].n_singular == 0
+        assert at[0.5].n_singular == 100
+        assert at[1.0].n_inverted == 100 and at[1.0].n_singular == 0
