@@ -301,6 +301,19 @@ def read_cage_obj(path) -> CageMesh:
     return CageMesh(vertices, faces)
 
 
+def read_deformed_cage(path, source: CageMesh) -> CageMesh:
+    """Read a deformed counterpart of source from a Wavefront OBJ file.
+
+    Only what MVC needs is checked: finite vertices, and source's vertex
+    count and triangles. The geometry is not validated: an edit may
+    invert the cage, and a fitted cage is built unvalidated too.
+    """
+    vertices, faces = read_obj_arrays(path)
+    deformed = CageMesh(vertices, faces, _trusted=True)
+    source.check_same_topology(deformed)
+    return deformed
+
+
 def write_cage_obj(cage: CageMesh, path) -> None:
     """Write a cage as ASCII OBJ. Output is deterministic byte-for-byte."""
     lines = []

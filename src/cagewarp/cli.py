@@ -8,13 +8,14 @@ Subcommands:
   baseline    bounding-box scaling instead of a cage (ablation comparator)
 
 The subcommand is the run's mode (pipeline.run_pipeline). A setting the
-mode cannot use, such as cage_in outside apply-cage, an out-of-range value
-and an output that would overwrite an input exit with status 2 before
-anything is written; metrics checks its flags the same way. Flags mirror
-PipelineConfig; a --config JSON file supplies the same keys, with
-explicit flags winning. Progress and timings go to stderr; the run
-summary is printed to stdout as JSON. The CAGEWARP_LOG environment
-variable (DEBUG/INFO/WARNING/ERROR) sets the log level, -v forces DEBUG.
+mode cannot use, such as cage_in outside apply-cage, an out-of-range value,
+a config-file value of the wrong type and an output that would overwrite
+an input exit with status 2 before anything is written; metrics checks
+its flags the same way. Flags mirror PipelineConfig; a --config JSON file
+supplies the same keys, with explicit flags winning. Progress and timings
+go to stderr; the run summary is printed to stdout as JSON. The
+CAGEWARP_LOG environment variable (DEBUG/INFO/WARNING/ERROR) sets the log
+level, -v forces DEBUG.
 """
 
 from __future__ import annotations
@@ -189,17 +190,17 @@ def _build_config(args, parser) -> PipelineConfig:
         value = getattr(args, key, None)
         if value is not None:
             merged[key] = value
-    if "lambdas" in merged:
-        merged["lambdas"] = tuple(float(l) for l in merged["lambdas"])
-    if merged.get("cage_in") is not None:
-        merged["cage_in"] = tuple(str(p) for p in merged["cage_in"])
-
     if merged.get("source") is None:
         parser.error("a source model is required (--source or config file)")
     if merged.get("output_dir") is None:
         parser.error("an output directory is required (--out or config "
                      "file)")
     try:
+        for key, cast in (("lambdas", float), ("cage_in", str)):
+            if merged.get(key) is not None:
+                if not isinstance(merged[key], (list, tuple)):
+                    raise ValueError(f"{key} must be a list: {merged[key]!r}")
+                merged[key] = tuple(map(cast, merged[key]))
         config = PipelineConfig(fit=FitConfig(**fit_cfg), **merged)
         config.validate(args.command, args.timings_out)
     except (TypeError, ValueError) as exc:

@@ -28,7 +28,7 @@ from pathlib import Path
 import numpy as np
 
 from .cage import (bbox_of, build_template_cage, inflate_degenerate_axes,
-                   read_cage_obj, write_cage_obj)
+                   read_cage_obj, read_deformed_cage, write_cage_obj)
 from .errors import PipelineError
 from .fitting import FitConfig, fit_deformed_cage
 from .metrics import (TriangleMesh, baseline_bbox_scale, chamfer_distance,
@@ -238,7 +238,8 @@ def _write_fit_trace(path: Path, report) -> None:
 
 
 def _verify_artifacts(run: _Run) -> None:
-    """Re-open every artifact; any unreadable output fails the run."""
+    """Re-open every artifact; any unreadable output fails the run. The
+    cage pair is read back as apply-cage reads it."""
     for path in run.artifacts:
         if not path.is_file():
             raise PipelineError("verify", f"missing artifact {path}")
@@ -246,6 +247,9 @@ def _verify_artifacts(run: _Run) -> None:
         try:
             if suffix == ".ply":
                 read_gs_ply(path)
+            elif path.name == "deformed_cage.obj":
+                read_deformed_cage(path, read_cage_obj(
+                    path.with_name("source_cage.obj")))
             elif suffix == ".obj":
                 read_cage_obj(path)
             elif suffix == ".json":
@@ -301,8 +305,8 @@ def _execute(config: PipelineConfig, mode: str, run: _Run) -> dict:
     if mode == "apply-cage":
         with run.stage("load-cages"):
             source_cage = read_cage_obj(config.cage_in[0])
-            deformed_cage = read_cage_obj(config.cage_in[1])
-            source_cage.check_same_topology(deformed_cage)
+            deformed_cage = read_deformed_cage(config.cage_in[1],
+                                               source_cage)
 
     target_points = None
     if config.target is not None:

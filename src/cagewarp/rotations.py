@@ -1,114 +1,41 @@
 """Quaternion/rotation-matrix conversions in (w, x, y, z) component order.
 
-Everything is vectorized over a leading batch axis; single inputs work too.
+Both directions wrap scipy's Rotation, which shares this order (with
+scalar_first) and this canonical sign. This module owns the convention:
+everything is vectorized over leading batch axes; single inputs work too.
 """
 
 from __future__ import annotations
 
 import numpy as np
+from scipy.spatial.transform import Rotation
 
 from .errors import DegenerateRotationError
 
 _QUAT_NORM_FLOOR = 1e-12
 
 
-def normalize_quaternions(quats: np.ndarray) -> np.ndarray:
-    """Return unit quaternions; raises on (near-)zero input norm."""
-    q = np.asarray(quats, dtype=np.float64)
-    norms = np.linalg.norm(q, axis=-1, keepdims=True)
-    if np.any(norms < _QUAT_NORM_FLOOR):
-        bad = int(np.argmax(norms.reshape(-1) < _QUAT_NORM_FLOOR))
-        raise DegenerateRotationError(f"zero-norm quaternion at index {bad}")
-    return q / norms
-
-
 def quat_to_matrix(quats: np.ndarray) -> np.ndarray:
-    """Unit-normalize (w, x, y, z) quaternions and convert to rotation matrices.
+    """Unit-normalize (w, x, y, z) quaternions and convert to rotation
+    matrices; raises on a (near-)zero input norm.
 
     quats: (..., 4) -> (..., 3, 3)
     """
-    q = normalize_quaternions(quats)
-    w, x, y, z = q[..., 0], q[..., 1], q[..., 2], q[..., 3]
-    out = np.empty(q.shape[:-1] + (3, 3), dtype=np.float64)
-    out[..., 0, 0] = 1.0 - 2.0 * (y * y + z * z)
-    out[..., 0, 1] = 2.0 * (x * y - z * w)
-    out[..., 0, 2] = 2.0 * (x * z + y * w)
-    out[..., 1, 0] = 2.0 * (x * y + z * w)
-    out[..., 1, 1] = 1.0 - 2.0 * (x * x + z * z)
-    out[..., 1, 2] = 2.0 * (y * z - x * w)
-    out[..., 2, 0] = 2.0 * (x * z - y * w)
-    out[..., 2, 1] = 2.0 * (y * z + x * w)
-    out[..., 2, 2] = 1.0 - 2.0 * (x * x + y * y)
-    return out
+    q = np.asarray(quats, dtype=np.float64)
+    norms = np.linalg.norm(q, axis=-1)
+    if np.any(norms < _QUAT_NORM_FLOOR):
+        bad = int(np.argmax(norms.reshape(-1) < _QUAT_NORM_FLOOR))
+        raise DegenerateRotationError(f"zero-norm quaternion at index {bad}")
+    return Rotation.from_quat(q, scalar_first=True).as_matrix()
 
 
 def matrix_to_quat(mats: np.ndarray) -> np.ndarray:
     """Convert proper rotation matrices to (w, x, y, z) unit quaternions.
 
-    Uses the numerically stable four-branch extraction, selecting per matrix
-    the branch with the largest diagonal combination. The sign is fixed so
-    w >= 0 (and the first non-zero component is positive when w == 0), making
-    the output deterministic.
+    The sign is canonical, so the output is deterministic: w >= 0, and
+    the first non-zero component is positive when w == 0.
 
     mats: (..., 3, 3) -> (..., 4)
     """
     R = np.asarray(mats, dtype=np.float64)
-    batch = R.shape[:-2]
-    R = R.reshape(-1, 3, 3)
-    n = R.shape[0]
-
-    m00, m01, m02 = R[:, 0, 0], R[:, 0, 1], R[:, 0, 2]
-    m10, m11, m12 = R[:, 1, 0], R[:, 1, 1], R[:, 1, 2]
-    m20, m21, m22 = R[:, 2, 0], R[:, 2, 1], R[:, 2, 2]
-
-    # Squared magnitudes (up to a common factor of 4) of w, x, y, z.
-    mag = np.stack([
-        1.0 + m00 + m11 + m22,
-        1.0 + m00 - m11 - m22,
-        1.0 - m00 + m11 - m22,
-        1.0 - m00 - m11 + m22,
-    ], axis=1)
-    branch = np.argmax(mag, axis=1)
-
-    quats = np.empty((n, 4), dtype=np.float64)
-    s = 2.0 * np.sqrt(np.maximum(mag[np.arange(n), branch], 0.0))
-
-    w_case = branch == 0
-    x_case = branch == 1
-    y_case = branch == 2
-    z_case = branch == 3
-
-    sw = s[w_case]
-    quats[w_case, 0] = 0.25 * sw
-    quats[w_case, 1] = (m21[w_case] - m12[w_case]) / sw
-    quats[w_case, 2] = (m02[w_case] - m20[w_case]) / sw
-    quats[w_case, 3] = (m10[w_case] - m01[w_case]) / sw
-
-    sx = s[x_case]
-    quats[x_case, 0] = (m21[x_case] - m12[x_case]) / sx
-    quats[x_case, 1] = 0.25 * sx
-    quats[x_case, 2] = (m01[x_case] + m10[x_case]) / sx
-    quats[x_case, 3] = (m02[x_case] + m20[x_case]) / sx
-
-    sy = s[y_case]
-    quats[y_case, 0] = (m02[y_case] - m20[y_case]) / sy
-    quats[y_case, 1] = (m01[y_case] + m10[y_case]) / sy
-    quats[y_case, 2] = 0.25 * sy
-    quats[y_case, 3] = (m12[y_case] + m21[y_case]) / sy
-
-    sz = s[z_case]
-    quats[z_case, 0] = (m10[z_case] - m01[z_case]) / sz
-    quats[z_case, 1] = (m02[z_case] + m20[z_case]) / sz
-    quats[z_case, 2] = (m12[z_case] + m21[z_case]) / sz
-    quats[z_case, 3] = 0.25 * sz
-
-    quats /= np.linalg.norm(quats, axis=1, keepdims=True)
-
-    # Canonical sign: w > 0, falling back to the first non-zero component.
-    flip = quats[:, 0] < 0.0
-    for k in range(1, 4):
-        undecided = (quats[:, 0] == 0.0) & np.all(quats[:, 1:k] == 0.0, axis=1)
-        flip |= undecided & (quats[:, k] < 0.0)
-    quats[flip] *= -1.0
-
-    return quats.reshape(batch + (4,))
+    return Rotation.from_matrix(R).as_quat(canonical=True, scalar_first=True)

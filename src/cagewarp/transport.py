@@ -55,17 +55,21 @@ class JacobianField:
         Jacobian of the deformation at each site.
     assignment : (n,) int
         For every original point, the row in site_jacobians it uses.
-    singular : (m,) bool
-        Sites where |det J| <= SINGULAR_DET.
-    inverted : (m,) bool
-        Sites where det J < 0: the local map flips orientation.
     """
 
     site_indices: np.ndarray
     site_jacobians: np.ndarray
     assignment: np.ndarray
-    singular: np.ndarray
-    inverted: np.ndarray
+
+    @property
+    def singular(self) -> np.ndarray:
+        """(m,) bool: |det J| <= SINGULAR_DET."""
+        return np.abs(np.linalg.det(self.site_jacobians)) <= SINGULAR_DET
+
+    @property
+    def inverted(self) -> np.ndarray:
+        """(m,) bool: det J < 0, the local map flips orientation."""
+        return np.linalg.det(self.site_jacobians) < 0.0
 
     @property
     def n_singular(self) -> int:
@@ -74,12 +78,6 @@ class JacobianField:
     @property
     def n_inverted(self) -> int:
         return int(np.count_nonzero(self.inverted))
-
-
-def _site_flags(jacobians: np.ndarray) -> dict:
-    """JacobianField's singular and inverted masks for these Jacobians."""
-    det = np.linalg.det(jacobians)
-    return {"singular": np.abs(det) <= SINGULAR_DET, "inverted": det < 0.0}
 
 
 def jacobian_fd(points: np.ndarray, source: CageMesh,
@@ -156,7 +154,7 @@ def build_jacobian_field(points: np.ndarray, source: CageMesh,
             assignment = np.where(tied, idx, len(site_indices)).min(axis=1)
 
     return JacobianField(site_indices=site_indices, site_jacobians=jac,
-                         assignment=assignment, **_site_flags(jac))
+                         assignment=assignment)
 
 
 def transform_covariance(jacobians: np.ndarray, rotations: np.ndarray,
@@ -266,7 +264,7 @@ def blend_deformation(cloud: GaussianCloud, full: GaussianCloud,
     centers = cloud.centers + lam * (full.centers - cloud.centers)
     if field is not None:
         jac = (1.0 - lam) * np.eye(3) + lam * field.site_jacobians
-        field = replace(field, site_jacobians=jac, **_site_flags(jac))
+        field = replace(field, site_jacobians=jac)
     return _transported(cloud, centers, field,
                         _spans(len(cloud), center_chunk), workers), field
 

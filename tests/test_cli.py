@@ -160,6 +160,49 @@ def test_config_file_supplies_defaults_cli_overrides(model_files, tmp_path,
 
 
 @pytest.mark.parametrize("extra", [
+    {"lambdas": 0.5}, {"lambdas": "0.5,1"}, {"lambdas": [0.5, "x"]},
+    {"cage_in": 5},
+], ids=["lambdas-number", "lambdas-text", "lambdas-bad-item",
+        "cage_in-number"])
+def test_config_value_of_wrong_type_exits_two(model_files, tmp_path, extra):
+    source, _ = model_files
+    out = tmp_path / "o"
+    cfg_path = tmp_path / "typed.json"
+    cfg_path.write_text(json.dumps({"source": str(source),
+                                    "output_dir": str(out),
+                                    "cage_in": ["a.obj", "b.obj"],
+                                    **extra}))
+    with pytest.raises(SystemExit) as excinfo:
+        main(["apply-cage", "--config", str(cfg_path)])
+    assert excinfo.value.code == 2
+    assert not out.exists()
+
+
+def test_apply_cage_replays_a_mirrored_cage(model_files, tmp_path, capsys):
+    # The mirror in x inverts every triangle, so the deformed cage is no
+    # valid cage; MVC needs only its topology, and J = diag(-1, 1, 1).
+    source, _ = model_files
+    cloud = read_gs_ply(source)
+    cage = build_template_cage(cloud.centers, resolution=1)
+    cages = (tmp_path / "src.obj", tmp_path / "mirror.obj")
+    write_cage_obj(cage, cages[0])
+    write_cage_obj(cage.with_vertices(cage.vertices * [-1.0, 1.0, 1.0],
+                                      validate=False), cages[1])
+    out = tmp_path / "o"
+    code = main(["apply-cage", "-s", str(source), "--cage-in",
+                 *map(str, cages), "-o", str(out), "--sites", "60"])
+    assert code == 0
+    entry = json.loads(capsys.readouterr().out)["outputs"][0]
+    assert entry["lambda"] == 1.0
+    assert entry["inverted_sites"] == entry["jacobian_sites"] == 60
+    assert entry["singular_sites"] == 0
+    moved = read_gs_ply(out / "deformed_lam1.00.ply")
+    np.testing.assert_allclose(moved.centers,
+                               cloud.centers * [-1.0, 1.0, 1.0],
+                               rtol=0, atol=1e-5 * cage.bbox_diagonal())
+
+
+@pytest.mark.parametrize("extra", [
     {"wiggle": 3}, {"baseline_mode": True},
     {"cage_out": ["a.obj", "b.obj"]}, {"fit": {"seed": 0}},
     {"fit": {"beta1": 0.5}}, {"normalize": False},

@@ -7,8 +7,8 @@ import numpy as np
 import pytest
 
 from cagewarp import pipeline, transport
-from cagewarp.cage import (bbox_of, build_template_cage, interpolate_cage,
-                           read_cage_obj, write_cage_obj)
+from cagewarp.cage import (CageMesh, bbox_of, build_template_cage,
+                           interpolate_cage, read_cage_obj, write_cage_obj)
 from cagewarp.errors import PipelineError
 from cagewarp.fitting import FitConfig
 from cagewarp.metrics import baseline_bbox_scale, write_point_ply
@@ -113,6 +113,49 @@ def test_apply_cage_replays_fit_output(fixture_paths, tmp_path):
     assert "fit" not in summary
     assert (second / "deformed_lam1.00.ply").read_bytes() \
         == (first / "deformed_lam1.00.ply").read_bytes()
+
+
+def test_inverted_fitted_cage_passes_verify_and_replays(
+        fixture_paths, tmp_path, monkeypatch):
+    _, source, target = fixture_paths
+    fit = pipeline.fit_deformed_cage
+
+    def fit_then_mirror(*args, **kwargs):
+        fitted, report = fit(*args, **kwargs)
+        return fitted.with_vertices(fitted.vertices * [-1.0, 1.0, 1.0],
+                                    validate=False), report
+
+    monkeypatch.setattr(pipeline, "fit_deformed_cage", fit_then_mirror)
+    first = tmp_path / "fit_run"
+    entry = run_pipeline(_config(source, target, first))["outputs"][0]
+    assert entry["inverted_sites"] == entry["jacobian_sites"] == 80
+
+    second = tmp_path / "replay"
+    run_pipeline(_config(source, None, second,
+                         cage_in=(str(first / "source_cage.obj"),
+                                  str(first / "deformed_cage.obj"))),
+                 "apply-cage")
+    assert (second / "deformed_lam1.00.ply").read_bytes() \
+        == (first / "deformed_lam1.00.ply").read_bytes()
+
+
+@pytest.mark.parametrize("edit", ["flipped-triangle", "extra-vertex"])
+def test_deformed_cage_of_other_topology_fails_at_load_cages(
+        fixture_paths, cage_files, tmp_path, edit):
+    _, source, _ = fixture_paths
+    cage = read_cage_obj(cage_files[1])
+    vertices, triangles = cage.vertices, cage.triangles.copy()
+    if edit == "flipped-triangle":
+        triangles[0] = triangles[0, ::-1]
+    else:
+        vertices = np.vstack([vertices, vertices.mean(axis=0)])
+    other = tmp_path / "other.obj"
+    write_cage_obj(CageMesh(vertices, triangles, _trusted=True), other)
+    out = tmp_path / "o"
+    with pytest.raises(PipelineError) as excinfo:
+        _replay(source, (cage_files[0], str(other)), out)
+    assert excinfo.value.stage == "load-cages"
+    assert not any(out.iterdir())
 
 
 def test_fit_cage_only_writes_no_models(fixture_paths, tmp_path):
