@@ -21,7 +21,7 @@ from scipy.spatial import cKDTree
 
 from .cage import CageMesh, winding_numbers
 from .errors import FitDivergedError
-from .metrics import as_points, chamfer_distance
+from .metrics import as_points
 from .mvc import mvc_weights
 
 # Adam's moment decay rates and denominator guard, and how many iterations
@@ -55,8 +55,9 @@ class FitReport:
 
     loss_trace columns are total, alignment and flip penalty, the last
     already multiplied by normal_weight, so the last two sum to the first.
-    best_trace is the running minimum of the total. outside_fraction is
-    the share of source samples outside the source cage.
+    best_trace is the running minimum of the total; final_chamfer is the
+    alignment term (a chamfer distance) of the best-loss iterate.
+    outside_fraction is the share of source samples outside the source cage.
     """
 
     loss_trace: np.ndarray          # (K, 3)
@@ -119,9 +120,12 @@ def fit_deformed_cage(source, target, source_cage: CageMesh,
 
     Returns (deformed_cage, FitReport). The returned cage carries the
     best-loss vertices seen, not necessarily the last iterate. Raises
-    FitDivergedError if the loss leaves the realm of finite numbers.
+    ValueError for fewer than one iteration and FitDivergedError if the
+    loss leaves the realm of finite numbers.
     """
     config = config or FitConfig()
+    if config.iterations < 1:
+        raise ValueError(f"iterations must be >= 1, got {config.iterations}")
     samples = as_points(source, "source")
     targets = as_points(target, "target")
 
@@ -164,7 +168,7 @@ def fit_deformed_cage(source, target, source_cage: CageMesh,
             raise FitDivergedError(it)
         trace.append((total, align, normal))
         if total < best_loss:
-            best_loss = total
+            best_loss, best_align = total, align
             best_delta = delta.copy()
         best_trace.append(best_loss)
 
@@ -184,11 +188,10 @@ def fit_deformed_cage(source, target, source_cage: CageMesh,
 
     fitted = source_cage.with_vertices(source_cage.vertices + best_delta,
                                        validate=False)
-    final_chamfer = chamfer_distance(weight_matrix @ fitted.vertices, targets)
     report = FitReport(
         loss_trace=np.asarray(trace),
         best_trace=np.asarray(best_trace),
-        final_chamfer=float(final_chamfer),
+        final_chamfer=best_align,
         iterations_run=len(trace),
         converged=converged,
         outside_fraction=outside_fraction,

@@ -15,8 +15,7 @@ import numpy as np
 from scipy.spatial import cKDTree
 
 from .cage import inflate_degenerate_axes, read_obj_arrays, triangle_areas
-from .errors import PlyFormatError
-from .splats import GaussianCloud, _parse_header, _read_records
+from .splats import GaussianCloud, read_vertex_table, write_vertex_table
 from .transport import transform_covariance
 
 
@@ -183,15 +182,8 @@ def load_target(path):
     if not lower.endswith(".ply"):
         raise ValueError(f"{path}: unsupported target format "
                          "(expected .obj or .ply)")
-    with open(path, "rb") as stream:
-        properties, count, header_bytes = _parse_header(stream, path)
-        for name in ("x", "y", "z"):
-            if name not in properties:
-                raise PlyFormatError(f"{path}: missing property {name!r}")
-        records = _read_records(stream, path, properties, count,
-                                header_bytes)
-    points = np.stack([records[name].astype(np.float64)
-                       for name in ("x", "y", "z")], axis=1)
+    names, table = read_vertex_table(path, ("x", "y", "z"))
+    points = table[:, [names.index(axis) for axis in "xyz"]].astype(np.float64)
     if not np.all(np.isfinite(points)):
         raise ValueError(f"{path}: non-finite point coordinates")
     return points
@@ -200,11 +192,4 @@ def load_target(path):
 def write_point_ply(points, path) -> None:
     """Write points (anything as_points accepts) as a binary
     little-endian PLY of float x, y, z."""
-    records = as_points(points).astype("<f4")
-    header = ["ply", "format binary_little_endian 1.0",
-              f"element vertex {len(records)}",
-              "property float x", "property float y", "property float z",
-              "end_header"]
-    with open(path, "wb") as stream:
-        stream.write(("\n".join(header) + "\n").encode("ascii"))
-        stream.write(records.tobytes())
+    write_vertex_table(path, ("x", "y", "z"), as_points(points))

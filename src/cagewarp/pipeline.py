@@ -19,10 +19,11 @@ from __future__ import annotations
 
 import json
 import logging
+import numbers
 import os
 import time
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -39,6 +40,8 @@ from .transport import blend_deformation, deform_cloud
 logger = logging.getLogger("cagewarp")
 
 MODES = ("deform", "fit-cage", "apply-cage", "baseline")
+# Annotation -> accepted values; a bool is no number, an int is a float.
+_FIELD_TYPES = {"int": numbers.Integral, "float": numbers.Real, "bool": bool}
 
 
 @dataclass
@@ -76,12 +79,19 @@ class PipelineConfig:
     workers: int = 0
 
     def validate(self, mode: str = "deform", timings_out=None) -> None:
-        """Raise ValueError for a setting the mode cannot use, an
-        out-of-range value, an artifact that would overwrite an input, or
-        a timings_out file that would overwrite an input or an
-        artifact."""
+        """Raise ValueError for a setting the mode cannot use, a value of
+        the wrong type or out of range, an artifact that would overwrite
+        an input, or a timings_out file that would overwrite an input or
+        an artifact."""
         if mode not in MODES:
             raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
+        for prefix, part in (("", self), ("fit.", self.fit)):
+            for f in fields(part):
+                value, kind = getattr(part, f.name), _FIELD_TYPES.get(f.type)
+                if kind and (not isinstance(value, kind)
+                             or isinstance(value, bool) != (kind is bool)):
+                    raise ValueError(f"{prefix}{f.name} must be {f.type}, "
+                                     f"got {value!r}")
         if mode == "apply-cage" and self.cage_in is None:
             raise ValueError("apply-cage needs cage_in (source cage, "
                              "deformed cage)")

@@ -9,6 +9,10 @@ with K in {0, 9, 24, 45} for spherical-harmonics degrees 0..3. Normals are
 ignored on read and written as zeros. All in-memory arithmetic is float64;
 conversion to float32 happens only at the file boundary.
 
+Every PLY the package reads or writes goes through read_vertex_table and
+write_vertex_table: the vertex element as one (N, properties) float32
+table plus its property names.
+
 Stored fields are pre-activation: scales as logs, opacity as a logit, the
 rotation as an unnormalized (w, x, y, z) quaternion.
 """
@@ -31,15 +35,21 @@ from .rotations import quat_to_matrix
 
 _SH_REST_WIDTHS = (0, 9, 24, 45)
 
-_REQUIRED_PROPERTIES = (
-    "x", "y", "z",
-    "f_dc_0", "f_dc_1", "f_dc_2",
-    "opacity",
-    "scale_0", "scale_1", "scale_2",
-    "rot_0", "rot_1", "rot_2", "rot_3",
-)
 
-_FLOAT_NAMES = {"float", "float32"}
+def _vertex_layout(width: int) -> list[tuple[str | None, list[str]]]:
+    """(GaussianCloud field, its properties) in file order for an SH rest
+    width; the normals have no field."""
+    return [("centers", ["x", "y", "z"]),
+            (None, ["nx", "ny", "nz"]),
+            ("sh_dc", [f"f_dc_{i}" for i in range(3)]),
+            ("sh_rest", [f"f_rest_{i}" for i in range(width)]),
+            ("opacity_logits", ["opacity"]),
+            ("log_scales", [f"scale_{i}" for i in range(3)]),
+            ("rotations", [f"rot_{i}" for i in range(4)])]
+
+
+_REQUIRED_PROPERTIES = tuple(name for field, names in _vertex_layout(0)
+                             if field for name in names)
 
 
 @dataclass
@@ -120,14 +130,6 @@ def covariances_of(rotations: np.ndarray, log_scales: np.ndarray) -> np.ndarray:
     return np.einsum("...ik,...k,...jk->...ij", R, var, R)
 
 
-def _vertex_dtype(sh_rest_width: int) -> np.dtype:
-    names = ["x", "y", "z", "nx", "ny", "nz", "f_dc_0", "f_dc_1", "f_dc_2"]
-    names += [f"f_rest_{i}" for i in range(sh_rest_width)]
-    names += ["opacity", "scale_0", "scale_1", "scale_2",
-              "rot_0", "rot_1", "rot_2", "rot_3"]
-    return np.dtype([(name, "<f4") for name in names])
-
-
 def _parse_header(stream: io.BufferedReader, path) -> tuple[list[str], int, int]:
     """Parse the PLY header; returns (property names, vertex count, header bytes)."""
     magic = stream.readline()
@@ -169,9 +171,12 @@ def _parse_header(stream: io.BufferedReader, path) -> tuple[list[str], int, int]
         elif tokens[0] == "property":
             if not in_vertex:
                 continue
-            if tokens[1] not in _FLOAT_NAMES:
+            if tokens[1] not in ("float", "float32"):
                 raise PlyFormatError(
                     f"{path}: property {tokens[-1]!r} has unsupported type {tokens[1]!r}")
+            if tokens[2] in properties:
+                raise PlyFormatError(
+                    f"{path}: duplicate property {tokens[2]!r}")
             properties.append(tokens[2])
         elif tokens[0] == "end_header":
             break
@@ -182,20 +187,39 @@ def _parse_header(stream: io.BufferedReader, path) -> tuple[list[str], int, int]
     return properties, vertex_count, header_bytes
 
 
-def _read_records(stream: io.BufferedReader, path, properties: list[str],
-                  count: int, header_bytes: int) -> np.ndarray:
-    """The count float32 vertex records that follow the header.
+def read_vertex_table(path, required) -> tuple[list[str], np.ndarray]:
+    """The vertex element of a binary PLY as (property names, table).
 
-    Raises PlyReadError with the byte offset when the body is truncated.
+    table is the (count, len(names)) float32 array of the vertex records.
+    Raises PlyFormatError naming the first missing required property and
+    PlyReadError with the byte offset when the body is truncated.
     """
-    dtype = np.dtype([(name, "<f4") for name in properties])
-    body = stream.read(count * dtype.itemsize)
-    if len(body) < count * dtype.itemsize:
+    with open(path, "rb") as stream:
+        names, count, header_bytes = _parse_header(stream, path)
+        for name in required:
+            if name not in names:
+                raise PlyFormatError(
+                    f"{path}: missing required property {name!r}")
+        table = np.empty((count, len(names)), dtype="<f4")
+        body = stream.readinto(table)
+    if body < table.nbytes:
         raise PlyReadError(
-            f"{path}: truncated body, expected {count * dtype.itemsize} bytes "
-            f"after the header but the file ends at byte offset "
-            f"{header_bytes + len(body)}")
-    return np.frombuffer(body, dtype=dtype, count=count)
+            f"{path}: truncated body, expected {table.nbytes} bytes after "
+            f"the header but the file ends at byte offset "
+            f"{header_bytes + body}")
+    return names, table
+
+
+def write_vertex_table(path, names, table) -> None:
+    """Write an (N, len(names)) table as the float32 vertex element of a
+    binary little-endian PLY."""
+    table = np.ascontiguousarray(table, dtype="<f4")
+    header = ["ply", "format binary_little_endian 1.0",
+              f"element vertex {len(table)}",
+              *(f"property float {name}" for name in names), "end_header\n"]
+    with open(path, "wb") as stream:
+        stream.write("\n".join(header).encode("ascii"))
+        stream.write(table)
 
 
 def read_gs_ply(path) -> GaussianCloud:
@@ -205,44 +229,24 @@ def read_gs_ply(path) -> GaussianCloud:
     UnsupportedLayoutError for f_rest counts outside {0, 9, 24, 45}, and
     PlyReadError with the byte offset when the body is truncated.
     """
-    with open(path, "rb") as stream:
-        properties, count, header_bytes = _parse_header(stream, path)
-
-        present = set(properties)
-        for name in _REQUIRED_PROPERTIES:
-            if name not in present:
-                raise PlyFormatError(f"{path}: missing required property {name!r}")
-        rest_names = [p for p in properties if p.startswith("f_rest_")]
-        width = len(rest_names)
-        if width not in _SH_REST_WIDTHS or \
-                set(rest_names) != {f"f_rest_{i}" for i in range(width)}:
-            raise UnsupportedLayoutError(
-                f"{path}: {width} f_rest properties do not form a supported "
-                f"layout (expected a complete f_rest_0..K-1 with K in "
-                f"{list(_SH_REST_WIDTHS)})")
-
-        records = _read_records(stream, path, properties, count,
-                                header_bytes)
-
-    def col(name):
-        return records[name].astype(np.float64)
-
-    centers = np.stack([col("x"), col("y"), col("z")], axis=1)
-    sh_dc = np.stack([col(f"f_dc_{i}") for i in range(3)], axis=1)
-    if width:
-        sh_rest = np.stack([col(f"f_rest_{i}") for i in range(width)], axis=1)
-    else:
-        sh_rest = np.zeros((count, 0), dtype=np.float64)
-    log_scales = np.stack([col(f"scale_{i}") for i in range(3)], axis=1)
-    rotations = np.stack([col(f"rot_{i}") for i in range(4)], axis=1)
-    return GaussianCloud(
-        centers=centers,
-        log_scales=log_scales,
-        rotations=rotations,
-        opacity_logits=col("opacity"),
-        sh_dc=sh_dc,
-        sh_rest=sh_rest,
-    )
+    names, table = read_vertex_table(path, _REQUIRED_PROPERTIES)
+    width = sum(name.startswith("f_rest_") for name in names)
+    if width not in _SH_REST_WIDTHS or any(
+            f"f_rest_{i}" not in names for i in range(width)):
+        raise UnsupportedLayoutError(
+            f"{path}: {width} f_rest properties do not form a supported "
+            f"layout (expected a complete f_rest_0..K-1 with K in "
+            f"{list(_SH_REST_WIDTHS)})")
+    fields = {}
+    for field, props in _vertex_layout(width):
+        if field:
+            # Column by column, so no float32 copy of the block is made.
+            values = np.empty((len(table), len(props)))
+            for j, name in enumerate(props):
+                values[:, j] = table[:, names.index(name)]
+            fields[field] = values
+    fields["opacity_logits"] = fields["opacity_logits"][:, 0]
+    return GaussianCloud(**fields)
 
 
 def write_gs_ply(cloud: GaussianCloud, path) -> None:
@@ -254,28 +258,12 @@ def write_gs_ply(cloud: GaussianCloud, path) -> None:
     n = len(cloud)
     if n == 0:
         raise ValueError("refusing to write an empty cloud")
-    width = cloud.sh_rest.shape[1]
-    dtype = _vertex_dtype(width)
-    records = np.zeros(n, dtype=dtype)
-    records["x"] = cloud.centers[:, 0]
-    records["y"] = cloud.centers[:, 1]
-    records["z"] = cloud.centers[:, 2]
-    records["f_dc_0"] = cloud.sh_dc[:, 0]
-    records["f_dc_1"] = cloud.sh_dc[:, 1]
-    records["f_dc_2"] = cloud.sh_dc[:, 2]
-    for i in range(width):
-        records[f"f_rest_{i}"] = cloud.sh_rest[:, i]
-    records["opacity"] = cloud.opacity_logits
-    for i in range(3):
-        records[f"scale_{i}"] = cloud.log_scales[:, i]
-    for i in range(4):
-        records[f"rot_{i}"] = cloud.rotations[:, i]
-
-    header_lines = ["ply", "format binary_little_endian 1.0",
-                    f"element vertex {n}"]
-    header_lines += [f"property float {name}" for name in dtype.names]
-    header_lines.append("end_header")
-    header = ("\n".join(header_lines) + "\n").encode("ascii")
-    with open(path, "wb") as stream:
-        stream.write(header)
-        stream.write(records.tobytes())
+    layout = _vertex_layout(cloud.sh_rest.shape[1])
+    names = [name for _, props in layout for name in props]
+    table = np.zeros((n, len(names)), dtype="<f4")
+    end = 0
+    for field, props in layout:
+        start, end = end, end + len(props)
+        if field:
+            table[:, start:end] = getattr(cloud, field).reshape(n, -1)
+    write_vertex_table(path, names, table)

@@ -161,9 +161,13 @@ def test_config_file_supplies_defaults_cli_overrides(model_files, tmp_path,
 
 @pytest.mark.parametrize("extra", [
     {"lambdas": 0.5}, {"lambdas": "0.5,1"}, {"lambdas": [0.5, "x"]},
-    {"cage_in": 5},
+    {"cage_in": 5}, {"update_covariance": "no"}, {"workers": 1.5},
+    {"jacobian_sites": 2.5}, {"fit": {"iterations": 2.5}}, {"seed": 1.5},
+    {"center_chunk": 100.5}, {"seed": True}, {"cage_padding": "0.1"},
 ], ids=["lambdas-number", "lambdas-text", "lambdas-bad-item",
-        "cage_in-number"])
+        "cage_in-number", "update_covariance-text", "workers-float",
+        "jacobian_sites-float", "fit-iterations-float", "seed-float",
+        "center_chunk-float", "seed-bool", "cage_padding-text"])
 def test_config_value_of_wrong_type_exits_two(model_files, tmp_path, extra):
     source, _ = model_files
     out = tmp_path / "o"

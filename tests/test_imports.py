@@ -1,0 +1,45 @@
+"""Module boundaries inside the cagewarp package.
+
+A name that starts with an underscore is private to its module, so no
+module may import one from a sibling; what a sibling needs becomes a
+public name of the module that owns it.
+"""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+MODULES = sorted((Path(__file__).resolve().parents[1] / "src" / "cagewarp")
+                 .glob("*.py"))
+
+
+def _private_imports(path):
+    """(line, module, name) of each underscore name imported from a
+    sibling module."""
+    found = []
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if not isinstance(node, ast.ImportFrom):
+            continue
+        sibling = node.level > 0 or (node.module or "").startswith(
+            "cagewarp")
+        found += [(node.lineno, node.module, alias.name)
+                  for alias in node.names
+                  if sibling and alias.name.startswith("_")]
+    return found
+
+
+@pytest.mark.parametrize("path", MODULES, ids=[p.name for p in MODULES])
+def test_no_private_name_imported_from_a_sibling(path):
+    assert _private_imports(path) == []
+
+
+def test_the_check_sees_a_private_import(tmp_path):
+    assert "splats.py" in [path.name for path in MODULES]
+    module = tmp_path / "m.py"
+    module.write_text("from .splats import GaussianCloud, _parse_header\n"
+                      "from cagewarp.mvc import _spherical_triangle\n"
+                      "from os.path import _get_sep\n")
+    assert _private_imports(module) == [
+        (1, "splats", "_parse_header"),
+        (2, "cagewarp.mvc", "_spherical_triangle")]

@@ -220,6 +220,7 @@ def test_config_validation_failures(fixture_paths, tmp_path):
             (dict(cage_resolution=0), "cage_resolution"),
             (dict(cage_padding=-1.0), "cage_padding"),
             (dict(seed=-1), "seed"),
+            (dict(seed=1.5), "seed"),
     ):
         with pytest.raises(PipelineError) as excinfo:
             run_pipeline(_config(source, target, out, **kwargs))

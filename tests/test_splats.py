@@ -149,6 +149,61 @@ class TestPlyRoundtrip:
         assert names[18:] == ["opacity", "scale_0", "scale_1", "scale_2",
                               "rot_0", "rot_1", "rot_2", "rot_3"]
 
+    @pytest.mark.parametrize("width", [0, 9, 24, 45])
+    def test_bytes_match_documented_layout(self, tmp_path, width):
+        # The file is built here from the documented property order, with
+        # a structured dtype the writer does not use.
+        cloud = random_cloud(7, sh_rest_width=width, seed=20 + width)
+        columns = [("x", cloud.centers[:, 0]), ("y", cloud.centers[:, 1]),
+                   ("z", cloud.centers[:, 2]),
+                   *((name, 0.0) for name in ("nx", "ny", "nz")),
+                   *((f"f_dc_{i}", cloud.sh_dc[:, i]) for i in range(3)),
+                   *((f"f_rest_{i}", cloud.sh_rest[:, i])
+                     for i in range(width)),
+                   ("opacity", cloud.opacity_logits),
+                   *((f"scale_{i}", cloud.log_scales[:, i]) for i in range(3)),
+                   *((f"rot_{i}", cloud.rotations[:, i]) for i in range(4))]
+        records = np.empty(7, dtype=[(name, "<f4") for name, _ in columns])
+        for name, values in columns:
+            records[name] = values
+        header = "".join(["ply\nformat binary_little_endian 1.0\n",
+                          "element vertex 7\n",
+                          *(f"property float {name}\n" for name, _ in columns),
+                          "end_header\n"])
+        path = tmp_path / "layout.ply"
+        write_gs_ply(cloud, path)
+        assert path.read_bytes() == header.encode("ascii") + records.tobytes()
+
+    def test_permuted_properties_extra_field_and_face_element(self, tmp_path):
+        cloud = random_cloud(6, sh_rest_width=9, seed=21, f32=True)
+        columns = {"x": cloud.centers[:, 0], "y": cloud.centers[:, 1],
+                   "z": cloud.centers[:, 2], "opacity": cloud.opacity_logits,
+                   "confidence": np.arange(6.0)}
+        for prefix, field in (("f_dc_", cloud.sh_dc),
+                              ("f_rest_", cloud.sh_rest),
+                              ("scale_", cloud.log_scales),
+                              ("rot_", cloud.rotations)):
+            columns.update({f"{prefix}{i}": field[:, i]
+                            for i in range(field.shape[1])})
+        names = sorted(columns, key=lambda name: name[::-1])
+        records = np.empty(6, dtype=[(name, "<f4") for name in names])
+        for name in names:
+            records[name] = columns[name]
+        header = "".join(["ply\nformat binary_little_endian 1.0\n",
+                          "comment permuted\nelement vertex 6\n",
+                          *(f"property float {name}\n" for name in names),
+                          "element face 0\n",
+                          "property list uchar int vertex_indices\n",
+                          "end_header\n"])
+        path = tmp_path / "permuted.ply"
+        path.write_bytes(header.encode("ascii") + records.tobytes())
+        assert names[:3] != ["x", "y", "z"]
+        back = read_gs_ply(path)
+        for name in ("centers", "log_scales", "rotations", "opacity_logits",
+                     "sh_dc", "sh_rest"):
+            assert np.array_equal(getattr(back, name), getattr(cloud, name)), name
+        assert np.array_equal(load_target(path), cloud.centers)
+
     def test_normals_written_as_zero(self, tmp_path):
         cloud = random_cloud(4, seed=15)
         path = tmp_path / "e.ply"
@@ -221,6 +276,19 @@ class TestPlyErrors:
         with pytest.raises(PlyFormatError,
                            match="m.ply: malformed header line"):
             reader(bad)
+
+    @pytest.mark.parametrize("reader", [read_gs_ply, load_target],
+                             ids=["read_gs_ply", "load_target"])
+    def test_duplicate_property_named(self, tmp_path, reader):
+        cloud = random_cloud(3, seed=19)
+        path = tmp_path / "dup.ply"
+        write_gs_ply(cloud, path)
+        raw = path.read_bytes().replace(b"property float nx\n",
+                                        b"property float x\n")
+        path.write_bytes(raw)
+        with pytest.raises(PlyFormatError,
+                           match="dup.ply: duplicate property 'x'"):
+            reader(path)
 
     def test_ascii_format_rejected(self, tmp_path):
         bad = tmp_path / "y.ply"
