@@ -11,11 +11,11 @@ The subcommand is the run's mode (pipeline.run_pipeline). A setting the
 mode cannot use, such as cage_in outside apply-cage, an out-of-range value,
 a config-file value of the wrong type and an output that would overwrite
 an input exit with status 2 before anything is written; metrics checks
-its flags the same way. Flags mirror PipelineConfig; a --config JSON file
-supplies the same keys, with explicit flags winning. Progress and timings
-go to stderr; the run summary is printed to stdout as JSON. The
-CAGEWARP_LOG environment variable (DEBUG/INFO/WARNING/ERROR) sets the log
-level, -v forces DEBUG.
+its flags the same way. Flags mirror PipelineConfig, whose field names key
+a --config JSON file (fit settings in a nested "fit" object); explicit
+flags win. Progress and timings go to stderr; the run summary is printed
+to stdout as JSON. The CAGEWARP_LOG environment variable sets the log
+level (DEBUG/INFO/WARNING/ERROR), -v forces DEBUG.
 """
 
 from __future__ import annotations
@@ -42,6 +42,9 @@ def _read_config_file(path: Path) -> dict:
     if not isinstance(data, dict):
         raise ValueError(f"{path}: config must be a JSON object")
     fit_part = data.pop("fit", {})
+    if not isinstance(fit_part, dict):
+        raise ValueError(f"{path}: fit must be a JSON object, got "
+                         f"{fit_part!r}")
     unknown = set(data) - _CONFIG_KEYS
     if unknown:
         raise ValueError(f"{path}: unknown config keys {sorted(unknown)}")
@@ -68,8 +71,8 @@ def _add_io_flags(parser):
     parser.add_argument("--out", "-o", dest="output_dir",
                         help="output directory for all artifacts")
     parser.add_argument("--config", type=Path,
-                        help="JSON config file with the same keys as the "
-                             "flags")
+                        help="JSON file keyed by PipelineConfig field "
+                             "names; fit settings in a nested \"fit\" object")
 
 
 def _add_run_flags(parser):

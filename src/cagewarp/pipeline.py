@@ -41,7 +41,8 @@ logger = logging.getLogger("cagewarp")
 
 MODES = ("deform", "fit-cage", "apply-cage", "baseline")
 # Annotation -> accepted values; a bool is no number, an int is a float.
-_FIELD_TYPES = {"int": numbers.Integral, "float": numbers.Real, "bool": bool}
+_FIELD_TYPES = {"int": numbers.Integral, "float": numbers.Real, "bool": bool,
+                "str": str, "str | None": (str, type(None))}
 
 
 @dataclass

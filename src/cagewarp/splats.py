@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import dataclasses
 import io
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -200,11 +201,17 @@ def read_vertex_table(path, required) -> tuple[list[str], np.ndarray]:
             if name not in names:
                 raise PlyFormatError(
                     f"{path}: missing required property {name!r}")
-        table = np.empty((count, len(names)), dtype="<f4")
-        body = stream.readinto(table)
-    if body < table.nbytes:
+        expected = 4 * count * len(names)
+        # Size a file before allocating, so that a header claiming too many
+        # vertices cannot exhaust memory; a pipe is checked after the read.
+        body = os.fstat(stream.fileno()).st_size - header_bytes \
+            if stream.seekable() else expected
+        if body >= expected:
+            table = np.empty((count, len(names)), dtype="<f4")
+            body = stream.readinto(table)
+    if body < expected:
         raise PlyReadError(
-            f"{path}: truncated body, expected {table.nbytes} bytes after "
+            f"{path}: truncated body, expected {expected} bytes after "
             f"the header but the file ends at byte offset "
             f"{header_bytes + body}")
     return names, table

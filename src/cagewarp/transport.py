@@ -145,13 +145,11 @@ def build_jacobian_field(points: np.ndarray, source: CageMesh,
     if len(site_indices) == n:
         assignment = np.arange(n)
     else:
-        k = min(8, len(site_indices))
-        dist, idx = cKDTree(sites).query(points, k=k)
-        if k == 1:
-            assignment = np.asarray(idx)
-        else:
-            tied = dist == dist[:, :1]
-            assignment = np.where(tied, idx, len(site_indices)).min(axis=1)
+        # A list of ranks keeps the results (n, k) even for k = 1.
+        ranks = list(range(1, min(8, len(site_indices)) + 1))
+        dist, idx = cKDTree(sites).query(points, k=ranks)
+        tied = dist == dist[:, :1]
+        assignment = np.where(tied, idx, len(site_indices)).min(axis=1)
 
     return JacobianField(site_indices=site_indices, site_jacobians=jac,
                          assignment=assignment)
@@ -183,33 +181,21 @@ def transform_covariance(jacobians: np.ndarray, rotations: np.ndarray,
     return matrix_to_quat(vecs), new_log_scales
 
 
-def _run_spans(func, spans, workers: int) -> None:
-    """Apply func to each (lo, hi) span, optionally across threads.
-
-    The span grid is fixed by the caller, so results are identical for any
-    worker count; tasks write disjoint output slices.
-    """
-    if workers <= 1 or len(spans) <= 1:
-        for span in spans:
-            func(span)
-        return
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        list(pool.map(func, spans))
-
-
 def deform_cloud(cloud: GaussianCloud, source: CageMesh, deformed: CageMesh,
                  update_covariance: bool = True, m: int = 10000,
                  seed: int = 0, center_chunk: int = 30000,
                  workers: int = 1):
     """Deform a whole splat cloud through a cage pair.
 
-    Centers move by coordinate interpolation (in chunks of center_chunk);
-    covariances are transported through a sampled Jacobian field unless
-    update_covariance is off, in which case rotations and scales pass
-    through untouched. Opacity and color coefficients always pass through
-    bit-for-bit, as does splat order. workers > 1 runs the fixed chunk
-    grid on a thread pool; the grid does not depend on the worker count,
-    so neither do the results.
+    Centers move by coordinate interpolation; covariances are transported
+    through a sampled Jacobian field unless update_covariance is off, in
+    which case rotations and scales pass through untouched. The field is
+    built first, so a site too near the cage surface fails before any
+    center moves. Then one pass over spans of center_chunk splats moves
+    each span's centers and re-factors its covariances. Opacity and color
+    coefficients always pass through bit-for-bit, as does splat order.
+    workers > 1 runs the fixed span grid on a thread pool; the grid does
+    not depend on the worker count, so neither do the results.
 
     Returns (new_cloud, field): field is the JacobianField used, or None
     when covariances were not transported. An exactly-identical cage pair
@@ -225,19 +211,12 @@ def deform_cloud(cloud: GaussianCloud, source: CageMesh, deformed: CageMesh,
     if np.array_equal(source.vertices, deformed.vertices):
         return cloud.copy(), None
 
-    spans = _spans(len(cloud), center_chunk)
-    new_centers = np.empty_like(cloud.centers)
-
-    def _move(span):
-        lo, hi = span
-        weights = mvc_weights(cloud.centers[lo:hi], source)
-        new_centers[lo:hi] = deform_points(weights, deformed)
-
-    _run_spans(_move, spans, workers)
-
     field = build_jacobian_field(cloud.centers, source, deformed, m=m,
                                  seed=seed) if update_covariance else None
-    return _transported(cloud, new_centers, field, spans, workers), field
+    return _transported(
+        cloud, field, center_chunk, workers,
+        lambda lo, hi: deform_points(
+            mvc_weights(cloud.centers[lo:hi], source), deformed)), field
 
 
 def blend_deformation(cloud: GaussianCloud, full: GaussianCloud,
@@ -250,7 +229,7 @@ def blend_deformation(cloud: GaussianCloud, full: GaussianCloud,
     so, up to rounding, the pair interpolated at lam maps a center x to
     (1 - lam) x + lam x1 and has the Jacobian (1 - lam) I + lam J1 at each
     site. Both are blended here: no MVC runs and each splat keeps its
-    site. Covariances use deform_cloud's span grid, so the bits do not
+    site. The blend runs on deform_cloud's span grid, so the bits do not
     depend on workers. Returns (new_cloud, blended field or None, as in
     deform_cloud); lam = 0 gives a bit-exact copy of cloud and lam = 1
     gives (full, field) themselves.
@@ -259,36 +238,44 @@ def blend_deformation(cloud: GaussianCloud, full: GaussianCloud,
         return cloud.copy(), None
     if lam == 1.0:
         return full, field
-    # The increment form keeps an identical cage pair (full equal to
-    # cloud) exact.
-    centers = cloud.centers + lam * (full.centers - cloud.centers)
     if field is not None:
         jac = (1.0 - lam) * np.eye(3) + lam * field.site_jacobians
         field = replace(field, site_jacobians=jac)
-    return _transported(cloud, centers, field,
-                        _spans(len(cloud), center_chunk), workers), field
+    # The increment form keeps an identical cage pair (full equal to
+    # cloud) exact.
+    return _transported(
+        cloud, field, center_chunk, workers,
+        lambda lo, hi: cloud.centers[lo:hi]
+        + lam * (full.centers[lo:hi] - cloud.centers[lo:hi])), field
 
 
-def _spans(n: int, chunk: int) -> list:
-    return [(lo, min(lo + chunk, n)) for lo in range(0, n, chunk)]
+def _transported(cloud: GaussianCloud, field: JacobianField | None,
+                 center_chunk: int, workers: int, move):
+    """A copy of cloud with centers[lo:hi] = move(lo, hi) and covariances
+    carried through field's Jacobians (unchanged when field is None).
 
+    One task per center_chunk rows does both; tasks write disjoint slices
+    of a grid that does not depend on workers, so neither do the bits.
+    """
+    out = {"centers": np.empty_like(cloud.centers)}
+    if field is not None:
+        out.update(rotations=np.empty_like(cloud.rotations),
+                   log_scales=np.empty_like(cloud.log_scales))
 
-def _transported(cloud: GaussianCloud, centers: np.ndarray,
-                 field: JacobianField | None, spans, workers: int):
-    """A copy of cloud at the given centers, its covariances carried
-    through field's Jacobians span by span (unchanged when field is
-    None)."""
-    if field is None:
-        return replace(cloud.copy(), centers=centers)
-    quats = np.empty_like(cloud.rotations)
-    log_scales = np.empty_like(cloud.log_scales)
+    def _span(lo):
+        hi = min(lo + center_chunk, len(cloud))
+        out["centers"][lo:hi] = move(lo, hi)
+        if field is not None:
+            jac = field.site_jacobians[field.assignment[lo:hi]]
+            out["rotations"][lo:hi], out["log_scales"][lo:hi] = \
+                transform_covariance(jac, cloud.rotations[lo:hi],
+                                     cloud.log_scales[lo:hi])
 
-    def _reshape(span):
-        lo, hi = span
-        jac = field.site_jacobians[field.assignment[lo:hi]]
-        quats[lo:hi], log_scales[lo:hi] = transform_covariance(
-            jac, cloud.rotations[lo:hi], cloud.log_scales[lo:hi])
-
-    _run_spans(_reshape, spans, workers)
-    return replace(cloud.copy(), centers=centers, log_scales=log_scales,
-                   rotations=quats)
+    starts = range(0, len(cloud), center_chunk)
+    if workers <= 1 or len(starts) <= 1:
+        for lo in starts:
+            _span(lo)
+    else:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            list(pool.map(_span, starts))
+    return replace(cloud.copy(), **out)

@@ -2,7 +2,9 @@
 
 A name that starts with an underscore is private to its module, so no
 module may import one from a sibling; what a sibling needs becomes a
-public name of the module that owns it.
+public name of the module that owns it. A module also uses every name it
+imports: a name kept only so that code outside the package can find it
+there hides a dependency, and goes.
 """
 
 import ast
@@ -43,3 +45,35 @@ def test_the_check_sees_a_private_import(tmp_path):
     assert _private_imports(module) == [
         (1, "splats", "_parse_header"),
         (2, "cagewarp.mvc", "_spherical_triangle")]
+
+
+def _unused_imports(path):
+    """(line, name) of each imported name the module never reads."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    imported, used = [], set()
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Import, ast.ImportFrom)) \
+                and getattr(node, "module", None) != "__future__":
+            imported += [(node.lineno,
+                          alias.asname or alias.name.split(".")[0])
+                         for alias in node.names]
+        elif isinstance(node, ast.Name):
+            used.add(node.id)
+    return [(line, name) for line, name in imported if name not in used]
+
+
+@pytest.mark.parametrize("path", [p for p in MODULES
+                                  if p.name != "__init__.py"],
+                         ids=lambda p: p.name)
+def test_every_imported_name_is_used(path):
+    assert _unused_imports(path) == []
+
+
+def test_the_check_sees_an_unused_import(tmp_path):
+    module = tmp_path / "m.py"
+    module.write_text("from __future__ import annotations\n"
+                      "import os.path\n"
+                      "import numpy as np\n"
+                      "from .mvc import deform_points, mvc_weights\n"
+                      "print(os.sep, mvc_weights)\n")
+    assert _unused_imports(module) == [(3, "np"), (4, "deform_points")]

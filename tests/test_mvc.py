@@ -1,8 +1,11 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
+from cagewarp import mvc
 from cagewarp.cage import CageMesh, box_cage, build_template_cage
 from cagewarp.errors import NearSurfaceError, TopologyMismatchError
 from cagewarp.mvc import MVCWeights, deform_points, mvc_weights
@@ -169,24 +172,38 @@ class TestWeights:
             assert np.max(np.abs(w[0] - w[2])) < 1e-5
             assert np.max(np.abs(w[1] - w[2])) < 1e-5
 
-    def test_chunk_size_invariance(self):
+    def test_chunk_size_invariance(self, monkeypatch):
         rng = np.random.default_rng(7)
         cage = build_template_cage(rng.normal(size=(25, 3)), resolution=2)
         pts = interior_points(cage, 97, seed=8)
         w_default = mvc_weights(pts, cage).weights
-        w_small = mvc_weights(pts, cage, chunk_size=7).weights
+        # 7-row chunks.
+        monkeypatch.setattr(mvc, "CHUNK_PAIRS", 7 * len(cage.triangles))
+        w_small = mvc_weights(pts, cage).weights
         assert np.array_equal(w_default, w_small)
+
+    @pytest.mark.parametrize("resolution", [3, 6])
+    def test_scratch_memory_flat_in_point_count(self, resolution):
+        # Scratch is the traced peak beyond the returned weights; chunks
+        # of CHUNK_PAIRS pairs bound it whatever the point count.
+        cage = build_template_cage(np.array([[-1.0] * 3, [1.0] * 3]),
+                                   resolution=resolution)
+        scratch = []
+        for n in (1000, 4000):
+            pts = interior_points(cage, n, seed=n)
+            tracemalloc.start()
+            try:
+                w = mvc_weights(pts, cage).weights
+                scratch.append(tracemalloc.get_traced_memory()[1] - w.nbytes)
+            finally:
+                tracemalloc.stop()
+        assert max(scratch) < 32 * 2**20
+        assert abs(scratch[1] - scratch[0]) < 0.1 * scratch[0]
 
     def test_bad_shape(self):
         tet = regular_tetrahedron()
         with pytest.raises(ValueError):
             mvc_weights(np.zeros((4, 2)), tet)
-
-    @pytest.mark.parametrize("chunk_size", [0, -7])
-    def test_chunk_size_below_one_rejected(self, chunk_size):
-        with pytest.raises(ValueError, match="chunk_size"):
-            mvc_weights(np.zeros((4, 3)), regular_tetrahedron(),
-                        chunk_size=chunk_size)
 
 
 class TestDeformPoints:

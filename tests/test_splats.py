@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
@@ -254,6 +256,29 @@ class TestPlyErrors:
         bad.write_bytes(raw[:-10])
         with pytest.raises(PlyReadError, match=f"{len(raw) - 10}"):
             read_gs_ply(bad)
+
+    @pytest.mark.parametrize("reader", [read_gs_ply, load_target],
+                             ids=["read_gs_ply", "load_target"])
+    def test_huge_vertex_count_fails_before_allocating(self, tmp_path,
+                                                       reader):
+        path = tmp_path / "i.ply"
+        write_gs_ply(random_cloud(1, seed=20), path)
+        header = path.read_bytes().split(b"end_header\n")[0].replace(
+            b"element vertex 1\n", b"element vertex 1000000000000\n") \
+            + b"end_header\n"
+        path.write_bytes(header)
+        n_props = header.count(b"property float")
+        tracemalloc.start()
+        try:
+            with pytest.raises(PlyReadError, match=(
+                    f"i.ply: truncated body, expected {4 * 10**12 * n_props} "
+                    f"bytes after the header but the file ends at byte "
+                    f"offset {len(header)}")):
+                reader(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
 
     def test_not_a_ply(self, tmp_path):
         bad = tmp_path / "x.ply"

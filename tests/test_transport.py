@@ -5,8 +5,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
+from cagewarp import transport
 from cagewarp.cage import build_template_cage
 from cagewarp.errors import NearSurfaceError, TopologyMismatchError
+from cagewarp.mvc import mvc_weights
 from cagewarp.rotations import quat_to_matrix
 from cagewarp.splats import GaussianCloud, covariances_of
 from cagewarp.transport import (
@@ -120,6 +122,21 @@ class TestJacobianField:
         # each later duplicate must map to the earliest coincident site.
         tree_field = build_jacobian_field(pts, source, deformed, m=12)
         assert np.array_equal(tree_field.assignment, np.arange(12))
+
+    @pytest.mark.parametrize("m", [1, 15])
+    def test_sampled_ties_break_to_lowest_site_row(self, m):
+        # m < n takes the k-d tree query; positions repeat up to four
+        # times, so sampled sites tie exactly.
+        source, deformed = cage_pair(seed=17)
+        base = interior_points(source, 10, seed=18)
+        pts = np.vstack([base, base[:6], base[:4], base[:2]])
+        field = build_jacobian_field(pts, source, deformed, m=m, seed=3)
+        sites = pts[field.site_indices]
+        d = np.linalg.norm(pts[:, None] - sites[None], axis=2)
+        nearest = d == d.min(axis=1, keepdims=True)
+        if m > 1:
+            assert nearest.sum(axis=1).max() > 1
+        assert np.array_equal(field.assignment, np.argmax(nearest, axis=1))
 
     def test_deterministic_for_seed(self):
         source, deformed = cage_pair(seed=18)
@@ -314,6 +331,27 @@ class TestDeformCloud:
                             center_chunk=64, workers=4)
         for name in ("centers", "log_scales", "rotations"):
             assert np.array_equal(getattr(a, name), getattr(b, name))
+
+    def test_near_surface_site_fails_before_any_center_moves(self,
+                                                            monkeypatch):
+        cloud = random_cloud(300, seed=46)
+        source = build_template_cage(cloud.centers, resolution=2)
+        deformed = source.with_vertices(source.vertices * 1.1,
+                                        validate=False)
+        lo, hi = source.bbox()
+        cloud.centers[150] = [lo[0] + 1e-9 * source.bbox_diagonal(),
+                              0.5 * (lo[1] + hi[1]), 0.5 * (lo[2] + hi[2])]
+        calls = []
+
+        def counted(points, cage):
+            calls.append(len(points))
+            return mvc_weights(points, cage)
+
+        monkeypatch.setattr(transport, "mvc_weights", counted)
+        with pytest.raises(NearSurfaceError):
+            deform_cloud(cloud, source, deformed, m=len(cloud),
+                         center_chunk=100)
+        assert calls == []
 
     @pytest.mark.parametrize("update_covariance", [True, False])
     @pytest.mark.parametrize("center_chunk", [0, -7])
