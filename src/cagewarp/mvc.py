@@ -13,12 +13,20 @@ accumulating w_i += lambda_i / d_i over all triangles yields weights whose
 normalization reproduces linear functions exactly: sum_i w_i (v_i - x) = 0
 because the per-triangle vector areas of a closed surface cancel.
 
-One routine, _spherical_triangle, turns the corner directions into the
-arc angles, the Cramer solution lambda and det [u_0 u_1 u_2]. It runs once
-in float64 over every (point, triangle) pair of a chunk, and once more in
-long double over the pairs whose |det| lies in [DET_SKIP, DET_REFINE):
-near-coplanar pairs, such as points just off a face's supporting plane
-outside the face, where the float64 solve cancels catastrophically.
+One routine, _spherical_triangles, turns the unit directions into the
+arc angles, the Cramer solution lambda and det [u_0 u_1 u_2]. theta_k
+and the cross product u_{k+1} x u_{k+2} depend only on the edge opposite
+corner k, and every cage edge borders two triangles, so both are
+computed once per unique edge and gathered to the corners, negated where
+a triangle runs the edge backwards (negation and |a - b| = |b - a| are
+exact). Arrays are vertex-major, (rows, points) per component, so every
+gather takes whole contiguous rows; one sparse product with the (V, 3T)
+corner incidence sums the corners' lambda_i / d_i into the weights. The
+routine runs in float64 over every (point, triangle) pair of a chunk,
+and again in long double, one triangle per pair, over the pairs whose
+|det| lies in [DET_SKIP, DET_REFINE): near-coplanar pairs, such as
+points just off a face's supporting plane outside the face, where the
+float64 solve cancels catastrophically.
 
 Weights are smooth away from the cage surface. Two kinds of rows are
 replaced outright: a point within VERTEX_SNAP of a vertex gets that
@@ -31,8 +39,10 @@ transport.jacobian_fd.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
+from scipy import sparse
 
 from .cage import CageMesh
 
@@ -51,8 +61,9 @@ DET_SKIP = 1e-12
 # Cramer solve loses ~eps/|det| digits to cancellation there.
 DET_REFINE = 1e-6
 # (point, triangle) pairs per chunk: the one bound on mvc_weights' scratch
-# memory, about 17 MiB at any point count. On 2 cores, 2**15 was up to 15%
-# slower, and 2**17 and up were no faster and took more memory.
+# memory, about 13 MiB at any point count. Chosen on 2 cores for the
+# per-triangle kernel, where 2**15 was up to 15% slower and 2**17 and up
+# no faster; ROADMAP item 2 has a re-tune pending for this kernel.
 CHUNK_PAIRS = 2**16
 
 
@@ -80,10 +91,17 @@ def mvc_weights(points: np.ndarray, cage: CageMesh) -> MVCWeights:
     points = np.ascontiguousarray(np.atleast_2d(points), dtype=np.float64)
     if points.ndim != 2 or points.shape[1] != 3:
         raise ValueError(f"points must be (P, 3), got {points.shape}")
-    rows = max(1, CHUNK_PAIRS // max(len(cage.triangles), 1))
+    tri = cage.triangles
+    table = _edge_table(tri)
+    # Column k*T + t of the corner incidence is corner k of triangle t.
+    incidence = sparse.csr_matrix(
+        (np.ones(tri.size), (tri.T.ravel(), np.arange(tri.size))),
+        shape=(len(cage.vertices), tri.size))
+    rows = max(1, CHUNK_PAIRS // max(len(tri), 1))
     weights = np.empty((len(points), len(cage.vertices)))
     for lo in range(0, len(points), rows):
-        weights[lo:lo + rows] = _weights_chunk(points[lo:lo + rows], cage)
+        _weights_chunk(points[lo:lo + rows], cage, table, incidence,
+                       weights[lo:lo + rows])
     return MVCWeights(weights=weights, cage=cage)
 
 
@@ -93,90 +111,141 @@ def deform_points(weights: MVCWeights, deformed: CageMesh) -> np.ndarray:
     return weights.weights @ deformed.vertices
 
 
-def _spherical_triangle(e):
+class _EdgeTable(NamedTuple):
+    """The edges of triangles, each once, and how the corners see them."""
+
+    tri: np.ndarray          # (T, 3) triangles
+    edges: np.ndarray        # (E, 2) unique undirected edges, sorted pairs
+    opposite: np.ndarray     # (3, T) the edge opposite corner k
+    backwards: np.ndarray    # (3, T, 1) the triangle runs it from edges[:, 1]
+
+
+def _edge_table(tri) -> _EdgeTable:
+    a, b = tri[:, [1, 2, 0]].T, tri[:, [2, 0, 1]].T     # (3, T) each
+    pairs = np.stack([np.minimum(a, b), np.maximum(a, b)], axis=-1)
+    edges, opposite = np.unique(pairs.reshape(-1, 2), axis=0,
+                                return_inverse=True)
+    return _EdgeTable(tri, edges, opposite.reshape(3, -1), (a > b)[:, :, None])
+
+
+def _dot(a, b):
+    """Dot products of vectors stored as three component arrays."""
+    return a[0] * b[0] + a[1] * b[1] + a[2] * b[2]
+
+
+def _unit_directions(corners, x):
+    """Unit directions and distances from x to corners, (3, ...) arrays."""
+    u = corners - x
+    d = np.maximum(np.sqrt(_dot(u, u)), 1e-300)
+    u /= d
+    return u, d
+
+
+def _edge_terms(u, edges):
+    """Arc angle theta, g = theta / (2 |c|) and cross product c per edge.
+
+    Each is a function of the edge alone, shared by the (usually two)
+    triangles on its sides: theta and g are (E, n), and c = e_a x e_b
+    for the edge (a, b) is three (E, n) component arrays.
+    """
+    ua = [c[edges[:, 0]] for c in u]
+    ub = [c[edges[:, 1]] for c in u]
+    # From the chord length: stable for both tiny and obtuse angles.
+    diff = [p - q for p, q in zip(ua, ub)]
+    theta = np.sqrt(_dot(diff, diff))
+    theta *= 0.5
+    np.arcsin(np.clip(theta, 0.0, 1.0, out=theta), out=theta)
+    theta *= 2.0
+    # Arc-plane normal scaled by sin(theta), and a Cramer adjugate row of
+    # [e0 e1 e2] for the corner opposite the edge.
+    cross = [ua[(j + 1) % 3] * ub[(j + 2) % 3]
+             - ua[(j + 2) % 3] * ub[(j + 1) % 3] for j in range(3)]
+    s = np.sqrt(_dot(cross, cross))
+    # Guarded against |c| ~ 0.
+    return theta, theta / (2.0 * np.where(s < 1e-300, 1.0, s)), cross
+
+
+def _spherical_triangles(u, edge_table):
     """Arc angles, Cramer coefficients and det of spherical triangles.
 
-    e holds the unit directions to a triangle's three corners, each an
-    (..., 3) array of any float dtype. theta[k] is the arc angle opposite
-    corner k, lam solves [e0 e1 e2] lam = m for the vector area m, and
-    det = det [e0 e1 e2]; all are (...) arrays of e's dtype.
+    u (3, V, n) holds the unit directions from n points to V vertices, by
+    component, in any float dtype. theta (E, n) is the arc angle of each
+    edge, so theta[opposite[k]] is the one opposite corner k. lam (3, T,
+    n) solves [e0 e1 e2] lam = m for the vector area m, and det = det
+    [e0 e1 e2], for the corner directions e of each triangle.
     """
-    theta, cr = [], []
+    tri, edges, opposite, backwards = edge_table
+    theta, g, cross = _edge_terms(u, edges)
+    # cr[k] = e_{k+1} x e_{k+2}: the shared edge product, negated (an
+    # exact operation) where the triangle runs the edge backwards.
+    cr = [[c[opposite[k]] for c in cross] for k in range(3)]
+    del cross                                           # bound the scratch
     for k in range(3):
-        a, b = e[(k + 1) % 3], e[(k + 2) % 3]
-        # From the chord length: stable for both tiny and obtuse angles.
-        chord = np.linalg.norm(a - b, axis=-1)
-        theta.append(2.0 * np.arcsin(np.clip(0.5 * chord, 0.0, 1.0)))
-        # Arc-plane normal scaled by sin(theta_k), and simultaneously a
-        # Cramer adjugate row of [e0 e1 e2].
-        cr.append(np.cross(a, b))
-    det = np.einsum("...x,...x->...", e[0], cr[0])
-    # m = 1/2 sum_k theta_k * cr_k / |cr_k|, guarded against |cr| ~ 0.
-    m = np.zeros_like(cr[0])
+        for c in cr[k]:
+            np.negative(c, out=c, where=backwards[k])
+    # m = 1/2 sum_k theta_k * cr_k / |cr_k|.
+    m = [g[opposite[0]] * c for c in cr[0]]
+    for k in (1, 2):
+        g_k = g[opposite[k]]
+        for j in range(3):
+            m[j] += g_k * cr[k][j]
+    det = _dot([c[tri[:, 0]] for c in u], cr[0])
+    lam = np.empty((3,) + det.shape, dtype=det.dtype)
     for k in range(3):
-        s = np.linalg.norm(cr[k], axis=-1)
-        s_safe = np.where(s < 1e-300, 1.0, s)
-        m += 0.5 * (theta[k] / s_safe)[..., None] * cr[k]
-    det_safe = np.where(np.abs(det) < 1e-300, 1.0, det)
-    lam = [np.einsum("...x,...x->...", m, cr[k]) / det_safe for k in range(3)]
+        lam[k] = _dot(m, cr[k])
+    lam /= np.where(np.abs(det) < 1e-300, 1.0, det)
     return theta, lam, det
 
 
-def _weights_chunk(x: np.ndarray, cage: CageMesh) -> np.ndarray:
-    n_pts = len(x)
+def _weights_chunk(x, cage, table, incidence, w):
+    """Write the normalized weights of points x (P, 3) into w (P, V)."""
     verts = cage.vertices
-    n_vert = len(verts)
     tri = cage.triangles
+    # Vertex-major: every per-vertex, per-edge and per-corner array is
+    # (rows, P), so each gather takes whole contiguous rows.
+    u, d = _unit_directions(verts.T[:, :, None], x.T[:, None, :])
+    theta, lam, det = _spherical_triangles(u, table)
+    theta = theta[table.opposite]                       # (3, T, P)
+    dcorn = d[tri.T]
 
-    u = verts[None, :, :] - x[:, None, :]               # (P, V, 3)
-    d = np.maximum(np.linalg.norm(u, axis=2), 1e-300)   # (P, V)
-    u /= d[:, :, None]
-    theta, lam, det = _spherical_triangle([u[:, tri[:, k]] for k in range(3)])
-    dcorn = [d[:, tri[:, k]] for k in range(3)]         # 3 x (P, T)
-
-    half_sum = 0.5 * (theta[0] + theta[1] + theta[2])
-    on_face = (np.pi - half_sum) < ON_FACE_EPS          # (P, T)
-    snap_rows = np.min(d, axis=1) < VERTEX_SNAP * cage.bbox_diagonal()
+    on_face = (np.pi - 0.5 * theta.sum(axis=0)) < ON_FACE_EPS   # (T, P)
+    snap_rows = np.min(d, axis=0) < VERTEX_SNAP * cage.bbox_diagonal()
 
     # Long-double rescue of near-coplanar (point, triangle) pairs, where
-    # the float64 Cramer solve cancels catastrophically.
-    refine = (np.abs(det) < DET_REFINE) & (np.abs(det) >= DET_SKIP) \
-        & ~on_face & ~snap_rows[:, None]
+    # the float64 Cramer solve cancels catastrophically: the same solve,
+    # one triangle per pair.
+    abs_det = np.abs(det)
+    refine = (abs_det < DET_REFINE) & (abs_det >= DET_SKIP) \
+        & ~on_face & ~snap_rows
     if np.any(refine):
-        p_idx, t_idx = np.nonzero(refine)
-        uq = verts[tri[t_idx]].astype(np.longdouble) - x[p_idx, None, :]
-        uq /= np.linalg.norm(uq, axis=2)[:, :, None]    # (K, 3 corners, 3)
-        _, lam_q, _ = _spherical_triangle([uq[:, k] for k in range(3)])
-        for k in range(3):
-            lam[k][p_idx, t_idx] = lam_q[k]
+        t_idx, p_idx = np.nonzero(refine)
+        uq, _ = _unit_directions(verts[tri[t_idx]].T.astype(np.longdouble),
+                                 x[p_idx].T[:, None, :])  # (3, 3 corners, K)
+        one = _edge_table(np.array([[0, 1, 2]]))
+        lam[:, t_idx, p_idx] = _spherical_triangles(uq, one)[1][:, 0]
 
-    drop = (np.abs(det) < DET_SKIP) | on_face
-    w = np.zeros((n_pts, n_vert))
-    flat_p = np.repeat(np.arange(n_pts), len(tri))
-    for k in range(3):
-        contrib = np.where(drop, 0.0, lam[k] / dcorn[k])
-        flat_v = np.tile(tri[:, k], n_pts)
-        w += np.bincount(flat_p * n_vert + flat_v,
-                         weights=contrib.ravel(),
-                         minlength=n_pts * n_vert).reshape(n_pts, n_vert)
+    lam /= dcorn
+    np.copyto(lam, 0.0, where=(abs_det < DET_SKIP) | on_face)
+    # Into C order: a row's sum below then does not depend on P.
+    w[...] = (incidence @ lam.reshape(-1, len(x))).T
 
     # On-surface rows: barycentric interpolation inside the first flagged
     # triangle replaces the whole row (the weight field is discontinuous
     # across the surface, with on-surface values interpolating the face).
-    p = np.nonzero(on_face.any(axis=1) & ~snap_rows)[0]
-    t = np.argmax(on_face[p], axis=1)
+    p = np.nonzero(on_face.any(axis=0) & ~snap_rows)[0]
+    t = np.argmax(on_face[:, p], axis=0)
     w[p] = 0.0
     for k in range(3):
         # An arc within fp noise of pi means the point sits on the
         # opposite edge; that corner's weight is exactly zero.
-        th = theta[k][p, t]
+        th = theta[k, t, p]
         s_k = np.where(np.pi - th < ON_FACE_EPS, 0.0, np.sin(th))
-        w[p, tri[t, k]] += s_k * dcorn[(k + 1) % 3][p, t] \
-            * dcorn[(k + 2) % 3][p, t]
+        w[p, tri[t, k]] += s_k * dcorn[(k + 1) % 3, t, p] \
+            * dcorn[(k + 2) % 3, t, p]
 
     p = np.nonzero(snap_rows)[0]
     w[p] = 0.0
-    w[p, np.argmin(d[p], axis=1)] = 1.0
+    w[p, np.argmin(d[:, p], axis=0)] = 1.0
 
     total = w.sum(axis=1)
     bad = np.abs(total) < 1e-12 * np.abs(w).max(axis=1)
@@ -184,4 +253,4 @@ def _weights_chunk(x: np.ndarray, cage: CageMesh) -> np.ndarray:
         raise ValueError(
             f"mean value weights vanish at point index {int(np.nonzero(bad)[0][0])}; "
             "the query point is too far outside the cage")
-    return w / total[:, None]
+    w /= total[:, None]

@@ -42,7 +42,10 @@ logger = logging.getLogger("cagewarp")
 MODES = ("deform", "fit-cage", "apply-cage", "baseline")
 # Annotation -> accepted values; a bool is no number, an int is a float.
 _FIELD_TYPES = {"int": numbers.Integral, "float": numbers.Real, "bool": bool,
-                "str": str, "str | None": (str, type(None))}
+                "str": str, "str | None": (str, type(None)),
+                "tuple": (tuple, list),
+                "tuple | None": (tuple, list, type(None)),
+                "FitConfig": FitConfig}
 
 
 @dataclass
@@ -101,7 +104,11 @@ class PipelineConfig:
                              "replays a cage pair")
         if mode != "apply-cage" and self.target is None:
             raise ValueError(f"a target is required by {mode}")
-        lams = tuple(float(l) for l in self.lambdas)
+        try:
+            lams = tuple(float(l) for l in self.lambdas)
+        except TypeError:
+            raise ValueError(f"lambda values must be numbers: "
+                             f"{self.lambdas!r}") from None
         if not lams:
             raise ValueError("at least one lambda value is required")
         if any(not 0.0 <= l <= 1.0 for l in lams):

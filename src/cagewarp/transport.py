@@ -145,11 +145,16 @@ def build_jacobian_field(points: np.ndarray, source: CageMesh,
     if len(site_indices) == n:
         assignment = np.arange(n)
     else:
-        # A list of ranks keeps the results (n, k) even for k = 1.
+        # A list of ranks keeps the results (n, k) even for k = 1. Only
+        # rows whose two nearest sites tie need the deeper query.
         ranks = list(range(1, min(8, len(site_indices)) + 1))
-        dist, idx = cKDTree(sites).query(points, k=ranks)
+        tree = cKDTree(sites)
+        dist, idx = tree.query(points, k=ranks[:2])
+        assignment = idx[:, 0]
+        rows = np.nonzero(dist[:, -1] == dist[:, 0])[0]
+        dist, idx = tree.query(points[rows], k=ranks)
         tied = dist == dist[:, :1]
-        assignment = np.where(tied, idx, len(site_indices)).min(axis=1)
+        assignment[rows] = np.where(tied, idx, len(site_indices)).min(axis=1)
 
     return JacobianField(site_indices=site_indices, site_jacobians=jac,
                          assignment=assignment)

@@ -142,6 +142,36 @@ class TestWeights:
         has_zero = np.any(batch == 0.0, axis=1)
         assert np.array_equal(has_zero, np.arange(len(pts)) % 4 != 3)
 
+    def test_interior_rows_of_a_multi_chunk_batch_match_single_points(self):
+        # The accumulated block is summed over contiguous rows, so a row
+        # does not depend on the points it shares a chunk with.
+        cage = build_template_cage(np.array([[-1.0] * 3, [1.0] * 3]),
+                                   resolution=6)
+        rows = mvc.CHUNK_PAIRS // len(cage.triangles)
+        pts = interior_points(cage, 2 * rows + 17, seed=22)
+        batch = mvc_weights(pts, cage).weights
+        for p, x in enumerate(pts):
+            single = mvc_weights(x[None], cage).weights[0]
+            assert np.array_equal(batch[p], single)
+
+    @settings(max_examples=25, deadline=None)
+    @given(resolution=st.integers(1, 3), seed=st.integers(0, 2**32 - 1))
+    def test_corner_and_triangle_order_do_not_matter(self, resolution, seed):
+        # Rotating a triangle's corners keeps its winding but moves each
+        # edge to another corner slot; the per-edge terms must follow.
+        rng = np.random.default_rng(seed)
+        cage = build_template_cage(rng.normal(size=(20, 3)),
+                                   resolution=resolution)
+        n_tri = len(cage.triangles)
+        shift = rng.integers(0, 3, size=n_tri)
+        rotated = cage.triangles[np.arange(n_tri)[:, None],
+                                 (np.arange(3) + shift[:, None]) % 3]
+        reordered = CageMesh(cage.vertices, rotated[rng.permutation(n_tri)])
+        pts = interior_points(cage, 30, seed=seed % 1000)
+        w0 = mvc_weights(pts, cage).weights
+        w1 = mvc_weights(pts, reordered).weights
+        assert np.max(np.abs(w1 - w0)) <= 1e-14
+
     def test_similarity_invariance(self):
         # Weights are invariant under scaling + rotation + translation of
         # the query point together with the cage.

@@ -221,6 +221,11 @@ def test_config_validation_failures(fixture_paths, tmp_path):
             (dict(cage_padding=-1.0), "cage_padding"),
             (dict(seed=-1), "seed"),
             (dict(seed=1.5), "seed"),
+            # Library callers skip the CLI's list checks.
+            (dict(lambdas=0.5), "lambdas must be tuple"),
+            (dict(lambdas=(None,)), "lambda values must be numbers"),
+            (dict(fit=None), "fit must be FitConfig"),
+            (dict(cage_in=5), "cage_in must be tuple"),
     ):
         with pytest.raises(PipelineError) as excinfo:
             run_pipeline(_config(source, target, out, **kwargs))
