@@ -6,9 +6,19 @@ matrix W is independent of the deformed cage, so deformed sample
 positions are just W @ C for candidate vertices C), and descend an
 alignment-plus-regularization loss with Adam on the vertex offsets.
 
-Nearest-neighbor assignments for the alignment term are refreshed every
-iteration; gradients hold the current assignments fixed, the usual
-ICP-style treatment of a piecewise-smooth objective.
+Gradients hold the current nearest-neighbor assignments fixed, the
+usual ICP-style treatment of a piecewise-smooth objective. The fit keeps
+both assignments, sample->target and target->sample, between iterations
+(after the cached k-d tree of Nuechter, Lingemann & Hertzberg 2007):
+each row keeps its CANDIDATES nearest reference rows and the distance to
+the last of them, its reach, from its last k-d query. A reference row
+off that list was at least the reach away then, and can have come nearer
+only by the slack: the row's own displacement since (targets do not
+move), or for a target row a bound on every sample's displacement. So
+the nearest listed candidate is the exact nearest neighbor when it is
+strictly nearer than the second one and than reach - slack, both with a
+relative CERTIFY_MARGIN for rounding. Only the other rows are queried
+again, and the assignments equal those of fresh queries.
 """
 
 from __future__ import annotations
@@ -31,6 +41,11 @@ ADAM_DECAY1 = 0.9
 ADAM_DECAY2 = 0.999
 ADAM_EPS = 1e-8
 CONVERGENCE_WINDOW = 20
+# Nearest reference rows each row of the fit's nearest-neighbor
+# assignments keeps between iterations, and the relative margin by which
+# a listed candidate must win to be certified without a k-d query.
+CANDIDATES = 4
+CERTIFY_MARGIN = 1e-12
 
 
 @dataclass
@@ -58,6 +73,9 @@ class FitReport:
     best_trace is the running minimum of the total; final_chamfer is the
     alignment term (a chamfer distance) of the best-loss iterate.
     outside_fraction is the share of source samples outside the source cage.
+    sample_requeries and target_requeries count the rows, summed over
+    iterations, whose nearest neighbor took a k-d query because no bound
+    proved it unchanged; every row is queried in the first iteration.
     """
 
     loss_trace: np.ndarray          # (K, 3)
@@ -66,23 +84,127 @@ class FitReport:
     iterations_run: int
     converged: bool
     outside_fraction: float = 0.0
+    sample_requeries: int = 0
+    target_requeries: int = 0
 
 
-def alignment_loss(positions: np.ndarray, target_points: np.ndarray):
+def _lengths(x, y, z):
+    """Euclidean lengths of vectors given by their components, summed in
+    the order cKDTree sums them, so they equal its distances bit for bit."""
+    return np.sqrt(x * x + y * y + z * z)
+
+
+class _Candidates:
+    """The CANDIDATES nearest reference rows of each query row, as of the
+    row's last k-d query, and the distance to the last of them (its
+    reach; infinite when every reference row is listed)."""
+
+    def __init__(self, n_rows: int, n_refs: int):
+        self.k = min(CANDIDATES, n_refs)
+        self.index = np.zeros((self.k, n_rows), dtype=np.intp)
+        self.reach = np.zeros(n_rows)
+        self.requeries = 0
+
+    def nearest(self, queries, references, slack, tree, order):
+        """Nearest reference row of every query row, and the rows queried.
+
+        slack[i] bounds how much nearer than at row i's last query any
+        reference row can have come (np.inf before its first query).
+        tree() returns the k-d tree of references; re-queried rows go to
+        it in the spatial order `order` of the query rows.
+        """
+        # Candidate-major (k, rows) arrays, gathered one component at a
+        # time: several times faster than gathering (rows, k, 3) blocks.
+        dist = _lengths(*(references[:, c][self.index] - queries[:, c]
+                          for c in range(3)))
+        d1 = dist.min(axis=0)
+        # The nearest candidate wins when no other is within the margin.
+        wins = dist * (1.0 - CERTIFY_MARGIN) <= d1
+        sure = (wins.sum(axis=0) == 1) \
+            & (d1 < self.reach * (1.0 - CERTIFY_MARGIN) - slack)
+        nearest = (self.index * wins).sum(axis=0)      # right where sure
+        rows = order[~sure[order]]
+        if len(rows):
+            tree = tree()
+            d, j = tree.query(queries[rows], k=self.k)
+            d, j = d.reshape(len(rows), -1), j.reshape(len(rows), -1)
+            self.index[:, rows] = j.T
+            self.reach[rows] = (np.inf if self.k == len(references)
+                                else d[:, -1])
+            nearest[rows] = j[:, 0]
+            if self.k > 1:
+                # An exact tie goes the way a plain k=1 query breaks it.
+                tie = rows[d[:, 0] == d[:, 1]]
+                if len(tie):
+                    nearest[tie] = tree.query(queries[tie], k=1)[1]
+            self.requeries += len(rows)
+        return nearest, rows
+
+
+class _NeighborState:
+    """The fit's two nearest-neighbor assignments, kept between iterations.
+
+    A target's slack adds up the largest sample displacement of every
+    iteration since its last query. The target tree is built once, a
+    tree of the samples only in iterations that re-query some target.
+    """
+
+    def __init__(self, samples: np.ndarray, targets: np.ndarray):
+        self.targets = targets
+        self.target_tree = cKDTree(targets)
+        # Samples move little against each other, so their rest positions
+        # keep giving a good spatial order for their queries.
+        self.sample_order = cKDTree(samples).indices
+        self.to_target = _Candidates(len(samples), len(targets))
+        self.to_sample = _Candidates(len(targets), len(samples))
+        # Sample positions at each sample's last query and at the last
+        # call; infinitely far before the first, so nothing is certified.
+        self.anchor = np.full((len(samples), 3), np.inf)
+        self.previous = self.anchor.copy()
+        self.target_slack = np.zeros(len(targets))
+
+    def assign(self, positions):
+        """Nearest target of every sample and nearest sample of every
+        target, equal to those of fresh k=1 queries."""
+        sample_slack = _lengths(*(positions - self.anchor).T)
+        self.target_slack += _lengths(*(positions - self.previous).T).max()
+        self.previous = positions.copy()
+
+        j_pt, rows = self.to_target.nearest(
+            positions, self.targets, sample_slack,
+            lambda: self.target_tree, self.sample_order)
+        self.anchor[rows] = positions[rows]
+
+        j_tp, rows = self.to_sample.nearest(
+            self.targets, positions, self.target_slack,
+            lambda: cKDTree(positions), self.target_tree.indices)
+        self.target_slack[rows] = 0.0
+        return j_pt, j_tp
+
+
+def alignment_loss(positions: np.ndarray, target_points: np.ndarray,
+                   state: _NeighborState | None = None):
     """Symmetric chamfer alignment between moved samples and a target.
 
     Returns (loss, gradient) where the gradient is with respect to the
     sample positions, holding the two nearest-neighbor assignments fixed.
+    Without a state both assignments come from fresh k-d queries; with
+    the fit's state (for these target_points) they come from its
+    certified candidates, with the same result.
     """
     positions = np.asarray(positions, dtype=np.float64)
     target_points = np.asarray(target_points, dtype=np.float64)
-    n_pos = len(positions)
-    n_tgt = len(target_points)
-    d_pt, j_pt = cKDTree(target_points).query(positions, k=1)
-    d_tp, j_tp = cKDTree(positions).query(target_points, k=1)
-    loss = float(np.mean(d_pt ** 2) + np.mean(d_tp ** 2))
-    grad = (2.0 / n_pos) * (positions - target_points[j_pt])
-    np.add.at(grad, j_tp, (2.0 / n_tgt) * (positions[j_tp] - target_points))
+    if state is None:
+        j_pt = cKDTree(target_points).query(positions, k=1)[1]
+        j_tp = cKDTree(positions).query(target_points, k=1)[1]
+    else:
+        j_pt, j_tp = state.assign(positions)
+    to_target = positions - target_points[j_pt]
+    to_sample = positions[j_tp] - target_points
+    loss = float(np.mean(_lengths(*to_target.T) ** 2)
+                 + np.mean(_lengths(*to_sample.T) ** 2))
+    grad = (2.0 / len(positions)) * to_target
+    np.add.at(grad, j_tp, (2.0 / len(target_points)) * to_sample)
     return loss, grad
 
 
@@ -140,6 +262,7 @@ def fit_deformed_cage(source, target, source_cage: CageMesh,
     weight_matrix = mvc_weights(samples, source_cage).weights    # (m, V)
     source_normals = source_cage.face_normals()
 
+    neighbors = _NeighborState(samples, targets)
     n_vert = len(source_cage.vertices)
     delta = np.zeros((n_vert, 3))
     adam_m = np.zeros_like(delta)
@@ -159,7 +282,7 @@ def fit_deformed_cage(source, target, source_cage: CageMesh,
         # comparison is False for NaN too, so this catches every blow-up.
         if not np.all(np.abs(moved) < 1e150):
             raise FitDivergedError(it)
-        align, grad_pts = alignment_loss(moved, targets)
+        align, grad_pts = alignment_loss(moved, targets, neighbors)
         normal, grad_normal = _normal_term(cage_now, source_cage.triangles,
                                            source_normals)
         normal = config.normal_weight * normal
@@ -195,5 +318,7 @@ def fit_deformed_cage(source, target, source_cage: CageMesh,
         iterations_run=len(trace),
         converged=converged,
         outside_fraction=outside_fraction,
+        sample_requeries=neighbors.to_target.requeries,
+        target_requeries=neighbors.to_sample.requeries,
     )
     return fitted, report

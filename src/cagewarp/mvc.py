@@ -100,8 +100,19 @@ def mvc_weights(points: np.ndarray, cage: CageMesh) -> MVCWeights:
     rows = max(1, CHUNK_PAIRS // max(len(tri), 1))
     weights = np.empty((len(points), len(cage.vertices)))
     for lo in range(0, len(points), rows):
-        _weights_chunk(points[lo:lo + rows], cage, table, incidence,
-                       weights[lo:lo + rows])
+        w = weights[lo:lo + rows]
+        _weights_chunk(points[lo:lo + rows], cage, table, incidence, w)
+        total = w.sum(axis=1)
+        # A zero total counts too: far enough outside, every triangle's
+        # contribution is dropped and the row is all zeros.
+        bad = ~np.isfinite(total) \
+            | (np.abs(total) <= 1e-12 * np.abs(w).max(axis=1))
+        if np.any(bad):
+            raise ValueError(
+                f"mean value weights vanish at point index "
+                f"{lo + int(np.argmax(bad))}; the query point is too far "
+                "outside the cage")
+        w /= total[:, None]
     return MVCWeights(weights=weights, cage=cage)
 
 
@@ -198,7 +209,7 @@ def _spherical_triangles(u, edge_table):
 
 
 def _weights_chunk(x, cage, table, incidence, w):
-    """Write the normalized weights of points x (P, 3) into w (P, V)."""
+    """Write the unnormalized weights of points x (P, 3) into w (P, V)."""
     verts = cage.vertices
     tri = cage.triangles
     # Vertex-major: every per-vertex, per-edge and per-corner array is
@@ -226,7 +237,7 @@ def _weights_chunk(x, cage, table, incidence, w):
 
     lam /= dcorn
     np.copyto(lam, 0.0, where=(abs_det < DET_SKIP) | on_face)
-    # Into C order: a row's sum below then does not depend on P.
+    # Into C order: a row's sum in mvc_weights then does not depend on P.
     w[...] = (incidence @ lam.reshape(-1, len(x))).T
 
     # On-surface rows: barycentric interpolation inside the first flagged
@@ -246,11 +257,3 @@ def _weights_chunk(x, cage, table, incidence, w):
     p = np.nonzero(snap_rows)[0]
     w[p] = 0.0
     w[p, np.argmin(d[:, p], axis=0)] = 1.0
-
-    total = w.sum(axis=1)
-    bad = np.abs(total) < 1e-12 * np.abs(w).max(axis=1)
-    if np.any(bad):
-        raise ValueError(
-            f"mean value weights vanish at point index {int(np.nonzero(bad)[0][0])}; "
-            "the query point is too far outside the cage")
-    w /= total[:, None]

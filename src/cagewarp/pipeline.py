@@ -367,6 +367,12 @@ def _execute(config: PipelineConfig, mode: str, run: _Run) -> dict:
                 "fit: %d iterations, converged=%s, chamfer %.3e "
                 "(normalized frame)", report.iterations_run,
                 report.converged, report.final_chamfer)
+            logger.info(
+                "fit: k-d queries for %d of %d sample rows and %d of %d "
+                "target rows", report.sample_requeries,
+                report.iterations_run * len(samples),
+                report.target_requeries,
+                report.iterations_run * len(target_points))
 
         with run.stage("write-cages"):
             src_path = run.claim("source_cage.obj")

@@ -2,11 +2,14 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from scipy.spatial import cKDTree
 
+from cagewarp import fitting
 from cagewarp.cage import build_template_cage
 from cagewarp.errors import FitDivergedError
-from cagewarp.fitting import (FitConfig, _normal_term, alignment_loss,
-                              fit_deformed_cage)
+from cagewarp.fitting import (FitConfig, _NeighborState, _normal_term,
+                              alignment_loss, fit_deformed_cage)
 from cagewarp.metrics import TriangleMesh, sample_points
 from cagewarp.mvc import mvc_weights
 from cagewarp.splats import GaussianCloud
@@ -66,6 +69,88 @@ def test_alignment_gradient_matches_finite_differences():
                 lo = val
         fd = (hi - lo) / (2.0 * h)
         assert fd == pytest.approx(grad[i, a], rel=1e-5, abs=1e-9)
+
+
+def test_lengths_equal_kd_tree_distances_bit_for_bit():
+    rng = np.random.default_rng(20)
+    points = rng.standard_normal((2000, 3)) * 3.7
+    refs = rng.standard_normal((2500, 3)) + 0.4
+    dist, j = cKDTree(refs).query(points, k=4)
+    diff = points[:, None, :] - refs[j]
+    np.testing.assert_array_equal(
+        fitting._lengths(diff[..., 0], diff[..., 1], diff[..., 2]), dist)
+
+
+# Point counts of 1-3 leave fewer reference rows than CANDIDATES.
+_counts = st.one_of(st.integers(1, 3), st.integers(4, 40))
+
+
+@settings(max_examples=80, deadline=None)
+@given(n_samples=_counts, n_targets=_counts, on_grid=st.booleans(),
+       duplicates=st.booleans(), seed=st.integers(0, 2**32 - 1),
+       moves=st.lists(st.sampled_from([0.0, 1e-9, 1e-3, 0.05, 0.5, 3.0]),
+                      min_size=1, max_size=10))
+def test_cached_assignments_equal_fresh_queries(n_samples, n_targets,
+                                                on_grid, duplicates, seed,
+                                                moves):
+    rng = np.random.default_rng(seed)
+
+    def cloud(n):
+        # Integer coordinates make equidistant neighbors (exact ties).
+        pts = (rng.integers(-2, 3, (n, 3)).astype(float) if on_grid
+               else rng.standard_normal((n, 3)))
+        if duplicates:
+            pts[rng.integers(n, size=n // 2)] = pts[rng.integers(n,
+                                                                size=n // 2)]
+        return pts
+
+    targets = cloud(n_targets)
+    positions = cloud(n_samples)
+    state = _NeighborState(positions, targets)
+    for scale in (0.0, *moves):
+        # Some rows stay put, so duplicated samples stay duplicated.
+        step = scale * (rng.integers(-1, 2, (n_samples, 3)) if on_grid
+                        else rng.standard_normal((n_samples, 3)))
+        positions = positions + step * rng.integers(0, 2, (n_samples, 1))
+        j_pt, j_tp = state.assign(positions)
+        np.testing.assert_array_equal(
+            j_pt, cKDTree(targets).query(positions, k=1)[1])
+        np.testing.assert_array_equal(
+            j_tp, cKDTree(positions).query(targets, k=1)[1])
+
+
+def test_cached_fit_is_bit_identical_to_fresh_queries(monkeypatch):
+    points = _blob(600, seed=19)
+    cage = build_template_cage(points, resolution=2)
+    targets = _affine(_blob(500, seed=20))
+    cfg = FitConfig(iterations=60)
+    cached, rep_a = fit_deformed_cage(points, targets, cage, cfg)
+
+    stateless = fitting.alignment_loss
+    monkeypatch.setattr(fitting, "alignment_loss",
+                        lambda positions, target_points, state=None:
+                        stateless(positions, target_points))
+    fresh, rep_b = fit_deformed_cage(points, targets, cage, cfg)
+    np.testing.assert_array_equal(cached.vertices, fresh.vertices)
+    np.testing.assert_array_equal(rep_a.loss_trace, rep_b.loss_trace)
+    assert rep_a.sample_requeries < rep_a.iterations_run * len(points)
+    assert rep_a.target_requeries < rep_a.iterations_run * len(targets)
+
+
+def test_criterion_7_fit_requeries_under_half_its_rows():
+    # The fit of tests/test_acceptance.py's criterion 7.
+    rng = np.random.default_rng(77)
+    points = 0.6 * rng.standard_normal((5000, 3))
+    targets = _affine(points, angle=0.25, scale=(1.2, 0.9, 1.1),
+                      shift=(0.15, -0.1, 0.2))
+    cage = build_template_cage(points, resolution=2, padding=0.1)
+    _, report = fit_deformed_cage(points, targets, cage,
+                                  FitConfig(iterations=500))
+    rows = report.iterations_run * (len(points) + len(targets))
+    assert report.sample_requeries + report.target_requeries < rows / 2
+    # Every row is queried in the first iteration.
+    assert report.sample_requeries >= len(points)
+    assert report.target_requeries >= len(targets)
 
 
 # ---------------------------------------------------------------------------

@@ -235,6 +235,17 @@ class TestWeights:
         with pytest.raises(ValueError):
             mvc_weights(np.zeros((4, 2)), tet)
 
+    @pytest.mark.parametrize("far", [1e7, 1e12])
+    def test_vanishing_weights_past_the_first_chunk_raise(self, far):
+        # Every triangle's contribution is dropped for such a point, so
+        # its row's total and largest weight are both zero.
+        cage = box_cage(np.zeros(3), np.ones(3), resolution=1)
+        pts = np.full((6001, 3), 0.5)
+        pts[6000] = (far, 0.3, 0.2)
+        assert mvc.CHUNK_PAIRS // len(cage.triangles) < 6000
+        with pytest.raises(ValueError, match="point index 6000;"):
+            mvc_weights(pts, cage)
+
 
 class TestDeformPoints:
     def test_identity_cage_returns_points(self):
