@@ -44,7 +44,7 @@ from typing import NamedTuple
 import numpy as np
 from scipy import sparse
 
-from .cage import CageMesh
+from .cage import CHUNK_PAIRS, CageMesh
 
 # Distance below which a query point is treated as sitting on a cage
 # vertex, as a fraction of the cage bbox diagonal.
@@ -60,11 +60,6 @@ DET_SKIP = 1e-12
 # Pairs with |det| below this are recomputed in extended precision: the
 # Cramer solve loses ~eps/|det| digits to cancellation there.
 DET_REFINE = 1e-6
-# (point, triangle) pairs per chunk: the one bound on mvc_weights' scratch
-# memory, about 13 MiB at any point count. Chosen on 2 cores for the
-# per-triangle kernel, where 2**15 was up to 15% slower and 2**17 and up
-# no faster; ROADMAP item 2 has a re-tune pending for this kernel.
-CHUNK_PAIRS = 2**16
 
 
 @dataclass
@@ -86,7 +81,8 @@ def mvc_weights(points: np.ndarray, cage: CageMesh) -> MVCWeights:
     Points may lie anywhere: inside (all weights positive for convex
     cages), on the surface (barycentric limit), or outside (signed
     weights). Evaluation is chunked to about CHUNK_PAIRS (point,
-    triangle) pairs; rows do not depend on the chunking.
+    triangle) pairs; rows do not depend on the chunking. A point so far
+    outside that its row vanishes or misses it raises ValueError.
     """
     points = np.ascontiguousarray(np.atleast_2d(points), dtype=np.float64)
     if points.ndim != 2 or points.shape[1] != 3:
@@ -98,21 +94,30 @@ def mvc_weights(points: np.ndarray, cage: CageMesh) -> MVCWeights:
         (np.ones(tri.size), (tri.T.ravel(), np.arange(tri.size))),
         shape=(len(cage.vertices), tri.size))
     rows = max(1, CHUNK_PAIRS // max(len(tri), 1))
+    centre, diag = 0.5 * sum(cage.bbox()), cage.bbox_diagonal()
     weights = np.empty((len(points), len(cage.vertices)))
     for lo in range(0, len(points), rows):
+        x = points[lo:lo + rows]
         w = weights[lo:lo + rows]
-        _weights_chunk(points[lo:lo + rows], cage, table, incidence, w)
+        _weights_chunk(x, cage, table, incidence, w)
         total = w.sum(axis=1)
         # A zero total counts too: far enough outside, every triangle's
         # contribution is dropped and the row is all zeros.
         bad = ~np.isfinite(total) \
             | (np.abs(total) <= 1e-12 * np.abs(w).max(axis=1))
+        if not np.any(bad):
+            w /= total[:, None]
+            # Farther out the rows stay finite but stop reproducing their
+            # point: on box cages of resolution 1-6 the relative miss was
+            # at most 1.1e-9 up to 1e3 diagonals out and 0.67 from 1e4 on.
+            miss = np.linalg.norm(w @ cage.vertices - x, axis=1)
+            bad = miss > 1e-6 * np.maximum(
+                diag, np.linalg.norm(x - centre, axis=1))
         if np.any(bad):
             raise ValueError(
                 f"mean value weights vanish at point index "
                 f"{lo + int(np.argmax(bad))}; the query point is too far "
                 "outside the cage")
-        w /= total[:, None]
     return MVCWeights(weights=weights, cage=cage)
 
 

@@ -1,6 +1,10 @@
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from cagewarp import cage as cage_module
 from cagewarp.cage import (
     CageMesh,
     box_cage,
@@ -19,6 +23,76 @@ def unit_tetrahedron():
     vertices = np.array([[0.0, 0, 0], [1, 0, 0], [0, 1, 0], [0, 0, 1]])
     triangles = np.array([[0, 2, 1], [0, 1, 3], [0, 3, 2], [1, 2, 3]])
     return CageMesh(vertices, triangles)
+
+
+def surface_distance_per_triangle(points, cage):
+    """Reference for surface_distance: one pass per triangle."""
+    points = np.atleast_2d(np.asarray(points, dtype=np.float64))
+    best = np.full(len(points), np.inf)
+    v = cage.vertices
+    for t0, t1, t2 in cage.triangles:
+        d2 = _point_triangle_dist2(points, v[t0], v[t1], v[t2])
+        np.minimum(best, d2, out=best)
+    return np.sqrt(best)
+
+
+def _point_triangle_dist2(points, a, b, c):
+    """Squared distances from points (P, 3) to triangle (a, b, c).
+
+    Interior case: distance to the supporting plane when the projection's
+    barycentric coordinates are all non-negative. Otherwise the closest
+    point lies on the boundary, so take the minimum over the three edges.
+    """
+    e0 = b - a
+    e1 = c - a
+    n = np.cross(e0, e1)
+    n_sq = np.dot(n, n)
+    d = points - a
+    h = d @ n                       # (P,) signed plane offset times |n|
+    proj = d - np.outer(h / n_sq, n)
+    # Barycentric via the 2x2 Gram system.
+    g00 = np.dot(e0, e0)
+    g01 = np.dot(e0, e1)
+    g11 = np.dot(e1, e1)
+    p0 = proj @ e0
+    p1 = proj @ e1
+    det = g00 * g11 - g01 * g01
+    s = (g11 * p0 - g01 * p1) / det
+    t = (g00 * p1 - g01 * p0) / det
+    inside = (s >= 0.0) & (t >= 0.0) & (s + t <= 1.0)
+
+    plane_d2 = (h * h) / n_sq
+    edge_d2 = np.minimum(
+        _point_segment_dist2(points, a, b),
+        np.minimum(_point_segment_dist2(points, b, c),
+                   _point_segment_dist2(points, a, c)))
+    return np.where(inside, plane_d2, edge_d2)
+
+
+def _point_segment_dist2(points, a, b):
+    ab = b - a
+    t = np.clip((points - a) @ ab / np.dot(ab, ab), 0.0, 1.0)
+    closest = a + t[:, None] * ab
+    diff = points - closest
+    return np.einsum("ij,ij->i", diff, diff)
+
+
+def query_points(cage, n, seed):
+    """Random points around a cage, and points on its faces, edges and
+    vertices, shuffled together."""
+    rng = np.random.default_rng(seed)
+    v, tri = cage.vertices, cage.triangles
+    lo, hi = cage.bbox()
+    k = rng.integers(0, len(tri), n)
+    corners = v[tri[k]]                                  # (n, 3, 3)
+    s = rng.uniform(0.0, 1.0, (n, 1))
+    pts = np.concatenate([
+        rng.uniform(lo - (hi - lo), hi + (hi - lo), (n, 3)),    # around
+        np.einsum("pk,pkj->pj", rng.dirichlet(np.ones(3), n), corners),
+        corners[:, 0] + s * (corners[:, 1] - corners[:, 0]),     # on edges
+        v[rng.integers(0, len(v), n)],
+    ])
+    return pts[rng.permutation(len(pts))]
 
 
 class TestTemplateCage:
@@ -242,3 +316,71 @@ class TestGeometricQueries:
         w_out = winding_numbers(outside, cage)
         assert np.allclose(w_in, 1.0, atol=1e-10)
         assert np.allclose(w_out, 0.0, atol=1e-10)
+
+
+class TestSurfaceDistanceChunks:
+    @settings(max_examples=30, deadline=None)
+    @given(resolution=st.integers(1, 3), jiggle=st.booleans(),
+           n=st.integers(1, 60), seed=st.integers(0, 2**32 - 1))
+    def test_matches_the_per_triangle_reference_exactly(self, resolution,
+                                                        jiggle, n, seed):
+        rng = np.random.default_rng(seed)
+        cage = build_template_cage(rng.normal(size=(20, 3)),
+                                   resolution=resolution)
+        if jiggle:
+            cage = cage.with_vertices(
+                cage.vertices + 0.02 * cage.bbox_diagonal()
+                * rng.normal(size=cage.vertices.shape))
+        for c in (cage, unit_tetrahedron()):
+            pts = query_points(c, n, seed % 1000)
+            for p in (pts, pts[:1]):
+                assert np.array_equal(surface_distance(p, c),
+                                      surface_distance_per_triangle(p, c))
+
+    @staticmethod
+    def jiggled_box(rng):
+        # Jiggled, so that the dot products have three nonzero terms,
+        # whose rounding depends on the path BLAS takes.
+        cage = box_cage(np.zeros(3), np.ones(3), resolution=2)
+        return cage.with_vertices(
+            cage.vertices + 0.02 * rng.normal(size=cage.vertices.shape))
+
+    @pytest.mark.parametrize("rows", [2, 7, 96])
+    def test_chunk_size_invariance(self, monkeypatch, rows):
+        rng = np.random.default_rng(3)
+        cage = self.jiggled_box(rng)
+        pts = rng.uniform(-0.5, 1.5, (97, 3))
+        d_default = surface_distance(pts, cage)
+        monkeypatch.setattr(cage_module, "CHUNK_PAIRS",
+                            rows * len(cage.triangles))
+        assert np.array_equal(surface_distance(pts, cage), d_default)
+
+    def test_a_one_row_tail_matches_the_reference(self, monkeypatch):
+        # p points in chunks of p - 1 rows leave point p - 1 alone.
+        rng = np.random.default_rng(3)
+        cage = self.jiggled_box(rng)
+        pts = rng.uniform(-0.5, 1.5, (40, 3))
+        for p in range(3, len(pts) + 1):
+            monkeypatch.setattr(cage_module, "CHUNK_PAIRS",
+                                (p - 1) * len(cage.triangles))
+            assert np.array_equal(
+                surface_distance(pts[:p], cage),
+                surface_distance_per_triangle(pts[:p], cage))
+
+    @pytest.mark.parametrize("resolution", [3, 6])
+    def test_scratch_memory_flat_in_point_count(self, resolution):
+        # Scratch is the traced peak beyond the returned distances; chunks
+        # of CHUNK_PAIRS pairs bound it whatever the point count.
+        cage = build_template_cage(np.array([[-1.0] * 3, [1.0] * 3]),
+                                   resolution=resolution)
+        scratch = []
+        for n in (1000, 4000):
+            pts = np.random.default_rng(n).uniform(-0.9, 0.9, (n, 3))
+            tracemalloc.start()
+            try:
+                d = surface_distance(pts, cage)
+                scratch.append(tracemalloc.get_traced_memory()[1] - d.nbytes)
+            finally:
+                tracemalloc.stop()
+        assert max(scratch) < 6 * 2**20
+        assert abs(scratch[1] - scratch[0]) < 0.1 * scratch[0]

@@ -246,6 +246,29 @@ class TestWeights:
         with pytest.raises(ValueError, match="point index 6000;"):
             mvc_weights(pts, cage)
 
+    @pytest.mark.parametrize("far", [1e4, 1e5, 1e6])
+    def test_rows_that_miss_their_point_past_the_first_chunk_raise(self, far):
+        # Such rows are finite with a nonzero total, but w @ V misses the
+        # point by about two thirds of its distance from the cage.
+        cage = box_cage(np.zeros(3), np.ones(3), resolution=1)
+        pts = np.full((6001, 3), 0.5)
+        pts[6000] = (far, 0.3, 0.2)
+        assert mvc.CHUNK_PAIRS // len(cage.triangles) < 6000
+        with pytest.raises(ValueError, match="point index 6000;"):
+            mvc_weights(pts, cage)
+
+    @pytest.mark.parametrize("resolution", [1, 3, 6])
+    def test_rows_up_to_a_thousand_diagonals_out_reproduce(self, resolution):
+        cage = box_cage(np.zeros(3), np.ones(3), resolution=resolution)
+        diag = cage.bbox_diagonal()
+        k = np.array([1.0, 10.0, 100.0, 1000.0])[:, None] * diag
+        pts = np.concatenate([k * [1, 0, 0] + [0.5, 0.3, 0.2],
+                              k * [0, -1, 0] + [0.3, 0, 0.7],
+                              k * np.full(3, 3 ** -0.5) + 1.0])
+        w = mvc_weights(pts, cage).weights
+        miss = np.linalg.norm(w @ cage.vertices - pts, axis=1)
+        assert np.all(miss <= 1e-8 * np.linalg.norm(pts - 0.5, axis=1))
+
 
 class TestDeformPoints:
     def test_identity_cage_returns_points(self):
