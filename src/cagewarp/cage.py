@@ -400,13 +400,19 @@ def _segment_dist2(x, start, ab, ab_sq, offsets):
     """Squared distances from points x to T segments, (T, rows).
 
     offsets is x - start; the closest point start + t ab is formed
-    before the difference, and the squares are summed in np.einsum's
-    order for three terms.
+    before the difference.
     """
     t = np.clip(_matvec(offsets, ab) / ab_sq, 0.0, 1.0)
     diff = [x[:, k] - (start[:, k, None] + t * ab[:, k, None])
             for k in range(3)]
-    return diff[0] * diff[0] + diff[2] * diff[2] + diff[1] * diff[1]
+    return _dot(diff, diff)
+
+
+def _dot(p, q):
+    """Dot products of vectors held as three component arrays, rounded as
+    np.einsum rounds three terms with AVX-512: summed in the order 0, 2,
+    1, and a zero sum is +0.0."""
+    return p[0] * q[0] + p[2] * q[2] + p[1] * q[1] + 0.0
 
 
 def winding_numbers(points: np.ndarray, cage: CageMesh) -> np.ndarray:
@@ -414,20 +420,34 @@ def winding_numbers(points: np.ndarray, cage: CageMesh) -> np.ndarray:
 
     Uses the signed solid angle of each triangle (van Oosterom-Strackee).
     For a closed outward-wound cage the result is ~1 inside and ~0 outside.
+    Chunks of CHUNK_PAIRS // T points are measured against all T triangles
+    at once, and each point's solid angles are summed over the triangles
+    in cage order: the result rounds exactly as a loop over the triangles
+    would, at any chunking.
     """
     points = np.atleast_2d(np.asarray(points, dtype=np.float64))
-    total = np.zeros(len(points))
-    v = cage.vertices
-    for t0, t1, t2 in cage.triangles:
-        a = v[t0] - points
-        b = v[t1] - points
-        c = v[t2] - points
-        la = np.linalg.norm(a, axis=1)
-        lb = np.linalg.norm(b, axis=1)
-        lc = np.linalg.norm(c, axis=1)
-        numer = np.einsum("ij,ij->i", a, np.cross(b, c))
-        denom = (la * lb * lc + np.einsum("ij,ij->i", a, b) * lc
-                 + np.einsum("ij,ij->i", b, c) * la
-                 + np.einsum("ij,ij->i", c, a) * lb)
-        total += 2.0 * np.arctan2(numer, denom)
+    rows = max(1, CHUNK_PAIRS // len(cage.triangles))
+    total = np.empty(len(points))
+    for lo in range(0, len(points), rows):
+        # Accumulation runs down the triangle axis in order even for one
+        # row, where a sum would be pairwise.
+        total[lo:lo + rows] = np.add.accumulate(
+            _solid_angles(points[lo:lo + rows], cage), axis=0)[-1]
     return total / (4.0 * np.pi)
+
+
+def _solid_angles(x, cage):
+    """Signed solid angles of the T triangles seen from points x, (T, rows),
+    from (T, rows) arrays per vector component."""
+    u = cage.vertices.T[:, :, None] - x.T[:, None, :]      # (3, V, rows)
+    length = np.sqrt(u[0] * u[0] + u[1] * u[1] + u[2] * u[2])
+    a, b, c = ([comp[k] for comp in u] for k in cage.triangles.T)
+    la, lb, lc = (length[k] for k in cage.triangles.T)
+    del u, length                                       # bound the scratch
+    bxc = [b[(j + 1) % 3] * c[(j + 2) % 3]
+           - b[(j + 2) % 3] * c[(j + 1) % 3] for j in range(3)]
+    numer = _dot(a, bxc)
+    del bxc
+    denom = la * lb * lc + _dot(a, b) * lc + _dot(b, c) * la \
+        + _dot(c, a) * lb
+    return 2.0 * np.arctan2(numer, denom)

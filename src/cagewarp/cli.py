@@ -81,7 +81,8 @@ def _add_run_flags(parser):
                         help="max sampled centers / target points "
                              "(default 30000)")
     parser.add_argument("--workers", type=int,
-                        help="thread count for the deform stage; "
+                        help="threads that share the deform stage's "
+                             "span pass, the calling thread included; "
                              "0 = all cores (default)")
     parser.add_argument("--center-chunk", type=int, dest="center_chunk",
                         help="splats processed per chunk (default 30000)")

@@ -9,7 +9,7 @@ points for fitting and evaluation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.spatial import cKDTree
@@ -151,18 +151,19 @@ def baseline_bbox_scale(cloud: GaussianCloud, target_lo, target_hi,
     tgt_center = 0.5 * (tgt_lo_i + tgt_hi_i)
     centers = tgt_center + (cloud.centers - src_center) * scale
 
-    moved = replace(cloud.copy(), centers=centers)
     if not update_covariance or np.all(scale == 1.0):
-        return moved
+        return cloud.copy(centers=centers)
     if scale.max() - scale.min() <= 1e-12 * scale.max():
         # Uniform (to rounding) scaling: covariances scale isotropically,
         # so rotations pass through untouched.
-        return replace(moved,
-                       log_scales=cloud.log_scales + np.mean(np.log(scale)))
+        return cloud.copy(
+            centers=centers,
+            log_scales=cloud.log_scales + np.mean(np.log(scale)))
     jac = np.broadcast_to(np.diag(scale), (len(cloud), 3, 3))
     rotations, log_scales = transform_covariance(
         jac, cloud.rotations, cloud.log_scales)
-    return replace(moved, rotations=rotations, log_scales=log_scales)
+    return cloud.copy(centers=centers, rotations=rotations,
+                      log_scales=log_scales)
 
 
 def load_target(path):

@@ -102,15 +102,18 @@ class GaussianCloud:
     def __len__(self) -> int:
         return self.centers.shape[0]
 
-    def copy(self) -> "GaussianCloud":
-        """Deep copy: the new cloud shares no array with this one.
+    def copy(self, **changes) -> "GaussianCloud":
+        """Deep copy, with the fields named in changes set to the given
+        arrays: the new cloud shares no array with this one unless changes
+        pass one in.
 
-        Derived clouds start here and swap in their new fields with
-        dataclasses.replace, so untouched fields are never aliased.
+        Derived clouds start here, so untouched fields are never aliased
+        and replaced ones are never copied first.
         """
         return dataclasses.replace(self, **{
             f.name: getattr(self, f.name).copy()
-            for f in dataclasses.fields(self)})
+            for f in dataclasses.fields(self) if f.name not in changes},
+            **changes)
 
     def bbox(self) -> tuple[np.ndarray, np.ndarray]:
         """Axis-aligned bounding box of the centers."""

@@ -36,6 +36,31 @@ def surface_distance_per_triangle(points, cage):
     return np.sqrt(best)
 
 
+def winding_numbers_per_triangle(points, cage):
+    """Reference for winding_numbers: one pass per triangle."""
+    points = np.atleast_2d(np.asarray(points, dtype=np.float64))
+    total = np.zeros(len(points))
+    v = cage.vertices
+    for t0, t1, t2 in cage.triangles:
+        a = v[t0] - points
+        b = v[t1] - points
+        c = v[t2] - points
+        la = np.linalg.norm(a, axis=1)
+        lb = np.linalg.norm(b, axis=1)
+        lc = np.linalg.norm(c, axis=1)
+        numer = np.einsum("ij,ij->i", a, np.cross(b, c))
+        denom = (la * lb * lc + np.einsum("ij,ij->i", a, b) * lc
+                 + np.einsum("ij,ij->i", b, c) * la
+                 + np.einsum("ij,ij->i", c, a) * lb)
+        total += 2.0 * np.arctan2(numer, denom)
+    return total / (4.0 * np.pi)
+
+
+def same_bits(a, b):
+    """Equal to the bit, the sign of a zero included."""
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
 def _point_triangle_dist2(points, a, b, c):
     """Squared distances from points (P, 3) to triangle (a, b, c).
 
@@ -384,3 +409,47 @@ class TestSurfaceDistanceChunks:
                 tracemalloc.stop()
         assert max(scratch) < 6 * 2**20
         assert abs(scratch[1] - scratch[0]) < 0.1 * scratch[0]
+
+
+class TestWindingNumberChunks:
+    @settings(max_examples=30, deadline=None)
+    @given(resolution=st.integers(1, 3), jiggle=st.booleans(),
+           n=st.integers(1, 60), seed=st.integers(0, 2**32 - 1))
+    def test_matches_the_per_triangle_reference_exactly(self, resolution,
+                                                        jiggle, n, seed):
+        # query_points puts points on faces, edges and vertices, where a
+        # solid angle is +-pi or 0 and the sign of a zero decides which.
+        rng = np.random.default_rng(seed)
+        cage = build_template_cage(rng.normal(size=(20, 3)),
+                                   resolution=resolution)
+        if jiggle:
+            cage = cage.with_vertices(
+                cage.vertices + 0.02 * cage.bbox_diagonal()
+                * rng.normal(size=cage.vertices.shape))
+        for c in (cage, unit_tetrahedron()):
+            pts = query_points(c, n, seed % 1000)
+            for p in (pts, pts[:1]):
+                assert same_bits(winding_numbers(p, c),
+                                 winding_numbers_per_triangle(p, c))
+
+    @pytest.mark.parametrize("rows", [1, 2, 7, 96])
+    def test_chunk_size_invariance(self, monkeypatch, rows):
+        rng = np.random.default_rng(4)
+        cage = TestSurfaceDistanceChunks.jiggled_box(rng)
+        pts = query_points(cage, 25, seed=5)
+        w_default = winding_numbers(pts, cage)
+        monkeypatch.setattr(cage_module, "CHUNK_PAIRS",
+                            rows * len(cage.triangles))
+        assert same_bits(winding_numbers(pts, cage), w_default)
+
+    def test_a_one_row_tail_matches_the_reference(self, monkeypatch):
+        # p points in chunks of p - 1 rows leave point p - 1 alone, and
+        # a one-row chunk must still sum its triangles in order.
+        rng = np.random.default_rng(6)
+        cage = build_template_cage(rng.normal(size=(20, 3)), resolution=3)
+        pts = query_points(cage, 10, seed=7)
+        for p in range(2, len(pts) + 1):
+            monkeypatch.setattr(cage_module, "CHUNK_PAIRS",
+                                (p - 1) * len(cage.triangles))
+            assert same_bits(winding_numbers(pts[:p], cage),
+                             winding_numbers_per_triangle(pts[:p], cage))

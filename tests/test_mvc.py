@@ -10,6 +10,7 @@ from cagewarp.cage import CageMesh, box_cage, build_template_cage
 from cagewarp.errors import NearSurfaceError, TopologyMismatchError
 from cagewarp.mvc import MVCWeights, deform_points, mvc_weights
 
+from conftest import cage_pair
 from jacobian_oracle import mvc_gradient
 
 
@@ -17,6 +18,14 @@ def regular_tetrahedron():
     vertices = np.array([[1.0, 1, 1], [1, -1, -1], [-1, 1, -1], [-1, -1, 1]])
     triangles = np.array([[0, 1, 2], [0, 2, 3], [0, 3, 1], [1, 3, 2]])
     return CageMesh(vertices, triangles)
+
+
+def relabelled(cage, seed):
+    """The same cage with its vertices numbered in a random order."""
+    perm = np.random.default_rng(seed).permutation(len(cage.vertices))
+    vertices = np.empty_like(cage.vertices)
+    vertices[perm] = cage.vertices
+    return CageMesh(vertices, perm[cage.triangles])
 
 
 def interior_points(cage, n, seed, margin=0.25):
@@ -268,6 +277,34 @@ class TestWeights:
         w = mvc_weights(pts, cage).weights
         miss = np.linalg.norm(w @ cage.vertices - pts, axis=1)
         assert np.all(miss <= 1e-8 * np.linalg.norm(pts - 0.5, axis=1))
+
+
+class TestEdgeTable:
+    @staticmethod
+    def edge_table_by_rows(tri):
+        """Reference: np.unique over the sorted vertex pairs as rows."""
+        a, b = tri[:, [1, 2, 0]].T, tri[:, [2, 0, 1]].T
+        pairs = np.stack([np.minimum(a, b), np.maximum(a, b)], axis=-1)
+        edges, opposite = np.unique(pairs.reshape(-1, 2), axis=0,
+                                    return_inverse=True)
+        return edges, opposite.reshape(3, -1)
+
+    @pytest.mark.parametrize("cage", [
+        box_cage(np.zeros(3), np.ones(3), 1),
+        box_cage(np.zeros(3), np.ones(3), 3),
+        box_cage(np.zeros(3), np.ones(3), 6),
+        cage_pair(seed=5, resolution=3)[1],
+        regular_tetrahedron(),
+        relabelled(box_cage(np.zeros(3), np.ones(3), 3), seed=9),
+    ], ids=["res1", "res3", "res6", "jiggled", "tetrahedron", "relabelled"])
+    def test_matches_unique_rows(self, cage):
+        table = mvc._edge_table(cage.triangles)
+        edges, opposite = self.edge_table_by_rows(cage.triangles)
+        assert table.edges.dtype == edges.dtype
+        assert np.array_equal(table.edges, edges)
+        assert np.array_equal(table.opposite, opposite)
+        # 3T corners see each of the 3T / 2 edges twice.
+        assert len(edges) == 1.5 * len(cage.triangles)
 
 
 class TestDeformPoints:

@@ -51,6 +51,18 @@ class TestCloudValidation:
                           cloud.opacity_logits, cloud.sh_dc, cloud.sh_rest)
 
 
+    def test_copy_takes_changed_fields_as_given(self):
+        cloud = random_cloud(6)
+        centers = cloud.centers + 1.0
+        out = cloud.copy(centers=centers)
+        assert out.centers is centers
+        for name in ("log_scales", "rotations", "opacity_logits", "sh_dc",
+                     "sh_rest"):
+            assert np.array_equal(getattr(out, name), getattr(cloud, name))
+            assert not np.shares_memory(getattr(out, name),
+                                        getattr(cloud, name)), name
+
+
 class TestCovariance:
     def test_identity_rotation_gives_diagonal(self):
         log_scale = np.array([0.1, -0.3, 0.7])

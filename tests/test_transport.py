@@ -1,4 +1,7 @@
+import collections
 import dataclasses
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -369,16 +372,102 @@ class TestDeformCloud:
         (True, 1.1), (False, 1.1), (True, 1.0)])
     def test_output_shares_no_memory_with_input(self, update_covariance,
                                                 scale):
-        # scale 1.0 takes the identical-cage short circuit.
+        # scale 1.0 takes the identical-cage short circuit. Fields that
+        # pass through are copied bit for bit.
         cloud = random_cloud(60, seed=43)
         source = build_template_cage(cloud.centers, resolution=2)
         deformed = source.with_vertices(source.vertices * scale,
                                         validate=False)
-        out, _ = deform_cloud(cloud, source, deformed, m=20,
-                              update_covariance=update_covariance)
-        for f in dataclasses.fields(cloud):
-            assert not np.shares_memory(getattr(out, f.name),
-                                        getattr(cloud, f.name)), f.name
+        full, field = deform_cloud(cloud, source, deformed, m=20,
+                                   update_covariance=update_covariance)
+        half, _ = blend_deformation(cloud, full, field, 0.5)
+        passed = {"opacity_logits", "sh_dc", "sh_rest"}
+        if field is None:
+            passed |= {"rotations", "log_scales"}
+        for out in (full, half):
+            for f in dataclasses.fields(cloud):
+                new, old = getattr(out, f.name), getattr(cloud, f.name)
+                assert not np.shares_memory(new, old), f.name
+                if f.name in passed:
+                    assert new.tobytes() == old.tobytes(), f.name
+
+
+class TestSharedSpanPass:
+    """workers threads share the span pass, the calling thread included."""
+
+    @staticmethod
+    def scene():
+        cloud = random_cloud(100, seed=47)
+        source = build_template_cage(cloud.centers, resolution=2)
+        deformed = source.with_vertices(source.vertices * 1.1 + 0.1,
+                                        validate=False)
+        return cloud, source, deformed
+
+    @pytest.mark.parametrize("spans", [1, 2, 3, 4, 5])
+    def test_bits_do_not_depend_on_workers(self, spans):
+        cloud, source, deformed = self.scene()
+        chunk = -(-len(cloud) // spans)
+        outs = {}
+        # Frequent thread switches, so that a span written by two threads
+        # or by none would show in the bytes.
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for workers in (1, 2, 3, 8):
+                full, field = deform_cloud(cloud, source, deformed, m=30,
+                                           center_chunk=chunk,
+                                           workers=workers)
+                half, _ = blend_deformation(cloud, full, field, 0.5,
+                                            center_chunk=chunk,
+                                            workers=workers)
+                outs[workers] = [getattr(c, name).tobytes()
+                                 for c in (full, half)
+                                 for name in ("centers", "rotations",
+                                              "log_scales")]
+        finally:
+            sys.setswitchinterval(interval)
+        assert all(out == outs[1] for out in outs.values())
+
+    @pytest.mark.parametrize("where", ["caller", "pool"])
+    def test_a_failing_span_raises(self, monkeypatch, where):
+        cloud, source, deformed = self.scene()
+        caller = threading.current_thread()
+
+        def failing(jacobians, rotations, log_scales):
+            if (threading.current_thread() is caller) == (where == "caller"):
+                raise RuntimeError(f"span in the {where}")
+            return transform_covariance(jacobians, rotations, log_scales)
+
+        monkeypatch.setattr(transport, "transform_covariance", failing)
+        with pytest.raises(RuntimeError, match=where):
+            deform_cloud(cloud, source, deformed, m=30, center_chunk=25,
+                         workers=3)
+
+    @pytest.mark.parametrize("workers, spans", [
+        (1, 4), (2, 1), (2, 4), (3, 5), (8, 3)])
+    def test_at_most_workers_minus_one_threads_start(self, monkeypatch,
+                                                     workers, spans):
+        cloud, source, deformed = self.scene()
+        before = len(threading.enumerate())
+        alive, ran = [], collections.Counter()
+
+        def counted(jacobians, rotations, log_scales):
+            alive.append(len(threading.enumerate()))
+            ran[threading.current_thread()] += 1
+            return transform_covariance(jacobians, rotations, log_scales)
+
+        monkeypatch.setattr(transport, "transform_covariance", counted)
+        deform_cloud(cloud, source, deformed, m=30,
+                     center_chunk=-(-len(cloud) // spans), workers=workers)
+        # n = min(workers, spans) threads at most, the caller included: one
+        # span or one worker builds no pool. The caller runs every n-th
+        # span itself, not just the first; an idle pool thread may take
+        # two shares.
+        n = min(workers, spans)
+        assert max(alive) - before <= n - 1
+        assert sum(ran.values()) == spans
+        assert ran[threading.current_thread()] == len(range(0, spans, n))
+        assert len(ran) <= n
 
 
 class TestBlendDeformation:
