@@ -58,9 +58,14 @@ def main():
     config = FitConfig(iterations=300)
     fitted, report = fit_deformed_cage(samples, target_points, cage, config)
     print(f"fit ran {report.iterations_run} iterations "
-          f"(converged={report.converged})")
-    print(f"chamfer: start {report.loss_trace[0, 1]:.5f} -> "
-          f"final {report.final_chamfer:.5f}")
+          f"(converged={report.converged}): {report.coarse_iterations} on "
+          f"{report.coarse_samples} samples and {report.coarse_targets} "
+          f"targets, then {len(report.loss_trace)} on all of them")
+    # the cage at rest reproduces the samples, so this is the chamfer the
+    # fit starts from, on the same points as the final one
+    print(f"chamfer: start {chamfer_distance(samples, target_points):.5f} "
+          f"-> after the coarse stage {report.loss_trace[0, 1]:.5f} "
+          f"-> final {report.final_chamfer:.5f}")
 
     # two independent draws never align exactly; the true transform sets
     # the floor any fit can reach

@@ -19,6 +19,15 @@ the nearest listed candidate is the exact nearest neighbor when it is
 strictly nearer than the second one and than reach - slack, both with a
 relative CERTIFY_MARGIN for rounding. Only the other rows are queried
 again, and the assignments equal those of fresh queries.
+
+The descent runs coarse to fine (sampling for ICP after Rusinkiewicz &
+Levoy 2001). A coarse stage descends on every COARSE_STRIDE-th row of
+the k-d order of the samples and of the targets, a spatially stratified
+tenth of each; a few dozen cage vertices are as well determined by it as
+by every row. A refine stage then starts from the coarse stage's best
+offsets and descends on all rows, with fresh Adam moments and the step
+scaled by REFINE_STEP: Adam moves each offset by up to about its step
+per iteration (Kingma & Ba 2015), so a full step keeps it from settling.
 """
 
 from __future__ import annotations
@@ -46,16 +55,25 @@ CONVERGENCE_WINDOW = 20
 # a listed candidate must win to be certified without a k-d query.
 CANDIDATES = 4
 CERTIFY_MARGIN = 1e-12
+# The coarse stage's row stride; the iterations of the budget it leaves to
+# the refine stage; the refine stage's step as a share of the coarse one;
+# and the rows per cage vertex both coarse subsets need, or the fit runs
+# the refine stage alone.
+COARSE_STRIDE = 10
+REFINE_ITERATIONS = 40
+REFINE_STEP = 0.5
+COARSE_ROWS_PER_VERTEX = 10
 
 
 @dataclass
 class FitConfig:
     """Knobs for fit_deformed_cage.
 
-    step_size is relative to the source cage diagonal. normal_weight
-    scales the face-flip penalty against the alignment term; it is the
-    objective's one free ratio, since Adam's steps do not change when
-    both terms are scaled alike.
+    iterations bounds both stages of the fit together. step_size is
+    relative to the source cage diagonal. normal_weight scales the
+    face-flip penalty against the alignment term; it is the objective's
+    one free ratio, since Adam's steps do not change when both terms are
+    scaled alike.
     """
 
     iterations: int = 500
@@ -71,19 +89,30 @@ class FitReport:
     loss_trace columns are total, alignment and flip penalty, the last
     already multiplied by normal_weight, so the last two sum to the first.
     best_trace is the running minimum of the total; final_chamfer is the
-    alignment term (a chamfer distance) of the best-loss iterate.
+    alignment term (a chamfer distance) of the best-loss iterate. Both
+    traces cover the refine stage only, whose losses are taken on every
+    row; iterations_run counts both stages, coarse_iterations the coarse
+    one, on coarse_samples samples and coarse_targets targets (all 0 when
+    it was skipped).
     outside_fraction is the share of source samples outside the source cage.
-    sample_requeries and target_requeries count the rows, summed over
-    iterations, whose nearest neighbor took a k-d query because no bound
-    proved it unchanged; every row is queried in the first iteration.
+    sample_rows and target_rows count the rows whose nearest neighbor was
+    assigned, summed over iterations; sample_requeries and
+    target_requeries count those that took a k-d query because no bound
+    proved them unchanged. Every row is queried in a stage's first
+    iteration.
     """
 
-    loss_trace: np.ndarray          # (K, 3)
-    best_trace: np.ndarray          # (K,)
+    loss_trace: np.ndarray          # (iterations_run - coarse_iterations, 3)
+    best_trace: np.ndarray          # (iterations_run - coarse_iterations,)
     final_chamfer: float
     iterations_run: int
     converged: bool
     outside_fraction: float = 0.0
+    coarse_iterations: int = 0
+    coarse_samples: int = 0
+    coarse_targets: int = 0
+    sample_rows: int = 0
+    target_rows: int = 0
     sample_requeries: int = 0
     target_requeries: int = 0
 
@@ -232,6 +261,70 @@ def _normal_term(vertices: np.ndarray, triangles: np.ndarray,
     return loss, grad
 
 
+def _stratified_rows(order: np.ndarray) -> np.ndarray:
+    """Every COARSE_STRIDE-th row of a k-d order, sorted: one row from each
+    run of COARSE_STRIDE neighbouring rows, so the subset spreads over the
+    set as the set does."""
+    return np.sort(order[::COARSE_STRIDE])
+
+
+@dataclass
+class _Descent:
+    """What one stage of the fit's descent found."""
+
+    best_delta: np.ndarray
+    best_align: float
+    trace: list
+    best_trace: list
+    converged: bool
+
+
+def _descend(weight_matrix, targets, neighbors, source_cage, source_normals,
+             config, alpha, delta, budget, first):
+    """Adam on the cage vertex offsets, from delta with fresh moments, for
+    at most budget iterations. Iterations are numbered from first + 1 in
+    a FitDivergedError."""
+    adam_m = np.zeros_like(delta)
+    adam_v = np.zeros_like(delta)
+    best_loss = np.inf
+    out = _Descent(delta.copy(), np.nan, [], [], False)
+
+    for it in range(1, budget + 1):
+        cage_now = source_cage.vertices + delta
+        moved = weight_matrix @ cage_now
+        # Positions past ~1e150 overflow squared distances downstream; the
+        # comparison is False for NaN too, so this catches every blow-up.
+        if not np.all(np.abs(moved) < 1e150):
+            raise FitDivergedError(first + it)
+        align, grad_pts = alignment_loss(moved, targets, neighbors)
+        normal, grad_normal = _normal_term(cage_now, source_cage.triangles,
+                                           source_normals)
+        normal = config.normal_weight * normal
+        total = align + normal
+        if not np.isfinite(total):
+            raise FitDivergedError(first + it)
+        out.trace.append((total, align, normal))
+        if total < best_loss:
+            best_loss, out.best_align = total, align
+            out.best_delta = delta.copy()
+        out.best_trace.append(best_loss)
+
+        grad = weight_matrix.T @ grad_pts + config.normal_weight * grad_normal
+        adam_m = ADAM_DECAY1 * adam_m + (1.0 - ADAM_DECAY1) * grad
+        adam_v = ADAM_DECAY2 * adam_v + (1.0 - ADAM_DECAY2) * grad * grad
+        m_hat = adam_m / (1.0 - ADAM_DECAY1 ** it)
+        v_hat = adam_v / (1.0 - ADAM_DECAY2 ** it)
+        delta = delta - alpha * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
+
+        if len(out.best_trace) > CONVERGENCE_WINDOW:
+            then = out.best_trace[-CONVERGENCE_WINDOW - 1]
+            if (then - best_loss) < config.convergence_tol * max(abs(then),
+                                                                 1e-300):
+                out.converged = True
+                break
+    return out
+
+
 def fit_deformed_cage(source, target, source_cage: CageMesh,
                       config: FitConfig | None = None):
     """Optimize deformed cage vertices so the source matches the target.
@@ -240,10 +333,15 @@ def fit_deformed_cage(source, target, source_cage: CageMesh,
     subsample with metrics.sample_points beforehand, which also turns a
     TriangleMesh target into points.
 
+    config.iterations bounds both stages together. The coarse stage may
+    take all but REFINE_ITERATIONS of them; it is skipped when that leaves
+    it none or either coarse subset has fewer than COARSE_ROWS_PER_VERTEX
+    rows per cage vertex.
+
     Returns (deformed_cage, FitReport). The returned cage carries the
-    best-loss vertices seen, not necessarily the last iterate. Raises
-    ValueError for fewer than one iteration and FitDivergedError if the
-    loss leaves the realm of finite numbers.
+    refine stage's best-loss vertices, not necessarily the last iterate.
+    Raises ValueError for fewer than one iteration and FitDivergedError if
+    the loss leaves the realm of finite numbers.
     """
     config = config or FitConfig()
     if config.iterations < 1:
@@ -263,62 +361,50 @@ def fit_deformed_cage(source, target, source_cage: CageMesh,
     source_normals = source_cage.face_normals()
 
     neighbors = _NeighborState(samples, targets)
-    n_vert = len(source_cage.vertices)
-    delta = np.zeros((n_vert, 3))
-    adam_m = np.zeros_like(delta)
-    adam_v = np.zeros_like(delta)
+    sample_sub = _stratified_rows(neighbors.sample_order)
+    target_sub = _stratified_rows(neighbors.target_tree.indices)
+    delta = np.zeros((len(source_cage.vertices), 3))
     alpha = config.step_size * source_cage.bbox_diagonal()
 
-    best_loss = np.inf
-    best_delta = delta.copy()
-    trace = []
-    best_trace = []
-    converged = False
+    coarse_iterations = coarse_samples = coarse_targets = 0
+    states = [neighbors]
+    floor = COARSE_ROWS_PER_VERTEX * len(source_cage.vertices)
+    if config.iterations > REFINE_ITERATIONS \
+            and min(len(sample_sub), len(target_sub)) >= floor:
+        states.append(_NeighborState(samples[sample_sub],
+                                     targets[target_sub]))
+        coarse = _descend(weight_matrix[sample_sub], targets[target_sub],
+                          states[-1], source_cage, source_normals, config,
+                          alpha, delta, config.iterations - REFINE_ITERATIONS,
+                          0)
+        delta = coarse.best_delta
+        alpha = REFINE_STEP * alpha
+        coarse_iterations = len(coarse.trace)
+        coarse_samples, coarse_targets = len(sample_sub), len(target_sub)
 
-    for it in range(1, config.iterations + 1):
-        cage_now = source_cage.vertices + delta
-        moved = weight_matrix @ cage_now
-        # Positions past ~1e150 overflow squared distances downstream; the
-        # comparison is False for NaN too, so this catches every blow-up.
-        if not np.all(np.abs(moved) < 1e150):
-            raise FitDivergedError(it)
-        align, grad_pts = alignment_loss(moved, targets, neighbors)
-        normal, grad_normal = _normal_term(cage_now, source_cage.triangles,
-                                           source_normals)
-        normal = config.normal_weight * normal
-        total = align + normal
-        if not np.isfinite(total):
-            raise FitDivergedError(it)
-        trace.append((total, align, normal))
-        if total < best_loss:
-            best_loss, best_align = total, align
-            best_delta = delta.copy()
-        best_trace.append(best_loss)
+    refine = _descend(weight_matrix, targets, neighbors, source_cage,
+                      source_normals, config, alpha, delta,
+                      config.iterations - coarse_iterations,
+                      coarse_iterations)
+    refine_iterations = len(refine.trace)
 
-        grad = weight_matrix.T @ grad_pts + config.normal_weight * grad_normal
-        adam_m = ADAM_DECAY1 * adam_m + (1.0 - ADAM_DECAY1) * grad
-        adam_v = ADAM_DECAY2 * adam_v + (1.0 - ADAM_DECAY2) * grad * grad
-        m_hat = adam_m / (1.0 - ADAM_DECAY1 ** it)
-        v_hat = adam_v / (1.0 - ADAM_DECAY2 ** it)
-        delta = delta - alpha * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
-
-        if len(best_trace) > CONVERGENCE_WINDOW:
-            then = best_trace[-CONVERGENCE_WINDOW - 1]
-            if (then - best_loss) < config.convergence_tol * max(abs(then),
-                                                                 1e-300):
-                converged = True
-                break
-
-    fitted = source_cage.with_vertices(source_cage.vertices + best_delta,
-                                       validate=False)
+    fitted = source_cage.with_vertices(
+        source_cage.vertices + refine.best_delta, validate=False)
     report = FitReport(
-        loss_trace=np.asarray(trace),
-        best_trace=np.asarray(best_trace),
-        final_chamfer=best_align,
-        iterations_run=len(trace),
-        converged=converged,
+        loss_trace=np.asarray(refine.trace),
+        best_trace=np.asarray(refine.best_trace),
+        final_chamfer=refine.best_align,
+        iterations_run=coarse_iterations + refine_iterations,
+        converged=refine.converged,
         outside_fraction=outside_fraction,
-        sample_requeries=neighbors.to_target.requeries,
-        target_requeries=neighbors.to_sample.requeries,
+        coarse_iterations=coarse_iterations,
+        coarse_samples=coarse_samples,
+        coarse_targets=coarse_targets,
+        sample_rows=coarse_iterations * coarse_samples
+        + refine_iterations * len(samples),
+        target_rows=coarse_iterations * coarse_targets
+        + refine_iterations * len(targets),
+        sample_requeries=sum(s.to_target.requeries for s in states),
+        target_requeries=sum(s.to_sample.requeries for s in states),
     )
     return fitted, report

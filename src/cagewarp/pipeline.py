@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import json
 import logging
+import math
 import numbers
 import os
 import time
@@ -95,6 +96,9 @@ class PipelineConfig:
                 if kind and (not isinstance(value, kind)
                              or isinstance(value, bool) != (kind is bool)):
                     raise ValueError(f"{prefix}{f.name} must be {f.type}, "
+                                     f"got {value!r}")
+                if kind is numbers.Real and not math.isfinite(value):
+                    raise ValueError(f"{prefix}{f.name} must be finite, "
                                      f"got {value!r}")
         if mode == "apply-cage" and self.cage_in is None:
             raise ValueError("apply-cage needs cage_in (source cage, "
@@ -249,7 +253,8 @@ def _write_json(path: Path, payload: dict) -> None:
 def _write_fit_trace(path: Path, report) -> None:
     lines = ["iteration,total,alignment,flip_penalty,best"]
     for i, (row, best) in enumerate(zip(report.loss_trace,
-                                        report.best_trace), start=1):
+                                        report.best_trace),
+                                    start=report.coarse_iterations + 1):
         cells = ",".join(repr(float(v)) for v in (*row, best))
         lines.append(f"{i},{cells}")
     path.write_text("\n".join(lines) + "\n", encoding="ascii")
@@ -364,15 +369,15 @@ def _execute(config: PipelineConfig, mode: str, run: _Run) -> dict:
                 tgt_frame.from_canonical(fitted_canonical.vertices),
                 validate=False)
             logger.info(
-                "fit: %d iterations, converged=%s, chamfer %.3e "
-                "(normalized frame)", report.iterations_run,
+                "fit: %d iterations (%d on %d samples and %d targets, then "
+                "all rows), converged=%s, chamfer %.3e (normalized frame)",
+                report.iterations_run, report.coarse_iterations,
+                report.coarse_samples, report.coarse_targets,
                 report.converged, report.final_chamfer)
             logger.info(
                 "fit: k-d queries for %d of %d sample rows and %d of %d "
-                "target rows", report.sample_requeries,
-                report.iterations_run * len(samples),
-                report.target_requeries,
-                report.iterations_run * len(target_points))
+                "target rows", report.sample_requeries, report.sample_rows,
+                report.target_requeries, report.target_rows)
 
         with run.stage("write-cages"):
             src_path = run.claim("source_cage.obj")
@@ -445,6 +450,9 @@ def _execute(config: PipelineConfig, mode: str, run: _Run) -> dict:
             "converged": report.converged,
             "final_chamfer_normalized": report.final_chamfer,
             "outside_fraction": report.outside_fraction,
+            "coarse_iterations": report.coarse_iterations,
+            "coarse_samples": report.coarse_samples,
+            "coarse_targets": report.coarse_targets,
         }
     with run.stage("metrics"):
         _write_json(run.claim("metrics.json"), summary)

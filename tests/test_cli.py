@@ -165,13 +165,17 @@ def test_config_file_supplies_defaults_cli_overrides(model_files, tmp_path,
     {"jacobian_sites": 2.5}, {"fit": {"iterations": 2.5}}, {"seed": 1.5},
     {"center_chunk": 100.5}, {"seed": True}, {"cage_padding": "0.1"},
     {"source": 1.5}, {"source": ["model.ply"]}, {"target": 7},
-    {"fit": 5}, {"fit": None},
+    {"fit": 5}, {"fit": None}, {"fit": {"convergence_tol": float("inf")}},
+    {"fit": {"step_size": float("inf")}}, {"cage_padding": float("inf")},
+    {"fit": {"normal_weight": float("nan")}},
+    {"fit": {"step_size": float("-inf")}},
 ], ids=["lambdas-number", "lambdas-text", "lambdas-bad-item",
         "cage_in-number", "update_covariance-text", "workers-float",
         "jacobian_sites-float", "fit-iterations-float", "seed-float",
         "center_chunk-float", "seed-bool", "cage_padding-text",
         "source-float", "source-list", "target-number", "fit-number",
-        "fit-null"])
+        "fit-null", "fit-convergence_tol-inf", "fit-step_size-inf",
+        "cage_padding-inf", "fit-normal_weight-nan", "fit-step_size-neg-inf"])
 def test_config_value_of_wrong_type_exits_two(model_files, tmp_path, extra):
     source, _ = model_files
     out = tmp_path / "o"

@@ -146,11 +146,152 @@ def test_criterion_7_fit_requeries_under_half_its_rows():
     cage = build_template_cage(points, resolution=2, padding=0.1)
     _, report = fit_deformed_cage(points, targets, cage,
                                   FitConfig(iterations=500))
-    rows = report.iterations_run * (len(points) + len(targets))
+    assert report.coarse_iterations > 0
+    rows = report.sample_rows + report.target_rows
     assert report.sample_requeries + report.target_requeries < rows / 2
     # Every row is queried in the first iteration.
     assert report.sample_requeries >= len(points)
     assert report.target_requeries >= len(targets)
+
+
+# ---------------------------------------------------------------------------
+# coarse-to-fine descent
+
+
+def _single_stage_trace(points, targets, cage, cfg):
+    """Adam on the cage offsets with fresh k-d queries: the fit as one
+    descent on every row, with no convergence test."""
+    weights = mvc_weights(points, cage).weights
+    n0 = cage.face_normals()
+    alpha = cfg.step_size * cage.bbox_diagonal()
+    b1, b2 = fitting.ADAM_DECAY1, fitting.ADAM_DECAY2
+    delta = np.zeros_like(cage.vertices)
+    m, v = np.zeros_like(delta), np.zeros_like(delta)
+    trace = []
+    for it in range(1, cfg.iterations + 1):
+        verts = cage.vertices + delta
+        align, grad_pts = alignment_loss(weights @ verts, targets)
+        normal, grad_n = _normal_term(verts, cage.triangles, n0)
+        normal = cfg.normal_weight * normal
+        trace.append((align + normal, align, normal))
+        grad = weights.T @ grad_pts + cfg.normal_weight * grad_n
+        m = b1 * m + (1.0 - b1) * grad
+        v = b2 * v + (1.0 - b2) * grad * grad
+        delta = delta - alpha * (m / (1.0 - b1 ** it)) / (
+            np.sqrt(v / (1.0 - b2 ** it)) + fitting.ADAM_EPS)
+    return np.asarray(trace)
+
+
+def test_stratified_subsets_are_nested_sorted_and_deterministic():
+    points = _blob(2345, seed=21)
+    state = _NeighborState(points, _affine(points))
+    again = _NeighborState(points, _affine(points))
+    for order, order_again in ((state.sample_order, again.sample_order),
+                               (state.target_tree.indices,
+                                again.target_tree.indices)):
+        rows = fitting._stratified_rows(order)
+        assert len(rows) == -(-len(points) // fitting.COARSE_STRIDE)
+        assert np.all(np.diff(rows) > 0)          # sorted, no repeats
+        assert np.all((rows >= 0) & (rows < len(points)))
+        # One row from every run of COARSE_STRIDE rows of the k-d order.
+        picked = np.isin(order, rows)
+        np.testing.assert_array_equal(
+            np.add.reduceat(picked, np.arange(0, len(order),
+                                              fitting.COARSE_STRIDE)), 1)
+        np.testing.assert_array_equal(
+            fitting._stratified_rows(order_again), rows)
+
+
+@pytest.mark.parametrize("n_points, coarse", [(2590, False), (2600, True)])
+def test_below_the_row_floor_the_fit_is_one_descent(n_points, coarse):
+    # A res-2 cage has 26 vertices, so each coarse subset needs 260 rows:
+    # ceil(2590 / 10) = 259 is one short.
+    points = _blob(n_points, seed=22)
+    targets = _affine(_blob(n_points, seed=23))
+    cage = build_template_cage(points, resolution=2)
+    cfg = FitConfig(iterations=45, convergence_tol=0.0)
+    _, report = fit_deformed_cage(points, targets, cage, cfg)
+    assert (report.coarse_iterations > 0) == coarse
+    if not coarse:
+        np.testing.assert_array_equal(
+            report.loss_trace, _single_stage_trace(points, targets, cage, cfg))
+        assert report.coarse_samples == report.coarse_targets == 0
+        assert report.sample_rows == report.iterations_run * n_points
+
+
+def test_a_budget_of_the_refine_reserve_skips_the_coarse_stage():
+    points = _blob(3000, seed=24)
+    targets = _affine(points)
+    cage = build_template_cage(points, resolution=2)
+    cfg = FitConfig(iterations=fitting.REFINE_ITERATIONS,
+                    convergence_tol=0.0)
+    _, report = fit_deformed_cage(points, targets, cage, cfg)
+    assert report.coarse_iterations == 0
+    np.testing.assert_array_equal(
+        report.loss_trace, _single_stage_trace(points, targets, cage, cfg))
+
+
+def test_refine_starts_from_the_coarse_best(monkeypatch):
+    points = _blob(3000, seed=25)
+    targets = _affine(_blob(3000, seed=26))
+    cage = build_template_cage(points, resolution=2)
+    cfg = FitConfig(iterations=70)
+    calls = []
+    descend = fitting._descend
+
+    def recording(*args):
+        calls.append((args, descend(*args)))
+        return calls[-1][1]
+
+    monkeypatch.setattr(fitting, "_descend", recording)
+    fitted, report = fit_deformed_cage(points, targets, cage, cfg)
+    (c_args, coarse), (r_args, refine) = calls
+    # (weights, targets, neighbors, cage, normals, config, alpha, delta,
+    #  budget, first)
+    assert len(c_args[0]) == report.coarse_samples == 300
+    assert len(c_args[1]) == report.coarse_targets == 300
+    assert c_args[8] == cfg.iterations - fitting.REFINE_ITERATIONS
+    assert report.coarse_iterations == len(coarse.trace)
+    assert r_args[6] == fitting.REFINE_STEP * c_args[6]
+    assert r_args[7] is coarse.best_delta
+    assert r_args[8] == cfg.iterations - report.coarse_iterations
+    assert r_args[9] == report.coarse_iterations
+    assert report.iterations_run == len(coarse.trace) + len(refine.trace)
+    assert report.sample_rows == (report.coarse_iterations * 300
+                                  + len(refine.trace) * 3000)
+    np.testing.assert_array_equal(fitted.vertices,
+                                  cage.vertices + refine.best_delta)
+
+    # The refine stage's first loss is that of the coarse best offsets,
+    # on every row.
+    verts = cage.vertices + coarse.best_delta
+    align, _ = alignment_loss(mvc_weights(points, cage).weights @ verts,
+                              targets)
+    normal, _ = _normal_term(verts, cage.triangles, cage.face_normals())
+    assert tuple(report.loss_trace[0]) == (
+        align + cfg.normal_weight * normal, align,
+        cfg.normal_weight * normal)
+
+
+def test_divergence_in_the_refine_stage_names_the_global_iteration(
+        monkeypatch):
+    points = _blob(3000, seed=27)
+    cage = build_template_cage(points, resolution=2)
+    cfg = FitConfig(iterations=70, convergence_tol=0.0)
+    stateless = fitting.alignment_loss
+    calls = []
+
+    def blows_up(positions, target_points, state=None):
+        calls.append(len(positions))
+        loss, grad = stateless(positions, target_points)
+        return (np.inf if len(calls) == 35 else loss), grad
+
+    monkeypatch.setattr(fitting, "alignment_loss", blows_up)
+    with pytest.raises(FitDivergedError) as excinfo:
+        fit_deformed_cage(points, _affine(points), cage, cfg)
+    assert excinfo.value.iteration == 35
+    # Iterations 1-30 ran on the coarse subset, 31 on every row.
+    assert calls[29] == 300 and calls[30] == 3000
 
 
 # ---------------------------------------------------------------------------

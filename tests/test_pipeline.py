@@ -99,6 +99,37 @@ def test_worker_count_does_not_change_results(fixture_paths, tmp_path):
     assert outs[1] == outs[3]
 
 
+def test_coarse_to_fine_fit_is_byte_identical_across_runs_and_workers(
+        tmp_path, caplog):
+    # 4000 samples give coarse subsets of 400 rows, above the 260 a res-2
+    # cage needs, so the fit runs both stages.
+    cloud = random_cloud(4000, seed=8)
+    source, target = tmp_path / "source.ply", tmp_path / "target.ply"
+    write_gs_ply(cloud, source)
+    write_point_ply(_affine(cloud.centers), target)
+    runs = {}
+    for name, workers in (("w1", 1), ("w2", 2), ("w2-again", 2)):
+        d = tmp_path / name
+        with caplog.at_level("INFO", logger="cagewarp"):
+            run_pipeline(_config(source, target, d, workers=workers,
+                                 fit=FitConfig(iterations=60),
+                                 sample_count=4000, jacobian_sites=200,
+                                 center_chunk=1500))
+        runs[name] = {p.name: p.read_bytes() for p in d.iterdir()}
+    assert runs["w1"] == runs["w2"] == runs["w2-again"]
+    assert len(runs["w1"]) == 5
+
+    fit = json.loads(runs["w1"]["metrics.json"])["fit"]
+    assert fit["coarse_samples"] == fit["coarse_targets"] == 400
+    assert 0 < fit["coarse_iterations"] <= 60 - 40
+    rows = runs["w1"]["fit_trace.csv"].decode().splitlines()[1:]
+    assert len(rows) == fit["iterations"] - fit["coarse_iterations"]
+    assert rows[0].startswith(f"{fit['coarse_iterations'] + 1},")
+    processed = fit["coarse_iterations"] * 400 + len(rows) * 4000
+    assert f"of {processed} sample rows and" in caplog.text
+    assert f"of {processed} target rows" in caplog.text
+
+
 def test_apply_cage_replays_fit_output(fixture_paths, tmp_path):
     _, source, target = fixture_paths
     first = tmp_path / "fit_run"
