@@ -409,10 +409,8 @@ def _segment_dist2(x, start, ab, ab_sq, offsets):
 
 
 def _dot(p, q):
-    """Dot products of vectors held as three component arrays, rounded as
-    np.einsum rounds three terms with AVX-512: summed in the order 0, 2,
-    1, and a zero sum is +0.0."""
-    return p[0] * q[0] + p[2] * q[2] + p[1] * q[1] + 0.0
+    """Dot products of vectors held as three component arrays."""
+    return p[0] * q[0] + p[1] * q[1] + p[2] * q[2]
 
 
 def winding_numbers(points: np.ndarray, cage: CageMesh) -> np.ndarray:

@@ -116,7 +116,8 @@ def _add_fit_flags(parser):
                         help="template cage subdivisions per edge "
                              "(default 2)")
     parser.add_argument("--cage-padding", type=float, dest="cage_padding",
-                        help="template cage margin fraction (default 0.1)")
+                        help="template cage margin fraction (default 0.1, "
+                             "at least 0.01)")
 
 
 def _build_parser() -> argparse.ArgumentParser:

@@ -159,9 +159,8 @@ def baseline_bbox_scale(cloud: GaussianCloud, target_lo, target_hi,
         return cloud.copy(
             centers=centers,
             log_scales=cloud.log_scales + np.mean(np.log(scale)))
-    jac = np.broadcast_to(np.diag(scale), (len(cloud), 3, 3))
     rotations, log_scales = transform_covariance(
-        jac, cloud.rotations, cloud.log_scales)
+        np.diag(scale), cloud.rotations, cloud.log_scales)
     return cloud.copy(centers=centers, rotations=rotations,
                       log_scales=log_scales)
 

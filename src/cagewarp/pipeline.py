@@ -36,11 +36,16 @@ from .fitting import FitConfig, fit_deformed_cage
 from .metrics import (TriangleMesh, baseline_bbox_scale, chamfer_distance,
                       load_target, sample_points)
 from .splats import read_gs_ply, write_gs_ply
-from .transport import blend_deformation, deform_cloud
+from .transport import SINGULAR_DET, blend_deformation, deform_cloud
 
 logger = logging.getLogger("cagewarp")
 
 MODES = ("deform", "fit-cage", "apply-cage", "baseline")
+# Template cage padding floor. Every box axis spans at least 1e-3 of the
+# diagonal (inflate_degenerate_axes), so centers clear the cage by at
+# least 1e-5 of it: about 8x the 1.25e-6 that jacobian_fd's smallest
+# stencil needs (2 * FD_STEP_FRACTION / 16).
+MIN_CAGE_PADDING = 0.01
 # Annotation -> accepted values; a bool is no number, an int is a float.
 _FIELD_TYPES = {"int": numbers.Integral, "float": numbers.Real, "bool": bool,
                 "str": str, "str | None": (str, type(None)),
@@ -127,7 +132,8 @@ class PipelineConfig:
                 ("workers must be >= 0", self.workers >= 0),
                 ("seed must be >= 0", self.seed >= 0),
                 ("cage_resolution must be >= 1", self.cage_resolution >= 1),
-                ("cage_padding must be >= 0", self.cage_padding >= 0),
+                (f"cage_padding must be >= {MIN_CAGE_PADDING}",
+                 self.cage_padding >= MIN_CAGE_PADDING),
                 ("fit.iterations must be >= 1", fit.iterations >= 1),
                 ("fit.step_size must be > 0", fit.step_size > 0),
                 ("fit.normal_weight must be >= 0", fit.normal_weight >= 0),
@@ -300,7 +306,8 @@ def run_pipeline(config: PipelineConfig, mode: str = "deform",
     with the stage name after removing any partially written outputs.
     timings_out optionally names a JSON file for per-stage wall-clock
     seconds; it is diagnostic output, kept apart from the deterministic
-    artifacts, and may be neither an input nor an artifact.
+    artifacts, and may be neither an input nor an artifact; a failure to
+    write it removes the outputs as a stage failure does.
     """
     try:
         config.validate(mode, timings_out)
@@ -312,11 +319,11 @@ def run_pipeline(config: PipelineConfig, mode: str = "deform",
     run = _Run(out_dir, _artifact_names(config, mode))
     try:
         summary = _execute(config, mode, run)
+        if timings_out is not None:
+            _write_json(Path(timings_out), {"stage_seconds": run.timings})
     except BaseException:
         run.discard_artifacts()
         raise
-    if timings_out is not None:
-        _write_json(Path(timings_out), {"stage_seconds": run.timings})
     return summary
 
 
@@ -425,10 +432,11 @@ def _execute(config: PipelineConfig, mode: str, run: _Run) -> dict:
                 write_gs_ply(moved, path)
                 entry = {"lambda": lam, "path": path.name}
                 if jac_field is not None:
-                    entry["jacobian_sites"] = int(
-                        len(jac_field.site_indices))
-                    entry["singular_sites"] = jac_field.n_singular
-                    entry["inverted_sites"] = jac_field.n_inverted
+                    det = np.linalg.det(jac_field.site_jacobians)
+                    entry["jacobian_sites"] = len(det)
+                    entry["singular_sites"] = int(np.count_nonzero(
+                        np.abs(det) <= SINGULAR_DET))
+                    entry["inverted_sites"] = int(np.count_nonzero(det < 0))
                 if target_points is not None:
                     entry["chamfer_sq_normalized"] = chamfer_to_target(moved)
                 outputs.append(entry)

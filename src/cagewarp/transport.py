@@ -48,6 +48,9 @@ VARIANCE_FLOOR = 1e-18
 class JacobianField:
     """Jacobians sampled at a subset of points, shared via nearest-site.
 
+    A site is singular where |det J| <= SINGULAR_DET and inverted where
+    det J < 0; the pipeline counts both per output from one determinant.
+
     site_indices : (m,) int
         Rows of the original point array where Jacobians were evaluated,
         in increasing order.
@@ -60,24 +63,6 @@ class JacobianField:
     site_indices: np.ndarray
     site_jacobians: np.ndarray
     assignment: np.ndarray
-
-    @property
-    def singular(self) -> np.ndarray:
-        """(m,) bool: |det J| <= SINGULAR_DET."""
-        return np.abs(np.linalg.det(self.site_jacobians)) <= SINGULAR_DET
-
-    @property
-    def inverted(self) -> np.ndarray:
-        """(m,) bool: det J < 0, the local map flips orientation."""
-        return np.linalg.det(self.site_jacobians) < 0.0
-
-    @property
-    def n_singular(self) -> int:
-        return int(np.count_nonzero(self.singular))
-
-    @property
-    def n_inverted(self) -> int:
-        return int(np.count_nonzero(self.inverted))
 
 
 def jacobian_fd(points: np.ndarray, source: CageMesh,
@@ -103,12 +88,10 @@ def jacobian_fd(points: np.ndarray, source: CageMesh,
             f"point {bad} is {dist[bad]:.3e} from the cage surface; the "
             f"finite-difference stencil cannot avoid crossing it")
 
-    # Stencil: for each point, +/- h along each axis -> (P, 3, 2, 3).
-    offsets = np.zeros((len(points), 3, 2, 3))
-    for axis in range(3):
-        offsets[:, axis, 0, axis] = h
-        offsets[:, axis, 1, axis] = -h
-    stencil = (points[:, None, None, :] + offsets).reshape(-1, 3)
+    # Stencil x +/- h e_a for each point and axis a -> (P, 3, 2, 3).
+    step = h[:, None, None] * np.eye(3)
+    x = points[:, None, :]
+    stencil = np.stack([x + step, x - step], axis=2).reshape(-1, 3)
     mapped = deform_points(mvc_weights(stencil, source), deformed)
     mapped = mapped.reshape(len(points), 3, 2, 3)
     # J[p, i, a] = d f_i / d x_a
@@ -165,19 +148,22 @@ def transform_covariance(jacobians: np.ndarray, rotations: np.ndarray,
     """Map Gaussian shapes through local Jacobians.
 
     Builds Sigma = R S S^T R^T from each (quaternion, log-scale) pair,
-    forms J Sigma J^T, and refactors the symmetrized result by
+    forms J Sigma J^T by stacked matmuls, and refactors it by
     eigendecomposition into a proper rotation (det +1) and log-scales,
-    eigenvalues in descending order. Variances are floored at
-    VARIANCE_FLOOR so singular Jacobians still yield finite scales.
+    eigenvalues in descending order. eigh reads only the lower triangle,
+    so the product's rounding asymmetry never reaches the result.
+    Variances are floored at VARIANCE_FLOOR so singular Jacobians still
+    yield finite scales. jacobians is (..., 3, 3) and broadcasts against
+    the splats, so one (3, 3) matrix serves them all.
 
     Returns (quaternions (..., 4), log_scales (..., 3)).
     """
     jacobians = np.asarray(jacobians, dtype=np.float64)
     sigma = covariances_of(rotations, log_scales)
-    sigma_new = np.einsum("...ij,...jk,...lk->...il", jacobians, sigma,
-                          jacobians)
-    sym = 0.5 * (sigma_new + np.swapaxes(sigma_new, -1, -2))
-    vals, vecs = np.linalg.eigh(sym)          # ascending
+    # J^T is copied, as in covariances_of: the same bits, without BLAS's
+    # transposed-operand kernel and its code pages.
+    jt = np.swapaxes(jacobians, -1, -2).copy()
+    vals, vecs = np.linalg.eigh(jacobians @ sigma @ jt)     # ascending
     vals = vals[..., ::-1]
     vecs = np.ascontiguousarray(vecs[..., ::-1])
     flip = np.where(np.linalg.det(vecs) < 0.0, -1.0, 1.0)

@@ -36,6 +36,11 @@ def surface_distance_per_triangle(points, cage):
     return np.sqrt(best)
 
 
+def rowwise_dot(p, q):
+    """Dot product of each row pair, summed in component order."""
+    return p[:, 0] * q[:, 0] + p[:, 1] * q[:, 1] + p[:, 2] * q[:, 2]
+
+
 def winding_numbers_per_triangle(points, cage):
     """Reference for winding_numbers: one pass per triangle."""
     points = np.atleast_2d(np.asarray(points, dtype=np.float64))
@@ -45,13 +50,12 @@ def winding_numbers_per_triangle(points, cage):
         a = v[t0] - points
         b = v[t1] - points
         c = v[t2] - points
-        la = np.linalg.norm(a, axis=1)
-        lb = np.linalg.norm(b, axis=1)
-        lc = np.linalg.norm(c, axis=1)
-        numer = np.einsum("ij,ij->i", a, np.cross(b, c))
-        denom = (la * lb * lc + np.einsum("ij,ij->i", a, b) * lc
-                 + np.einsum("ij,ij->i", b, c) * la
-                 + np.einsum("ij,ij->i", c, a) * lb)
+        la = np.sqrt(rowwise_dot(a, a))
+        lb = np.sqrt(rowwise_dot(b, b))
+        lc = np.sqrt(rowwise_dot(c, c))
+        numer = rowwise_dot(a, np.cross(b, c))
+        denom = (la * lb * lc + rowwise_dot(a, b) * lc
+                 + rowwise_dot(b, c) * la + rowwise_dot(c, a) * lb)
         total += 2.0 * np.arctan2(numer, denom)
     return total / (4.0 * np.pi)
 
@@ -99,7 +103,7 @@ def _point_segment_dist2(points, a, b):
     t = np.clip((points - a) @ ab / np.dot(ab, ab), 0.0, 1.0)
     closest = a + t[:, None] * ab
     diff = points - closest
-    return np.einsum("ij,ij->i", diff, diff)
+    return rowwise_dot(diff, diff)
 
 
 def query_points(cage, n, seed):
@@ -453,3 +457,21 @@ class TestWindingNumberChunks:
                                 (p - 1) * len(cage.triangles))
             assert same_bits(winding_numbers(pts[:p], cage),
                              winding_numbers_per_triangle(pts[:p], cage))
+
+    @pytest.mark.parametrize("resolution", [3, 6])
+    def test_scratch_memory_flat_in_point_count(self, resolution):
+        # Scratch is the traced peak beyond the returned winding numbers;
+        # chunks of CHUNK_PAIRS pairs bound it whatever the point count.
+        cage = build_template_cage(np.array([[-1.0] * 3, [1.0] * 3]),
+                                   resolution=resolution)
+        scratch = []
+        for n in (1000, 4000):
+            pts = np.random.default_rng(n).uniform(-1.5, 1.5, (n, 3))
+            tracemalloc.start()
+            try:
+                w = winding_numbers(pts, cage)
+                scratch.append(tracemalloc.get_traced_memory()[1] - w.nbytes)
+            finally:
+                tracemalloc.stop()
+        assert max(scratch) < 6 * 2**20
+        assert abs(scratch[1] - scratch[0]) < 0.1 * scratch[0]

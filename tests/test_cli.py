@@ -265,6 +265,49 @@ def test_timings_over_an_input_exits_two(model_files, tmp_path):
     assert not out.exists()
 
 
+def test_unwritable_timings_file_discards_the_outputs(model_files,
+                                                     tmp_path):
+    source, _ = model_files
+    cage = build_template_cage(read_gs_ply(source).centers, resolution=1)
+    cages = (tmp_path / "src.obj", tmp_path / "def.obj")
+    write_cage_obj(cage, cages[0])
+    write_cage_obj(cage.with_vertices(cage.vertices * 1.1), cages[1])
+    out = tmp_path / "o"
+    code = main(["apply-cage", "-s", str(source), "--cage-in",
+                 *map(str, cages), "-o", str(out), "--sites", "60",
+                 "--timings-out", str(tmp_path / "nodir" / "t.json")])
+    assert code == 1
+    assert list(out.iterdir()) == []
+
+
+@pytest.mark.parametrize("command", ["deform", "fit-cage"])
+@pytest.mark.parametrize("padding", ["0", "1e-7"])
+def test_cage_padding_below_the_floor_exits_two(model_files, tmp_path,
+                                                command, padding):
+    # With padding 0, the outermost splats of a deform, all of them
+    # Jacobian sites, sit on the cage surface where no stencil fits.
+    source, target = model_files
+    out = tmp_path / "o"
+    with pytest.raises(SystemExit) as excinfo:
+        main([command, "-s", str(source), "-t", str(target), "-o", str(out),
+              "--cage-padding", padding, *_common(tmp_path)])
+    assert excinfo.value.code == 2
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["deform", "fit-cage"])
+def test_cage_padding_at_the_floor_runs(model_files, tmp_path, capsys,
+                                        command):
+    # Every splat is a Jacobian site, the outermost ones 0.01 of an axis
+    # from the cage: their stencils must still fit.
+    source, target = model_files
+    sites = ["--sites", "300"] if command == "deform" else []
+    assert main([command, "-s", str(source), "-t", str(target),
+                 "-o", str(tmp_path / "o"), "--cage-padding", "0.01",
+                 *sites, *_common(tmp_path)]) == 0
+    capsys.readouterr()
+
+
 @pytest.mark.parametrize("command", ["fit-cage", "deform", "baseline"])
 def test_cage_in_outside_apply_cage_exits_two(model_files, tmp_path,
                                                command):

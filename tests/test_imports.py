@@ -4,7 +4,8 @@ A name that starts with an underscore is private to its module, so no
 module may import one from a sibling; what a sibling needs becomes a
 public name of the module that owns it. A module also uses every name it
 imports: a name kept only so that code outside the package can find it
-there hides a dependency, and goes.
+there hides a dependency, and goes. Likewise a module-level private
+function or class that its own module never references is dead code.
 """
 
 import ast
@@ -77,3 +78,37 @@ def test_the_check_sees_an_unused_import(tmp_path):
                       "from .mvc import deform_points, mvc_weights\n"
                       "print(os.sep, mvc_weights)\n")
     assert _unused_imports(module) == [(3, "np"), (4, "deform_points")]
+
+
+def _unreferenced_private_definitions(path):
+    """(line, name) of each module-level private function or class that
+    its module never reads."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    defined = [(node.lineno, node.name) for node in tree.body
+               if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+               and node.name.startswith("_")
+               and not node.name.startswith("__")]
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return [(line, name) for line, name in defined if name not in used]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=[p.name for p in MODULES])
+def test_every_private_definition_is_referenced(path):
+    assert _unreferenced_private_definitions(path) == []
+
+
+def test_the_check_sees_an_unreferenced_private_definition(tmp_path):
+    module = tmp_path / "m.py"
+    module.write_text("def _used():\n"
+                      "    return 1\n"
+                      "def _dead():\n"
+                      "    return _used()\n"
+                      "class _Unused:\n"
+                      "    def _method(self):\n"
+                      "        pass\n"
+                      "def __getattr__(name):\n"
+                      "    raise AttributeError(name)\n"
+                      "def public():\n"
+                      "    pass\n")
+    assert _unreferenced_private_definitions(module) == [
+        (3, "_dead"), (5, "_Unused")]
