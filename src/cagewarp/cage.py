@@ -16,9 +16,10 @@ import numpy as np
 
 from .errors import NonManifoldCageError, TopologyMismatchError
 
-# (point, triangle) pairs per chunk of mvc.mvc_weights and of
-# surface_distance: the one bound on their scratch memory, about 3.3 and
-# 3.1 MiB at any point count. glibc hands a freed heap top back to the OS
+# (point, triangle) pairs per chunk of mvc.mvc_weights, surface_distance
+# and winding_numbers: the one bound on their scratch memory, about 3.3,
+# 2.2 and 2.2 MiB at any point count (traced beyond the output, box cages
+# of resolution 2, 3 and 6). glibc hands a freed heap top back to the OS
 # once it outgrows a threshold that follows the largest array freed, and
 # the next chunk faults it in again. At 2**16 every MVC chunk did: one call
 # on 2900 points x 432 triangles took 72k minor page faults and 320-390 ms
@@ -341,76 +342,58 @@ def surface_distance(points: np.ndarray, cage: CageMesh) -> np.ndarray:
     """Distance from each point to the cage surface (always >= 0).
 
     Chunks of CHUNK_PAIRS // T points are measured against all T
-    triangles at once. A point's distance to a triangle is its distance
-    to the supporting plane when its projection falls inside the
-    triangle, and to the nearest edge otherwise. Per-pair values are
-    (T, rows) arrays; the offsets the dot products take are (T, rows, 3),
-    row-major per triangle, so a stacked matmul runs BLAS's dot kernel
-    on each triangle exactly as a (rows, 3) @ (3,) product would, and the
-    result does not depend on the chunking.
+    triangles at once, on (T, rows) arrays per vector component; a pair's
+    value does not depend on the chunking. A point's distance to a
+    triangle is its distance to the supporting plane when its projection
+    falls inside the triangle, and to the nearest edge otherwise. The
+    normal is orthogonal to the edges e0, e1 from corner a, so the
+    projection's barycentric right-hand sides are (x - a) . e0 and e1.
     """
     points = np.atleast_2d(np.asarray(points, dtype=np.float64))
-    v = cage.vertices
-    a, b, c = (v[cage.triangles[:, k]] for k in range(3))    # (T, 3) each
+    a, b, c = (cage.vertices.T[:, k, None]
+               for k in cage.triangles.T)                     # (3, T, 1) each
     e0, e1, bc = b - a, c - a, c - b
-    n = np.cross(e0, e1)
+    n = cross(e0, e1)
     # Barycentric coordinates come from the 2x2 Gram system of e0, e1.
-    g00, g01, g11, n_sq, bc_sq = (
-        _matvec(p[:, None], q)
-        for p, q in ((e0, e0), (e0, e1), (e1, e1), (n, n), (bc, bc)))
+    g00, g01, g11 = dot(e0, e0), dot(e0, e1), dot(e1, e1)
+    n_sq, bc_sq = dot(n, n), dot(bc, bc)
     det = g00 * g11 - g01 * g01
-    # BLAS takes a one-row product down another path, which rounds
-    # differently, so a last row on its own joins the chunk before it.
-    starts = list(range(0, len(points) - 1, max(2, CHUNK_PAIRS // len(n))))
+    rows = max(1, CHUNK_PAIRS // len(cage.triangles))
     dist2 = np.empty(len(points))
-    for lo, hi in zip(starts or [0], starts[1:] + [len(points)]):
-        x = points[lo:hi]
-        d = _offsets(x, a)
-        h = _matvec(d, n)                # signed plane offset times |n|
-        hn = h / n_sq
-        proj = np.empty_like(d)
-        for k in range(3):
-            np.subtract(d[..., k], hn * n[:, k, None], out=proj[..., k])
-        p0, p1 = _matvec(proj, e0), _matvec(proj, e1)
+    for lo in range(0, len(points), rows):
+        x = np.ascontiguousarray(points[lo:lo + rows].T)         # (3, rows)
+        d = [p - q for p, q in zip(x, a)]
+        h = dot(d, n)                    # signed plane offset times |n|
+        p0, p1 = dot(d, e0), dot(d, e1)
         s = (g11 * p0 - g01 * p1) / det
         t = (g00 * p1 - g01 * p0) / det
         inside = (s >= 0.0) & (t >= 0.0) & (s + t <= 1.0)
-        edge = np.minimum(
-            _segment_dist2(x, a, e0, g00, d),
-            np.minimum(_segment_dist2(x, b, bc, bc_sq, _offsets(x, b)),
-                       _segment_dist2(x, a, e1, g11, d)))
-        dist2[lo:hi] = np.where(inside, h * h / n_sq, edge).min(axis=0)
+        edge = np.minimum(_segment_dist2(d, e0, p0 / g00),
+                          _segment_dist2(d, e1, p1 / g11))
+        d = [p - q for p, q in zip(x, b)]
+        edge = np.minimum(edge, _segment_dist2(d, bc, dot(d, bc) / bc_sq))
+        dist2[lo:lo + rows] = np.where(inside, h * h / n_sq, edge).min(axis=0)
     return np.sqrt(dist2)
 
 
-def _offsets(x, start):
-    """x - start for points x (rows, 3) and T starts, (T, rows, 3)."""
-    out = np.empty((len(start), len(x), 3))
-    for k in range(3):
-        np.subtract(x[:, k], start[:, k, None], out=out[..., k])
-    return out
+def _segment_dist2(d, e, t):
+    """|d - clip(t, 0, 1) e|^2 for offsets d from the starts of segments e."""
+    t = np.clip(t, 0.0, 1.0)
+    diff = [p - t * q for p, q in zip(d, e)]
+    return dot(diff, diff)
 
 
-def _matvec(m, vec):
-    """m[t] @ vec[t] for (T, rows, 3) m and (T, 3) vec, (T, rows)."""
-    return (m @ vec[:, :, None])[..., 0]
-
-
-def _segment_dist2(x, start, ab, ab_sq, offsets):
-    """Squared distances from points x to T segments, (T, rows).
-
-    offsets is x - start; the closest point start + t ab is formed
-    before the difference.
-    """
-    t = np.clip(_matvec(offsets, ab) / ab_sq, 0.0, 1.0)
-    diff = [x[:, k] - (start[:, k, None] + t * ab[:, k, None])
-            for k in range(3)]
-    return _dot(diff, diff)
-
-
-def _dot(p, q):
-    """Dot products of vectors held as three component arrays."""
+def dot(p, q):
+    """Dot products of vectors held as three component arrays, summed in
+    component order."""
     return p[0] * q[0] + p[1] * q[1] + p[2] * q[2]
+
+
+def cross(p, q):
+    """Cross products of vectors held as three component arrays, as a
+    list of three component arrays."""
+    return [p[(j + 1) % 3] * q[(j + 2) % 3] - p[(j + 2) % 3] * q[(j + 1) % 3]
+            for j in range(3)]
 
 
 def winding_numbers(points: np.ndarray, cage: CageMesh) -> np.ndarray:
@@ -438,14 +421,10 @@ def _solid_angles(x, cage):
     """Signed solid angles of the T triangles seen from points x, (T, rows),
     from (T, rows) arrays per vector component."""
     u = cage.vertices.T[:, :, None] - x.T[:, None, :]      # (3, V, rows)
-    length = np.sqrt(u[0] * u[0] + u[1] * u[1] + u[2] * u[2])
+    length = np.sqrt(dot(u, u))
     a, b, c = ([comp[k] for comp in u] for k in cage.triangles.T)
     la, lb, lc = (length[k] for k in cage.triangles.T)
     del u, length                                       # bound the scratch
-    bxc = [b[(j + 1) % 3] * c[(j + 2) % 3]
-           - b[(j + 2) % 3] * c[(j + 1) % 3] for j in range(3)]
-    numer = _dot(a, bxc)
-    del bxc
-    denom = la * lb * lc + _dot(a, b) * lc + _dot(b, c) * la \
-        + _dot(c, a) * lb
+    numer = dot(a, cross(b, c))
+    denom = la * lb * lc + dot(a, b) * lc + dot(b, c) * la + dot(c, a) * lb
     return 2.0 * np.arctan2(numer, denom)

@@ -44,7 +44,7 @@ from typing import NamedTuple
 import numpy as np
 from scipy import sparse
 
-from .cage import CHUNK_PAIRS, CageMesh
+from .cage import CHUNK_PAIRS, CageMesh, cross, dot
 
 # Distance below which a query point is treated as sitting on a cage
 # vertex, as a fraction of the cage bbox diagonal.
@@ -154,15 +154,10 @@ def _edge_table(tri) -> _EdgeTable:
                       opposite.reshape(3, -1), (a > b)[:, :, None])
 
 
-def _dot(a, b):
-    """Dot products of vectors stored as three component arrays."""
-    return a[0] * b[0] + a[1] * b[1] + a[2] * b[2]
-
-
 def _unit_directions(corners, x):
     """Unit directions and distances from x to corners, (3, ...) arrays."""
     u = corners - x
-    d = np.maximum(np.sqrt(_dot(u, u)), 1e-300)
+    d = np.maximum(np.sqrt(dot(u, u)), 1e-300)
     u /= d
     return u, d
 
@@ -178,17 +173,16 @@ def _edge_terms(u, edges):
     ub = [c[edges[:, 1]] for c in u]
     # From the chord length: stable for both tiny and obtuse angles.
     diff = [p - q for p, q in zip(ua, ub)]
-    theta = np.sqrt(_dot(diff, diff))
+    theta = np.sqrt(dot(diff, diff))
     theta *= 0.5
     np.arcsin(np.clip(theta, 0.0, 1.0, out=theta), out=theta)
     theta *= 2.0
     # Arc-plane normal scaled by sin(theta), and a Cramer adjugate row of
     # [e0 e1 e2] for the corner opposite the edge.
-    cross = [ua[(j + 1) % 3] * ub[(j + 2) % 3]
-             - ua[(j + 2) % 3] * ub[(j + 1) % 3] for j in range(3)]
-    s = np.sqrt(_dot(cross, cross))
+    c = cross(ua, ub)
+    s = np.sqrt(dot(c, c))
     # Guarded against |c| ~ 0.
-    return theta, theta / (2.0 * np.where(s < 1e-300, 1.0, s)), cross
+    return theta, theta / (2.0 * np.where(s < 1e-300, 1.0, s)), c
 
 
 def _spherical_triangles(u, edge_table):
@@ -201,11 +195,11 @@ def _spherical_triangles(u, edge_table):
     [e0 e1 e2], for the corner directions e of each triangle.
     """
     tri, edges, opposite, backwards = edge_table
-    theta, g, cross = _edge_terms(u, edges)
+    theta, g, edge_cross = _edge_terms(u, edges)
     # cr[k] = e_{k+1} x e_{k+2}: the shared edge product, negated (an
     # exact operation) where the triangle runs the edge backwards.
-    cr = [[c[opposite[k]] for c in cross] for k in range(3)]
-    del cross                                           # bound the scratch
+    cr = [[c[opposite[k]] for c in edge_cross] for k in range(3)]
+    del edge_cross                                      # bound the scratch
     for k in range(3):
         for c in cr[k]:
             np.negative(c, out=c, where=backwards[k])
@@ -215,10 +209,10 @@ def _spherical_triangles(u, edge_table):
         g_k = g[opposite[k]]
         for j in range(3):
             m[j] += g_k * cr[k][j]
-    det = _dot([c[tri[:, 0]] for c in u], cr[0])
+    det = dot([c[tri[:, 0]] for c in u], cr[0])
     lam = np.empty((3,) + det.shape, dtype=det.dtype)
     for k in range(3):
-        lam[k] = _dot(m, cr[k])
+        lam[k] = dot(m, cr[k])
     lam /= np.where(np.abs(det) < 1e-300, 1.0, det)
     return theta, lam, det
 

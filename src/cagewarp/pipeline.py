@@ -206,13 +206,17 @@ def _artifact_names(config: PipelineConfig, mode: str) -> list[str]:
 
 
 class _Run:
-    """Tracks artifacts and stage timings; removes artifacts on failure.
+    """Makes the output directory, tracks artifacts and stage timings, and
+    on failure removes the artifacts and the directories it made.
 
     Only planned names may be claimed: validate checked those against
     the inputs."""
 
     def __init__(self, out_dir: Path, planned: list[str]):
         self.out_dir = out_dir
+        self.created = [d for d in (out_dir, *out_dir.parents)
+                        if not d.exists()]              # deepest first
+        out_dir.mkdir(parents=True, exist_ok=True)
         self.planned = set(planned)
         self.artifacts: list[Path] = []
         self.timings: dict[str, float] = {}
@@ -244,6 +248,11 @@ class _Run:
                 path.unlink(missing_ok=True)
             except OSError:
                 logger.warning("could not remove partial output %s", path)
+        for directory in self.created:
+            try:
+                directory.rmdir()
+            except OSError:     # not empty, so neither is its parent
+                break
 
 
 def _normalized_chamfer(a: np.ndarray, b: np.ndarray,
@@ -314,9 +323,7 @@ def run_pipeline(config: PipelineConfig, mode: str = "deform",
     except ValueError as exc:
         raise PipelineError("config", str(exc)) from exc
 
-    out_dir = Path(config.output_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    run = _Run(out_dir, _artifact_names(config, mode))
+    run = _Run(Path(config.output_dir), _artifact_names(config, mode))
     try:
         summary = _execute(config, mode, run)
         if timings_out is not None:

@@ -37,8 +37,10 @@ def surface_distance_per_triangle(points, cage):
 
 
 def rowwise_dot(p, q):
-    """Dot product of each row pair, summed in component order."""
-    return p[:, 0] * q[:, 0] + p[:, 1] * q[:, 1] + p[:, 2] * q[:, 2]
+    """Dot product of each row pair, or of two vectors, summed in
+    component order."""
+    return (p[..., 0] * q[..., 0] + p[..., 1] * q[..., 1]
+            + p[..., 2] * q[..., 2])
 
 
 def winding_numbers_per_triangle(points, cage):
@@ -69,22 +71,23 @@ def _point_triangle_dist2(points, a, b, c):
     """Squared distances from points (P, 3) to triangle (a, b, c).
 
     Interior case: distance to the supporting plane when the projection's
-    barycentric coordinates are all non-negative. Otherwise the closest
-    point lies on the boundary, so take the minimum over the three edges.
+    barycentric coordinates are all non-negative. As the normal is
+    orthogonal to e0 and e1, they come from the offset's own dot products
+    with e0 and e1, with no projection. Otherwise the closest point lies
+    on the boundary, so take the minimum over the three edges.
     """
     e0 = b - a
     e1 = c - a
     n = np.cross(e0, e1)
-    n_sq = np.dot(n, n)
+    n_sq = rowwise_dot(n, n)
     d = points - a
-    h = d @ n                       # (P,) signed plane offset times |n|
-    proj = d - np.outer(h / n_sq, n)
+    h = rowwise_dot(d, n)           # (P,) signed plane offset times |n|
     # Barycentric via the 2x2 Gram system.
-    g00 = np.dot(e0, e0)
-    g01 = np.dot(e0, e1)
-    g11 = np.dot(e1, e1)
-    p0 = proj @ e0
-    p1 = proj @ e1
+    g00 = rowwise_dot(e0, e0)
+    g01 = rowwise_dot(e0, e1)
+    g11 = rowwise_dot(e1, e1)
+    p0 = rowwise_dot(d, e0)
+    p1 = rowwise_dot(d, e1)
     det = g00 * g11 - g01 * g01
     s = (g11 * p0 - g01 * p1) / det
     t = (g00 * p1 - g01 * p0) / det
@@ -100,10 +103,40 @@ def _point_triangle_dist2(points, a, b, c):
 
 def _point_segment_dist2(points, a, b):
     ab = b - a
-    t = np.clip((points - a) @ ab / np.dot(ab, ab), 0.0, 1.0)
-    closest = a + t[:, None] * ab
-    diff = points - closest
+    d = points - a
+    t = np.clip(rowwise_dot(d, ab) / rowwise_dot(ab, ab), 0.0, 1.0)
+    diff = d - t[:, None] * ab
     return rowwise_dot(diff, diff)
+
+
+def closest_point_on_triangle(p, a, b, c):
+    """Closest point to p on triangle (a, b, c), found by the Voronoi
+    region of the triangle that p lies in (Ericson, Real-Time Collision
+    Detection, 2004, section 5.1.5)."""
+    ab, ac, ap = b - a, c - a, p - a
+    d1, d2 = ab @ ap, ac @ ap
+    if d1 <= 0.0 and d2 <= 0.0:
+        return a                                    # vertex region a
+    bp = p - b
+    d3, d4 = ab @ bp, ac @ bp
+    if d3 >= 0.0 and d4 <= d3:
+        return b                                    # vertex region b
+    vc = d1 * d4 - d3 * d2
+    if vc <= 0.0 and d1 >= 0.0 and d3 <= 0.0:
+        return a + d1 / (d1 - d3) * ab              # edge region ab
+    cp = p - c
+    d5, d6 = ab @ cp, ac @ cp
+    if d6 >= 0.0 and d5 <= d6:
+        return c                                    # vertex region c
+    vb = d5 * d2 - d1 * d6
+    if vb <= 0.0 and d2 >= 0.0 and d6 <= 0.0:
+        return a + d2 / (d2 - d6) * ac              # edge region ac
+    va = d3 * d6 - d5 * d4
+    if va <= 0.0 and d4 - d3 >= 0.0 and d5 - d6 >= 0.0:
+        w = (d4 - d3) / ((d4 - d3) + (d5 - d6))
+        return b + w * (c - b)                      # edge region bc
+    denom = 1.0 / (va + vb + vc)                    # face region
+    return a + ab * (vb * denom) + ac * (vc * denom)
 
 
 def query_points(cage, n, seed):
@@ -333,6 +366,31 @@ class TestGeometricQueries:
         assert np.all(exact <= brute + 1e-12)
         assert np.allclose(exact, brute, atol=2e-2)
 
+    @pytest.mark.parametrize("resolution", [0, 1, 2, 3],
+                             ids=["tetrahedron", "r1", "r2", "r3"])
+    def test_surface_distance_matches_the_closest_point(self, resolution):
+        # Oracle: the closest point on a triangle from its Voronoi
+        # regions, one point and one triangle at a time. Each triangle is
+        # measured on its own, so that a neighbour cannot hide an error.
+        rng = np.random.default_rng(resolution)
+        if resolution == 0:
+            cage = unit_tetrahedron()
+        else:
+            cage = build_template_cage(rng.normal(size=(20, 3)),
+                                       resolution=resolution)
+            cage = cage.with_vertices(
+                cage.vertices + 0.02 * cage.bbox_diagonal()
+                * rng.normal(size=cage.vertices.shape))
+        pts = query_points(cage, 25, seed=resolution)
+        for t in cage.triangles:
+            triangle = CageMesh(cage.vertices, t[None], _trusted=True)
+            oracle = [np.linalg.norm(
+                p - closest_point_on_triangle(p, *cage.vertices[t]))
+                for p in pts]
+            np.testing.assert_allclose(
+                surface_distance(pts, triangle), oracle, rtol=0,
+                atol=1e-12 * cage.bbox_diagonal())
+
     def test_winding_inside_outside(self):
         cage = build_template_cage(
             np.random.default_rng(8).normal(size=(30, 3)), resolution=3)
@@ -369,7 +427,7 @@ class TestSurfaceDistanceChunks:
     @staticmethod
     def jiggled_box(rng):
         # Jiggled, so that the dot products have three nonzero terms,
-        # whose rounding depends on the path BLAS takes.
+        # whose sum rounds at each step.
         cage = box_cage(np.zeros(3), np.ones(3), resolution=2)
         return cage.with_vertices(
             cage.vertices + 0.02 * rng.normal(size=cage.vertices.shape))

@@ -265,18 +265,41 @@ def test_timings_over_an_input_exits_two(model_files, tmp_path):
     assert not out.exists()
 
 
-def test_unwritable_timings_file_discards_the_outputs(model_files,
-                                                     tmp_path):
+def _apply_cage_with_unwritable_timings(model_files, tmp_path, out):
+    """Exit status of an apply-cage run into out whose timings file
+    cannot be written."""
     source, _ = model_files
     cage = build_template_cage(read_gs_ply(source).centers, resolution=1)
     cages = (tmp_path / "src.obj", tmp_path / "def.obj")
     write_cage_obj(cage, cages[0])
     write_cage_obj(cage.with_vertices(cage.vertices * 1.1), cages[1])
-    out = tmp_path / "o"
-    code = main(["apply-cage", "-s", str(source), "--cage-in",
+    return main(["apply-cage", "-s", str(source), "--cage-in",
                  *map(str, cages), "-o", str(out), "--sites", "60",
                  "--timings-out", str(tmp_path / "nodir" / "t.json")])
-    assert code == 1
+
+
+def test_unwritable_timings_file_discards_the_outputs(model_files,
+                                                     tmp_path):
+    out = tmp_path / "o"
+    assert _apply_cage_with_unwritable_timings(model_files, tmp_path,
+                                               out) == 1
+    assert not out.exists()
+
+
+def test_a_failed_run_removes_the_directories_it_created(model_files,
+                                                        tmp_path):
+    out = tmp_path / "a" / "b"
+    assert _apply_cage_with_unwritable_timings(model_files, tmp_path,
+                                               out) == 1
+    assert not (tmp_path / "a").exists()
+
+
+def test_a_failed_run_keeps_an_existing_out_directory(model_files,
+                                                     tmp_path):
+    out = tmp_path / "o"
+    out.mkdir()
+    assert _apply_cage_with_unwritable_timings(model_files, tmp_path,
+                                               out) == 1
     assert list(out.iterdir()) == []
 
 

@@ -5,10 +5,12 @@ module may import one from a sibling; what a sibling needs becomes a
 public name of the module that owns it. A module also uses every name it
 imports: a name kept only so that code outside the package can find it
 there hides a dependency, and goes. Likewise a module-level private
-function or class that its own module never references is dead code.
+function or class that its own module never references is dead code, and
+two functions with one body are one function defined twice.
 """
 
 import ast
+import copy
 from pathlib import Path
 
 import pytest
@@ -112,3 +114,55 @@ def test_the_check_sees_an_unreferenced_private_definition(tmp_path):
                       "    pass\n")
     assert _unreferenced_private_definitions(module) == [
         (3, "_dead"), (5, "_Unused")]
+
+
+def _body_key(function):
+    """The function's body as an AST dump, its docstring dropped and its
+    arguments renamed by position."""
+    args = function.args
+    position = {arg.arg: f"_{i}" for i, arg in enumerate(
+        [*args.posonlyargs, *args.args, args.vararg, *args.kwonlyargs,
+         args.kwarg]) if arg is not None}
+    body = function.body
+    if ast.get_docstring(function) is not None:
+        body = body[1:]
+    module = copy.deepcopy(ast.Module(body=body, type_ignores=[]))
+    for node in ast.walk(module):
+        if isinstance(node, ast.Name):
+            node.id = position.get(node.id, node.id)
+    return ast.dump(module)
+
+
+def _duplicated_bodies(paths):
+    """Groups of (module, line, name) of the functions, nested ones and
+    methods included, that share one body."""
+    groups = {}
+    for path in paths:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                groups.setdefault(_body_key(node), []).append(
+                    (path.name, node.lineno, node.name))
+    return [group for group in groups.values() if len(group) > 1]
+
+
+def test_no_two_functions_share_a_body():
+    assert _duplicated_bodies(MODULES) == []
+
+
+def test_the_check_sees_a_duplicated_body(tmp_path):
+    first, second = tmp_path / "a.py", tmp_path / "b.py"
+    first.write_text("def norm2(v):\n"
+                     "    \"\"\"Squared length.\"\"\"\n"
+                     "    return v[0] * v[0] + v[1] * v[1]\n"
+                     "def step(x):\n"
+                     "    return x + 1\n")
+    second.write_text("def outer():\n"
+                      "    def _length_sq(w):\n"
+                      "        return w[0] * w[0] + w[1] * w[1]\n"
+                      "    return _length_sq\n"
+                      "def step(x):\n"
+                      "    return x - 1\n"
+                      "def norm2(v):\n"
+                      "    return v[0] * v[0] + v[1] * v[2]\n")
+    assert _duplicated_bodies([first, second]) == [
+        [("a.py", 1, "norm2"), ("b.py", 2, "_length_sq")]]

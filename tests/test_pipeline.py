@@ -186,7 +186,7 @@ def test_deformed_cage_of_other_topology_fails_at_load_cages(
     with pytest.raises(PipelineError) as excinfo:
         _replay(source, (cage_files[0], str(other)), out)
     assert excinfo.value.stage == "load-cages"
-    assert not any(out.iterdir())
+    assert not out.exists()
 
 
 def test_fit_cage_only_writes_no_models(fixture_paths, tmp_path):
@@ -229,7 +229,7 @@ def test_failed_stage_removes_partial_outputs(fixture_paths, tmp_path):
     with pytest.raises(PipelineError) as excinfo:
         run_pipeline(cfg)
     assert excinfo.value.stage == "load-target"
-    assert not any(out.iterdir())
+    assert not out.exists()
 
 
 def test_config_validation_failures(fixture_paths, tmp_path):
