@@ -41,17 +41,16 @@ def _read_config_file(path: Path) -> dict:
     data = json.loads(Path(path).read_text(encoding="utf-8"))
     if not isinstance(data, dict):
         raise ValueError(f"{path}: config must be a JSON object")
-    fit_part = data.pop("fit", {})
+    fit_part = data.get("fit", {})
     if not isinstance(fit_part, dict):
         raise ValueError(f"{path}: fit must be a JSON object, got "
                          f"{fit_part!r}")
-    unknown = set(data) - _CONFIG_KEYS
+    unknown = set(data) - _CONFIG_KEYS - {"fit"}
     if unknown:
         raise ValueError(f"{path}: unknown config keys {sorted(unknown)}")
     bad_fit = set(fit_part) - _FIT_KEYS
     if bad_fit:
         raise ValueError(f"{path}: unknown fit keys {sorted(bad_fit)}")
-    data["fit"] = fit_part
     return data
 
 
@@ -180,8 +179,7 @@ def _configure_logging(verbose: bool) -> None:
 
 def _build_config(args, parser) -> PipelineConfig:
     try:
-        file_cfg = _read_config_file(args.config) if args.config else {
-            "fit": {}}
+        file_cfg = _read_config_file(args.config) if args.config else {}
     except (OSError, ValueError) as exc:
         parser.error(str(exc))
 
@@ -201,11 +199,6 @@ def _build_config(args, parser) -> PipelineConfig:
         parser.error("an output directory is required (--out or config "
                      "file)")
     try:
-        for key, cast in (("lambdas", float), ("cage_in", str)):
-            if merged.get(key) is not None:
-                if not isinstance(merged[key], (list, tuple)):
-                    raise ValueError(f"{key} must be a list: {merged[key]!r}")
-                merged[key] = tuple(map(cast, merged[key]))
         config = PipelineConfig(fit=FitConfig(**fit_cfg), **merged)
         config.validate(args.command, args.timings_out)
     except (TypeError, ValueError) as exc:

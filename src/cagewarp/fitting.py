@@ -38,7 +38,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.spatial import cKDTree
 
-from .cage import CageMesh, winding_numbers
+from .cage import CageMesh, dot, winding_numbers
 from .errors import FitDivergedError
 from .metrics import as_points
 from .mvc import mvc_weights
@@ -117,12 +117,6 @@ class FitReport:
     target_requeries: int = 0
 
 
-def _lengths(x, y, z):
-    """Euclidean lengths of vectors given by their components, summed in
-    the order cKDTree sums them, so they equal its distances bit for bit."""
-    return np.sqrt(x * x + y * y + z * z)
-
-
 class _Candidates:
     """The CANDIDATES nearest reference rows of each query row, as of the
     row's last k-d query, and the distance to the last of them (its
@@ -144,8 +138,11 @@ class _Candidates:
         """
         # Candidate-major (k, rows) arrays, gathered one component at a
         # time: several times faster than gathering (rows, k, 3) blocks.
-        dist = _lengths(*(references[:, c][self.index] - queries[:, c]
-                          for c in range(3)))
+        # np.sqrt(dot(diff, diff)) sums the components in the order
+        # cKDTree does, so it equals cKDTree's distances bit for bit.
+        diff = [references[:, c][self.index] - queries[:, c]
+                for c in range(3)]
+        dist = np.sqrt(dot(diff, diff))
         d1 = dist.min(axis=0)
         # The nearest candidate wins when no other is within the margin.
         wins = dist * (1.0 - CERTIFY_MARGIN) <= d1
@@ -195,8 +192,10 @@ class _NeighborState:
     def assign(self, positions):
         """Nearest target of every sample and nearest sample of every
         target, equal to those of fresh k=1 queries."""
-        sample_slack = _lengths(*(positions - self.anchor).T)
-        self.target_slack += _lengths(*(positions - self.previous).T).max()
+        moved = (positions - self.anchor).T
+        sample_slack = np.sqrt(dot(moved, moved))
+        step = (positions - self.previous).T
+        self.target_slack += np.sqrt(dot(step, step)).max()
         self.previous = positions.copy()
 
         j_pt, rows = self.to_target.nearest(
@@ -230,8 +229,8 @@ def alignment_loss(positions: np.ndarray, target_points: np.ndarray,
         j_pt, j_tp = state.assign(positions)
     to_target = positions - target_points[j_pt]
     to_sample = positions[j_tp] - target_points
-    loss = float(np.mean(_lengths(*to_target.T) ** 2)
-                 + np.mean(_lengths(*to_sample.T) ** 2))
+    loss = float(np.mean(np.sqrt(dot(to_target.T, to_target.T)) ** 2)
+                 + np.mean(np.sqrt(dot(to_sample.T, to_sample.T)) ** 2))
     grad = (2.0 / len(positions)) * to_target
     np.add.at(grad, j_tp, (2.0 / len(target_points)) * to_sample)
     return loss, grad

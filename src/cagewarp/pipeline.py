@@ -105,6 +105,10 @@ class PipelineConfig:
                 if kind is numbers.Real and not math.isfinite(value):
                     raise ValueError(f"{prefix}{f.name} must be finite, "
                                      f"got {value!r}")
+        if self.cage_in is not None and not (len(self.cage_in) == 2 and all(
+                isinstance(p, str) for p in self.cage_in)):
+            raise ValueError("cage_in must be two str paths (source cage, "
+                             f"deformed cage), got {self.cage_in!r}")
         if mode == "apply-cage" and self.cage_in is None:
             raise ValueError("apply-cage needs cage_in (source cage, "
                              "deformed cage)")
@@ -113,11 +117,10 @@ class PipelineConfig:
                              "replays a cage pair")
         if mode != "apply-cage" and self.target is None:
             raise ValueError(f"a target is required by {mode}")
-        try:
-            lams = tuple(float(l) for l in self.lambdas)
-        except TypeError:
-            raise ValueError(f"lambda values must be numbers: "
-                             f"{self.lambdas!r}") from None
+        lams = tuple(self.lambdas)
+        if not all(isinstance(l, numbers.Real) and not isinstance(l, bool)
+                   for l in lams):
+            raise ValueError(f"lambda values must be numbers: {lams!r}")
         if not lams:
             raise ValueError("at least one lambda value is required")
         if any(not 0.0 <= l <= 1.0 for l in lams):
@@ -141,14 +144,8 @@ class PipelineConfig:
                  fit.convergence_tol >= 0)):
             if not holds:
                 raise ValueError(rule)
-        if self.cage_in is not None and len(tuple(self.cage_in)) != 2:
-            raise ValueError("cage_in needs exactly two paths "
-                             "(source cage, deformed cage)")
-        paths = [str(self.source)]
-        if self.target is not None:
-            paths.append(str(self.target))
-        if self.cage_in is not None:
-            paths.extend(str(p) for p in self.cage_in)
+        paths = [p for p in (self.source, self.target, *(self.cage_in or ()))
+                 if p is not None]
         if len(set(map(os.path.abspath, paths))) != len(paths):
             raise ValueError(f"input paths must be distinct: {paths}")
         inputs = {Path(p).resolve() for p in paths}

@@ -12,7 +12,7 @@ from scipy.spatial.transform import Rotation
 
 from .errors import DegenerateRotationError
 
-_QUAT_NORM_FLOOR = 1e-12
+QUAT_NORM_FLOOR = 1e-12
 
 
 def quat_to_matrix(quats: np.ndarray) -> np.ndarray:
@@ -23,8 +23,8 @@ def quat_to_matrix(quats: np.ndarray) -> np.ndarray:
     """
     q = np.asarray(quats, dtype=np.float64)
     norms = np.linalg.norm(q, axis=-1)
-    if np.any(norms < _QUAT_NORM_FLOOR):
-        bad = int(np.argmax(norms.reshape(-1) < _QUAT_NORM_FLOOR))
+    if np.any(norms < QUAT_NORM_FLOOR):
+        bad = int(np.argmax(norms.reshape(-1) < QUAT_NORM_FLOOR))
         raise DegenerateRotationError(f"zero-norm quaternion at index {bad}")
     return Rotation.from_quat(q, scalar_first=True).as_matrix()
 

@@ -32,7 +32,7 @@ from .errors import (
     PlyReadError,
     UnsupportedLayoutError,
 )
-from .rotations import quat_to_matrix
+from .rotations import QUAT_NORM_FLOOR, quat_to_matrix
 
 _SH_REST_WIDTHS = (0, 9, 24, 45)
 
@@ -96,7 +96,7 @@ class GaussianCloud:
                 f"got shape {self.sh_rest.shape}")
         if not np.all(np.isfinite(self.sh_rest)):
             raise ValueError("sh_rest contains non-finite values")
-        if n and np.any(np.linalg.norm(self.rotations, axis=1) < 1e-12):
+        if n and np.any(np.linalg.norm(self.rotations, axis=1) < QUAT_NORM_FLOOR):
             raise DegenerateRotationError("cloud contains a zero-norm quaternion")
 
     def __len__(self) -> int:

@@ -1,13 +1,18 @@
 """Exercising the command-line interface through its main() entry point."""
 
+import argparse
+import inspect
 import json
+import re
 
 import numpy as np
 import pytest
 
 from cagewarp.cage import build_template_cage, write_cage_obj
-from cagewarp.cli import main
+from cagewarp.cli import _build_parser, main
+from cagewarp.fitting import FitConfig
 from cagewarp.metrics import write_point_ply
+from cagewarp.pipeline import MIN_CAGE_PADDING, PipelineConfig, compare_models
 from cagewarp.splats import read_gs_ply, write_gs_ply
 
 from conftest import random_cloud
@@ -138,6 +143,43 @@ def test_bad_lambda_text_exits_two(model_files, tmp_path):
     assert excinfo.value.code == 2
 
 
+def _code_default(command, dest):
+    """The default the code uses for a flag's destination."""
+    if command == "metrics":
+        name = {"samples": "sample_count"}.get(dest, dest)
+        return inspect.signature(compare_models).parameters[name].default
+    if dest.startswith("fit_"):
+        return getattr(FitConfig(), dest[len("fit_"):])
+    return PipelineConfig.__dataclass_fields__[dest].default
+
+
+def test_help_states_the_defaults_the_code_uses():
+    # The help repeats the defaults as text; every "(default X)" must
+    # still read the value the code falls back to.
+    subparsers = next(a for a in _build_parser()._actions
+                      if isinstance(a, argparse._SubParsersAction))
+    checked = set()
+    for command, parser in subparsers.choices.items():
+        for action in parser._actions:
+            for text in re.findall(r"\(default ([^)]+)\)", action.help or ""):
+                code = _code_default(command, action.dest)
+                assert action.default in (None, code), (command, action.dest)
+                if action.dest == "cage_padding":
+                    text, floor = text.split(", at least ")
+                    assert float(floor) == MIN_CAGE_PADDING
+                if text in ("on", "off"):
+                    assert code is (text == "on"), (command, action.dest)
+                else:
+                    stated = tuple(float(x) for x in text.split(","))
+                    assert stated == (code if isinstance(code, tuple)
+                                      else (code,)), (command, action.dest)
+                checked.add((command, action.dest))
+    assert {("deform", "jacobian_sites"), ("deform", "lambdas"),
+            ("deform", "fit_step_size"), ("fit-cage", "cage_padding"),
+            ("baseline", "update_covariance"),
+            ("metrics", "samples")} <= checked
+
+
 def test_config_file_supplies_defaults_cli_overrides(model_files, tmp_path,
                                                      capsys):
     source, target = model_files
@@ -168,14 +210,16 @@ def test_config_file_supplies_defaults_cli_overrides(model_files, tmp_path,
     {"fit": 5}, {"fit": None}, {"fit": {"convergence_tol": float("inf")}},
     {"fit": {"step_size": float("inf")}}, {"cage_padding": float("inf")},
     {"fit": {"normal_weight": float("nan")}},
-    {"fit": {"step_size": float("-inf")}},
+    {"fit": {"step_size": float("-inf")}}, {"lambdas": [True]},
+    {"lambdas": ["0.5"]}, {"cage_in": [1, 2]},
 ], ids=["lambdas-number", "lambdas-text", "lambdas-bad-item",
         "cage_in-number", "update_covariance-text", "workers-float",
         "jacobian_sites-float", "fit-iterations-float", "seed-float",
         "center_chunk-float", "seed-bool", "cage_padding-text",
         "source-float", "source-list", "target-number", "fit-number",
         "fit-null", "fit-convergence_tol-inf", "fit-step_size-inf",
-        "cage_padding-inf", "fit-normal_weight-nan", "fit-step_size-neg-inf"])
+        "cage_padding-inf", "fit-normal_weight-nan", "fit-step_size-neg-inf",
+        "lambdas-bool", "lambdas-text-item", "cage_in-number-items"])
 def test_config_value_of_wrong_type_exits_two(model_files, tmp_path, extra):
     source, _ = model_files
     out = tmp_path / "o"

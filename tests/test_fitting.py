@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 from scipy.spatial import cKDTree
 
 from cagewarp import fitting
-from cagewarp.cage import build_template_cage
+from cagewarp.cage import build_template_cage, dot
 from cagewarp.errors import FitDivergedError
 from cagewarp.fitting import (FitConfig, _NeighborState, _normal_term,
                               alignment_loss, fit_deformed_cage)
@@ -76,9 +76,8 @@ def test_lengths_equal_kd_tree_distances_bit_for_bit():
     points = rng.standard_normal((2000, 3)) * 3.7
     refs = rng.standard_normal((2500, 3)) + 0.4
     dist, j = cKDTree(refs).query(points, k=4)
-    diff = points[:, None, :] - refs[j]
-    np.testing.assert_array_equal(
-        fitting._lengths(diff[..., 0], diff[..., 1], diff[..., 2]), dist)
+    diff = np.moveaxis(points[:, None, :] - refs[j], -1, 0)
+    np.testing.assert_array_equal(np.sqrt(dot(diff, diff)), dist)
 
 
 # Point counts of 1-3 leave fewer reference rows than CANDIDATES.

@@ -252,9 +252,12 @@ def test_config_validation_failures(fixture_paths, tmp_path):
             (dict(cage_padding=-1.0), "cage_padding"),
             (dict(seed=-1), "seed"),
             (dict(seed=1.5), "seed"),
-            # Library callers skip the CLI's list checks.
+            # Library callers get the type checks a config file gets.
             (dict(lambdas=0.5), "lambdas must be tuple"),
             (dict(lambdas=(None,)), "lambda values must be numbers"),
+            (dict(lambdas=(True,)), "lambda values must be numbers"),
+            (dict(lambdas=("0.5",)), "lambda values must be numbers"),
+            (dict(cage_in=(1, 2)), "cage_in must be two str paths"),
             (dict(fit=None), "fit must be FitConfig"),
             (dict(cage_in=5), "cage_in must be tuple"),
     ):
