@@ -97,7 +97,10 @@ def _add_deform_flags(parser):
                         help="comma-separated interpolation factors in "
                              "[0,1], one output per value (default 1)")
     parser.add_argument("--sites", type=int, dest="jacobian_sites",
-                        help="Jacobian evaluation sites (default 10000)")
+                        help="Jacobian evaluation sites; every splat "
+                             "takes its nearest site's Jacobian, carried "
+                             "along that site's fitted gradient (default "
+                             "10000)")
     parser.add_argument("--covariance", dest="update_covariance",
                         action=argparse.BooleanOptionalAction,
                         help="transport covariances through the local "

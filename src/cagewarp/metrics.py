@@ -16,7 +16,7 @@ from scipy.spatial import cKDTree
 
 from .cage import inflate_degenerate_axes, read_obj_arrays, triangle_areas
 from .splats import GaussianCloud, read_vertex_table, write_vertex_table
-from .transport import transform_covariance
+from .transport import sample_rows, transform_covariance
 
 
 @dataclass
@@ -76,8 +76,7 @@ def sample_points(geometry, count: int | None, seed: int) -> np.ndarray:
     points = as_points(geometry)
     if count is None or count >= len(points):
         return points
-    rng = np.random.default_rng(seed)
-    return points[np.sort(rng.choice(len(points), size=count, replace=False))]
+    return points[sample_rows(len(points), count, seed)]
 
 
 def _sample_mesh_surface(mesh: TriangleMesh, n: int, seed: int) -> np.ndarray:

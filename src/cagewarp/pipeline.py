@@ -427,6 +427,11 @@ def _execute(config: PipelineConfig, mode: str, run: _Run) -> dict:
                     update_covariance=config.update_covariance,
                     m=config.jacobian_sites, seed=config.seed,
                     center_chunk=config.center_chunk, workers=workers)
+            if full_field is not None:
+                logger.info(
+                    "deform: %d Jacobian sites, %d with gradients dropped "
+                    "by the residual limiter",
+                    len(full_field.site_indices), full_field.limited_sites)
         for lam in lambdas:
             with run.stage(f"deform-lam{_lambda_tag(lam)}"):
                 moved, jac_field = blend_deformation(
@@ -441,6 +446,7 @@ def _execute(config: PipelineConfig, mode: str, run: _Run) -> dict:
                     entry["singular_sites"] = int(np.count_nonzero(
                         np.abs(det) <= SINGULAR_DET))
                     entry["inverted_sites"] = int(np.count_nonzero(det < 0))
+                    entry["limited_sites"] = jac_field.limited_sites
                 if target_points is not None:
                     entry["chamfer_sq_normalized"] = chamfer_to_target(moved)
                 outputs.append(entry)

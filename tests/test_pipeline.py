@@ -449,9 +449,14 @@ def test_lambda_sweep_is_served_from_one_deform(fixture_paths, cage_files,
 
     entries = {o["lambda"]: o for o in summary["outputs"]}
     assert "inverted_sites" not in entries[0.0]
+    assert "limited_sites" not in entries[0.0]
+    # Blending scales the site gradients, so every lambda keeps the
+    # limiter's choice at lambda 1.
+    limited = deform_cloud(cloud, src, dst, m=80, seed=0)[1].limited_sites
     for lam in SWEEP[1:]:
         assert entries[lam]["singular_sites"] == 0
         assert entries[lam]["inverted_sites"] == 0
+        assert entries[lam]["limited_sites"] == limited
 
 
 def test_lambda_sweep_of_identical_cages_returns_the_source(

@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
 from cagewarp import transport
-from cagewarp.cage import build_template_cage
+from cagewarp.cage import build_template_cage, interpolate_cage
 from cagewarp.errors import NearSurfaceError, TopologyMismatchError
 from cagewarp.mvc import mvc_weights
 from cagewarp.rotations import quat_to_matrix
@@ -25,6 +25,29 @@ from cagewarp.transport import (
 
 from conftest import cage_pair, interior_points, random_cloud
 from jacobian_oracle import jacobian_analytic
+
+
+def jiggled(source, amplitude=0.05, seed=0):
+    """A smooth, non-affine deformation of a cage, so that site Jacobians
+    vary and their gradients are fitted."""
+    rng = np.random.default_rng(seed)
+    lo, hi = source.bbox()
+    jiggle = amplitude * (hi - lo) * np.sin(
+        source.vertices @ rng.normal(size=(3, 3)) * 0.7)
+    return source.with_vertices(source.vertices + jiggle, validate=False)
+
+
+def uses_gradients(field):
+    return field.gradients is not None and np.any(field.gradients != 0.0)
+
+
+def covariance_gap_p95(jac, truth, cloud):
+    """95th percentile of the relative covariance error of jac's
+    transport against truth's, over the splats of cloud."""
+    got, want = (covariances_of(*transform_covariance(
+        j, cloud.rotations, cloud.log_scales)) for j in (jac, truth))
+    return np.percentile(np.linalg.norm(got - want, axis=(1, 2))
+                         / np.linalg.norm(want, axis=(1, 2)), 95)
 
 
 def site_counts(field):
@@ -167,6 +190,114 @@ class TestJacobianField:
         pts = interior_points(source, 20, seed=21)
         field = build_jacobian_field(pts, source, deformed, m=100)
         assert site_counts(field)[0] == len(field.site_indices) == 20
+
+
+class TestSiteGradients:
+    def test_linear_field_reproduced_at_every_point(self, monkeypatch):
+        # Site Jacobians from J(x) = J0 + sum_a x_a G_a: the fit recovers
+        # G exactly, so every point gets its own J(x) to rounding.
+        rng = np.random.default_rng(60)
+        j0 = np.eye(3) + 0.2 * rng.normal(size=(3, 3))
+        grad = 0.1 * rng.normal(size=(3, 3, 3))
+
+        def linear(points, source, deformed):
+            return j0 + np.einsum("pa,aij->pij", points, grad)
+
+        monkeypatch.setattr(transport, "jacobian_fd", linear)
+        source, deformed = cage_pair(seed=61)
+        pts = interior_points(source, 3000, seed=62)
+        field = build_jacobian_field(pts, source, deformed, m=150, seed=4)
+        assert field.limited_sites == 0
+        got = field.span_jacobians(pts, 0, len(pts))
+        np.testing.assert_allclose(got, linear(pts, None, None), rtol=0,
+                                   atol=1e-12)
+
+    def test_planar_cloud_stays_within_twice_nearest(self):
+        # A z = 0 cloud gets a thin template cage, whose J kinks across
+        # the projected face edges. Unlimited gradients extrapolate across
+        # them, 3.6 times worse than nearest sites here; the limiter drops
+        # those fits.
+        cloud = random_cloud(20000, seed=63)
+        cloud.centers[:, 2] = 0.0
+        source = build_template_cage(cloud.centers, resolution=3)
+        deformed = jiggled(source, amplitude=0.02, seed=64)
+        field = build_jacobian_field(cloud.centers, source, deformed,
+                                     m=1000, seed=0)
+        assert 0 < field.limited_sites < 1000
+        truth = jacobian_fd(cloud.centers, source, deformed)
+        gradient = covariance_gap_p95(
+            field.span_jacobians(cloud.centers, 0, len(cloud)), truth, cloud)
+        nearest = covariance_gap_p95(
+            field.site_jacobians[field.assignment], truth, cloud)
+        assert gradient <= 2.0 * nearest
+
+    @pytest.mark.parametrize("m", [1, 3, transport.GRADIENT_NEIGHBORS + 1,
+                                   200, 400])
+    def test_site_counts_from_one_to_all(self, m):
+        cloud = random_cloud(200, seed=65)
+        source = build_template_cage(cloud.centers, resolution=2)
+        deformed = jiggled(source, seed=66)
+        out, field = deform_cloud(cloud, source, deformed, m=m, seed=1)
+        assert len(field.site_indices) == min(m, len(cloud))
+        nearest = field.site_jacobians[field.assignment]
+        got = field.span_jacobians(cloud.centers, 0, len(cloud))
+        if m < 4 or m >= len(cloud):
+            assert field.gradients is None and field.limited_sites == 0
+            q, ls = transform_covariance(nearest, cloud.rotations,
+                                         cloud.log_scales)
+            assert np.array_equal(out.rotations, q)
+            assert np.array_equal(out.log_scales, ls)
+        else:
+            assert field.gradients.shape == (len(field.site_indices), 3, 9)
+            assert uses_gradients(field)
+            # A point at a site, or assigned to a site the limiter
+            # dropped, takes the site's own Jacobian.
+            limited = ~field.gradients.any(axis=(1, 2))
+            same = limited[field.assignment]
+            same[field.site_indices] = True
+            assert np.array_equal(got[same], nearest[same])
+
+    def test_affine_pair_raises_no_warning(self, monkeypatch):
+        # Equal site Jacobians leave nothing to fit (R = 0), and coincident
+        # sites leave nothing to fit with (D = 0); neither divides by zero.
+        # RuntimeWarnings fail the test.
+        cloud = random_cloud(300, seed=67)
+        source = build_template_cage(cloud.centers, resolution=2)
+        rng = np.random.default_rng(68)
+        matrix = np.eye(3) + 0.2 * rng.normal(size=(3, 3))
+        deformed = source.with_vertices(source.vertices @ matrix.T + 0.5,
+                                        validate=False)
+        deform_cloud(cloud, source, deformed, m=40)
+        monkeypatch.setattr(transport, "jacobian_fd",
+                            lambda points, source, deformed:
+                            np.broadcast_to(matrix, (len(points), 3, 3)))
+        field = build_jacobian_field(cloud.centers, source, deformed, m=40)
+        assert not field.gradients.any() and field.limited_sites == 0
+        twins = np.repeat(cloud.centers[:3], 20, axis=0)
+        field = build_jacobian_field(twins, source, deformed, m=30)
+        assert not field.gradients.any()
+
+    @pytest.mark.parametrize("lam", [0.25, 0.5, 0.75])
+    def test_blend_matches_interpolated_cage(self, lam):
+        cloud = random_cloud(600, seed=69)
+        source = build_template_cage(cloud.centers, resolution=2)
+        deformed = jiggled(source, seed=70)
+        full, field = deform_cloud(cloud, source, deformed, m=80, seed=2)
+        assert uses_gradients(field)
+        got, blended = blend_deformation(cloud, full, field, lam)
+        ref, ref_field = deform_cloud(
+            cloud, source, interpolate_cage(source, deformed, lam), m=80,
+            seed=2)
+        assert blended.limited_sites == ref_field.limited_sites
+        np.testing.assert_allclose(blended.gradients, ref_field.gradients,
+                                   rtol=0, atol=1e-9)
+        diag = source.bbox_diagonal()
+        assert np.abs(got.centers - ref.centers).max() <= 1e-10 * diag
+        cov_got = covariances_of(got.rotations, got.log_scales)
+        cov_ref = covariances_of(ref.rotations, ref.log_scales)
+        rel = np.linalg.norm(cov_got - cov_ref, axis=(1, 2)) \
+            / np.linalg.norm(cov_ref, axis=(1, 2))
+        assert rel.max() <= 1e-8
 
 
 class TestTransformCovariance:
@@ -317,9 +448,10 @@ class TestDeformCloud:
     def test_chunking_invariance(self):
         cloud = random_cloud(250, seed=40)
         source = build_template_cage(cloud.centers, resolution=2)
-        deformed = source.with_vertices(source.vertices * 1.2, validate=False)
-        a, _ = deform_cloud(cloud, source, deformed, m=60, seed=1,
-                            center_chunk=30000)
+        deformed = jiggled(source, seed=40)
+        a, field = deform_cloud(cloud, source, deformed, m=60, seed=1,
+                                center_chunk=30000)
+        assert uses_gradients(field)
         b, _ = deform_cloud(cloud, source, deformed, m=60, seed=1,
                             center_chunk=17)
         # BLAS reductions are not bit-stable across matmul shapes, so the
@@ -332,11 +464,11 @@ class TestDeformCloud:
     def test_worker_threads_do_not_change_bits(self):
         cloud = random_cloud(500, seed=41)
         source = build_template_cage(cloud.centers, resolution=2)
-        deformed = source.with_vertices(source.vertices * 1.15 + 0.2,
-                                        validate=False)
+        deformed = jiggled(source, seed=41)
         # identical chunk grid, so threading only changes who computes what
-        a, _ = deform_cloud(cloud, source, deformed, m=80, seed=2,
-                            center_chunk=64, workers=1)
+        a, field = deform_cloud(cloud, source, deformed, m=80, seed=2,
+                                center_chunk=64, workers=1)
+        assert uses_gradients(field)
         b, _ = deform_cloud(cloud, source, deformed, m=80, seed=2,
                             center_chunk=64, workers=4)
         for name in ("centers", "log_scales", "rotations"):
@@ -406,9 +538,7 @@ class TestSharedSpanPass:
     def scene():
         cloud = random_cloud(100, seed=47)
         source = build_template_cage(cloud.centers, resolution=2)
-        deformed = source.with_vertices(source.vertices * 1.1 + 0.1,
-                                        validate=False)
-        return cloud, source, deformed
+        return cloud, source, jiggled(source, seed=47)
 
     @pytest.mark.parametrize("spans", [1, 2, 3, 4, 5])
     def test_bits_do_not_depend_on_workers(self, spans):
@@ -424,6 +554,7 @@ class TestSharedSpanPass:
                 full, field = deform_cloud(cloud, source, deformed, m=30,
                                            center_chunk=chunk,
                                            workers=workers)
+                assert uses_gradients(field)
                 half, _ = blend_deformation(cloud, full, field, 0.5,
                                             center_chunk=chunk,
                                             workers=workers)
