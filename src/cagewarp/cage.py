@@ -19,14 +19,15 @@ from .errors import NonManifoldCageError, TopologyMismatchError
 # (point, triangle) pairs per chunk of mvc.mvc_weights, surface_distance
 # and winding_numbers: the one bound on their scratch memory, about 3.3,
 # 2.2 and 2.2 MiB at any point count (traced beyond the output, box cages
-# of resolution 2, 3 and 6). glibc hands a freed heap top back to the OS
-# once it outgrows a threshold that follows the largest array freed, and
-# the next chunk faults it in again. At 2**16 every MVC chunk did: one call
-# on 2900 points x 432 triangles took 72k minor page faults and 320-390 ms
-# in a fresh process (2 cores). At 2**14 it took 1.1-1.7k faults and
-# 200-245 ms in half of the fresh processes and churned as before in the
-# rest; warm calls cost the same at both sizes, and weights are
-# bit-identical.
+# of resolution 2, 3 and 6), and on the MVC rows that mvc_weights maps
+# through a deformed cage, which it holds one chunk at a time. glibc hands
+# a freed heap top back to the OS once it outgrows a threshold that
+# follows the largest array freed, and the next chunk faults it in again.
+# At 2**16 every MVC chunk did: one call on 2900 points x 432 triangles
+# took 72k minor page faults and 320-390 ms in a fresh process (2 cores).
+# At 2**14 it took 1.1-1.7k faults and 200-245 ms in half of the fresh
+# processes and churned as before in the rest; warm calls cost the same
+# at both sizes, and weights are bit-identical.
 CHUNK_PAIRS = 2**14
 
 

@@ -82,7 +82,8 @@ def _add_run_flags(parser):
     parser.add_argument("--workers", type=int,
                         help="threads that share the deform stage's "
                              "span pass, the calling thread included; "
-                             "0 = all cores (default)")
+                             "0 = one per core this process may run on "
+                             "(default)")
     parser.add_argument("--center-chunk", type=int, dest="center_chunk",
                         help="splats processed per chunk (default 30000)")
     parser.add_argument("--timings-out", type=Path, dest="timings_out",

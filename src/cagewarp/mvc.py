@@ -34,6 +34,13 @@ vertex's unit row, and a point on a face (ON_FACE_EPS) gets the
 barycentric coordinates of the first such face. The warp's Jacobian is
 estimated from these weights by central differences in
 transport.jacobian_fd.
+
+Points are evaluated in chunks of about CHUNK_PAIRS (point, triangle)
+pairs. Given a deformed copy of the cage, mvc_weights maps each chunk's
+rows through it as soon as they are checked, so the rows held at once,
+like the kernel's scratch, are bounded by one chunk, whatever the point
+count; only a caller that keeps the weights, as the cage fit does, holds
+a (P, V) matrix.
 """
 
 from __future__ import annotations
@@ -75,7 +82,8 @@ class MVCWeights:
     cage: CageMesh           # source cage the weights were computed against
 
 
-def mvc_weights(points: np.ndarray, cage: CageMesh) -> MVCWeights:
+def mvc_weights(points: np.ndarray, cage: CageMesh,
+                deformed: CageMesh | None = None):
     """Compute normalized mean value coordinates of points w.r.t. a cage.
 
     Points may lie anywhere: inside (all weights positive for convex
@@ -83,10 +91,18 @@ def mvc_weights(points: np.ndarray, cage: CageMesh) -> MVCWeights:
     weights). Evaluation is chunked to about CHUNK_PAIRS (point,
     triangle) pairs; rows do not depend on the chunking. A point so far
     outside that its row vanishes or misses it raises ValueError.
+
+    Returns MVCWeights, or, given a deformed copy of the cage, the points
+    mapped through it, (P, 3): each chunk's rows are then multiplied into
+    the deformed vertices in one reused (rows, V) buffer, so the mapped
+    rows held at once are bounded by one chunk and no (P, V) matrix is
+    formed.
     """
     points = np.ascontiguousarray(np.atleast_2d(points), dtype=np.float64)
     if points.ndim != 2 or points.shape[1] != 3:
         raise ValueError(f"points must be (P, 3), got {points.shape}")
+    if deformed is not None:
+        cage.check_same_topology(deformed)
     tri = cage.triangles
     table = _edge_table(tri)
     # Column k*T + t of the corner incidence is corner k of triangle t.
@@ -95,10 +111,13 @@ def mvc_weights(points: np.ndarray, cage: CageMesh) -> MVCWeights:
         shape=(len(cage.vertices), tri.size))
     rows = max(1, CHUNK_PAIRS // max(len(tri), 1))
     centre, diag = 0.5 * sum(cage.bbox()), cage.bbox_diagonal()
-    weights = np.empty((len(points), len(cage.vertices)))
+    # Every row, or, when mapping, one chunk's rows at a time.
+    mapped = None if deformed is None else np.empty((len(points), 3))
+    weights = np.empty((len(points) if mapped is None
+                        else min(rows, len(points)), len(cage.vertices)))
     for lo in range(0, len(points), rows):
         x = points[lo:lo + rows]
-        w = weights[lo:lo + rows]
+        w = weights[lo:lo + rows] if mapped is None else weights[:len(x)]
         _weights_chunk(x, cage, table, incidence, w)
         total = w.sum(axis=1)
         # A zero total counts too: far enough outside, every triangle's
@@ -118,7 +137,10 @@ def mvc_weights(points: np.ndarray, cage: CageMesh) -> MVCWeights:
                 f"mean value weights vanish at point index "
                 f"{lo + int(np.argmax(bad))}; the query point is too far "
                 "outside the cage")
-    return MVCWeights(weights=weights, cage=cage)
+        if mapped is not None:
+            np.matmul(w, deformed.vertices, out=mapped[lo:lo + rows])
+    return MVCWeights(weights=weights, cage=cage) if mapped is None \
+        else mapped
 
 
 def deform_points(weights: MVCWeights, deformed: CageMesh) -> np.ndarray:

@@ -70,7 +70,8 @@ class PipelineConfig:
     replays, and no other mode takes one; a fitted pair is written to
     output_dir. target is required by every mode except apply-cage, where
     it only adds a chamfer per output. workers = 0 means one thread per
-    available core.
+    core the process may run on (its CPU affinity where the platform
+    reports one, else the host's core count).
     """
 
     source: str
@@ -162,7 +163,13 @@ class PipelineConfig:
                              "input or an artifact")
 
     def effective_workers(self) -> int:
-        return self.workers if self.workers > 0 else (os.cpu_count() or 1)
+        if self.workers > 0:
+            return self.workers
+        # cpu_count counts the host's cores; a pinned process runs on
+        # fewer, and every extra pool thread brings a glibc arena.
+        if hasattr(os, "sched_getaffinity"):
+            return len(os.sched_getaffinity(0))
+        return os.cpu_count() or 1
 
 
 @dataclass

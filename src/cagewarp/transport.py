@@ -28,7 +28,7 @@ from scipy.spatial import cKDTree
 
 from .cage import CageMesh, surface_distance
 from .errors import NearSurfaceError
-from .mvc import deform_points, mvc_weights
+from .mvc import mvc_weights
 from .rotations import matrix_to_quat
 from .splats import GaussianCloud, covariances_of
 
@@ -129,7 +129,9 @@ def jacobian_fd(points: np.ndarray, source: CageMesh,
     is halved per point (at most four times) until the whole stencil stays
     on one side of the cage surface; points still too close then raise
     NearSurfaceError, since the deformation is discontinuous across the
-    cage.
+    cage. The 6P stencil points go through mvc_weights with the deformed
+    cage, which holds their weight rows one MVC chunk at a time: beyond
+    the stencil and its (6P, 3) image, memory does not grow with P.
     """
     source.check_same_topology(deformed)
     points = np.ascontiguousarray(np.atleast_2d(points), dtype=np.float64)
@@ -148,8 +150,8 @@ def jacobian_fd(points: np.ndarray, source: CageMesh,
     step = h[:, None, None] * np.eye(3)
     x = points[:, None, :]
     stencil = np.stack([x + step, x - step], axis=2).reshape(-1, 3)
-    mapped = deform_points(mvc_weights(stencil, source), deformed)
-    mapped = mapped.reshape(len(points), 3, 2, 3)
+    mapped = mvc_weights(stencil, source, deformed).reshape(len(points), 3,
+                                                            2, 3)
     # J[p, i, a] = d f_i / d x_a
     return (mapped[:, :, 0, :] - mapped[:, :, 1, :]).transpose(0, 2, 1) \
         / (2.0 * h)[:, None, None]
@@ -291,12 +293,14 @@ def deform_cloud(cloud: GaussianCloud, source: CageMesh, deformed: CageMesh,
     Jacobian, carried to the splat along that site's gradient) unless
     update_covariance is off, in which case rotations and scales pass
     through untouched. The field is built first, so a site too near the
-    cage surface fails before any center moves. Then one pass over spans of center_chunk splats moves
-    each span's centers and re-factors its covariances. Opacity and color
-    coefficients always pass through bit-for-bit, as does splat order.
-    workers > 1 shares the fixed span grid among that many threads, the
-    calling one included; the grid does not depend on the worker count,
-    so neither do the results.
+    cage surface fails before any center moves. Then one pass over spans
+    of center_chunk splats moves each span's centers, mapping its MVC
+    rows through the deformed cage one CHUNK_PAIRS chunk at a time (no
+    (center_chunk, V) weight matrix), and re-factors its covariances.
+    Opacity and color coefficients always pass through bit-for-bit, as
+    does splat order. workers > 1 shares the fixed span grid among that
+    many threads, the calling one included; the grid does not depend on
+    the worker count, so neither do the results.
 
     Returns (new_cloud, field): field is the JacobianField used, or None
     when covariances were not transported. An exactly-identical cage pair
@@ -316,8 +320,8 @@ def deform_cloud(cloud: GaussianCloud, source: CageMesh, deformed: CageMesh,
                                  seed=seed) if update_covariance else None
     return _transported(
         cloud, field, center_chunk, workers,
-        lambda lo, hi: deform_points(
-            mvc_weights(cloud.centers[lo:hi], source), deformed)), field
+        lambda lo, hi: mvc_weights(cloud.centers[lo:hi], source,
+                                   deformed)), field
 
 
 def blend_deformation(cloud: GaussianCloud, full: GaussianCloud,

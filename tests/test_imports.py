@@ -11,6 +11,7 @@ two functions with one body are one function defined twice.
 
 import ast
 import copy
+import importlib
 from pathlib import Path
 
 import pytest
@@ -166,3 +167,44 @@ def test_the_check_sees_a_duplicated_body(tmp_path):
                       "    return v[0] * v[0] + v[1] * v[2]\n")
     assert _duplicated_bodies([first, second]) == [
         [("a.py", 1, "norm2"), ("b.py", 2, "_length_sq")]]
+
+
+TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+
+
+def _missing_wrapped_names(path):
+    """module.name of each entry of a tracer's WRAPPED table that its
+    module does not define; the table is read from source, not run."""
+    for node in ast.parse(path.read_text(encoding="utf-8")).body:
+        if isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "WRAPPED"
+                for t in node.targets):
+            return [f"{module.value}.{name.value}"
+                    for module, names in zip(node.value.keys,
+                                             node.value.values)
+                    for name in names.keys
+                    if not hasattr(importlib.import_module(module.value),
+                                   name.value)]
+    raise AssertionError(f"no WRAPPED table in {path}")
+
+
+def test_every_name_the_tracer_wraps_exists():
+    # perfbench/tracing.py swaps these names for wrappers by getattr, so
+    # one that goes would otherwise fail deep inside the benchmark's
+    # self-test.
+    missing = _missing_wrapped_names(TRACING)
+    assert missing == [], (
+        f"perfbench/tracing.py wraps {missing}, which the package no "
+        "longer defines; keep the names, or change the tracer together "
+        "with the benchmark")
+
+
+def test_the_check_sees_a_missing_wrapped_name(tmp_path):
+    tracer = tmp_path / "tracing.py"
+    tracer.write_text("WRAPPED = {\n"
+                      "    'cagewarp.transport': {'mvc_weights': _pairs,\n"
+                      "                           'deform_points': None},\n"
+                      "    'cagewarp.mvc': {'no_such_name': None},\n"
+                      "}\n")
+    assert _missing_wrapped_names(tracer) == [
+        "cagewarp.transport.deform_points", "cagewarp.mvc.no_such_name"]

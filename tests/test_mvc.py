@@ -337,6 +337,82 @@ class TestDeformPoints:
             deform_points(mw, other)
 
 
+class TestMappedPoints:
+    """mvc_weights(points, cage, deformed) maps each chunk's rows through
+    the deformed cage as it goes, without a (P, V) matrix."""
+
+    @staticmethod
+    def scene():
+        cage = box_cage(-np.ones(3), np.ones(3), resolution=6)
+        rows = mvc.CHUNK_PAIRS // len(cage.triangles)
+        pts = interior_points(cage, 3 * rows + 5, seed=31)
+        # A vertex-snap row ends the first chunk and an on-face row starts
+        # the second.
+        pts[rows - 1] = cage.vertices[40] + 1e-13
+        face = cage.triangles[100]
+        pts[rows] = np.array([0.2, 0.5, 0.3]) @ cage.vertices[face]
+        v = cage.vertices
+        deformed = cage.with_vertices(v + 0.1 * np.sin(2 * v[:, [1, 2, 0]]),
+                                      validate=False)
+        return cage, deformed, pts, rows, face
+
+    def test_matches_the_dense_mapping(self):
+        cage, deformed, pts, rows, face = self.scene()
+        assert len(pts) > 3 * rows
+        mapped = mvc_weights(pts, cage, deformed)
+        dense = mvc_weights(pts, cage).weights
+        # The rows are the dense rows, multiplied one chunk at a time.
+        by_chunk = np.concatenate([dense[lo:lo + rows] @ deformed.vertices
+                                   for lo in range(0, len(pts), rows)])
+        assert np.array_equal(mapped, by_chunk)
+        # Against one product over all rows, a row may differ in the last
+        # bits: BLAS sums the rows past its kernel's last full block of
+        # rows by another path, so a row's rounding depends on where in
+        # its product it falls.
+        whole = deform_points(MVCWeights(dense, cage), deformed)
+        assert np.max(np.abs(mapped - whole)) \
+            <= 1e-12 * cage.bbox_diagonal()
+        assert np.array_equal(mapped[rows - 1], deformed.vertices[40])
+        assert np.allclose(mapped[rows],
+                           np.array([0.2, 0.5, 0.3])
+                           @ deformed.vertices[face],
+                           rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("far", [1e4, 1e7])
+    def test_a_far_row_past_the_first_chunk_raises_with_its_index(self, far):
+        # 1e7 diagonals out the row vanishes; 1e4 out it misses its point.
+        cage, deformed, pts, rows, _ = self.scene()
+        pts[2 * rows + 3] = (far, 0.3, 0.2)
+        with pytest.raises(ValueError, match=f"point index {2 * rows + 3};"):
+            mvc_weights(pts, cage, deformed)
+
+    def test_topology_mismatch(self):
+        cage, _, pts, _, _ = self.scene()
+        other = box_cage(-np.ones(3), np.ones(3), resolution=5)
+        with pytest.raises(TopologyMismatchError):
+            mvc_weights(pts, cage, other)
+
+    @pytest.mark.parametrize("resolution", [3, 6])
+    def test_scratch_memory_flat_in_point_count(self, resolution):
+        # Scratch is the traced peak beyond the returned (P, 3) points.
+        cage = build_template_cage(np.array([[-1.0] * 3, [1.0] * 3]),
+                                   resolution=resolution)
+        deformed = cage.with_vertices(1.1 * cage.vertices, validate=False)
+        scratch = []
+        for n in (1000, 8000):
+            pts = interior_points(cage, n, seed=n)
+            tracemalloc.start()
+            try:
+                mapped = mvc_weights(pts, cage, deformed)
+                scratch.append(tracemalloc.get_traced_memory()[1]
+                               - mapped.nbytes)
+            finally:
+                tracemalloc.stop()
+        # Dense weights would add 7000 V-wide rows: 5.5 MiB at resolution
+        # 3, 11.6 MiB at 6.
+        assert abs(scratch[1] - scratch[0]) < 0.1 * scratch[0]
+
+
 class TestGradient:
     def test_finite_difference_oracle(self):
         rng = np.random.default_rng(15)

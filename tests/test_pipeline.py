@@ -99,6 +99,22 @@ def test_worker_count_does_not_change_results(fixture_paths, tmp_path):
     assert outs[1] == outs[3]
 
 
+def test_zero_workers_count_the_cores_the_process_may_run_on(monkeypatch):
+    config = PipelineConfig(source="s.ply", output_dir="out", workers=0)
+    monkeypatch.setattr(pipeline.os, "cpu_count", lambda: 64)
+    monkeypatch.setattr(pipeline.os, "sched_getaffinity", lambda pid: {2, 5},
+                        raising=False)
+    assert config.effective_workers() == 2
+    # Without an affinity call (macOS, Windows) the host count is all
+    # there is.
+    monkeypatch.delattr(pipeline.os, "sched_getaffinity")
+    assert config.effective_workers() == 64
+    monkeypatch.setattr(pipeline.os, "cpu_count", lambda: None)
+    assert config.effective_workers() == 1
+    assert PipelineConfig(source="s.ply", output_dir="out",
+                          workers=3).effective_workers() == 3
+
+
 def test_coarse_to_fine_fit_is_byte_identical_across_runs_and_workers(
         tmp_path, caplog):
     # 4000 samples give coarse subsets of 400 rows, above the 260 a res-2

@@ -2,6 +2,7 @@ import collections
 import dataclasses
 import sys
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -606,6 +607,51 @@ class TestSharedSpanPass:
         assert sum(ran.values()) == spans
         assert ran[threading.current_thread()] == len(range(0, spans, n))
         assert len(ran) <= n
+
+
+def traced(call):
+    """Bytes traced at call()'s peak and at its end (its result still
+    held), beyond those traced before it."""
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        result = call()  # noqa: F841 -- held while measured
+        kept, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return peak - before, kept - before
+
+
+class TestPeakMemory:
+    """MVC rows are mapped through the deformed cage one CHUNK_PAIRS chunk
+    at a time, so no (rows, V) weight matrix grows with the input: at
+    resolution 6 (218 vertices) a dense row costs 1744 bytes."""
+
+    def test_jacobian_fd_peak_is_flat_in_the_site_count(self):
+        cage = build_template_cage(np.array([[-1.0] * 3, [1.0] * 3]),
+                                   resolution=6)
+        deformed = jiggled(cage, seed=51)
+        peaks = [traced(lambda: jacobian_fd(
+            interior_points(cage, m, seed=m), cage, deformed))[0]
+            for m in (500, 4000)]
+        # Per site: six stencil points, their images and the Jacobian,
+        # about 400 bytes, where six dense rows would be 10.5 KiB.
+        assert peaks[1] - peaks[0] < 1024 * (4000 - 500)
+
+    def test_deform_cloud_peak_is_flat_in_the_splat_count(self):
+        # One span of the default center_chunk holds every splat. Without
+        # covariances, whose scratch is per span by design, the peak grows
+        # by the output and the span's moved centers (24 bytes a splat).
+        peaks, kept = [], []
+        for n in (2000, 16000):
+            cloud = random_cloud(n, seed=52)
+            cage = build_template_cage(cloud.centers, resolution=6)
+            peak, end = traced(lambda: deform_cloud(
+                cloud, cage, jiggled(cage, seed=52),
+                update_covariance=False))
+            peaks.append(peak)
+            kept.append(end)
+        assert peaks[1] - peaks[0] < kept[1] - kept[0] + 32 * (16000 - 2000)
 
 
 class TestBlendDeformation:
