@@ -17,17 +17,17 @@ import numpy as np
 from .errors import NonManifoldCageError, TopologyMismatchError
 
 # (point, triangle) pairs per chunk of mvc.mvc_weights, surface_distance
-# and winding_numbers: the one bound on their scratch memory, about 3.3,
-# 2.2 and 2.2 MiB at any point count (traced beyond the output, box cages
-# of resolution 2, 3 and 6), and on the MVC rows that mvc_weights maps
-# through a deformed cage, which it holds one chunk at a time. glibc hands
-# a freed heap top back to the OS once it outgrows a threshold that
-# follows the largest array freed, and the next chunk faults it in again.
-# At 2**16 every MVC chunk did: one call on 2900 points x 432 triangles
-# took 72k minor page faults and 320-390 ms in a fresh process (2 cores).
-# At 2**14 it took 1.1-1.7k faults and 200-245 ms in half of the fresh
-# processes and churned as before in the rest; warm calls cost the same
-# at both sizes, and weights are bit-identical.
+# and winding_numbers, and (site, neighbour) pairs per block of the site
+# gradient fit: the one bound on their scratch memory (3.3, 2.2, 2.2 and
+# 5 MiB at any size beyond the output and the fit's neighbour table, on
+# box cages of resolution 2-6), and on the MVC rows that mvc_weights maps
+# through a deformed cage one chunk at a time. glibc returns a freed heap
+# top past a threshold that follows the largest array freed to the OS,
+# and the next chunk faults it in again. At 2**16 every MVC chunk did:
+# one call on 2900 points x 432 triangles took 72k minor faults and 320-390 ms
+# in a fresh process (2 cores). At 2**14 it took 1.1-1.7k faults and
+# 200-245 ms in half of the fresh processes and churned as before in the
+# rest; warm calls cost the same at both sizes, and weights are bit-identical.
 CHUNK_PAIRS = 2**14
 
 
@@ -152,9 +152,8 @@ def bbox_of(points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return pts.min(axis=0), pts.max(axis=0)
 
 
-def inflate_degenerate_axes(lo: np.ndarray, hi: np.ndarray,
-                            fraction: float = 1e-3) -> tuple[np.ndarray, np.ndarray]:
-    """Grow near-zero box extents to `fraction` of the box diagonal.
+def inflate_degenerate_axes(lo: np.ndarray, hi: np.ndarray):
+    """Grow box extents below 1e-3 of the box diagonal to that length.
 
     A fully degenerate box (a single point) gets unit extent on every axis
     so downstream padding still has something to work with.
@@ -166,7 +165,7 @@ def inflate_degenerate_axes(lo: np.ndarray, hi: np.ndarray,
     if diag == 0.0:
         half = 0.5
         return lo - half, hi + half
-    floor = fraction * diag
+    floor = 1e-3 * diag
     thin = extent < floor
     if np.any(thin):
         pad = 0.5 * (floor - extent[thin])

@@ -224,11 +224,9 @@ def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     _configure_logging(getattr(args, "verbose", False))
-    if args.command == "metrics":
-        _check_metrics_args(args, parser)
-
     try:
         if args.command == "metrics":
+            _check_metrics_args(args, parser)
             result = compare_models(
                 args.model, args.reference, sample_count=args.samples,
                 seed=args.seed)

@@ -36,9 +36,9 @@ class NearSurfaceError(CagewarpError, ValueError):
 class FitDivergedError(CagewarpError, RuntimeError):
     """Optimization produced a non-finite loss."""
 
-    def __init__(self, iteration: int, message: str = ""):
+    def __init__(self, iteration: int):
         self.iteration = iteration
-        super().__init__(message or f"non-finite loss at iteration {iteration}")
+        super().__init__(f"non-finite loss at iteration {iteration}")
 
 
 class PipelineError(CagewarpError, RuntimeError):

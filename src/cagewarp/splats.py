@@ -207,19 +207,24 @@ def read_vertex_table(path, required) -> tuple[list[str], np.ndarray]:
                 raise PlyFormatError(
                     f"{path}: missing required property {name!r}")
         expected = 4 * count * len(names)
-        # Size a file before allocating, so that a header claiming too many
-        # vertices cannot exhaust memory; a pipe is checked after the read.
-        body = os.fstat(stream.fileno()).st_size - header_bytes \
-            if stream.seekable() else expected
-        if body >= expected:
-            table = np.empty((count, len(names)), dtype="<f4")
-            body = stream.readinto(table)
+        # Size a file before allocating, and read a pipe in bounded blocks,
+        # so that a header claiming too many vertices cannot exhaust memory.
+        if stream.seekable():
+            body = os.fstat(stream.fileno()).st_size - header_bytes
+            if body >= expected:
+                table = np.empty((count, len(names)), dtype="<f4")
+                body = stream.readinto(table)
+        else:
+            table = bytearray()
+            while block := stream.read(min(expected - len(table), 1 << 16)):
+                table += block
+            body = len(table)
     if body < expected:
         raise PlyReadError(
             f"{path}: truncated body, expected {expected} bytes after "
             f"the header but the file ends at byte offset "
             f"{header_bytes + body}")
-    return names, table
+    return names, np.frombuffer(table, "<f4").reshape(count, len(names))
 
 
 def write_vertex_table(path, names, table) -> None:

@@ -12,7 +12,8 @@ by least squares to its nearest other sites (least-squares gradient
 reconstruction, Barth & Jespersen 1989), and every splat takes its
 nearest site's Jacobian extrapolated to its own position along that
 gradient. The shared field's error then falls with the square of the
-site spacing, not linearly.
+site spacing, not linearly. Nearest is cKDTree.query's answer, ties
+included; a gradient block holds at most CHUNK_PAIRS (site, neighbour) pairs.
 
 A partial-strength edit blends the identity with the full deformation
 (blend_deformation) instead of deforming again.
@@ -26,7 +27,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 from scipy.spatial import cKDTree
 
-from .cage import CageMesh, surface_distance
+from .cage import CHUNK_PAIRS, CageMesh, surface_distance
 from .errors import NearSurfaceError
 from .mvc import mvc_weights
 from .rotations import matrix_to_quat
@@ -164,11 +165,10 @@ def build_jacobian_field(points: np.ndarray, source: CageMesh,
     assign every point to one.
 
     Sites are drawn uniformly without replacement (all points become sites
-    when m >= len(points), and need no gradients). Assignment is
-    nearest-site, and each site's gradient is fitted over its
-    GRADIENT_NEIGHBORS nearest other sites (_site_gradients); exact
-    distance ties in both break toward the lowest site row, so results do
-    not depend on k-d tree traversal order.
+    when m >= len(points), and need no gradients). Each point takes its
+    nearest site and each site's gradient is fitted over its
+    GRADIENT_NEIGHBORS nearest others (_site_gradients), as cKDTree.query
+    answers them: exact ties go the same way on every run of one scipy build.
     """
     points = np.ascontiguousarray(np.atleast_2d(points), dtype=np.float64)
     n = len(points)
@@ -184,30 +184,10 @@ def build_jacobian_field(points: np.ndarray, source: CageMesh,
                           assignment=site_indices)
     if len(sites) < n:
         tree = cKDTree(sites)
-        field.assignment = _nearest_rows(tree, points, 1)[:, 0]
+        field.assignment = tree.query(points)[1]
         if len(sites) >= 4:
             field.gradients, field.limited_sites = _site_gradients(tree, jac)
     return field
-
-
-def _nearest_rows(tree: cKDTree, points: np.ndarray, k: int) -> np.ndarray:
-    """Rows of the k tree points nearest each point, (len(points), k).
-
-    Exact distance ties across the k-th rank break toward the lowest rows,
-    so the set does not depend on k-d tree traversal order. Only points
-    whose k-th and (k+1)-th neighbours tie take the deeper query, of 8k
-    ranks.
-    """
-    # An integer k is faster than a list of ranks (46 against 57 ms for
-    # 50k points and 2000 sites); k = 1 returns 1-D results, so reshape.
-    dist, idx = (a.reshape(len(points), -1)
-                 for a in tree.query(points, k=min(k + 1, tree.n)))
-    if tree.n > k:
-        rows = np.nonzero(dist[:, k] == dist[:, k - 1])[0]
-        d, i = tree.query(points[rows], k=min(8 * k, tree.n))
-        order = np.lexsort((i, d))[:, :k]
-        idx[rows, :k] = np.take_along_axis(i, order, axis=1)
-    return idx[:, :k]
 
 
 def _site_gradients(tree: cKDTree, jac: np.ndarray):
@@ -216,41 +196,49 @@ def _site_gradients(tree: cKDTree, jac: np.ndarray):
 
     tree holds the m >= 4 sites. Site s fits G_s to minimize
     sum_n |J_n - J_s - (x_n - x_s) G_s|^2 over its k =
-    min(GRADIENT_NEIGHBORS, m - 1) nearest other sites, through the
-    normal equations (see GRADIENT_RIDGE). They are inverted in closed
-    form: a LAPACK call here would page in its code before MVC's scratch
-    peak, about 0.8 MB more peak RSS. A fit whose relative residual
-    exceeds GRADIENT_RESIDUAL_LIMIT is dropped. The fit is linear in the
-    Jacobians and a constant field has zero gradient, so blending with
-    the identity scales the gradients.
+    min(GRADIENT_NEIGHBORS, m - 1) nearest other sites (tree.query's
+    k + 1 nearest, less s) through the normal equations (see
+    GRADIENT_RIDGE), inverted in closed form: a LAPACK call here would
+    page in its code before MVC's scratch peak, about 0.8 MB more peak
+    RSS. Sites are fitted in blocks of CHUNK_PAIRS // k, so beyond the
+    (m, k + 1) neighbour table and the result no scratch grows with m. A
+    fit whose relative residual exceeds GRADIENT_RESIDUAL_LIMIT is
+    dropped. The fit is linear in the Jacobians and a constant field has
+    zero gradient, so blending with the identity scales the gradients.
     """
     sites, m = tree.data, tree.n
     k = min(GRADIENT_NEIGHBORS, m - 1)
-    near = _nearest_rows(tree, sites, k + 1)
-    # Drop the site itself (or, among more than k + 1 coincident sites,
-    # the farthest row); sorted rows fix the order of the sums.
-    other = np.argsort(near == np.arange(m)[:, None], axis=1,
-                       kind="stable")[:, :k]
-    near = np.sort(np.take_along_axis(near, other, axis=1), axis=1)
+    table = tree.query(sites, k=k + 1)[1]
     flat = jac.reshape(m, 9)
-    d = sites[near] - sites[:, None]                  # (m, k, 3)
-    r = flat[near] - flat[:, None]                    # (m, k, 9)
-    dt = np.swapaxes(d, 1, 2)
-    a, b = dt @ d, dt @ r
-    ridge = GRADIENT_RIDGE * np.trace(a, axis1=1, axis2=2)
-    ridged = a + ridge[:, None, None] * np.eye(3)
-    # A symmetric matrix's inverse is its rows' pairwise cross products
-    # over its determinant; only coincident neighbours leave it zero.
-    adj = np.stack([np.cross(ridged[:, i - 2], ridged[:, i - 1])
-                    for i in range(3)], axis=1)
-    det = np.sum(ridged[:, 0] * adj[:, 0], axis=1)[:, None, None]
-    inv = np.divide(adj, det, out=np.zeros_like(adj), where=det > 0.0)
-    grad = inv @ b
-    grad += inv @ (b - a @ grad)
-    miss = np.linalg.norm(r - d @ grad, axis=(1, 2))
-    limited = miss > GRADIENT_RESIDUAL_LIMIT * np.linalg.norm(r, axis=(1, 2))
-    grad[limited] = 0.0
-    return grad, int(np.count_nonzero(limited))
+    grad, limited = np.empty((m, 3, 9)), 0
+    block = CHUNK_PAIRS // k
+    for lo in range(0, m, block):
+        hi = min(lo + block, m)
+        rows = table[lo:hi]
+        # Drop the site itself (or, among more than k + 1 coincident sites,
+        # the farthest row); sorted rows fix the order of the sums.
+        other = np.argsort(rows == np.arange(lo, hi)[:, None], axis=1,
+                           kind="stable")[:, :k]
+        near = np.sort(np.take_along_axis(rows, other, axis=1), axis=1)
+        d = sites[near] - sites[lo:hi, None]              # (block, k, 3)
+        r = flat[near] - flat[lo:hi, None]                # (block, k, 9)
+        dt = np.swapaxes(d, 1, 2)
+        a, b = dt @ d, dt @ r
+        ridge = GRADIENT_RIDGE * np.trace(a, axis1=1, axis2=2)
+        ridged = a + ridge[:, None, None] * np.eye(3)
+        # A symmetric matrix's inverse is its rows' pairwise cross products
+        # over its determinant; only coincident neighbours leave it zero.
+        adj = np.stack([np.cross(ridged[:, i - 2], ridged[:, i - 1])
+                        for i in range(3)], axis=1)
+        det = np.sum(ridged[:, 0] * adj[:, 0], axis=1)[:, None, None]
+        inv = np.divide(adj, det, out=np.zeros_like(adj), where=det > 0.0)
+        g = np.matmul(inv, b, out=grad[lo:hi])
+        g += inv @ (b - a @ g)
+        miss = np.linalg.norm(r - d @ g, axis=(1, 2))
+        drop = miss > GRADIENT_RESIDUAL_LIMIT * np.linalg.norm(r, axis=(1, 2))
+        g[drop] = 0.0
+        limited += int(np.count_nonzero(drop))
+    return grad, limited
 
 
 def transform_covariance(jacobians: np.ndarray, rotations: np.ndarray,

@@ -208,3 +208,76 @@ def test_the_check_sees_a_missing_wrapped_name(tmp_path):
                       "}\n")
     assert _missing_wrapped_names(tracer) == [
         "cagewarp.transport.deform_points", "cagewarp.mvc.no_such_name"]
+
+
+ROOT = Path(__file__).resolve().parents[1]
+CALLERS = sorted(path for folder in ("src", "perfbench", "demos")
+                 for path in (ROOT / folder).rglob("*.py"))
+
+
+def _unpassed_defaults(modules, callers):
+    """(module, line, function, parameter) of each defaulted parameter
+    that no call in callers passes, by keyword or by position. Calls are
+    matched by name (a class name for __init__), methods count positions
+    after self, a *args argument fills one position and a **kwargs
+    argument passes every keyword."""
+    calls = {}
+    for path in callers:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Call):
+                name = getattr(node.func, "id", getattr(node.func, "attr",
+                                                        None))
+                calls.setdefault(name, []).append(node)
+    found = []
+    for path in modules:
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        owner = {id(item): node for node in ast.walk(tree)
+                 if isinstance(node, ast.ClassDef) for item in node.body}
+        for node in ast.walk(tree):
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            cls = owner.get(id(node))
+            args = node.args
+            positional = [*args.posonlyargs, *args.args][cls is not None:]
+            defaulted = [(arg.arg, i) for i, arg in enumerate(positional)
+                         if i >= len(positional) - len(args.defaults)]
+            defaulted += [(arg.arg, None) for arg, default in zip(
+                args.kwonlyargs, args.kw_defaults) if default is not None]
+            name = cls.name if cls and node.name == "__init__" else node.name
+            for param, index in defaulted:
+                if not any(
+                        any(kw.arg in (param, None) for kw in call.keywords)
+                        or (index is not None and index < len(call.args))
+                        for call in calls.get(name, [])):
+                    qualname = f"{cls.name}.{node.name}" if cls else node.name
+                    found.append((path.name, node.lineno, qualname, param))
+    return found
+
+
+def test_every_defaulted_parameter_is_passed_somewhere():
+    # A default that no caller overrides is a constant spelled as a
+    # parameter: make it the function's rule.
+    assert _unpassed_defaults(MODULES, CALLERS) == []
+
+
+def test_the_check_sees_a_defaulted_parameter_nobody_passes(tmp_path):
+    module, caller = tmp_path / "m.py", tmp_path / "use.py"
+    module.write_text("def f(a, b=1, c=2, *, d=3, e=4):\n"
+                      "    pass\n"
+                      "def g(a=0, b=1):\n"
+                      "    pass\n"
+                      "def h(a=0):\n"
+                      "    pass\n"
+                      "class Box:\n"
+                      "    def __init__(self, size, pad=0.0):\n"
+                      "        pass\n"
+                      "    def grow(self, by=1, fast=False):\n"
+                      "        pass\n")
+    caller.write_text("f(1, 2, e=5)\n"
+                      "g(*range(2))\n"
+                      "h(**{})\n"
+                      "Box(3).grow(2)\n")
+    assert _unpassed_defaults([module], [caller]) == [
+        ("m.py", 1, "f", "c"), ("m.py", 1, "f", "d"), ("m.py", 3, "g", "b"),
+        ("m.py", 8, "Box.__init__", "pad"),
+        ("m.py", 10, "Box.grow", "fast")]

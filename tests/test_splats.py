@@ -1,3 +1,5 @@
+import os
+import threading
 import tracemalloc
 
 import numpy as np
@@ -17,6 +19,7 @@ from cagewarp.splats import (
     GaussianCloud,
     covariances_of,
     read_gs_ply,
+    read_vertex_table,
     write_gs_ply,
 )
 
@@ -332,3 +335,60 @@ class TestPlyErrors:
         bad.write_bytes(b"ply\nformat ascii 1.0\nelement vertex 0\nend_header\n")
         with pytest.raises(PlyFormatError, match="ascii"):
             read_gs_ply(bad)
+
+
+def read_through_a_fifo(tmp_path, raw, read):
+    """read(path) of a named pipe that another thread fills with raw."""
+    fifo = tmp_path / "pipe.ply"
+    os.mkfifo(fifo)
+    writer = threading.Thread(target=fifo.write_bytes, args=(raw,),
+                              daemon=True)
+    writer.start()
+    try:
+        return read(fifo)
+    finally:
+        writer.join(timeout=30)
+        assert not writer.is_alive()
+
+
+class TestPlyPipe:
+    """A pipe cannot be sized before it is read: its body is read in
+    bounded blocks, so a header cannot claim more memory than the body
+    delivers."""
+
+    def test_full_body_equals_the_file_read(self, tmp_path):
+        path = tmp_path / "g.ply"
+        write_gs_ply(random_cloud(5000, sh_rest_width=45, seed=21), path)
+        raw = path.read_bytes()
+        assert len(raw) > 2**20     # more than one block
+        names, table = read_vertex_table(path, ["x"])
+        piped = read_through_a_fifo(tmp_path, raw,
+                                    lambda p: read_vertex_table(p, ["x"]))
+        assert piped[0] == names
+        assert piped[1].dtype == table.dtype
+        assert piped[1].tobytes() == table.tobytes()
+
+    def test_truncated_body_reports_offset(self, tmp_path):
+        path = tmp_path / "g.ply"
+        write_gs_ply(random_cloud(5, seed=22), path)
+        raw = path.read_bytes()
+        body = len(raw) - len(b"end_header\n") - raw.index(b"end_header\n")
+        with pytest.raises(PlyReadError, match=(
+                f"pipe.ply: truncated body, expected {body} bytes after the "
+                f"header but the file ends at byte offset {len(raw) - 10}")):
+            read_through_a_fifo(tmp_path, raw[:-10], read_gs_ply)
+
+    def test_huge_vertex_count_fails_before_allocating(self, tmp_path):
+        path = tmp_path / "g.ply"
+        write_gs_ply(random_cloud(1, seed=23), path)
+        raw = path.read_bytes().replace(
+            b"element vertex 1\n", b"element vertex 100000000000\n")
+        tracemalloc.start()
+        try:
+            with pytest.raises(PlyReadError, match="truncated body"):
+                read_through_a_fifo(tmp_path, raw, read_gs_ply)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+

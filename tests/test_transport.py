@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
+from scipy.spatial import cKDTree
 
 from cagewarp import transport
 from cagewarp.cage import build_template_cage, interpolate_cage
@@ -36,6 +37,42 @@ def jiggled(source, amplitude=0.05, seed=0):
     jiggle = amplitude * (hi - lo) * np.sin(
         source.vertices @ rng.normal(size=(3, 3)) * 0.7)
     return source.with_vertices(source.vertices + jiggle, validate=False)
+
+
+def curved_jacobians(points, source, deformed):
+    """A smooth, curved Jacobian field in place of jacobian_fd, so that a
+    site's fitted gradient depends on which neighbours it takes."""
+    rng = np.random.default_rng(70)
+    lin, quad = rng.normal(size=(2, 3, 9))
+    flat = np.eye(3).ravel() + 0.1 * points @ lin \
+        + 0.001 * (points * points) @ quad
+    return flat.reshape(-1, 3, 3)
+
+
+def assert_trees_answer(field, pts, dist):
+    """field assigns each point the site cKDTree.query gives, one at the
+    minimum of dist (points x sites), and fits each site's gradient over
+    the neighbour rows that the k = GRADIENT_NEIGHBORS + 1 query gives,
+    less the site itself."""
+    sites = pts[field.site_indices]
+    tree = cKDTree(sites)
+    assert np.array_equal(field.assignment, tree.query(pts)[1])
+    assert np.array_equal(dist[np.arange(len(pts)), field.assignment],
+                          dist.min(axis=1))
+    if field.gradients is None:
+        return
+    m = len(sites)
+    k = min(transport.GRADIENT_NEIGHBORS, m - 1)
+    flat = field.site_jacobians.reshape(m, 9)
+    for s, rows in enumerate(tree.query(sites, k=k + 1)[1]):
+        rows = [row for row in rows if row != s][:k]
+        d, r = sites[rows] - sites[s], flat[rows] - flat[s]
+        grad = np.linalg.lstsq(d, r, rcond=None)[0]
+        if np.linalg.norm(r - d @ grad) \
+                > transport.GRADIENT_RESIDUAL_LIMIT * np.linalg.norm(r):
+            grad[:] = 0.0
+        np.testing.assert_allclose(field.gradients[s], grad, rtol=1e-9,
+                                   atol=1e-12)
 
 
 def uses_gradients(field):
@@ -144,8 +181,9 @@ class TestJacobianField:
         assigned = d_all[np.arange(len(pts)), field.assignment]
         assert np.allclose(assigned, d_all.min(axis=1), rtol=0, atol=1e-12)
 
-    def test_tie_breaks_to_lowest_site_row(self):
-        # Duplicate site positions force exact distance ties.
+    def test_repeated_positions_are_each_their_own_site(self):
+        # With every point a site, a point whose position repeats still
+        # takes its own row, not a coincident one.
         source, deformed = cage_pair(seed=17)
         lo, hi = source.bbox()
         center = 0.5 * (lo + hi)
@@ -153,25 +191,35 @@ class TestJacobianField:
                         + [center + [0.01 * i, 0, 0] for i in range(6)])
         field = build_jacobian_field(pts, source, deformed, m=len(pts))
         assert np.array_equal(field.assignment, np.arange(12))
-        # Now sample all points as sites but query duplicated positions:
-        # each later duplicate must map to the earliest coincident site.
-        tree_field = build_jacobian_field(pts, source, deformed, m=12)
-        assert np.array_equal(tree_field.assignment, np.arange(12))
 
     @pytest.mark.parametrize("m", [1, 15])
-    def test_sampled_ties_break_to_lowest_site_row(self, m):
+    def test_sampled_ties_take_the_trees_answer(self, monkeypatch, m):
         # m < n takes the k-d tree query; positions repeat up to four
         # times, so sampled sites tie exactly.
+        monkeypatch.setattr(transport, "jacobian_fd", curved_jacobians)
         source, deformed = cage_pair(seed=17)
         base = interior_points(source, 10, seed=18)
         pts = np.vstack([base, base[:6], base[:4], base[:2]])
         field = build_jacobian_field(pts, source, deformed, m=m, seed=3)
         sites = pts[field.site_indices]
         d = np.linalg.norm(pts[:, None] - sites[None], axis=2)
-        nearest = d == d.min(axis=1, keepdims=True)
         if m > 1:
-            assert nearest.sum(axis=1).max() > 1
-        assert np.array_equal(field.assignment, np.argmax(nearest, axis=1))
+            assert (d == d.min(axis=1, keepdims=True)).sum(axis=1).max() > 1
+        assert_trees_answer(field, pts, d)
+
+    def test_lattice_ties_take_the_trees_answer(self, monkeypatch):
+        # On a 12^3 lattice most points and sites are equally near to
+        # several sites.
+        monkeypatch.setattr(transport, "jacobian_fd", curved_jacobians)
+        axis = np.arange(12.0)
+        pts = np.stack(np.meshgrid(axis, axis, axis, indexing="ij"),
+                       axis=-1).reshape(-1, 3)
+        field = build_jacobian_field(pts, None, None, m=50, seed=6)
+        sites = pts[field.site_indices]
+        d2 = ((pts[:, None] - sites[None]) ** 2).sum(axis=2)  # exact
+        assert (d2 == d2.min(axis=1, keepdims=True)).sum(axis=1).max() > 1
+        assert field.limited_sites == 0
+        assert_trees_answer(field, pts, d2)
 
     def test_deterministic_for_seed(self):
         source, deformed = cage_pair(seed=18)
@@ -625,7 +673,9 @@ def traced(call):
 class TestPeakMemory:
     """MVC rows are mapped through the deformed cage one CHUNK_PAIRS chunk
     at a time, so no (rows, V) weight matrix grows with the input: at
-    resolution 6 (218 vertices) a dense row costs 1744 bytes."""
+    resolution 6 (218 vertices) a dense row costs 1744 bytes. Site
+    gradients are fitted in blocks of CHUNK_PAIRS (site, neighbour)
+    pairs."""
 
     def test_jacobian_fd_peak_is_flat_in_the_site_count(self):
         cage = build_template_cage(np.array([[-1.0] * 3, [1.0] * 3]),
@@ -652,6 +702,18 @@ class TestPeakMemory:
             peaks.append(peak)
             kept.append(end)
         assert peaks[1] - peaks[0] < kept[1] - kept[0] + 32 * (16000 - 2000)
+
+    def test_site_gradient_scratch_is_flat_in_the_site_count(self):
+        # Beyond the neighbour table and the gradients it returns, nothing
+        # grows with m. One (m, k, 9) array would be 7 MB at m = 10000.
+        scratch = []
+        for m in (2000, 10000):
+            rng = np.random.default_rng(m)
+            tree = cKDTree(rng.uniform(size=(m, 3)))
+            jac = np.eye(3) + 0.1 * rng.normal(size=(m, 3, 3))
+            peak, kept = traced(lambda: transport._site_gradients(tree, jac))
+            scratch.append(peak - kept)
+        assert scratch[1] - scratch[0] < 4 * 2**20
 
 
 class TestBlendDeformation:
