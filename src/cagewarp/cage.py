@@ -17,17 +17,19 @@ import numpy as np
 from .errors import NonManifoldCageError, TopologyMismatchError
 
 # (point, triangle) pairs per chunk of mvc.mvc_weights, surface_distance
-# and winding_numbers, and (site, neighbour) pairs per block of the site
-# gradient fit: the one bound on their scratch memory (3.3, 2.2, 2.2 and
-# 5 MiB at any size beyond the output and the fit's neighbour table, on
-# box cages of resolution 2-6), and on the MVC rows that mvc_weights maps
-# through a deformed cage one chunk at a time. glibc returns a freed heap
-# top past a threshold that follows the largest array freed to the OS,
-# and the next chunk faults it in again. At 2**16 every MVC chunk did:
-# one call on 2900 points x 432 triangles took 72k minor faults and 320-390 ms
-# in a fresh process (2 cores). At 2**14 it took 1.1-1.7k faults and
-# 200-245 ms in half of the fresh processes and churned as before in the
-# rest; warm calls cost the same at both sizes, and weights are bit-identical.
+# and winding_numbers, (site, neighbour) pairs per block of the site
+# gradient fit, and 9 per row of a block of covariance re-factoring: the
+# one bound on their scratch memory (2.7, 2.2, 2.2, 5 and 1 MiB at any
+# size beyond the output and the fit's neighbour table, on box cages of
+# resolution 2-6), and on the MVC rows that mvc_weights maps through a
+# deformed cage one chunk at a time. glibc returns a freed heap top past
+# a threshold that follows the largest array freed to the OS, and the
+# next chunk faults it in again. At 2**16 every MVC chunk did: one call on
+# 2900 points x 432 triangles took 72k minor faults and 320-390 ms in a
+# fresh process (2 cores). At 2**14 it took 1.1-1.7k faults and 200-245
+# ms in half of the fresh processes and churned as before in the rest,
+# until MVC kept a chunk's arrays in one buffer per call; warm calls cost
+# the same at both sizes, and weights are bit-identical.
 CHUNK_PAIRS = 2**14
 
 

@@ -40,7 +40,14 @@ pairs. Given a deformed copy of the cage, mvc_weights maps each chunk's
 rows through it as soon as they are checked, so the rows held at once,
 like the kernel's scratch, are bounded by one chunk, whatever the point
 count; only a caller that keeps the weights, as the cage fit does, holds
-a (P, V) matrix.
+a (P, V) matrix. The kernel's arrays are views into one buffer per call,
+4V + 12E floats a point (about twenty (T, P) arrays, 2.5 MiB), that
+every chunk reuses (_Scratch), so the allocator never sees them freed
+between chunks: arrays freed at a chunk's end can leave the top of
+glibc's heap free, which glibc hands back to the OS and faults in again
+for the next chunk (61 000 minor faults in one call at 2900 points x 432
+triangles, against 640 with the buffer). The kernel sums in cage.dot's
+and cage.cross's order, so the buffer does not change a weight's bits.
 """
 
 from __future__ import annotations
@@ -51,7 +58,7 @@ from typing import NamedTuple
 import numpy as np
 from scipy import sparse
 
-from .cage import CHUNK_PAIRS, CageMesh, cross, dot
+from .cage import CHUNK_PAIRS, CageMesh
 
 # Distance below which a query point is treated as sitting on a cage
 # vertex, as a fraction of the cage bbox diagonal.
@@ -115,10 +122,12 @@ def mvc_weights(points: np.ndarray, cage: CageMesh,
     mapped = None if deformed is None else np.empty((len(points), 3))
     weights = np.empty((len(points) if mapped is None
                         else min(rows, len(points)), len(cage.vertices)))
+    buf = _Scratch.buffer(len(cage.vertices), len(table.edges),
+                          min(rows, len(points)))
     for lo in range(0, len(points), rows):
         x = points[lo:lo + rows]
         w = weights[lo:lo + rows] if mapped is None else weights[:len(x)]
-        _weights_chunk(x, cage, table, incidence, w)
+        _weights_chunk(x, cage, table, incidence, w, buf)
         total = w.sum(axis=1)
         # A zero total counts too: far enough outside, every triangle's
         # contribution is dropped and the row is all zeros.
@@ -176,98 +185,191 @@ def _edge_table(tri) -> _EdgeTable:
                       opposite.reshape(3, -1), (a > b)[:, :, None])
 
 
-def _unit_directions(corners, x):
-    """Unit directions and distances from x to corners, (3, ...) arrays."""
-    u = corners - x
-    d = np.maximum(np.sqrt(dot(u, u)), 1e-300)
+class _Scratch(NamedTuple):
+    """A chunk's arrays, as blocks of rows of n points in one flat buffer.
+
+    Arrays whose lifetimes do not overlap share a block: the corner cross
+    products cr (9T rows) take the place of the edge end directions (6E
+    rows; 2E = 3T on a closed cage), the vector area m and a temporary
+    (4T rows) that of the edge cross products, and det (T rows) that of
+    g. Outside the buffer a chunk allocates only boolean (T, n) masks,
+    the (V, n) weight sums and, for the long-double rescue, a _Scratch
+    of its own for CHUNK_PAIRS // 32 pairs at most.
+    """
+
+    u: np.ndarray            # (3V, n) unit directions
+    d: np.ndarray            # (V, n) distances
+    edge_ends: np.ndarray    # (6E, n) edge end directions, then cr
+    pair: np.ndarray         # (3E, n) edge cross products, then m
+    theta: np.ndarray        # (E, n) arc angles
+    g: np.ndarray            # (E, n) theta / (2 |c|), then det
+    tmp: np.ndarray          # (E, n) temporary
+
+    @staticmethod
+    def block_ends(n_verts, n_edges):
+        """The row each block ends at; the last is 4V + 12E."""
+        return np.cumsum([3 * n_verts, n_verts, 6 * n_edges, 3 * n_edges,
+                          n_edges, n_edges, n_edges])
+
+    @classmethod
+    def buffer(cls, n_verts, n_edges, n, dtype=np.float64):
+        """A flat buffer for chunks of up to n points."""
+        return np.empty(cls.block_ends(n_verts, n_edges)[-1] * n, dtype)
+
+    @classmethod
+    def carve(cls, buf, n_verts, n_edges, n):
+        """The blocks of an n-point chunk, from the front of buf."""
+        ends = cls.block_ends(n_verts, n_edges)
+        return cls(*np.split(buf[:ends[-1] * n].reshape(-1, n), ends[:-1]))
+
+
+def _gather(a, rows, out):
+    """a[rows] written into out. rows come from an edge or triangle table,
+    so mode "clip" never clips: it only spares the copy of out that
+    np.take makes in its default mode."""
+    return np.take(a, rows, axis=0, out=out, mode="clip")
+
+
+def _dot_into(p, q, out, tmp):
+    """cage.dot(p, q) written into out, over tmp: the same sums in the
+    same order."""
+    np.multiply(p[0], q[0], out=out)
+    for j in (1, 2):
+        out += np.multiply(p[j], q[j], out=tmp)
+    return out
+
+
+def _unit_directions(corners, x, s):
+    """Unit directions (3, V, n) and distances (V, n) from points x
+    (3, 1, n) to corners (3, V, 1), in s.u and s.d."""
+    u = np.subtract(corners, x, out=s.u.reshape(3, -1, s.u.shape[1]))
+    d = _dot_into(u, u, s.d, s.edge_ends[:len(s.d)])
+    np.maximum(np.sqrt(d, out=d), 1e-300, out=d)
     u /= d
     return u, d
 
 
-def _edge_terms(u, edges):
+def _edge_terms(u, edges, s):
     """Arc angle theta, g = theta / (2 |c|) and cross product c per edge.
 
     Each is a function of the edge alone, shared by the (usually two)
     triangles on its sides: theta and g are (E, n), and c = e_a x e_b
-    for the edge (a, b) is three (E, n) component arrays.
+    for the edge (a, b) is (3, E, n), by component.
     """
-    ua = [c[edges[:, 0]] for c in u]
-    ub = [c[edges[:, 1]] for c in u]
+    ua, ub = s.edge_ends.reshape(2, 3, len(edges), -1)
+    for j in range(3):
+        _gather(u[j], edges[:, 0], ua[j])
+        _gather(u[j], edges[:, 1], ub[j])
+    # Arc-plane normal scaled by sin(theta), and a Cramer adjugate row of
+    # [e0 e1 e2] for the corner opposite the edge: cage.cross.
+    c = s.pair.reshape(3, len(edges), -1)
+    for j in range(3):
+        np.multiply(ua[(j + 1) % 3], ub[(j + 2) % 3], out=c[j])
+        c[j] -= np.multiply(ua[(j + 2) % 3], ub[(j + 1) % 3], out=s.tmp)
     # From the chord length: stable for both tiny and obtuse angles.
-    diff = [p - q for p, q in zip(ua, ub)]
-    theta = np.sqrt(dot(diff, diff))
+    ua -= ub
+    theta = _dot_into(ua, ua, s.theta, s.tmp)
+    np.sqrt(theta, out=theta)
     theta *= 0.5
     np.arcsin(np.clip(theta, 0.0, 1.0, out=theta), out=theta)
     theta *= 2.0
-    # Arc-plane normal scaled by sin(theta), and a Cramer adjugate row of
-    # [e0 e1 e2] for the corner opposite the edge.
-    c = cross(ua, ub)
-    s = np.sqrt(dot(c, c))
+    g = _dot_into(c, c, s.g, s.tmp)
+    np.sqrt(g, out=g)
     # Guarded against |c| ~ 0.
-    return theta, theta / (2.0 * np.where(s < 1e-300, 1.0, s)), c
+    np.copyto(g, 1.0, where=g < 1e-300)
+    g *= 2.0
+    return theta, np.divide(theta, g, out=g), c
 
 
-def _spherical_triangles(u, edge_table):
+def _spherical_triangles(u, edge_table, s):
     """Arc angles, Cramer coefficients and det of spherical triangles.
 
     u (3, V, n) holds the unit directions from n points to V vertices, by
-    component, in any float dtype. theta (E, n) is the arc angle of each
-    edge, so theta[opposite[k]] is the one opposite corner k. lam (3, T,
-    n) solves [e0 e1 e2] lam = m for the vector area m, and det = det
-    [e0 e1 e2], for the corner directions e of each triangle.
+    component, in any float dtype, and s is the _Scratch they sit in.
+    theta (E, n) is the arc angle of each edge, so theta[opposite[k]] is
+    the one opposite corner k. lam (3, T, n) solves [e0 e1 e2] lam = m
+    for the vector area m, and det = det [e0 e1 e2], for the corner
+    directions e of each triangle. All three are views into s.
     """
     tri, edges, opposite, backwards = edge_table
-    theta, g, edge_cross = _edge_terms(u, edges)
-    # cr[k] = e_{k+1} x e_{k+2}: the shared edge product, negated (an
-    # exact operation) where the triangle runs the edge backwards.
-    cr = [[c[opposite[k]] for c in edge_cross] for k in range(3)]
-    del edge_cross                                      # bound the scratch
-    for k in range(3):
-        for c in cr[k]:
-            np.negative(c, out=c, where=backwards[k])
+    n_tri = len(tri)
+    theta, g, edge_cross = _edge_terms(u, edges, s)
+    # cr[j, k] = (e_{k+1} x e_{k+2})_j: the shared edge product, negated
+    # (an exact operation) where the triangle runs the edge backwards.
+    cr = s.edge_ends[:9 * n_tri].reshape(3, 3, n_tri, -1)
+    for j in range(3):
+        for k in range(3):
+            _gather(edge_cross[j], opposite[k], cr[j, k])
+            np.negative(cr[j, k], out=cr[j, k], where=backwards[k])
     # m = 1/2 sum_k theta_k * cr_k / |cr_k|.
-    m = [g[opposite[0]] * c for c in cr[0]]
+    m = s.pair[:3 * n_tri].reshape(3, n_tri, -1)
+    prod, g_k = s.pair[3 * n_tri:4 * n_tri], s.tmp[:n_tri]
+    np.multiply(_gather(g, opposite[0], g_k), cr[:, 0], out=m)
     for k in (1, 2):
-        g_k = g[opposite[k]]
+        _gather(g, opposite[k], g_k)
         for j in range(3):
-            m[j] += g_k * cr[k][j]
-    det = dot([c[tri[:, 0]] for c in u], cr[0])
-    lam = np.empty((3,) + det.shape, dtype=det.dtype)
+            m[j] += np.multiply(g_k, cr[j, k], out=prod)
+    # det = e_0 . cr_0, as cage.dot sums it, in g's block.
+    det = np.multiply(_gather(u[0], tri[:, 0], g_k), cr[0, 0],
+                      out=s.g[:n_tri])
+    for j in (1, 2):
+        det += np.multiply(_gather(u[j], tri[:, 0], g_k), cr[j, 0], out=g_k)
+    # lam[k] = m . cr_k, as cage.dot sums it, over the x components.
+    lam = cr[0]
     for k in range(3):
-        lam[k] = dot(m, cr[k])
-    lam /= np.where(np.abs(det) < 1e-300, 1.0, det)
+        lam[k] *= m[0]
+        lam[k] += np.multiply(m[1], cr[1, k], out=prod)
+        lam[k] += np.multiply(m[2], cr[2, k], out=prod)
+    np.copyto(g_k, det)
+    np.copyto(g_k, 1.0, where=np.abs(det, out=prod) < 1e-300)
+    lam /= g_k
     return theta, lam, det
 
 
-def _weights_chunk(x, cage, table, incidence, w):
-    """Write the unnormalized weights of points x (P, 3) into w (P, V)."""
+def _weights_chunk(x, cage, table, incidence, w, buf):
+    """Write the unnormalized weights of points x (P, 3) into w (P, V),
+    over the flat scratch buffer buf."""
     verts = cage.vertices
     tri = cage.triangles
+    opposite = table.opposite
     # Vertex-major: every per-vertex, per-edge and per-corner array is
     # (rows, P), so each gather takes whole contiguous rows.
-    u, d = _unit_directions(verts.T[:, :, None], x.T[:, None, :])
-    theta, lam, det = _spherical_triangles(u, table)
-    theta = theta[table.opposite]                       # (3, T, P)
-    dcorn = d[tri.T]
-
-    on_face = (np.pi - 0.5 * theta.sum(axis=0)) < ON_FACE_EPS   # (T, P)
+    s = _Scratch.carve(buf, len(verts), len(table.edges), len(x))
+    u, d = _unit_directions(verts.T[:, :, None], x.T[:, None, :], s)
+    theta, lam, det = _spherical_triangles(u, table, s)
+    # m's block is free once lam is formed.
+    half_sum, gathered = s.pair[:len(tri)], s.pair[len(tri):2 * len(tri)]
+    _gather(theta, opposite[0], half_sum)
+    for k in (1, 2):
+        half_sum += _gather(theta, opposite[k], gathered)
+    half_sum *= 0.5
+    on_face = np.subtract(np.pi, half_sum, out=half_sum) < ON_FACE_EPS
     snap_rows = np.min(d, axis=0) < VERTEX_SNAP * cage.bbox_diagonal()
 
     # Long-double rescue of near-coplanar (point, triangle) pairs, where
     # the float64 Cramer solve cancels catastrophically: the same solve,
     # one triangle per pair.
-    abs_det = np.abs(det)
+    abs_det = np.abs(det, out=gathered)
     refine = (abs_det < DET_REFINE) & (abs_det >= DET_SKIP) \
         & ~on_face & ~snap_rows
-    if np.any(refine):
-        t_idx, p_idx = np.nonzero(refine)
-        uq, _ = _unit_directions(verts[tri[t_idx]].T.astype(np.longdouble),
-                                 x[p_idx].T[:, None, :])  # (3, 3 corners, K)
+    zero = (abs_det < DET_SKIP) | on_face
+    t_idx, p_idx = np.nonzero(refine)
+    if len(t_idx):
+        # In blocks of pairs, so the rescue's scratch stays well below
+        # buf's however many pairs a chunk refines.
+        block = max(1, CHUNK_PAIRS // 32)
         one = _edge_table(np.array([[0, 1, 2]]))
-        lam[:, t_idx, p_idx] = _spherical_triangles(uq, one)[1][:, 0]
+        ld_buf = _Scratch.buffer(3, 3, min(block, len(t_idx)), np.longdouble)
+        for lo in range(0, len(t_idx), block):
+            tb, pb = t_idx[lo:lo + block], p_idx[lo:lo + block]
+            sq = _Scratch.carve(ld_buf, 3, 3, len(tb))
+            uq, _ = _unit_directions(verts[tri[tb]].T.astype(np.longdouble),
+                                     x[pb].T[:, None, :], sq)
+            lam[:, tb, pb] = _spherical_triangles(uq, one, sq)[1][:, 0]
 
-    lam /= dcorn
-    np.copyto(lam, 0.0, where=(abs_det < DET_SKIP) | on_face)
+    for k in range(3):
+        lam[k] /= _gather(d, tri[:, k], gathered)
+    np.copyto(lam, 0.0, where=zero)
     # Into C order: a row's sum in mvc_weights then does not depend on P.
     w[...] = (incidence @ lam.reshape(-1, len(x))).T
 
@@ -280,10 +382,10 @@ def _weights_chunk(x, cage, table, incidence, w):
     for k in range(3):
         # An arc within fp noise of pi means the point sits on the
         # opposite edge; that corner's weight is exactly zero.
-        th = theta[k, t, p]
+        th = theta[opposite[k, t], p]
         s_k = np.where(np.pi - th < ON_FACE_EPS, 0.0, np.sin(th))
-        w[p, tri[t, k]] += s_k * dcorn[(k + 1) % 3, t, p] \
-            * dcorn[(k + 2) % 3, t, p]
+        w[p, tri[t, k]] += s_k * d[tri[t, (k + 1) % 3], p] \
+            * d[tri[t, (k + 2) % 3], p]
 
     p = np.nonzero(snap_rows)[0]
     w[p] = 0.0

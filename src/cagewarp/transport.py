@@ -284,7 +284,8 @@ def deform_cloud(cloud: GaussianCloud, source: CageMesh, deformed: CageMesh,
     cage surface fails before any center moves. Then one pass over spans
     of center_chunk splats moves each span's centers, mapping its MVC
     rows through the deformed cage one CHUNK_PAIRS chunk at a time (no
-    (center_chunk, V) weight matrix), and re-factors its covariances.
+    (center_chunk, V) weight matrix), and re-factors its covariances in
+    blocks of CHUNK_PAIRS // 9 rows.
     Opacity and color coefficients always pass through bit-for-bit, as
     does splat order. workers > 1 shares the fixed span grid among that
     many threads, the calling one included; the grid does not depend on
@@ -350,12 +351,16 @@ def _transported(cloud: GaussianCloud, field: JacobianField | None,
 
     One task per center_chunk rows does both; tasks write disjoint slices
     of a grid that does not depend on workers, so neither do the bits.
+    Covariances are re-factored in blocks of CHUNK_PAIRS // 9 rows of a
+    span, so their scratch does not grow with center_chunk.
     With n = min(workers, tasks) > 1, the calling thread takes every n-th
     task and a pool of n - 1 threads the others, so no thread idles while
     the pool works: each pool thread takes its scratch from a glibc arena
     of its own, and one thread fewer is one arena fewer in peak RSS.
     """
     out = {"centers": np.empty_like(cloud.centers)}
+    # A (block, 3, 3) array is as large as a (T, P) array of an MVC chunk.
+    block = max(1, CHUNK_PAIRS // 9)
     if field is not None:
         out.update(rotations=np.empty_like(cloud.rotations),
                    log_scales=np.empty_like(cloud.log_scales))
@@ -364,11 +369,15 @@ def _transported(cloud: GaussianCloud, field: JacobianField | None,
         for lo in starts:
             hi = min(lo + center_chunk, len(cloud))
             out["centers"][lo:hi] = move(lo, hi)
-            if field is not None:
-                jac = field.span_jacobians(cloud.centers, lo, hi)
-                out["rotations"][lo:hi], out["log_scales"][lo:hi] = \
-                    transform_covariance(jac, cloud.rotations[lo:hi],
-                                         cloud.log_scales[lo:hi])
+            if field is None:
+                continue
+            # The work is per row: blocks set the scratch, not the bits.
+            for a in range(lo, hi, block):
+                b = min(a + block, hi)
+                jac = field.span_jacobians(cloud.centers, a, b)
+                out["rotations"][a:b], out["log_scales"][a:b] = \
+                    transform_covariance(jac, cloud.rotations[a:b],
+                                         cloud.log_scales[a:b])
 
     starts = range(0, len(cloud), center_chunk)
     n = min(workers, len(starts))

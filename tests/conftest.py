@@ -1,4 +1,6 @@
-"""Shared synthetic-data helpers for the test suite."""
+"""Shared synthetic-data and measuring helpers for the test suite."""
+
+import tracemalloc
 
 import numpy as np
 
@@ -44,3 +46,16 @@ def interior_points(cage, n, seed, margin=0.25):
     rng = np.random.default_rng(seed)
     pad = margin * (hi - lo)
     return rng.uniform(lo + pad, hi - pad, size=(n, 3))
+
+
+def traced(call):
+    """Bytes traced at call()'s peak and at its end (its result still
+    held), beyond those traced before it."""
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        result = call()  # noqa: F841 -- held while measured
+        kept, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return peak - before, kept - before

@@ -1,5 +1,3 @@
-import tracemalloc
-
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -17,6 +15,8 @@ from cagewarp.cage import (
     write_cage_obj,
 )
 from cagewarp.errors import NonManifoldCageError, TopologyMismatchError
+
+from conftest import traced
 
 
 def unit_tetrahedron():
@@ -463,12 +463,8 @@ class TestSurfaceDistanceChunks:
         scratch = []
         for n in (1000, 4000):
             pts = np.random.default_rng(n).uniform(-0.9, 0.9, (n, 3))
-            tracemalloc.start()
-            try:
-                d = surface_distance(pts, cage)
-                scratch.append(tracemalloc.get_traced_memory()[1] - d.nbytes)
-            finally:
-                tracemalloc.stop()
+            peak, kept = traced(lambda: surface_distance(pts, cage))
+            scratch.append(peak - kept)
         assert max(scratch) < 6 * 2**20
         assert abs(scratch[1] - scratch[0]) < 0.1 * scratch[0]
 
@@ -525,11 +521,7 @@ class TestWindingNumberChunks:
         scratch = []
         for n in (1000, 4000):
             pts = np.random.default_rng(n).uniform(-1.5, 1.5, (n, 3))
-            tracemalloc.start()
-            try:
-                w = winding_numbers(pts, cage)
-                scratch.append(tracemalloc.get_traced_memory()[1] - w.nbytes)
-            finally:
-                tracemalloc.stop()
+            peak, kept = traced(lambda: winding_numbers(pts, cage))
+            scratch.append(peak - kept)
         assert max(scratch) < 6 * 2**20
         assert abs(scratch[1] - scratch[0]) < 0.1 * scratch[0]

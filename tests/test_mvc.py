@@ -1,5 +1,3 @@
-import tracemalloc
-
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -10,7 +8,8 @@ from cagewarp.cage import CageMesh, box_cage, build_template_cage
 from cagewarp.errors import NearSurfaceError, TopologyMismatchError
 from cagewarp.mvc import MVCWeights, deform_points, mvc_weights
 
-from conftest import cage_pair
+import mvc_reference
+from conftest import cage_pair, traced
 from jacobian_oracle import mvc_gradient
 
 
@@ -230,12 +229,8 @@ class TestWeights:
         scratch = []
         for n in (1000, 4000):
             pts = interior_points(cage, n, seed=n)
-            tracemalloc.start()
-            try:
-                w = mvc_weights(pts, cage).weights
-                scratch.append(tracemalloc.get_traced_memory()[1] - w.nbytes)
-            finally:
-                tracemalloc.stop()
+            peak, kept = traced(lambda: mvc_weights(pts, cage).weights)
+            scratch.append(peak - kept)
         assert max(scratch) < 32 * 2**20
         assert abs(scratch[1] - scratch[0]) < 0.1 * scratch[0]
 
@@ -277,6 +272,55 @@ class TestWeights:
         w = mvc_weights(pts, cage).weights
         miss = np.linalg.norm(w @ cage.vertices - pts, axis=1)
         assert np.all(miss <= 1e-8 * np.linalg.norm(pts - 0.5, axis=1))
+
+
+class TestInPlaceKernel:
+    """mvc._weights_chunk writes a chunk's arrays into one reused buffer;
+    mvc_reference computes the same sums as plain expressions."""
+
+    @staticmethod
+    def awkward_points(cage, seed):
+        """Inside, outside, at and next to vertices, on edges, next to
+        faces, and just off a face's plane outside the face, where pairs
+        take the long-double rescue."""
+        rng = np.random.default_rng(seed)
+        lo, hi = cage.bbox()
+        v, t = cage.vertices, cage.triangles
+        a, b, c = v[t[:, 0]], v[t[:, 1]], v[t[:, 2]]
+        normal = np.cross(b - a, c - a)
+        normal /= np.linalg.norm(normal, axis=1)[:, None]
+        return np.concatenate([
+            rng.uniform(lo + 0.02 * (hi - lo), hi - 0.02 * (hi - lo),
+                        (400, 3)),
+            rng.uniform(lo - 0.5 * (hi - lo), hi + 0.5 * (hi - lo), (60, 3)),
+            v, v + 1e-12 * rng.normal(size=v.shape),
+            a + rng.uniform(size=(len(t), 1)) * (b - a),
+            (a + b + c) / 3 + 1e-9 * rng.normal(size=a.shape),
+            a + 2.0 * (b - a) + 1e-8 * normal])
+
+    @pytest.mark.parametrize("resolution", [1, 2, 3, 6])
+    def test_matches_the_expression_form_bit_for_bit(self, resolution,
+                                                     monkeypatch):
+        rng = np.random.default_rng(resolution)
+        cage = build_template_cage(rng.normal(size=(30, 3)),
+                                   resolution=resolution)
+        deformed = cage.with_vertices(1.1 * cage.vertices, validate=False)
+        pts = self.awkward_points(cage, resolution)
+        refined = []
+        kernel = mvc._spherical_triangles
+        monkeypatch.setattr(mvc, "_spherical_triangles", lambda u, *a: (
+            refined.append(u.dtype == np.longdouble) or kernel(u, *a)))
+        got = mvc_weights(pts, cage).weights, mvc_weights(pts, cage,
+                                                          deformed)
+        assert any(refined)
+        monkeypatch.setattr(
+            mvc, "_weights_chunk",
+            lambda x, cage, table, incidence, w, buf:
+            mvc_reference.weights_chunk(x, cage, table, incidence, w))
+        want = mvc_weights(pts, cage).weights, mvc_weights(pts, cage,
+                                                           deformed)
+        for g, w in zip(got, want):
+            assert g.tobytes() == w.tobytes()
 
 
 class TestEdgeTable:
@@ -401,16 +445,24 @@ class TestMappedPoints:
         scratch = []
         for n in (1000, 8000):
             pts = interior_points(cage, n, seed=n)
-            tracemalloc.start()
-            try:
-                mapped = mvc_weights(pts, cage, deformed)
-                scratch.append(tracemalloc.get_traced_memory()[1]
-                               - mapped.nbytes)
-            finally:
-                tracemalloc.stop()
+            peak, kept = traced(lambda: mvc_weights(pts, cage, deformed))
+            scratch.append(peak - kept)
         # Dense weights would add 7000 V-wide rows: 5.5 MiB at resolution
         # 3, 11.6 MiB at 6.
         assert abs(scratch[1] - scratch[0]) < 0.1 * scratch[0]
+
+    @pytest.mark.parametrize("resolution", [2, 3, 6])
+    def test_scratch_of_one_chunk(self, resolution):
+        # A chunk's arrays live in one buffer of 4V + 12E items a point,
+        # about twenty (T, P) arrays of CHUNK_PAIRS pairs (2.5 MiB), and
+        # no temporary outside it is larger than a (rows, V) row block.
+        # The same arrays allocated one by one traced 3.2-3.3 MiB here.
+        cage = build_template_cage(np.array([[-1.0] * 3, [1.0] * 3]),
+                                   resolution=resolution)
+        deformed = cage.with_vertices(1.1 * cage.vertices, validate=False)
+        pts = interior_points(cage, 4000, seed=resolution)
+        peak, kept = traced(lambda: mvc_weights(pts, cage, deformed))
+        assert peak - kept <= 2.9 * 2**20
 
 
 class TestGradient:

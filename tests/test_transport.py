@@ -2,7 +2,6 @@ import collections
 import dataclasses
 import sys
 import threading
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -25,7 +24,7 @@ from cagewarp.transport import (
     transform_covariance,
 )
 
-from conftest import cage_pair, interior_points, random_cloud
+from conftest import cage_pair, interior_points, random_cloud, traced
 from jacobian_oracle import jacobian_analytic
 
 
@@ -657,25 +656,13 @@ class TestSharedSpanPass:
         assert len(ran) <= n
 
 
-def traced(call):
-    """Bytes traced at call()'s peak and at its end (its result still
-    held), beyond those traced before it."""
-    tracemalloc.start()
-    try:
-        before = tracemalloc.get_traced_memory()[0]
-        result = call()  # noqa: F841 -- held while measured
-        kept, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    return peak - before, kept - before
-
-
 class TestPeakMemory:
     """MVC rows are mapped through the deformed cage one CHUNK_PAIRS chunk
     at a time, so no (rows, V) weight matrix grows with the input: at
     resolution 6 (218 vertices) a dense row costs 1744 bytes. Site
     gradients are fitted in blocks of CHUNK_PAIRS (site, neighbour)
-    pairs."""
+    pairs, and covariances re-factored in blocks of CHUNK_PAIRS // 9
+    rows."""
 
     def test_jacobian_fd_peak_is_flat_in_the_site_count(self):
         cage = build_template_cage(np.array([[-1.0] * 3, [1.0] * 3]),
@@ -702,6 +689,34 @@ class TestPeakMemory:
             peaks.append(peak)
             kept.append(end)
         assert peaks[1] - peaks[0] < kept[1] - kept[0] + 32 * (16000 - 2000)
+
+    def test_covariance_peak_is_flat_in_the_span_rows(self):
+        # One span holds every splat. Its covariances are re-factored in
+        # blocks of CHUNK_PAIRS // 9 rows, so beyond what the call keeps
+        # the peak grows by tens of bytes a splat, not by the 580 bytes a
+        # row of one whole-span call (6.6 MiB more from 2000 to 16000).
+        peaks, kept = [], []
+        for n in (2000, 16000):
+            cloud = random_cloud(n, seed=53)
+            cage = build_template_cage(cloud.centers, resolution=2)
+            peak, end = traced(lambda: deform_cloud(
+                cloud, cage, jiggled(cage, seed=53), m=200))
+            peaks.append(peak)
+            kept.append(end)
+        assert peaks[1] - peaks[0] < kept[1] - kept[0] + 64 * (16000 - 2000)
+
+    def test_covariance_blocks_do_not_change_bits(self, monkeypatch):
+        cloud = random_cloud(300, seed=54)
+        source = build_template_cage(cloud.centers, resolution=2)
+        deformed = jiggled(source, seed=54)
+        whole, field = deform_cloud(cloud, source, deformed, m=40)
+        assert uses_gradients(field)
+        # 7-row blocks (and 6-site gradient blocks).
+        monkeypatch.setattr(transport, "CHUNK_PAIRS", 9 * 7)
+        blocked, _ = deform_cloud(cloud, source, deformed, m=40)
+        for name in ("centers", "log_scales", "rotations"):
+            assert getattr(whole, name).tobytes() \
+                == getattr(blocked, name).tobytes()
 
     def test_site_gradient_scratch_is_flat_in_the_site_count(self):
         # Beyond the neighbour table and the gradients it returns, nothing
