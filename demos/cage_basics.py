@@ -10,8 +10,8 @@ import os
 
 import numpy as np
 
-from cagewarp import (build_template_cage, deform_points, mvc_weights,
-                      write_cage_obj)
+from cagewarp import (TriangleMesh, build_template_cage, deform_points,
+                      mvc_weights, write_cage_obj)
 from cagewarp.metrics import write_point_ply
 
 out_dir = "demo_output"
@@ -36,7 +36,7 @@ lo, hi = cage.bbox()
 top = cage.vertices[:, 2] > lo[2] + 0.66 * (hi[2] - lo[2])
 moved_vertices = cage.vertices.copy()
 moved_vertices[top] += np.array([0.35, 0.0, 0.8])
-bent = cage.with_vertices(moved_vertices, validate=False)
+bent = TriangleMesh(moved_vertices, cage.triangles)
 print(f"moved {top.sum()} of {len(cage.vertices)} cage vertices")
 
 bent_points = deform_points(weights, bent)

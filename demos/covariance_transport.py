@@ -10,8 +10,8 @@ against the shear that was applied to the cage.
 
 import numpy as np
 
-from cagewarp import (GaussianCloud, build_template_cage, deform_cloud,
-                      jacobian_fd)
+from cagewarp import (GaussianCloud, TriangleMesh, build_template_cage,
+                      deform_cloud, jacobian_fd)
 from cagewarp.splats import covariances_of
 
 rng = np.random.default_rng(3)
@@ -32,7 +32,7 @@ cage = build_template_cage(centers, resolution=2, padding=0.2)
 shear = np.array([[1.0, 0.0, 0.5],
                   [0.0, 1.0, 0.0],
                   [0.0, 0.0, 1.4]])
-sheared = cage.with_vertices(cage.vertices @ shear.T, validate=False)
+sheared = TriangleMesh(cage.vertices @ shear.T, cage.triangles)
 
 # the warp of an affine cage map is that map, so its jacobian is the shear
 probe = centers[::100]

@@ -11,8 +11,9 @@ import os
 
 import numpy as np
 
-from cagewarp import (GaussianCloud, build_template_cage, chamfer_distance,
-                      deform_cloud, interpolate_cage, write_gs_ply)
+from cagewarp import (GaussianCloud, TriangleMesh, build_template_cage,
+                      chamfer_distance, deform_cloud, interpolate_cage,
+                      write_gs_ply)
 
 out_dir = "demo_output"
 os.makedirs(out_dir, exist_ok=True)
@@ -38,7 +39,7 @@ bent_v = np.stack([v[:, 0] * np.cos(angle) - v[:, 2] * np.sin(angle),
                    v[:, 1],
                    v[:, 0] * np.sin(angle) + v[:, 2] * np.cos(angle)],
                   axis=1)
-bent = cage.with_vertices(bent_v, validate=False)
+bent = TriangleMesh(bent_v, cage.triangles)
 
 full, _ = deform_cloud(cloud, cage, bent, m=2000, seed=0)
 

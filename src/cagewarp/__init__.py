@@ -7,16 +7,16 @@ map. Cages can be built from bounding boxes, fitted to target shapes, and
 blended for partial-strength edits.
 """
 
-from .cage import (CageMesh, build_template_cage, interpolate_cage,
-                   read_cage_obj, write_cage_obj)
+from .cage import (CageMesh, TriangleMesh, build_template_cage,
+                   interpolate_cage, read_cage_obj, write_cage_obj)
 from .errors import (CagewarpError, NonManifoldCageError,
                      DegenerateRotationError, FitDivergedError,
                      NearSurfaceError, PipelineError, PlyFormatError,
                      PlyReadError, TopologyMismatchError,
                      UnsupportedLayoutError)
 from .fitting import FitConfig, FitReport, fit_deformed_cage
-from .metrics import (TriangleMesh, baseline_bbox_scale, chamfer_distance,
-                      load_target, sample_points)
+from .metrics import (baseline_bbox_scale, chamfer_distance, load_target,
+                      sample_points)
 from .mvc import MVCWeights, deform_points, mvc_weights
 from .pipeline import PipelineConfig, compare_models, run_pipeline
 from .splats import GaussianCloud, read_gs_ply, write_gs_ply

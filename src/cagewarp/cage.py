@@ -1,16 +1,19 @@
-"""Triangle cage meshes: construction, validation, interpolation, OBJ I/O.
+"""Triangle meshes and cages: construction, validation, edge tables,
+interpolation, OBJ I/O.
 
-A cage is a closed, consistently wound triangle mesh that encloses the
-geometry it will deform. Cage topology is the identity of a cage family:
-a deformed cage is the same mesh with moved vertices, and every consumer
-of a (source, deformed) pair checks that vertex counts and triangle lists
-agree before using them.
+A cage (CageMesh) is a TriangleMesh checked to be closed and consistently
+wound; it encloses the geometry it will deform. Cage topology is the
+identity of a cage family: a deformed cage is a TriangleMesh with the
+same triangles and moved vertices, and every consumer of a (source,
+deformed) pair checks that vertex counts and triangle lists agree.
 """
 
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
+from typing import ClassVar, NamedTuple
 
 import numpy as np
 
@@ -34,25 +37,20 @@ CHUNK_PAIRS = 2**14
 
 
 @dataclass
-class CageMesh:
-    """A closed 2-manifold triangle mesh with outward-facing winding.
+class TriangleMesh:
+    """A triangle mesh: (V, 3) float64 vertices, (T, 3) int64 triangles.
 
-    Parameters
-    ----------
-    vertices : (V, 3) float array
-        Vertex positions.
-    triangles : (T, 3) int array
-        Vertex indices per triangle, counterclockwise seen from outside.
-
-    Construction validates the mesh: indices in range, no degenerate
-    triangles, every undirected edge shared by exactly two triangles in
-    opposite directions (closed + consistently wound), positive enclosed
-    volume (outward orientation), and no near-zero triangle areas.
+    Construction checks the shapes, that the vertices are finite and that
+    the indices are in range. It may be open, non-manifold or inverted: a
+    target, or a deformed, fitted or interpolated cage.
     """
 
     vertices: np.ndarray
     triangles: np.ndarray
-    _trusted: bool = field(default=False, repr=False, compare=False)
+
+    # The mesh's name in messages, and what an index out of range raises.
+    kind: ClassVar[str] = "mesh"
+    index_error: ClassVar[type[ValueError]] = ValueError
 
     def __post_init__(self):
         self.vertices = np.ascontiguousarray(self.vertices, dtype=np.float64)
@@ -62,33 +60,78 @@ class CageMesh:
         if self.triangles.ndim != 2 or self.triangles.shape[1] != 3:
             raise ValueError(f"triangles must be (T, 3), got {self.triangles.shape}")
         if not np.all(np.isfinite(self.vertices)):
-            raise ValueError("cage vertices contain non-finite values")
-        if not self._trusted:
-            self._validate()
-
-    def _validate(self):
-        tri = self.triangles
+            raise ValueError(f"{self.kind} vertices contain non-finite values")
         nv = len(self.vertices)
+        if self.triangles.size and (self.triangles.min() < 0
+                                    or self.triangles.max() >= nv):
+            raise self.index_error(f"triangle index out of range [0, {nv})")
+
+    @cached_property
+    def edges(self) -> EdgeTable:
+        """The edge table of the triangles, built on first use."""
+        return edge_table(self.triangles)
+
+    def bbox(self):
+        return bbox_of(self.vertices)
+
+    def bbox_diagonal(self) -> float:
+        lo, hi = self.bbox()
+        return float(np.linalg.norm(hi - lo))
+
+    def with_vertices(self, vertices: np.ndarray):
+        """A mesh of this type with these triangles and new vertex
+        positions: a CageMesh is checked as a cage again."""
+        vertices = np.asarray(vertices, dtype=np.float64)
+        if vertices.shape != self.vertices.shape:
+            raise TopologyMismatchError(
+                f"expected {self.vertices.shape[0]} vertices, "
+                f"got {vertices.shape[0]}")
+        return type(self)(vertices, self.triangles.copy())
+
+    def check_same_topology(self, other: "TriangleMesh") -> None:
+        """Raise TopologyMismatchError unless other has this vertex count
+        and these triangles."""
+        if not (len(self.vertices) == len(other.vertices)
+                and np.array_equal(self.triangles, other.triangles)):
+            raise TopologyMismatchError(
+                "cages differ in vertex count or triangles")
+
+
+class CageMesh(TriangleMesh):
+    """A closed 2-manifold triangle mesh, wound counterclockwise seen
+    from outside.
+
+    Construction validates the mesh beyond TriangleMesh's checks: no
+    degenerate triangles, every undirected edge shared by exactly two
+    triangles in opposite directions (closed + consistently wound), no
+    near-zero triangle areas, and positive enclosed volume (outward).
+    """
+
+    kind = "cage"
+    index_error = NonManifoldCageError
+
+    def __post_init__(self):
+        super().__post_init__()
+        tri = self.triangles
         if tri.size == 0:
             raise NonManifoldCageError("cage has no triangles")
-        if tri.min() < 0 or tri.max() >= nv:
-            raise NonManifoldCageError(
-                f"triangle index out of range [0, {nv})")
         if np.any((tri[:, 0] == tri[:, 1]) | (tri[:, 1] == tri[:, 2])
                   | (tri[:, 0] == tri[:, 2])):
             raise NonManifoldCageError("degenerate triangle repeats a vertex")
 
-        # Closed + consistent winding: every directed edge occurs exactly
-        # once, and its reverse occurs exactly once as well.
-        edges = np.concatenate([tri[:, [0, 1]], tri[:, [1, 2]], tri[:, [2, 0]]])
-        keys = edges[:, 0] * nv + edges[:, 1]
-        if len(np.unique(keys)) != len(keys):
+        # Closed + consistent winding: every undirected edge is run once
+        # from its lower vertex index and once from its higher.
+        table = self.edges
+        backwards = table.backwards[:, :, 0]
+        runs = [np.bincount(table.opposite[way], minlength=len(table.pairs))
+                for way in (~backwards, backwards)]
+        if np.max(runs) > 1:
             raise NonManifoldCageError(
                 "directed edge shared by two triangles (inconsistent winding "
                 "or non-manifold fan)")
-        rev = edges[:, 1] * nv + edges[:, 0]
-        if not np.array_equal(np.sort(keys), np.sort(rev)):
-            raise NonManifoldCageError("boundary edge found; cage is not closed")
+        if not np.array_equal(*runs):
+            raise NonManifoldCageError(
+                "boundary edge found; cage is not closed")
 
         diag = self.bbox_diagonal()
         areas = triangle_areas(self.vertices, tri)
@@ -99,16 +142,6 @@ class CageMesh:
         if self.signed_volume() <= 0.0:
             raise NonManifoldCageError(
                 "enclosed volume is not positive; winding is inward")
-
-    def __len__(self) -> int:
-        return len(self.vertices)
-
-    def bbox(self):
-        return bbox_of(self.vertices)
-
-    def bbox_diagonal(self) -> float:
-        lo, hi = self.bbox()
-        return float(np.linalg.norm(hi - lo))
 
     def signed_volume(self) -> float:
         """Enclosed volume via the divergence theorem (positive = outward)."""
@@ -123,23 +156,33 @@ class CageMesh:
                      v[self.triangles[:, 2]] - v[self.triangles[:, 0]])
         return n / np.linalg.norm(n, axis=1, keepdims=True)
 
-    def with_vertices(self, vertices: np.ndarray,
-                      validate: bool = True) -> "CageMesh":
-        """Same topology, new vertex positions."""
-        vertices = np.asarray(vertices, dtype=np.float64)
-        if vertices.shape != self.vertices.shape:
-            raise TopologyMismatchError(
-                f"expected {self.vertices.shape[0]} vertices, "
-                f"got {vertices.shape[0]}")
-        return CageMesh(vertices, self.triangles.copy(), _trusted=not validate)
 
-    def check_same_topology(self, other: "CageMesh") -> None:
-        """Raise TopologyMismatchError unless other has this vertex count
-        and these triangles."""
-        if not (len(self.vertices) == len(other.vertices)
-                and np.array_equal(self.triangles, other.triangles)):
-            raise TopologyMismatchError(
-                "cages differ in vertex count or triangles")
+class EdgeTable(NamedTuple):
+    """The edges of triangles, each once, and how the corners see them."""
+
+    tri: np.ndarray          # (T, 3) triangles
+    pairs: np.ndarray        # (E, 2) unique undirected edges, sorted pairs
+    opposite: np.ndarray     # (3, T) the edge opposite corner k
+    backwards: np.ndarray    # (3, T, 1) the triangle runs it from pairs[:, 1]
+
+
+def edge_table(tri) -> EdgeTable:
+    """The EdgeTable of (T, 3) triangles, T >= 1."""
+    a, b = tri[:, [1, 2, 0]].T, tri[:, [2, 0, 1]].T     # (3, T) each
+    # The key lo * n + hi sorts as the pair (lo, hi) does, and one sort of
+    # key * 3T + corner gives the unique keys and each corner's edge.
+    # np.unique's return_inverse would argsort: a kernel no other step
+    # runs, whose code pages alone put 0.2 MB on a small run's peak RSS.
+    n = int(tri.max()) + 1
+    keys = (np.minimum(a, b) * n + np.maximum(a, b)).ravel()
+    sorted_keys, corner = np.divmod(
+        np.sort(keys * keys.size + np.arange(keys.size)), keys.size)
+    first = np.concatenate([[True], sorted_keys[1:] != sorted_keys[:-1]])
+    opposite = np.empty_like(keys)
+    opposite[corner] = np.cumsum(first) - 1
+    unique = sorted_keys[first]
+    return EdgeTable(tri, np.stack([unique // n, unique % n], axis=1),
+                     opposite.reshape(3, -1), (a > b)[:, :, None])
 
 
 def triangle_areas(vertices: np.ndarray, triangles: np.ndarray) -> np.ndarray:
@@ -256,8 +299,8 @@ def box_cage(lo: np.ndarray, hi: np.ndarray, resolution: int = 2) -> CageMesh:
     return CageMesh(vertices, np.asarray(triangles, dtype=np.int64))
 
 
-def interpolate_cage(source: CageMesh, deformed: CageMesh,
-                     lam: float) -> CageMesh:
+def interpolate_cage(source: TriangleMesh, deformed: TriangleMesh,
+                     lam: float) -> TriangleMesh:
     """Blend between a source cage and its deformed counterpart.
 
     Vertices are lam * deformed + (1 - lam) * source, so lam = 0 returns
@@ -275,35 +318,41 @@ def interpolate_cage(source: CageMesh, deformed: CageMesh,
         vertices = deformed.vertices.copy()
     else:
         vertices = lam * deformed.vertices + (1.0 - lam) * source.vertices
-    # Interpolants of a valid pair may transiently self-intersect; keep
-    # topology checks but skip geometric revalidation.
-    return CageMesh(vertices, source.triangles.copy(), _trusted=True)
+    # Interpolants of a valid pair may transiently self-intersect, so the
+    # blend is a plain mesh, not a cage.
+    return TriangleMesh(vertices, source.triangles.copy())
 
 
 def read_obj_arrays(path) -> tuple[np.ndarray, np.ndarray]:
     """Parse a Wavefront OBJ file into (vertices, triangles) arrays.
 
     Faces with more than three sides are fan-triangulated. Texture and
-    normal indices in face records are ignored. No manifold checks.
+    normal indices in face records are ignored. No manifold checks. A
+    malformed record, such as a non-numeric token or a face index 0 (OBJ
+    counts from 1, and from -1 backwards), raises ValueError naming
+    path:lineno.
     """
     vertices = []
     faces = []
     with open(path, "r", encoding="utf-8") as stream:
         for lineno, line in enumerate(stream, start=1):
             tokens = line.split()
-            if not tokens or tokens[0].startswith("#"):
-                continue
-            if tokens[0] == "v":
-                if len(tokens) < 4:
-                    raise ValueError(f"{path}:{lineno}: malformed vertex line")
-                vertices.append([float(t) for t in tokens[1:4]])
-            elif tokens[0] == "f":
-                idx = [int(t.split("/")[0]) for t in tokens[1:]]
-                if len(idx) < 3:
-                    raise ValueError(f"{path}:{lineno}: face with < 3 vertices")
-                idx = [i - 1 if i > 0 else len(vertices) + i for i in idx]
-                for k in range(1, len(idx) - 1):
-                    faces.append((idx[0], idx[k], idx[k + 1]))
+            try:
+                if tokens[:1] == ["v"]:
+                    if len(tokens) < 4:
+                        raise ValueError("malformed vertex line")
+                    vertices.append([float(t) for t in tokens[1:4]])
+                elif tokens[:1] == ["f"]:
+                    idx = [int(t.split("/")[0]) for t in tokens[1:]]
+                    if len(idx) < 3:
+                        raise ValueError("face with < 3 vertices")
+                    if 0 in idx or min(idx) < -len(vertices):
+                        raise ValueError("face index 0 or before vertex 1")
+                    idx = [i - 1 if i > 0 else len(vertices) + i for i in idx]
+                    for k in range(1, len(idx) - 1):
+                        faces.append((idx[0], idx[k], idx[k + 1]))
+            except ValueError as err:
+                raise ValueError(f"{path}:{lineno}: {err}") from None
     if not vertices:
         raise ValueError(f"{path}: no vertices found")
     return (np.asarray(vertices, dtype=np.float64),
@@ -312,24 +361,22 @@ def read_obj_arrays(path) -> tuple[np.ndarray, np.ndarray]:
 
 def read_cage_obj(path) -> CageMesh:
     """Read a cage from a Wavefront OBJ file, validating it as a cage."""
-    vertices, faces = read_obj_arrays(path)
-    return CageMesh(vertices, faces)
+    return CageMesh(*read_obj_arrays(path))
 
 
-def read_deformed_cage(path, source: CageMesh) -> CageMesh:
+def read_deformed_cage(path, source: TriangleMesh) -> TriangleMesh:
     """Read a deformed counterpart of source from a Wavefront OBJ file.
 
     Only what MVC needs is checked: finite vertices, and source's vertex
-    count and triangles. The geometry is not validated: an edit may
-    invert the cage, and a fitted cage is built unvalidated too.
+    count and triangles. The result is a TriangleMesh, not a cage: an
+    edit may invert the cage, as a fitted cage may.
     """
-    vertices, faces = read_obj_arrays(path)
-    deformed = CageMesh(vertices, faces, _trusted=True)
+    deformed = TriangleMesh(*read_obj_arrays(path))
     source.check_same_topology(deformed)
     return deformed
 
 
-def write_cage_obj(cage: CageMesh, path) -> None:
+def write_cage_obj(cage: TriangleMesh, path) -> None:
     """Write a cage as ASCII OBJ. Output is deterministic byte-for-byte."""
     lines = []
     for v in cage.vertices:
@@ -340,7 +387,7 @@ def write_cage_obj(cage: CageMesh, path) -> None:
         stream.write("\n".join(lines) + "\n")
 
 
-def surface_distance(points: np.ndarray, cage: CageMesh) -> np.ndarray:
+def surface_distance(points: np.ndarray, cage: TriangleMesh) -> np.ndarray:
     """Distance from each point to the cage surface (always >= 0).
 
     Chunks of CHUNK_PAIRS // T points are measured against all T
@@ -398,7 +445,7 @@ def cross(p, q):
             for j in range(3)]
 
 
-def winding_numbers(points: np.ndarray, cage: CageMesh) -> np.ndarray:
+def winding_numbers(points: np.ndarray, cage: TriangleMesh) -> np.ndarray:
     """Generalized winding number of each point with respect to the cage.
 
     Uses the signed solid angle of each triangle (van Oosterom-Strackee).

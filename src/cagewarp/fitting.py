@@ -38,7 +38,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.spatial import cKDTree
 
-from .cage import CageMesh, dot, winding_numbers
+from .cage import CageMesh, TriangleMesh, dot, winding_numbers
 from .errors import FitDivergedError
 from .metrics import as_points
 from .mvc import mvc_weights
@@ -337,8 +337,9 @@ def fit_deformed_cage(source, target, source_cage: CageMesh,
     it none or either coarse subset has fewer than COARSE_ROWS_PER_VERTEX
     rows per cage vertex.
 
-    Returns (deformed_cage, FitReport). The returned cage carries the
-    refine stage's best-loss vertices, not necessarily the last iterate.
+    Returns (deformed_cage, FitReport). The returned cage is a
+    TriangleMesh, as a fit may invert it, and carries the refine stage's
+    best-loss vertices, not necessarily the last iterate.
     Raises ValueError for fewer than one iteration and FitDivergedError if
     the loss leaves the realm of finite numbers.
     """
@@ -387,8 +388,8 @@ def fit_deformed_cage(source, target, source_cage: CageMesh,
                       coarse_iterations)
     refine_iterations = len(refine.trace)
 
-    fitted = source_cage.with_vertices(
-        source_cage.vertices + refine.best_delta, validate=False)
+    fitted = TriangleMesh(source_cage.vertices + refine.best_delta,
+                          source_cage.triangles.copy())
     report = FitReport(
         loss_trace=np.asarray(refine.trace),
         best_trace=np.asarray(refine.best_trace),

@@ -9,39 +9,13 @@ points for fitting and evaluation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 from scipy.spatial import cKDTree
 
-from .cage import inflate_degenerate_axes, read_obj_arrays, triangle_areas
+from .cage import (TriangleMesh, inflate_degenerate_axes, read_obj_arrays,
+                   triangle_areas)
 from .splats import GaussianCloud, read_vertex_table, write_vertex_table
 from .transport import sample_rows, transform_covariance
-
-
-@dataclass
-class TriangleMesh:
-    """A bare triangle mesh used as a deformation target.
-
-    Unlike a cage it may be open, non-manifold, or inconsistently wound;
-    only structural sanity is enforced.
-    """
-
-    vertices: np.ndarray   # (V, 3)
-    triangles: np.ndarray  # (T, 3)
-
-    def __post_init__(self):
-        self.vertices = np.ascontiguousarray(self.vertices, dtype=np.float64)
-        self.triangles = np.ascontiguousarray(self.triangles, dtype=np.int64)
-        if self.vertices.ndim != 2 or self.vertices.shape[1] != 3:
-            raise ValueError(f"vertices must be (V, 3), got {self.vertices.shape}")
-        if self.triangles.ndim != 2 or self.triangles.shape[1] != 3:
-            raise ValueError(f"triangles must be (T, 3), got {self.triangles.shape}")
-        if not np.all(np.isfinite(self.vertices)):
-            raise ValueError("mesh vertices contain non-finite values")
-        if len(self.triangles) and (self.triangles.min() < 0
-                                    or self.triangles.max() >= len(self.vertices)):
-            raise ValueError("triangle index out of range")
 
 
 def as_points(obj, what: str = "point set") -> np.ndarray:
@@ -176,8 +150,7 @@ def load_target(path):
     path = str(path)
     lower = path.lower()
     if lower.endswith(".obj"):
-        vertices, triangles = read_obj_arrays(path)
-        return TriangleMesh(vertices=vertices, triangles=triangles)
+        return TriangleMesh(*read_obj_arrays(path))
     if not lower.endswith(".ply"):
         raise ValueError(f"{path}: unsupported target format "
                          "(expected .obj or .ply)")

@@ -17,12 +17,12 @@ One routine, _spherical_triangles, turns the unit directions into the
 arc angles, the Cramer solution lambda and det [u_0 u_1 u_2]. theta_k
 and the cross product u_{k+1} x u_{k+2} depend only on the edge opposite
 corner k, and every cage edge borders two triangles, so both are
-computed once per unique edge and gathered to the corners, negated where
-a triangle runs the edge backwards (negation and |a - b| = |b - a| are
-exact). Arrays are vertex-major, (rows, points) per component, so every
-gather takes whole contiguous rows; one sparse product with the (V, 3T)
-corner incidence sums the corners' lambda_i / d_i into the weights. The
-routine runs in float64 over every (point, triangle) pair of a chunk,
+computed once per unique edge of the cage's edge table (cage.edges)
+and gathered to the corners, negated where a triangle runs the edge
+backwards (negation and |a - b| = |b - a| are exact). Arrays are
+vertex-major, (rows, points) per component, so every gather takes whole
+contiguous rows; one sparse product with the (V, 3T) corner incidence
+sums the corners' lambda_i / d_i into the weights. The routine runs in float64 over every (point, triangle) pair of a chunk,
 and again in long double, one triangle per pair, over the pairs whose
 |det| lies in [DET_SKIP, DET_REFINE): near-coplanar pairs, such as
 points just off a face's supporting plane outside the face, where the
@@ -58,7 +58,7 @@ from typing import NamedTuple
 import numpy as np
 from scipy import sparse
 
-from .cage import CHUNK_PAIRS, CageMesh
+from .cage import CHUNK_PAIRS, CageMesh, TriangleMesh, edge_table
 
 # Distance below which a query point is treated as sitting on a cage
 # vertex, as a fraction of the cage bbox diagonal.
@@ -90,7 +90,7 @@ class MVCWeights:
 
 
 def mvc_weights(points: np.ndarray, cage: CageMesh,
-                deformed: CageMesh | None = None):
+                deformed: TriangleMesh | None = None):
     """Compute normalized mean value coordinates of points w.r.t. a cage.
 
     Points may lie anywhere: inside (all weights positive for convex
@@ -111,7 +111,7 @@ def mvc_weights(points: np.ndarray, cage: CageMesh,
     if deformed is not None:
         cage.check_same_topology(deformed)
     tri = cage.triangles
-    table = _edge_table(tri)
+    table = cage.edges
     # Column k*T + t of the corner incidence is corner k of triangle t.
     incidence = sparse.csr_matrix(
         (np.ones(tri.size), (tri.T.ravel(), np.arange(tri.size))),
@@ -122,7 +122,7 @@ def mvc_weights(points: np.ndarray, cage: CageMesh,
     mapped = None if deformed is None else np.empty((len(points), 3))
     weights = np.empty((len(points) if mapped is None
                         else min(rows, len(points)), len(cage.vertices)))
-    buf = _Scratch.buffer(len(cage.vertices), len(table.edges),
+    buf = _Scratch.buffer(len(cage.vertices), len(table.pairs),
                           min(rows, len(points)))
     for lo in range(0, len(points), rows):
         x = points[lo:lo + rows]
@@ -152,37 +152,10 @@ def mvc_weights(points: np.ndarray, cage: CageMesh,
         else mapped
 
 
-def deform_points(weights: MVCWeights, deformed: CageMesh) -> np.ndarray:
+def deform_points(weights: MVCWeights, deformed: TriangleMesh) -> np.ndarray:
     """Map the weights' query points through a deformed copy of the cage."""
     weights.cage.check_same_topology(deformed)
     return weights.weights @ deformed.vertices
-
-
-class _EdgeTable(NamedTuple):
-    """The edges of triangles, each once, and how the corners see them."""
-
-    tri: np.ndarray          # (T, 3) triangles
-    edges: np.ndarray        # (E, 2) unique undirected edges, sorted pairs
-    opposite: np.ndarray     # (3, T) the edge opposite corner k
-    backwards: np.ndarray    # (3, T, 1) the triangle runs it from edges[:, 1]
-
-
-def _edge_table(tri) -> _EdgeTable:
-    a, b = tri[:, [1, 2, 0]].T, tri[:, [2, 0, 1]].T     # (3, T) each
-    # The key lo * n + hi sorts as the pair (lo, hi) does, and one sort of
-    # key * 3T + corner gives the unique keys and each corner's edge.
-    # np.unique's return_inverse would argsort: a kernel no other step
-    # runs, whose code pages alone put 0.2 MB on a small run's peak RSS.
-    n = int(tri.max()) + 1
-    keys = (np.minimum(a, b) * n + np.maximum(a, b)).ravel()
-    sorted_keys, corner = np.divmod(
-        np.sort(keys * keys.size + np.arange(keys.size)), keys.size)
-    first = np.concatenate([[True], sorted_keys[1:] != sorted_keys[:-1]])
-    opposite = np.empty_like(keys)
-    opposite[corner] = np.cumsum(first) - 1
-    unique = sorted_keys[first]
-    return _EdgeTable(tri, np.stack([unique // n, unique % n], axis=1),
-                      opposite.reshape(3, -1), (a > b)[:, :, None])
 
 
 class _Scratch(NamedTuple):
@@ -281,19 +254,20 @@ def _edge_terms(u, edges, s):
     return theta, np.divide(theta, g, out=g), c
 
 
-def _spherical_triangles(u, edge_table, s):
+def _spherical_triangles(u, table, s):
     """Arc angles, Cramer coefficients and det of spherical triangles.
 
     u (3, V, n) holds the unit directions from n points to V vertices, by
-    component, in any float dtype, and s is the _Scratch they sit in.
-    theta (E, n) is the arc angle of each edge, so theta[opposite[k]] is
-    the one opposite corner k. lam (3, T, n) solves [e0 e1 e2] lam = m
-    for the vector area m, and det = det [e0 e1 e2], for the corner
-    directions e of each triangle. All three are views into s.
+    component, in any float dtype, s is the _Scratch they sit in, and
+    table is the triangles' cage.EdgeTable. theta (E, n) is the arc angle
+    of each edge, so theta[opposite[k]] is the one opposite corner k. lam
+    (3, T, n) solves [e0 e1 e2] lam = m for the vector area m, and det =
+    det [e0 e1 e2], for the corner directions e of each triangle. All
+    three are views into s.
     """
-    tri, edges, opposite, backwards = edge_table
+    tri, pairs, opposite, backwards = table
     n_tri = len(tri)
-    theta, g, edge_cross = _edge_terms(u, edges, s)
+    theta, g, edge_cross = _edge_terms(u, pairs, s)
     # cr[j, k] = (e_{k+1} x e_{k+2})_j: the shared edge product, negated
     # (an exact operation) where the triangle runs the edge backwards.
     cr = s.edge_ends[:9 * n_tri].reshape(3, 3, n_tri, -1)
@@ -334,7 +308,7 @@ def _weights_chunk(x, cage, table, incidence, w, buf):
     opposite = table.opposite
     # Vertex-major: every per-vertex, per-edge and per-corner array is
     # (rows, P), so each gather takes whole contiguous rows.
-    s = _Scratch.carve(buf, len(verts), len(table.edges), len(x))
+    s = _Scratch.carve(buf, len(verts), len(table.pairs), len(x))
     u, d = _unit_directions(verts.T[:, :, None], x.T[:, None, :], s)
     theta, lam, det = _spherical_triangles(u, table, s)
     # m's block is free once lam is formed.
@@ -358,7 +332,7 @@ def _weights_chunk(x, cage, table, incidence, w, buf):
         # In blocks of pairs, so the rescue's scratch stays well below
         # buf's however many pairs a chunk refines.
         block = max(1, CHUNK_PAIRS // 32)
-        one = _edge_table(np.array([[0, 1, 2]]))
+        one = edge_table(np.array([[0, 1, 2]]))
         ld_buf = _Scratch.buffer(3, 3, min(block, len(t_idx)), np.longdouble)
         for lo in range(0, len(t_idx), block):
             tb, pb = t_idx[lo:lo + block], p_idx[lo:lo + block]

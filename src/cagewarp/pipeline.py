@@ -29,12 +29,13 @@ from pathlib import Path
 
 import numpy as np
 
-from .cage import (bbox_of, build_template_cage, inflate_degenerate_axes,
-                   read_cage_obj, read_deformed_cage, write_cage_obj)
+from .cage import (TriangleMesh, bbox_of, build_template_cage,
+                   inflate_degenerate_axes, read_cage_obj,
+                   read_deformed_cage, write_cage_obj)
 from .errors import PipelineError
 from .fitting import FitConfig, fit_deformed_cage
-from .metrics import (TriangleMesh, baseline_bbox_scale, chamfer_distance,
-                      load_target, sample_points)
+from .metrics import (baseline_bbox_scale, chamfer_distance, load_target,
+                      sample_points)
 from .splats import read_gs_ply, write_gs_ply
 from .transport import SINGULAR_DET, blend_deformation, deform_cloud
 
@@ -384,8 +385,7 @@ def _execute(config: PipelineConfig, mode: str, run: _Run) -> dict:
             source_cage = cage_canonical.with_vertices(
                 src_frame.from_canonical(cage_canonical.vertices))
             deformed_cage = fitted_canonical.with_vertices(
-                tgt_frame.from_canonical(fitted_canonical.vertices),
-                validate=False)
+                tgt_frame.from_canonical(fitted_canonical.vertices))
             logger.info(
                 "fit: %d iterations (%d on %d samples and %d targets, then "
                 "all rows), converged=%s, chamfer %.3e (normalized frame)",

@@ -27,7 +27,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 from scipy.spatial import cKDTree
 
-from .cage import CHUNK_PAIRS, CageMesh, surface_distance
+from .cage import CHUNK_PAIRS, CageMesh, TriangleMesh, surface_distance
 from .errors import NearSurfaceError
 from .mvc import mvc_weights
 from .rotations import matrix_to_quat
@@ -123,7 +123,7 @@ def sample_rows(n: int, count: int, seed: int) -> np.ndarray:
 
 
 def jacobian_fd(points: np.ndarray, source: CageMesh,
-                deformed: CageMesh) -> np.ndarray:
+                deformed: TriangleMesh) -> np.ndarray:
     """Deformation Jacobians by central differences, (P, 3, 3).
 
     The step starts at FD_STEP_FRACTION of the source cage diagonal and
@@ -159,7 +159,7 @@ def jacobian_fd(points: np.ndarray, source: CageMesh,
 
 
 def build_jacobian_field(points: np.ndarray, source: CageMesh,
-                         deformed: CageMesh, m: int = 10000,
+                         deformed: TriangleMesh, m: int = 10000,
                          seed: int = 0) -> JacobianField:
     """Sample m Jacobian sites from points, fit their gradients and
     assign every point to one.
@@ -270,9 +270,9 @@ def transform_covariance(jacobians: np.ndarray, rotations: np.ndarray,
     return matrix_to_quat(vecs), new_log_scales
 
 
-def deform_cloud(cloud: GaussianCloud, source: CageMesh, deformed: CageMesh,
-                 update_covariance: bool = True, m: int = 10000,
-                 seed: int = 0, center_chunk: int = 30000,
+def deform_cloud(cloud: GaussianCloud, source: CageMesh,
+                 deformed: TriangleMesh, update_covariance: bool = True,
+                 m: int = 10000, seed: int = 0, center_chunk: int = 30000,
                  workers: int = 1):
     """Deform a whole splat cloud through a cage pair.
 

@@ -4,7 +4,7 @@ import tracemalloc
 
 import numpy as np
 
-from cagewarp.cage import build_template_cage
+from cagewarp.cage import TriangleMesh, build_template_cage
 from cagewarp.splats import GaussianCloud
 
 
@@ -36,8 +36,7 @@ def cage_pair(seed=0, amplitude=0.15, resolution=2, n_anchor=40):
     lo, hi = source.bbox()
     jiggle = amplitude * (hi - lo) * np.sin(
         source.vertices @ rng.normal(size=(3, 3)) * 0.7)
-    return source, source.with_vertices(source.vertices + jiggle,
-                                        validate=False)
+    return source, TriangleMesh(source.vertices + jiggle, source.triangles)
 
 
 def interior_points(cage, n, seed, margin=0.25):

@@ -9,14 +9,8 @@ takes the arguments of mvc._weights_chunk except its scratch buffer.
 
 import numpy as np
 
-from cagewarp.cage import cross, dot
-from cagewarp.mvc import (
-    DET_REFINE,
-    DET_SKIP,
-    ON_FACE_EPS,
-    VERTEX_SNAP,
-    _edge_table,
-)
+from cagewarp.cage import cross, dot, edge_table
+from cagewarp.mvc import DET_REFINE, DET_SKIP, ON_FACE_EPS, VERTEX_SNAP
 
 
 def unit_directions(corners, x):
@@ -26,12 +20,12 @@ def unit_directions(corners, x):
     return u, d
 
 
-def spherical_triangles(u, edge_table):
+def spherical_triangles(u, table):
     """theta (E, n), lam (3, T, n) and det (T, n), as in
     mvc._spherical_triangles."""
-    tri, edges, opposite, backwards = edge_table
-    ua = [c[edges[:, 0]] for c in u]
-    ub = [c[edges[:, 1]] for c in u]
+    tri, pairs, opposite, backwards = table
+    ua = [c[pairs[:, 0]] for c in u]
+    ub = [c[pairs[:, 1]] for c in u]
     diff = [p - q for p, q in zip(ua, ub)]
     theta = 2.0 * np.arcsin(np.clip(0.5 * np.sqrt(dot(diff, diff)), 0.0, 1.0))
     edge_cross = cross(ua, ub)
@@ -64,7 +58,7 @@ def weights_chunk(x, cage, table, incidence, w):
         t_idx, p_idx = np.nonzero(refine)
         uq, _ = unit_directions(verts[tri[t_idx]].T.astype(np.longdouble),
                                 x[p_idx].T[:, None, :])
-        one = _edge_table(np.array([[0, 1, 2]]))
+        one = edge_table(np.array([[0, 1, 2]]))
         lam[:, t_idx, p_idx] = spherical_triangles(uq, one)[1][:, 0]
     lam = np.where((abs_det < DET_SKIP) | on_face, 0.0, lam / dcorn)
     w[...] = (incidence @ lam.reshape(-1, len(x))).T

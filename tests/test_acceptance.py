@@ -12,8 +12,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from cagewarp.cage import (CageMesh, build_template_cage, interpolate_cage,
-                           winding_numbers)
+from cagewarp.cage import (CageMesh, TriangleMesh, build_template_cage,
+                           interpolate_cage, winding_numbers)
 from cagewarp.fitting import FitConfig, fit_deformed_cage
 from cagewarp.metrics import baseline_bbox_scale, write_point_ply
 from cagewarp.mvc import deform_points, mvc_weights
@@ -88,7 +88,7 @@ def _smooth_cage_pair(seed, n_points=None, resolution=3, bend=0.04,
         bend * np.sin(phase[:, 0] + 2.0),
     ], axis=1) * source.bbox_diagonal()
     stretch = (v - center) * np.array([0.08, -0.05, 0.06])
-    return source, source.with_vertices(v + sway + stretch, validate=False)
+    return source, TriangleMesh(v + sway + stretch, source.triangles)
 
 
 def test_criterion_1_coordinate_identities():
@@ -134,8 +134,8 @@ def test_criterion_2_affine_oracle():
             while abs(np.linalg.det(matrix)) < 0.3:
                 matrix = rng.normal(size=(3, 3))
             shift = rng.normal(size=3)
-            mapped_cage = box.with_vertices(
-                box.vertices @ matrix.T + shift, validate=False)
+            mapped_cage = TriangleMesh(
+                box.vertices @ matrix.T + shift, box.triangles)
 
             moved = deform_points(weights, mapped_cage)
             expect = points @ matrix.T + shift
@@ -224,7 +224,7 @@ def test_criterion_5_baseline_equivalence():
         source_cage = build_template_cage(cloud.centers, resolution=2,
                                           padding=0.1)
         mapped = center + (source_cage.vertices - center) * scale + shift
-        deformed_cage = source_cage.with_vertices(mapped, validate=False)
+        deformed_cage = TriangleMesh(mapped, source_cage.triangles)
         via_cage, _ = deform_cloud(cloud, source_cage, deformed_cage,
                                    m=10000, seed=0)
 

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -5,10 +7,13 @@ from hypothesis import given, settings, strategies as st
 from cagewarp import cage as cage_module
 from cagewarp.cage import (
     CageMesh,
+    TriangleMesh,
     box_cage,
     build_template_cage,
     interpolate_cage,
     read_cage_obj,
+    read_deformed_cage,
+    read_obj_arrays,
     surface_distance,
     triangle_areas,
     winding_numbers,
@@ -250,6 +255,131 @@ class TestValidation:
         expected = [0.5, 0.5, 0.5, np.sqrt(3) / 2]
         assert np.allclose(np.sort(areas), np.sort(expected))
 
+    def test_with_vertices_keeps_the_type(self):
+        tet = unit_tetrahedron()
+        inverted = tet.vertices * [-1.0, 1.0, 1.0]
+        with pytest.raises(NonManifoldCageError, match="inward"):
+            tet.with_vertices(inverted)
+        mesh = TriangleMesh(tet.vertices, tet.triangles).with_vertices(
+            inverted)
+        assert type(mesh) is TriangleMesh
+        assert np.array_equal(mesh.triangles, tet.triangles)
+        assert type(tet.with_vertices(2.0 * tet.vertices)) is CageMesh
+        with pytest.raises(TopologyMismatchError):
+            mesh.with_vertices(inverted[:3])
+
+    def test_edge_table_is_built_once(self):
+        cage = box_cage(np.zeros(3), np.ones(3), resolution=2)
+        assert cage.edges is cage.edges
+        assert len(cage.edges.pairs) == 1.5 * len(cage.triangles)
+
+
+def closedness_by_directed_keys(triangles, n_vertices):
+    """The closedness rule stated on directed edge keys, the reference
+    for CageMesh's rule on its edge table: the message CageMesh raises
+    for triangles that repeat a vertex, repeat a directed edge or miss
+    an edge's reverse, or None."""
+    tri = np.asarray(triangles)
+    if np.any((tri[:, 0] == tri[:, 1]) | (tri[:, 1] == tri[:, 2])
+              | (tri[:, 0] == tri[:, 2])):
+        return "repeats a vertex"
+    edges = np.concatenate([tri[:, [0, 1]], tri[:, [1, 2]], tri[:, [2, 0]]])
+    keys = edges[:, 0] * n_vertices + edges[:, 1]
+    if len(np.unique(keys)) != len(keys):
+        return "inconsistent winding or non-manifold fan"
+    rev = edges[:, 1] * n_vertices + edges[:, 0]
+    if not np.array_equal(np.sort(keys), np.sort(rev)):
+        return "not closed"
+    return None
+
+
+def perturbed(triangles, n_vertices, edits):
+    """triangles with each (kind, face, corner, vertex) edit applied."""
+    tri = triangles.copy()
+    for kind, face, corner, vertex in edits:
+        face %= len(tri)
+        if kind == "flip":
+            tri[face] = tri[face, ::-1]
+        elif kind == "delete" and len(tri) > 1:
+            tri = np.delete(tri, face, axis=0)
+        elif kind == "duplicate":
+            tri = np.vstack([tri, tri[face]])
+        elif kind == "reverse-duplicate":
+            tri = np.vstack([tri, tri[face, ::-1]])
+        elif kind == "repoint":
+            tri[face, corner] = vertex % n_vertices
+    return tri
+
+
+class TestClosednessRule:
+    EDITS = st.tuples(
+        st.sampled_from(["flip", "delete", "duplicate", "reverse-duplicate",
+                         "repoint"]),
+        st.integers(0, 200), st.integers(0, 2), st.integers(0, 200))
+
+    @settings(max_examples=300, deadline=None)
+    @given(resolution=st.integers(0, 3),
+           edits=st.lists(EDITS, min_size=1, max_size=4))
+    def test_matches_the_directed_key_rule(self, resolution, edits):
+        cage = unit_tetrahedron() if resolution == 0 \
+            else box_cage(np.zeros(3), np.ones(3), resolution)
+        tri = perturbed(cage.triangles, len(cage.vertices), edits)
+        expected = closedness_by_directed_keys(tri, len(cage.vertices))
+        if expected is not None:
+            with pytest.raises(NonManifoldCageError, match=expected):
+                CageMesh(cage.vertices, tri)
+            return
+        try:
+            CageMesh(cage.vertices, tri)
+        except NonManifoldCageError as err:
+            # A closed, consistently wound edit may still be inward or
+            # leave no volume; those checks come after the edge rule.
+            assert not re.search("repeats|inconsistent|not closed",
+                                 str(err))
+
+    @pytest.mark.parametrize("edits, expected", [
+        ([], None),
+        ([("flip", 3, 0, 0)], "inconsistent winding or non-manifold fan"),
+        ([("delete", 0, 0, 0)], "not closed"),
+        ([("duplicate", 1, 0, 0)], "inconsistent winding or non-manifold fan"),
+        ([("reverse-duplicate", 1, 0, 0)],
+         "inconsistent winding or non-manifold fan"),
+        ([("repoint", 0, 0, 2)], "repeats a vertex"),
+    ])
+    def test_the_reference_sees_each_edit(self, edits, expected):
+        tet = unit_tetrahedron()
+        tri = perturbed(tet.triangles, 4, edits)
+        assert closedness_by_directed_keys(tri, 4) == expected
+
+
+@pytest.mark.parametrize("mesh_type", [TriangleMesh, CageMesh])
+class TestMalformedInput:
+    def test_vertex_shape(self, mesh_type):
+        tet = unit_tetrahedron()
+        with pytest.raises(ValueError, match=r"vertices must be \(V, 3\)"):
+            mesh_type(tet.vertices[:, :2], tet.triangles)
+
+    def test_triangle_shape(self, mesh_type):
+        tet = unit_tetrahedron()
+        with pytest.raises(ValueError, match=r"triangles must be \(T, 3\)"):
+            mesh_type(tet.vertices, tet.triangles.ravel())
+
+    def test_non_finite_vertex(self, mesh_type):
+        tet = unit_tetrahedron()
+        vertices = tet.vertices.copy()
+        vertices[2, 1] = np.nan
+        with pytest.raises(ValueError, match="non-finite"):
+            mesh_type(vertices, tet.triangles)
+
+    @pytest.mark.parametrize("index", [-1, 4, 9])
+    def test_index_out_of_range(self, mesh_type, index):
+        tet = unit_tetrahedron()
+        tri = tet.triangles.copy()
+        tri[0, 0] = index
+        error = NonManifoldCageError if mesh_type is CageMesh else ValueError
+        with pytest.raises(error, match=r"out of range \[0, 4\)"):
+            mesh_type(tet.vertices, tri)
+
 
 class TestInterpolation:
     def setup_method(self):
@@ -267,6 +397,7 @@ class TestInterpolation:
 
     def test_midpoint(self):
         mid = interpolate_cage(self.source, self.deformed, 0.5)
+        assert type(mid) is TriangleMesh
         assert np.allclose(
             mid.vertices,
             0.5 * (self.source.vertices + self.deformed.vertices), rtol=1e-15)
@@ -333,6 +464,37 @@ f 4 1 5 8
         with pytest.raises(ValueError):
             read_cage_obj(path)
 
+    @pytest.mark.parametrize("text, lineno", [
+        ("v 0 0 0\nv 1 0 0\nf 1 2 0\nv 0 1 0\n", 3),
+        ("v 0 0 0\nv 1 0 0\nv 0 1 0\nf 0/1 1/2 2/3\n", 4),
+        ("v 0 0 0\nv 1 0 0\nf -3 1 2\nv 0 1 0\n", 3),
+        ("v 0 0 0\nv 1 0 zero\nv 0 1 0\nf 1 2 3\n", 2),
+        ("v 0 0 0\nv 1 0 0\nv 0 1 0\n# ok\nf 1 two 3\n", 5),
+        ("v 0 0 0\nv 1 0 0\nv 0 1 0\nf 1 2\n", 4),
+    ], ids=["index-0", "slashed-index-0", "before-vertex-1", "vertex-token",
+            "face-token", "two-corners"])
+    def test_malformed_record_names_its_line(self, tmp_path, text, lineno):
+        path = tmp_path / "bad.obj"
+        path.write_text(text)
+        with pytest.raises(ValueError, match=f"bad.obj:{lineno}: "):
+            read_obj_arrays(path)
+
+    def test_negative_indices_count_back_from_the_face(self, tmp_path):
+        path = tmp_path / "rel.obj"
+        path.write_text("v 0 0 0\nv 1 0 0\nv 0 1 0\nf -3 -2 -1\n"
+                        "v 0 0 1\nf 1 -3 -1\n")
+        _, faces = read_obj_arrays(path)
+        assert faces.tolist() == [[0, 1, 2], [0, 1, 3]]
+
+    def test_deformed_cage_is_a_mesh(self, tmp_path):
+        cage = box_cage(np.zeros(3), np.ones(3), resolution=1)
+        path = tmp_path / "mirror.obj"
+        write_cage_obj(TriangleMesh(cage.vertices * [-1.0, 1.0, 1.0],
+                                    cage.triangles), path)
+        mirror = read_deformed_cage(path, cage)
+        assert type(mirror) is TriangleMesh
+        assert np.array_equal(mirror.triangles, cage.triangles)
+
 
 class TestGeometricQueries:
     def test_surface_distance_unit_box(self):
@@ -383,7 +545,7 @@ class TestGeometricQueries:
                 * rng.normal(size=cage.vertices.shape))
         pts = query_points(cage, 25, seed=resolution)
         for t in cage.triangles:
-            triangle = CageMesh(cage.vertices, t[None], _trusted=True)
+            triangle = TriangleMesh(cage.vertices, t[None])
             oracle = [np.linalg.norm(
                 p - closest_point_on_triangle(p, *cage.vertices[t]))
                 for p in pts]

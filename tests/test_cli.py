@@ -8,7 +8,7 @@ import re
 import numpy as np
 import pytest
 
-from cagewarp.cage import build_template_cage, write_cage_obj
+from cagewarp.cage import TriangleMesh, build_template_cage, write_cage_obj
 from cagewarp.cli import _build_parser, main
 from cagewarp.fitting import FitConfig
 from cagewarp.metrics import write_point_ply
@@ -242,8 +242,8 @@ def test_apply_cage_replays_a_mirrored_cage(model_files, tmp_path, capsys):
     cage = build_template_cage(cloud.centers, resolution=1)
     cages = (tmp_path / "src.obj", tmp_path / "mirror.obj")
     write_cage_obj(cage, cages[0])
-    write_cage_obj(cage.with_vertices(cage.vertices * [-1.0, 1.0, 1.0],
-                                      validate=False), cages[1])
+    write_cage_obj(TriangleMesh(cage.vertices * [-1.0, 1.0, 1.0],
+                                cage.triangles), cages[1])
     out = tmp_path / "o"
     code = main(["apply-cage", "-s", str(source), "--cage-in",
                  *map(str, cages), "-o", str(out), "--sites", "60"])

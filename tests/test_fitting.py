@@ -6,11 +6,11 @@ from hypothesis import given, settings, strategies as st
 from scipy.spatial import cKDTree
 
 from cagewarp import fitting
-from cagewarp.cage import build_template_cage, dot
+from cagewarp.cage import TriangleMesh, build_template_cage, dot
 from cagewarp.errors import FitDivergedError
 from cagewarp.fitting import (FitConfig, _NeighborState, _normal_term,
                               alignment_loss, fit_deformed_cage)
-from cagewarp.metrics import TriangleMesh, sample_points
+from cagewarp.metrics import sample_points
 from cagewarp.mvc import mvc_weights
 from cagewarp.splats import GaussianCloud
 
@@ -132,6 +132,9 @@ def test_cached_fit_is_bit_identical_to_fresh_queries(monkeypatch):
     fresh, rep_b = fit_deformed_cage(points, targets, cage, cfg)
     np.testing.assert_array_equal(cached.vertices, fresh.vertices)
     np.testing.assert_array_equal(rep_a.loss_trace, rep_b.loss_trace)
+    # A fit may invert the cage, so it returns a plain mesh.
+    assert type(cached) is TriangleMesh
+    np.testing.assert_array_equal(cached.triangles, cage.triangles)
     assert rep_a.sample_requeries < rep_a.iterations_run * len(points)
     assert rep_a.target_requeries < rep_a.iterations_run * len(targets)
 

@@ -4,10 +4,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cagewarp.cage import build_template_cage
+from cagewarp.cage import TriangleMesh, build_template_cage
 from cagewarp.errors import PlyReadError
 from cagewarp.metrics import (
-    TriangleMesh,
     baseline_bbox_scale,
     chamfer_distance,
     load_target,
@@ -223,9 +222,9 @@ class TestBaseline:
                                        padding=0.1)
         slo, shi = cloud.bbox()
         scale = (hi - lo) / (shi - slo)
-        tgt_cage = src_cage.with_vertices(
+        tgt_cage = TriangleMesh(
             0.5 * (lo + hi) + (src_cage.vertices - 0.5 * (slo + shi)) * scale,
-            validate=False)
+            src_cage.triangles)
         via_cage, _ = deform_cloud(cloud, src_cage, tgt_cage, m=50,
                                    update_covariance=False)
         diag = float(np.linalg.norm(hi - lo))

@@ -4,7 +4,8 @@ from hypothesis import given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
 from cagewarp import mvc
-from cagewarp.cage import CageMesh, box_cage, build_template_cage
+from cagewarp.cage import (CageMesh, TriangleMesh, box_cage,
+                           build_template_cage)
 from cagewarp.errors import NearSurfaceError, TopologyMismatchError
 from cagewarp.mvc import MVCWeights, deform_points, mvc_weights
 
@@ -304,7 +305,7 @@ class TestInPlaceKernel:
         rng = np.random.default_rng(resolution)
         cage = build_template_cage(rng.normal(size=(30, 3)),
                                    resolution=resolution)
-        deformed = cage.with_vertices(1.1 * cage.vertices, validate=False)
+        deformed = TriangleMesh(1.1 * cage.vertices, cage.triangles)
         pts = self.awkward_points(cage, resolution)
         refined = []
         kernel = mvc._spherical_triangles
@@ -342,10 +343,10 @@ class TestEdgeTable:
         relabelled(box_cage(np.zeros(3), np.ones(3), 3), seed=9),
     ], ids=["res1", "res3", "res6", "jiggled", "tetrahedron", "relabelled"])
     def test_matches_unique_rows(self, cage):
-        table = mvc._edge_table(cage.triangles)
+        table = cage.edges
         edges, opposite = self.edge_table_by_rows(cage.triangles)
-        assert table.edges.dtype == edges.dtype
-        assert np.array_equal(table.edges, edges)
+        assert table.pairs.dtype == edges.dtype
+        assert np.array_equal(table.pairs, edges)
         assert np.array_equal(table.opposite, opposite)
         # 3T corners see each of the 3T / 2 edges twice.
         assert len(edges) == 1.5 * len(cage.triangles)
@@ -367,7 +368,7 @@ class TestDeformPoints:
         mw = mvc_weights(pts, cage)
         A = np.eye(3) + 0.3 * rng.normal(size=(3, 3))
         b = rng.normal(size=3)
-        deformed = cage.with_vertices(cage.vertices @ A.T + b, validate=False)
+        deformed = TriangleMesh(cage.vertices @ A.T + b, cage.triangles)
         out = deform_points(mw, deformed)
         expected = pts @ A.T + b
         assert np.max(np.abs(out - expected)) < 1e-9 * cage.bbox_diagonal()
@@ -396,8 +397,8 @@ class TestMappedPoints:
         face = cage.triangles[100]
         pts[rows] = np.array([0.2, 0.5, 0.3]) @ cage.vertices[face]
         v = cage.vertices
-        deformed = cage.with_vertices(v + 0.1 * np.sin(2 * v[:, [1, 2, 0]]),
-                                      validate=False)
+        deformed = TriangleMesh(v + 0.1 * np.sin(2 * v[:, [1, 2, 0]]),
+                                cage.triangles)
         return cage, deformed, pts, rows, face
 
     def test_matches_the_dense_mapping(self):
@@ -441,7 +442,7 @@ class TestMappedPoints:
         # Scratch is the traced peak beyond the returned (P, 3) points.
         cage = build_template_cage(np.array([[-1.0] * 3, [1.0] * 3]),
                                    resolution=resolution)
-        deformed = cage.with_vertices(1.1 * cage.vertices, validate=False)
+        deformed = TriangleMesh(1.1 * cage.vertices, cage.triangles)
         scratch = []
         for n in (1000, 8000):
             pts = interior_points(cage, n, seed=n)
@@ -459,7 +460,7 @@ class TestMappedPoints:
         # The same arrays allocated one by one traced 3.2-3.3 MiB here.
         cage = build_template_cage(np.array([[-1.0] * 3, [1.0] * 3]),
                                    resolution=resolution)
-        deformed = cage.with_vertices(1.1 * cage.vertices, validate=False)
+        deformed = TriangleMesh(1.1 * cage.vertices, cage.triangles)
         pts = interior_points(cage, 4000, seed=resolution)
         peak, kept = traced(lambda: mvc_weights(pts, cage, deformed))
         assert peak - kept <= 2.9 * 2**20

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from cagewarp import pipeline, transport
-from cagewarp.cage import (CageMesh, bbox_of, build_template_cage,
+from cagewarp.cage import (TriangleMesh, bbox_of, build_template_cage,
                            interpolate_cage, read_cage_obj, write_cage_obj)
 from cagewarp.errors import PipelineError
 from cagewarp.fitting import FitConfig
@@ -169,8 +169,8 @@ def test_inverted_fitted_cage_passes_verify_and_replays(
 
     def fit_then_mirror(*args, **kwargs):
         fitted, report = fit(*args, **kwargs)
-        return fitted.with_vertices(fitted.vertices * [-1.0, 1.0, 1.0],
-                                    validate=False), report
+        return TriangleMesh(fitted.vertices * [-1.0, 1.0, 1.0],
+                            fitted.triangles), report
 
     monkeypatch.setattr(pipeline, "fit_deformed_cage", fit_then_mirror)
     first = tmp_path / "fit_run"
@@ -197,7 +197,7 @@ def test_deformed_cage_of_other_topology_fails_at_load_cages(
     else:
         vertices = np.vstack([vertices, vertices.mean(axis=0)])
     other = tmp_path / "other.obj"
-    write_cage_obj(CageMesh(vertices, triangles, _trusted=True), other)
+    write_cage_obj(TriangleMesh(vertices, triangles), other)
     out = tmp_path / "o"
     with pytest.raises(PipelineError) as excinfo:
         _replay(source, (cage_files[0], str(other)), out)

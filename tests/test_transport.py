@@ -10,7 +10,8 @@ from hypothesis.extra import numpy as hnp
 from scipy.spatial import cKDTree
 
 from cagewarp import transport
-from cagewarp.cage import build_template_cage, interpolate_cage
+from cagewarp.cage import (TriangleMesh, build_template_cage,
+                           interpolate_cage)
 from cagewarp.errors import NearSurfaceError, TopologyMismatchError
 from cagewarp.mvc import mvc_weights
 from cagewarp.rotations import quat_to_matrix
@@ -35,7 +36,7 @@ def jiggled(source, amplitude=0.05, seed=0):
     lo, hi = source.bbox()
     jiggle = amplitude * (hi - lo) * np.sin(
         source.vertices @ rng.normal(size=(3, 3)) * 0.7)
-    return source.with_vertices(source.vertices + jiggle, validate=False)
+    return TriangleMesh(source.vertices + jiggle, source.triangles)
 
 
 def curved_jacobians(points, source, deformed):
@@ -109,8 +110,7 @@ class TestJacobians:
         source = build_template_cage(rng.normal(size=(30, 3)), resolution=2)
         A = np.eye(3) + 0.4 * rng.normal(size=(3, 3))
         b = rng.normal(size=3)
-        deformed = source.with_vertices(source.vertices @ A.T + b,
-                                        validate=False)
+        deformed = TriangleMesh(source.vertices @ A.T + b, source.triangles)
         pts = interior_points(source, 50, seed=4)
         for jac in (jacobian_fd(pts, source, deformed),
                     jacobian_analytic(pts, source, deformed)):
@@ -234,7 +234,7 @@ class TestJacobianField:
         source = build_template_cage(rng.normal(size=(30, 3)), resolution=2)
         flat = source.vertices.copy()
         flat[:, 2] = flat[:, 2].mean()     # collapse z: det J = 0 inside
-        deformed = source.with_vertices(flat, validate=False)
+        deformed = TriangleMesh(flat, source.triangles)
         pts = interior_points(source, 20, seed=21)
         field = build_jacobian_field(pts, source, deformed, m=100)
         assert site_counts(field)[0] == len(field.site_indices) == 20
@@ -313,8 +313,8 @@ class TestSiteGradients:
         source = build_template_cage(cloud.centers, resolution=2)
         rng = np.random.default_rng(68)
         matrix = np.eye(3) + 0.2 * rng.normal(size=(3, 3))
-        deformed = source.with_vertices(source.vertices @ matrix.T + 0.5,
-                                        validate=False)
+        deformed = TriangleMesh(source.vertices @ matrix.T + 0.5,
+                                source.triangles)
         deform_cloud(cloud, source, deformed, m=40)
         monkeypatch.setattr(transport, "jacobian_fd",
                             lambda points, source, deformed:
@@ -440,8 +440,7 @@ class TestDeformCloud:
         source = build_template_cage(cloud.centers, resolution=2)
         rng = np.random.default_rng(35)
         A = np.eye(3) + 0.2 * rng.normal(size=(3, 3))
-        deformed = source.with_vertices(source.vertices @ A.T + 1.0,
-                                        validate=False)
+        deformed = TriangleMesh(source.vertices @ A.T + 1.0, source.triangles)
         out, field = deform_cloud(cloud, source, deformed, m=50, seed=3)
         expected = cloud.centers @ A.T + 1.0
         assert np.max(np.abs(out.centers - expected)) \
@@ -452,7 +451,7 @@ class TestDeformCloud:
     def test_passthrough_fields_bit_exact(self):
         cloud = random_cloud(200, seed=36)
         source = build_template_cage(cloud.centers, resolution=2)
-        deformed = source.with_vertices(source.vertices * 1.4, validate=False)
+        deformed = TriangleMesh(source.vertices * 1.4, source.triangles)
         out, _ = deform_cloud(cloud, source, deformed, m=30)
         assert np.array_equal(out.opacity_logits, cloud.opacity_logits)
         assert np.array_equal(out.sh_dc, cloud.sh_dc)
@@ -462,8 +461,7 @@ class TestDeformCloud:
     def test_update_covariance_off(self):
         cloud = random_cloud(200, seed=37)
         source = build_template_cage(cloud.centers, resolution=2)
-        deformed = source.with_vertices(source.vertices * 0.8 + 2.0,
-                                        validate=False)
+        deformed = TriangleMesh(source.vertices * 0.8 + 2.0, source.triangles)
         on, _ = deform_cloud(cloud, source, deformed, m=40,
                              update_covariance=True)
         off, field = deform_cloud(cloud, source, deformed, m=40,
@@ -476,7 +474,7 @@ class TestDeformCloud:
     def test_uniform_scale_scales_covariance(self):
         cloud = random_cloud(100, seed=38)
         source = build_template_cage(cloud.centers, resolution=2)
-        deformed = source.with_vertices(source.vertices * 2.0, validate=False)
+        deformed = TriangleMesh(source.vertices * 2.0, source.triangles)
         out, _ = deform_cloud(cloud, source, deformed, m=1000)
         before = covariances_of(cloud.rotations, cloud.log_scales)
         after = covariances_of(out.rotations, out.log_scales)
@@ -486,8 +484,7 @@ class TestDeformCloud:
     def test_deterministic_across_runs(self):
         cloud = random_cloud(300, seed=39)
         source = build_template_cage(cloud.centers, resolution=2)
-        deformed = source.with_vertices(source.vertices * 1.1 - 0.3,
-                                        validate=False)
+        deformed = TriangleMesh(source.vertices * 1.1 - 0.3, source.triangles)
         a, _ = deform_cloud(cloud, source, deformed, m=50, seed=9)
         b, _ = deform_cloud(cloud, source, deformed, m=50, seed=9)
         for name in ("centers", "log_scales", "rotations"):
@@ -526,8 +523,7 @@ class TestDeformCloud:
                                                             monkeypatch):
         cloud = random_cloud(300, seed=46)
         source = build_template_cage(cloud.centers, resolution=2)
-        deformed = source.with_vertices(source.vertices * 1.1,
-                                        validate=False)
+        deformed = TriangleMesh(source.vertices * 1.1, source.triangles)
         lo, hi = source.bbox()
         cloud.centers[150] = [lo[0] + 1e-9 * source.bbox_diagonal(),
                               0.5 * (lo[1] + hi[1]), 0.5 * (lo[2] + hi[2])]
@@ -549,7 +545,7 @@ class TestDeformCloud:
                                              update_covariance):
         cloud = random_cloud(30, seed=42)
         source = build_template_cage(cloud.centers, resolution=2)
-        deformed = source.with_vertices(source.vertices * 1.1, validate=False)
+        deformed = TriangleMesh(source.vertices * 1.1, source.triangles)
         with pytest.raises(ValueError, match="center_chunk"):
             deform_cloud(cloud, source, deformed, m=10,
                          update_covariance=update_covariance,
@@ -563,8 +559,7 @@ class TestDeformCloud:
         # pass through are copied bit for bit.
         cloud = random_cloud(60, seed=43)
         source = build_template_cage(cloud.centers, resolution=2)
-        deformed = source.with_vertices(source.vertices * scale,
-                                        validate=False)
+        deformed = TriangleMesh(source.vertices * scale, source.triangles)
         full, field = deform_cloud(cloud, source, deformed, m=20,
                                    update_covariance=update_covariance)
         half, _ = blend_deformation(cloud, full, field, 0.5)
@@ -737,8 +732,8 @@ class TestBlendDeformation:
         # det J = 1 - 2 lam: positive below 0.5, zero at 0.5, -1 at 1.
         source = build_template_cage(np.array([[-1.0] * 3, [1.0] * 3]),
                                      resolution=2, padding=0.0)
-        mirror = source.with_vertices(source.vertices * [-1.0, 1.0, 1.0],
-                                      validate=False)
+        mirror = TriangleMesh(source.vertices * [-1.0, 1.0, 1.0],
+                              source.triangles)
         cloud = random_cloud(300, seed=44)
         cloud.centers = interior_points(source, 300, seed=45)
         full, field = deform_cloud(cloud, source, mirror, m=100)
