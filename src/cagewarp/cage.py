@@ -102,9 +102,10 @@ class CageMesh(TriangleMesh):
     from outside.
 
     Construction validates the mesh beyond TriangleMesh's checks: no
-    degenerate triangles, every undirected edge shared by exactly two
-    triangles in opposite directions (closed + consistently wound), no
-    near-zero triangle areas, and positive enclosed volume (outward).
+    degenerate triangles, no unused vertex, every undirected edge shared
+    by exactly two triangles in opposite directions (closed + consistently
+    wound), no near-zero triangle areas, and positive enclosed volume
+    (outward).
     """
 
     kind = "cage"
@@ -132,6 +133,11 @@ class CageMesh(TriangleMesh):
         if not np.array_equal(*runs):
             raise NonManifoldCageError(
                 "boundary edge found; cage is not closed")
+        # A stray vertex would still widen the diagonal tolerances scale by.
+        used = np.bincount(tri.ravel(), minlength=len(self.vertices)) > 0
+        if not used.all():
+            raise NonManifoldCageError(
+                f"vertex {int(np.argmin(used))} is used by no triangle")
 
         diag = self.bbox_diagonal()
         areas = triangle_areas(self.vertices, tri)

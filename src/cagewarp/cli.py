@@ -7,15 +7,15 @@ Subcommands:
   metrics     chamfer distance between two models
   baseline    bounding-box scaling instead of a cage (ablation comparator)
 
-The subcommand is the run's mode (pipeline.run_pipeline). A setting the
-mode cannot use, such as cage_in outside apply-cage, an out-of-range value,
-a config-file value of the wrong type and an output that would overwrite
-an input exit with status 2 before anything is written; metrics checks
-its flags the same way. Flags mirror PipelineConfig, whose field names key
-a --config JSON file (fit settings in a nested "fit" object); explicit
-flags win. Progress and timings go to stderr; the run summary is printed
-to stdout as JSON. The CAGEWARP_LOG environment variable sets the log
-level (DEBUG/INFO/WARNING/ERROR), -v forces DEBUG.
+The subcommand is the run's mode (pipeline.run_pipeline). A setting the mode
+cannot use, such as cage_in outside apply-cage, an out-of-range value, a
+config-file value of the wrong type and an output that would overwrite an
+input, the --config file included, exit with status 2 before anything is
+written; metrics checks its flags the same way. Flags mirror PipelineConfig,
+whose field names key a --config JSON file (fit settings in a nested "fit"
+object); explicit flags win. Progress and timings go to stderr; the run
+summary is printed to stdout as JSON. The CAGEWARP_LOG environment variable
+sets the log level (DEBUG/INFO/WARNING/ERROR), -v forces DEBUG.
 """
 
 from __future__ import annotations
@@ -111,16 +111,10 @@ def _add_deform_flags(parser):
 def _add_fit_flags(parser):
     parser.add_argument("--iterations", type=int, dest="fit_iterations",
                         help="max fit iterations (default 500)")
-    parser.add_argument("--step-size", type=float, dest="fit_step_size",
-                        help="optimizer step as a fraction of the cage "
-                             "diagonal (default 0.01)")
     parser.add_argument("--cage-resolution", type=int,
                         dest="cage_resolution",
                         help="template cage subdivisions per edge "
                              "(default 2)")
-    parser.add_argument("--cage-padding", type=float, dest="cage_padding",
-                        help="template cage margin fraction (default 0.1, "
-                             "at least 0.01)")
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -204,7 +198,7 @@ def _build_config(args, parser) -> PipelineConfig:
                      "file)")
     try:
         config = PipelineConfig(fit=FitConfig(**fit_cfg), **merged)
-        config.validate(args.command, args.timings_out)
+        config.validate(args.command, args.timings_out, args.config)
     except (TypeError, ValueError) as exc:
         parser.error(f"bad configuration: {exc}")
     return config

@@ -63,22 +63,23 @@ COARSE_STRIDE = 10
 REFINE_ITERATIONS = 40
 REFINE_STEP = 0.5
 COARSE_ROWS_PER_VERTEX = 10
+# Adam's step as a fraction of the source cage diagonal, and the weight
+# of the face-flip penalty against the alignment term. The weight is the
+# objective's one free ratio, since Adam's steps do not change when both
+# terms are scaled alike.
+STEP_SIZE = 0.01
+NORMAL_WEIGHT = 0.05
 
 
 @dataclass
 class FitConfig:
     """Knobs for fit_deformed_cage.
 
-    iterations bounds both stages of the fit together. step_size is
-    relative to the source cage diagonal. normal_weight scales the
-    face-flip penalty against the alignment term; it is the objective's
-    one free ratio, since Adam's steps do not change when both terms are
-    scaled alike.
+    iterations bounds both stages of the fit together. The step and the
+    flip-penalty weight are the constants STEP_SIZE and NORMAL_WEIGHT.
     """
 
     iterations: int = 500
-    step_size: float = 0.01
-    normal_weight: float = 0.05
     convergence_tol: float = 1e-5
 
 
@@ -87,7 +88,7 @@ class FitReport:
     """Per-iteration record of a cage fit.
 
     loss_trace columns are total, alignment and flip penalty, the last
-    already multiplied by normal_weight, so the last two sum to the first.
+    already multiplied by NORMAL_WEIGHT, so the last two sum to the first.
     best_trace is the running minimum of the total; final_chamfer is the
     alignment term (a chamfer distance) of the best-loss iterate. Both
     traces cover the refine stage only, whose losses are taken on every
@@ -287,18 +288,19 @@ def _descend(weight_matrix, targets, neighbors, source_cage, source_normals,
     adam_v = np.zeros_like(delta)
     best_loss = np.inf
     out = _Descent(delta.copy(), np.nan, [], [], False)
+    # Moved samples or targets past ~1e150 overflow squared distances
+    # downstream; NaN fails the comparison too, so this catches blow-ups.
+    far_targets = not np.all(np.abs(targets) < 1e150)
 
     for it in range(1, budget + 1):
         cage_now = source_cage.vertices + delta
         moved = weight_matrix @ cage_now
-        # Positions past ~1e150 overflow squared distances downstream; the
-        # comparison is False for NaN too, so this catches every blow-up.
-        if not np.all(np.abs(moved) < 1e150):
+        if far_targets or not np.all(np.abs(moved) < 1e150):
             raise FitDivergedError(first + it)
         align, grad_pts = alignment_loss(moved, targets, neighbors)
         normal, grad_normal = _normal_term(cage_now, source_cage.triangles,
                                            source_normals)
-        normal = config.normal_weight * normal
+        normal = NORMAL_WEIGHT * normal
         total = align + normal
         if not np.isfinite(total):
             raise FitDivergedError(first + it)
@@ -308,7 +310,7 @@ def _descend(weight_matrix, targets, neighbors, source_cage, source_normals,
             out.best_delta = delta.copy()
         out.best_trace.append(best_loss)
 
-        grad = weight_matrix.T @ grad_pts + config.normal_weight * grad_normal
+        grad = weight_matrix.T @ grad_pts + NORMAL_WEIGHT * grad_normal
         adam_m = ADAM_DECAY1 * adam_m + (1.0 - ADAM_DECAY1) * grad
         adam_v = ADAM_DECAY2 * adam_v + (1.0 - ADAM_DECAY2) * grad * grad
         m_hat = adam_m / (1.0 - ADAM_DECAY1 ** it)
@@ -364,7 +366,7 @@ def fit_deformed_cage(source, target, source_cage: CageMesh,
     sample_sub = _stratified_rows(neighbors.sample_order)
     target_sub = _stratified_rows(neighbors.target_tree.indices)
     delta = np.zeros((len(source_cage.vertices), 3))
-    alpha = config.step_size * source_cage.bbox_diagonal()
+    alpha = STEP_SIZE * source_cage.bbox_diagonal()
 
     coarse_iterations = coarse_samples = coarse_targets = 0
     states = [neighbors]

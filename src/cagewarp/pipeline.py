@@ -42,11 +42,11 @@ from .transport import SINGULAR_DET, blend_deformation, deform_cloud
 logger = logging.getLogger("cagewarp")
 
 MODES = ("deform", "fit-cage", "apply-cage", "baseline")
-# Template cage padding floor. Every box axis spans at least 1e-3 of the
-# diagonal (inflate_degenerate_axes), so centers clear the cage by at
-# least 1e-5 of it: about 8x the 1.25e-6 that jacobian_fd's smallest
-# stencil needs (2 * FD_STEP_FRACTION / 16).
-MIN_CAGE_PADDING = 0.01
+# The template cage's margin per axis, as a fraction of the axis. Every
+# box axis spans at least 1e-3 of the diagonal (inflate_degenerate_axes),
+# so centers clear the cage by at least 1e-4 of it: about 80x the 1.25e-6
+# that jacobian_fd's smallest stencil needs (2 * FD_STEP_FRACTION / 16).
+CAGE_PADDING = 0.1
 # Annotation -> accepted values; a bool is no number, an int is a float.
 _FIELD_TYPES = {"int": numbers.Integral, "float": numbers.Real, "bool": bool,
                 "str": str, "str | None": (str, type(None)),
@@ -67,6 +67,7 @@ class PipelineConfig:
     is the deformation through the cage pair interpolated at the factor.
     jacobian_sites (m) bounds how many Jacobians are evaluated;
     sample_count (N) bounds how many centers/target points the fit sees.
+    The fit's template cage has the margin CAGE_PADDING.
     cage_in is the (source_cage, deformed_cage) OBJ pair that apply-cage
     replays, and no other mode takes one; a fitted pair is written to
     output_dir. target is required by every mode except apply-cage, where
@@ -86,15 +87,16 @@ class PipelineConfig:
     update_covariance: bool = True
     cage_in: tuple | None = None
     cage_resolution: int = 2
-    cage_padding: float = 0.1
     center_chunk: int = 30000
     workers: int = 0
 
-    def validate(self, mode: str = "deform", timings_out=None) -> None:
+    def validate(self, mode: str = "deform", timings_out=None,
+                 config_file=None) -> None:
         """Raise ValueError for a setting the mode cannot use, a value of
         the wrong type or out of range, an artifact that would overwrite
         an input, or a timings_out file that would overwrite an input or
-        an artifact."""
+        an artifact. config_file, the file the settings were read from,
+        counts as an input."""
         if mode not in MODES:
             raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
         for prefix, part in (("", self), ("fit.", self.fit)):
@@ -129,7 +131,6 @@ class PipelineConfig:
             raise ValueError(f"lambda values must lie in [0, 1]: {lams}")
         if len(set(_lambda_tag(l) for l in lams)) != len(lams):
             raise ValueError(f"duplicate lambda values: {lams}")
-        fit = self.fit
         for rule, holds in (
                 ("jacobian_sites must be >= 1", self.jacobian_sites >= 1),
                 ("sample_count must be >= 1", self.sample_count >= 1),
@@ -137,17 +138,13 @@ class PipelineConfig:
                 ("workers must be >= 0", self.workers >= 0),
                 ("seed must be >= 0", self.seed >= 0),
                 ("cage_resolution must be >= 1", self.cage_resolution >= 1),
-                (f"cage_padding must be >= {MIN_CAGE_PADDING}",
-                 self.cage_padding >= MIN_CAGE_PADDING),
-                ("fit.iterations must be >= 1", fit.iterations >= 1),
-                ("fit.step_size must be > 0", fit.step_size > 0),
-                ("fit.normal_weight must be >= 0", fit.normal_weight >= 0),
+                ("fit.iterations must be >= 1", self.fit.iterations >= 1),
                 ("fit.convergence_tol must be >= 0",
-                 fit.convergence_tol >= 0)):
+                 self.fit.convergence_tol >= 0)):
             if not holds:
                 raise ValueError(rule)
-        paths = [p for p in (self.source, self.target, *(self.cage_in or ()))
-                 if p is not None]
+        paths = [p for p in (self.source, self.target, *(self.cage_in or ()),
+                             config_file) if p is not None]
         if len(set(map(os.path.abspath, paths))) != len(paths):
             raise ValueError(f"input paths must be distinct: {paths}")
         inputs = {Path(p).resolve() for p in paths}
@@ -377,7 +374,7 @@ def _execute(config: PipelineConfig, mode: str, run: _Run) -> dict:
             cage_canonical = build_template_cage(
                 src_frame.to_canonical(cloud.centers),
                 resolution=config.cage_resolution,
-                padding=config.cage_padding)
+                padding=CAGE_PADDING)
             fitted_canonical, report = fit_deformed_cage(
                 src_frame.to_canonical(samples),
                 tgt_frame.to_canonical(target_points),

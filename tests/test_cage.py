@@ -242,6 +242,16 @@ class TestValidation:
         with pytest.raises(NonManifoldCageError):
             CageMesh(tet.vertices, tri)
 
+    def test_unused_vertex_rejected(self):
+        # A stray vertex would set the diagonal that tolerances scale by;
+        # the first of two is named. A plain mesh (a target) keeps them.
+        tet = unit_tetrahedron()
+        stray = np.vstack([[100.0, 100.0, 100.0], tet.vertices, [-5, 0, 0]])
+        with pytest.raises(NonManifoldCageError,
+                           match="vertex 0 is used by no triangle"):
+            CageMesh(stray, tet.triangles + 1)
+        assert TriangleMesh(stray, tet.triangles + 1).bbox_diagonal() > 100
+
     def test_index_out_of_range(self):
         tet = unit_tetrahedron()
         tri = tet.triangles.copy()

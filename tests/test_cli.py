@@ -12,7 +12,7 @@ from cagewarp.cage import TriangleMesh, build_template_cage, write_cage_obj
 from cagewarp.cli import _build_parser, main
 from cagewarp.fitting import FitConfig
 from cagewarp.metrics import write_point_ply
-from cagewarp.pipeline import MIN_CAGE_PADDING, PipelineConfig, compare_models
+from cagewarp.pipeline import PipelineConfig, compare_models
 from cagewarp.splats import read_gs_ply, write_gs_ply
 
 from conftest import random_cloud
@@ -164,9 +164,6 @@ def test_help_states_the_defaults_the_code_uses():
             for text in re.findall(r"\(default ([^)]+)\)", action.help or ""):
                 code = _code_default(command, action.dest)
                 assert action.default in (None, code), (command, action.dest)
-                if action.dest == "cage_padding":
-                    text, floor = text.split(", at least ")
-                    assert float(floor) == MIN_CAGE_PADDING
                 if text in ("on", "off"):
                     assert code is (text == "on"), (command, action.dest)
                 else:
@@ -175,7 +172,7 @@ def test_help_states_the_defaults_the_code_uses():
                                       else (code,)), (command, action.dest)
                 checked.add((command, action.dest))
     assert {("deform", "jacobian_sites"), ("deform", "lambdas"),
-            ("deform", "fit_step_size"), ("fit-cage", "cage_padding"),
+            ("deform", "fit_iterations"), ("fit-cage", "cage_resolution"),
             ("baseline", "update_covariance"),
             ("metrics", "samples")} <= checked
 
@@ -191,7 +188,7 @@ def test_config_file_supplies_defaults_cli_overrides(model_files, tmp_path,
         "output_dir": str(out),
         "sample_count": 300,
         "lambdas": [1.0],
-        "fit": {"iterations": 7, "step_size": 0.02},
+        "fit": {"iterations": 7, "convergence_tol": 0.0},
     }))
     code = main(["deform", "--config", str(cfg_path), "--iterations", "4"])
     assert code == 0
@@ -205,21 +202,20 @@ def test_config_file_supplies_defaults_cli_overrides(model_files, tmp_path,
     {"lambdas": 0.5}, {"lambdas": "0.5,1"}, {"lambdas": [0.5, "x"]},
     {"cage_in": 5}, {"update_covariance": "no"}, {"workers": 1.5},
     {"jacobian_sites": 2.5}, {"fit": {"iterations": 2.5}}, {"seed": 1.5},
-    {"center_chunk": 100.5}, {"seed": True}, {"cage_padding": "0.1"},
+    {"center_chunk": 100.5}, {"seed": True}, {"cage_resolution": "2"},
     {"source": 1.5}, {"source": ["model.ply"]}, {"target": 7},
     {"fit": 5}, {"fit": None}, {"fit": {"convergence_tol": float("inf")}},
-    {"fit": {"step_size": float("inf")}}, {"cage_padding": float("inf")},
-    {"fit": {"normal_weight": float("nan")}},
-    {"fit": {"step_size": float("-inf")}}, {"lambdas": [True]},
+    {"fit": {"convergence_tol": float("nan")}},
+    {"fit": {"convergence_tol": float("-inf")}}, {"lambdas": [True]},
     {"lambdas": ["0.5"]}, {"cage_in": [1, 2]},
 ], ids=["lambdas-number", "lambdas-text", "lambdas-bad-item",
         "cage_in-number", "update_covariance-text", "workers-float",
         "jacobian_sites-float", "fit-iterations-float", "seed-float",
-        "center_chunk-float", "seed-bool", "cage_padding-text",
+        "center_chunk-float", "seed-bool", "cage_resolution-text",
         "source-float", "source-list", "target-number", "fit-number",
-        "fit-null", "fit-convergence_tol-inf", "fit-step_size-inf",
-        "cage_padding-inf", "fit-normal_weight-nan", "fit-step_size-neg-inf",
-        "lambdas-bool", "lambdas-text-item", "cage_in-number-items"])
+        "fit-null", "fit-convergence_tol-inf", "fit-convergence_tol-nan",
+        "fit-convergence_tol-neg-inf", "lambdas-bool", "lambdas-text-item",
+        "cage_in-number-items"])
 def test_config_value_of_wrong_type_exits_two(model_files, tmp_path, extra):
     source, _ = model_files
     out = tmp_path / "o"
@@ -263,10 +259,12 @@ def test_apply_cage_replays_a_mirrored_cage(model_files, tmp_path, capsys):
     {"cage_out": ["a.obj", "b.obj"]}, {"fit": {"seed": 0}},
     {"fit": {"beta1": 0.5}}, {"normalize": False},
     {"fit": {"align_weight": 2.0}}, {"fit": {"barrier_weight": 0.0}},
-    {"target_kind": "mesh"},
+    {"target_kind": "mesh"}, {"fit": {"step_size": 0.01}},
+    {"fit": {"normal_weight": 0.05}}, {"cage_padding": 0.1},
 ], ids=["wiggle", "baseline_mode", "cage_out", "fit.seed", "fit.beta1",
         "normalize", "fit.align_weight", "fit.barrier_weight",
-        "target_kind"])
+        "target_kind", "fit.step_size", "fit.normal_weight",
+        "cage_padding"])
 def test_unknown_config_key_exits_two(model_files, tmp_path, extra):
     source, target = model_files
     cfg_path = tmp_path / "bad.json"
@@ -309,6 +307,36 @@ def test_timings_over_an_input_exits_two(model_files, tmp_path):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("config_at", ["timings", "artifact"])
+def test_an_output_over_the_config_file_exits_two(model_files, tmp_path,
+                                                  config_at):
+    # The --config file is an input: neither --timings-out nor an
+    # artifact may replace it.
+    source, target = model_files
+    out = tmp_path / "o"
+    cfg_path = (tmp_path / "run.json" if config_at == "timings"
+                else out / "metrics.json")
+    cfg_path.parent.mkdir(exist_ok=True)
+    cfg_path.write_text(json.dumps({"sample_count": 300}))
+    before = cfg_path.read_bytes()
+    timings = ["--timings-out", str(cfg_path)] if config_at == "timings" \
+        else []
+    with pytest.raises(SystemExit) as excinfo:
+        main(["deform", "-s", str(source), "-t", str(target), "-o", str(out),
+              "--config", str(cfg_path), "--iterations", "5", *timings])
+    assert excinfo.value.code == 2
+    assert cfg_path.read_bytes() == before
+    assert not (out / "deformed_lam1.00.ply").exists()
+
+
+def test_no_subcommand_takes_a_removed_setting_flag():
+    subparsers = next(a for a in _build_parser()._actions
+                      if isinstance(a, argparse._SubParsersAction))
+    flags = {flag for parser in subparsers.choices.values()
+             for action in parser._actions for flag in action.option_strings}
+    assert not flags & {"--step-size", "--normal-weight", "--cage-padding"}
+
+
 def _apply_cage_with_unwritable_timings(model_files, tmp_path, out):
     """Exit status of an apply-cage run into out whose timings file
     cannot be written."""
@@ -348,30 +376,15 @@ def test_a_failed_run_keeps_an_existing_out_directory(model_files,
 
 
 @pytest.mark.parametrize("command", ["deform", "fit-cage"])
-@pytest.mark.parametrize("padding", ["0", "1e-7"])
-def test_cage_padding_below_the_floor_exits_two(model_files, tmp_path,
-                                                command, padding):
-    # With padding 0, the outermost splats of a deform, all of them
-    # Jacobian sites, sit on the cage surface where no stencil fits.
-    source, target = model_files
-    out = tmp_path / "o"
-    with pytest.raises(SystemExit) as excinfo:
-        main([command, "-s", str(source), "-t", str(target), "-o", str(out),
-              "--cage-padding", padding, *_common(tmp_path)])
-    assert excinfo.value.code == 2
-    assert not out.exists()
-
-
-@pytest.mark.parametrize("command", ["deform", "fit-cage"])
 def test_cage_padding_at_the_floor_runs(model_files, tmp_path, capsys,
                                         command):
-    # Every splat is a Jacobian site, the outermost ones 0.01 of an axis
-    # from the cage: their stencils must still fit.
+    # Every splat is a Jacobian site, the outermost ones CAGE_PADDING of
+    # an axis from the template cage: their stencils must fit.
     source, target = model_files
     sites = ["--sites", "300"] if command == "deform" else []
     assert main([command, "-s", str(source), "-t", str(target),
-                 "-o", str(tmp_path / "o"), "--cage-padding", "0.01",
-                 *sites, *_common(tmp_path)]) == 0
+                 "-o", str(tmp_path / "o"), *sites,
+                 *_common(tmp_path)]) == 0
     capsys.readouterr()
 
 

@@ -260,12 +260,8 @@ def test_config_validation_failures(fixture_paths, tmp_path):
             (dict(jacobian_sites=0), "jacobian_sites"),
             (dict(fit=FitConfig(iterations=0)), "iterations"),
             (dict(fit=FitConfig(iterations=-3)), "iterations"),
-            (dict(fit=FitConfig(step_size=-0.5)), "step_size"),
-            (dict(fit=FitConfig(step_size=0.0)), "step_size"),
-            (dict(fit=FitConfig(normal_weight=-1.0)), "normal_weight"),
             (dict(fit=FitConfig(convergence_tol=-1e-5)), "convergence_tol"),
             (dict(cage_resolution=0), "cage_resolution"),
-            (dict(cage_padding=-1.0), "cage_padding"),
             (dict(seed=-1), "seed"),
             (dict(seed=1.5), "seed"),
             # Library callers get the type checks a config file gets.
