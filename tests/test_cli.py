@@ -208,6 +208,10 @@ def test_config_file_supplies_defaults_cli_overrides(model_files, tmp_path,
     {"fit": {"convergence_tol": float("nan")}},
     {"fit": {"convergence_tol": float("-inf")}}, {"lambdas": [True]},
     {"lambdas": ["0.5"]}, {"cage_in": [1, 2]},
+    # Fields that are now constants: a bad value for one is still refused.
+    {"cage_padding": "0.1"}, {"cage_padding": float("inf")},
+    {"fit": {"step_size": float("inf")}},
+    {"fit": {"step_size": float("-inf")}},
 ], ids=["lambdas-number", "lambdas-text", "lambdas-bad-item",
         "cage_in-number", "update_covariance-text", "workers-float",
         "jacobian_sites-float", "fit-iterations-float", "seed-float",
@@ -215,7 +219,8 @@ def test_config_file_supplies_defaults_cli_overrides(model_files, tmp_path,
         "source-float", "source-list", "target-number", "fit-number",
         "fit-null", "fit-convergence_tol-inf", "fit-convergence_tol-nan",
         "fit-convergence_tol-neg-inf", "lambdas-bool", "lambdas-text-item",
-        "cage_in-number-items"])
+        "cage_in-number-items", "cage_padding-text", "cage_padding-inf",
+        "fit-step_size-inf", "fit-step_size-neg-inf"])
 def test_config_value_of_wrong_type_exits_two(model_files, tmp_path, extra):
     source, _ = model_files
     out = tmp_path / "o"
