@@ -451,6 +451,13 @@ def cross(p, q):
             for j in range(3)]
 
 
+def det3(m):
+    """Determinants of 3x3 matrices whose three rows (or columns) are held
+    as component arrays: m[0] . (m[1] x m[2]). Closed form, so no LAPACK
+    code is paged in; np.linalg.det's LU would add it to peak RSS."""
+    return dot(m[0], cross(m[1], m[2]))
+
+
 def winding_numbers(points: np.ndarray, cage: TriangleMesh) -> np.ndarray:
     """Generalized winding number of each point with respect to the cage.
 

@@ -29,7 +29,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .cage import (TriangleMesh, bbox_of, build_template_cage,
+from .cage import (TriangleMesh, bbox_of, build_template_cage, det3,
                    inflate_degenerate_axes, read_cage_obj,
                    read_deformed_cage, write_cage_obj)
 from .errors import PipelineError
@@ -445,7 +445,8 @@ def _execute(config: PipelineConfig, mode: str, run: _Run) -> dict:
                 write_gs_ply(moved, path)
                 entry = {"lambda": lam, "path": path.name}
                 if jac_field is not None:
-                    det = np.linalg.det(jac_field.site_jacobians)
+                    # det J^T, from J's columns as component arrays.
+                    det = det3(jac_field.site_jacobians.T)
                     entry["jacobian_sites"] = len(det)
                     entry["singular_sites"] = int(np.count_nonzero(
                         np.abs(det) <= SINGULAR_DET))

@@ -135,6 +135,23 @@ def test_stage_failure_exits_one(tmp_path, model_files):
     assert code == 1
 
 
+def test_an_overflowing_covariance_fails_the_deform_stage(model_files,
+                                                          tmp_path, caplog):
+    # 360 is a finite float32 log-scale, but exp(720) is no float64.
+    source, target = model_files
+    cloud = read_gs_ply(source)
+    cloud.log_scales[211, 0] = 360.0
+    write_gs_ply(cloud, source)
+    out = tmp_path / "o"
+    with caplog.at_level("ERROR", logger="cagewarp"):
+        code = main(["deform", "-s", str(source), "-t", str(target),
+                     "-o", str(out), "--sites", "60", *_common(tmp_path)])
+    assert code == 1
+    assert "[deform] splat 211: the transported covariance is not finite" \
+        in caplog.text
+    assert not out.exists()
+
+
 def test_bad_lambda_text_exits_two(model_files, tmp_path):
     source, target = model_files
     with pytest.raises(SystemExit) as excinfo:

@@ -281,3 +281,53 @@ def test_the_check_sees_a_defaulted_parameter_nobody_passes(tmp_path):
         ("m.py", 1, "f", "c"), ("m.py", 1, "f", "d"), ("m.py", 3, "g", "b"),
         ("m.py", 8, "Box.__init__", "pad"),
         ("m.py", 10, "Box.grow", "fast")]
+
+
+def _linalg_uses(path):
+    """(line, name) of each use of a linalg module other than its norm:
+    another attribute, the module itself as a value, or an import."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    parent = {id(child): node for node in ast.walk(tree)
+              for child in ast.iter_child_nodes(node)}
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and node.attr == "linalg":
+            use = parent.get(id(node))
+            name = use.attr if isinstance(use, ast.Attribute) else None
+            if name != "norm":
+                found.append((node.lineno, f"linalg.{name}" if name
+                              else "linalg"))
+        elif isinstance(node, ast.Import):
+            found += [(node.lineno, alias.name) for alias in node.names
+                      if "linalg" in alias.name.split(".")]
+        elif isinstance(node, ast.ImportFrom):
+            module = (node.module or "").split(".")
+            found += [(node.lineno, alias.name) for alias in node.names
+                      if alias.name == "linalg"
+                      or "linalg" in module and alias.name != "norm"]
+    return sorted(found)
+
+
+@pytest.mark.parametrize("path", MODULES, ids=[p.name for p in MODULES])
+def test_linalg_is_used_only_for_norm(path):
+    # np.linalg.norm is a plain reduction. Every other linalg routine is
+    # LAPACK, and the first call of one pages in its code: eigh's first
+    # call added about 0.8 MB to a run's peak RSS, and the covariance
+    # re-factoring was where two of the benchmark's workloads set their
+    # peak. Closed forms on component arrays (cage.det3,
+    # transport._jacobi_eigh) stand in.
+    assert _linalg_uses(path) == []
+
+
+def test_the_check_sees_a_linalg_use(tmp_path):
+    module = tmp_path / "m.py"
+    module.write_text("import numpy as np\n"
+                      "a = np.linalg.norm(np.ones(3), axis=0)\n"
+                      "w, v = np.linalg.eigh(np.eye(3))\n"
+                      "solve = np.linalg\n"
+                      "from numpy.linalg import det, norm\n"
+                      "import scipy.linalg\n"
+                      "from scipy import linalg\n")
+    assert _linalg_uses(module) == [
+        (3, "linalg.eigh"), (4, "linalg"), (5, "det"), (6, "scipy.linalg"),
+        (7, "linalg")]

@@ -99,6 +99,30 @@ def test_worker_count_does_not_change_results(fixture_paths, tmp_path):
     assert outs[1] == outs[3]
 
 
+# numpy.linalg's routines that call LAPACK. The first call of one pages its
+# code in: eigh's added about 0.8 MB to a run's peak RSS.
+LAPACK_ROUTINES = ("cholesky", "det", "eig", "eigh", "eigvals", "eigvalsh",
+                   "inv", "lstsq", "matrix_rank", "pinv", "qr", "slogdet",
+                   "solve", "svd", "svdvals", "tensorinv", "tensorsolve")
+
+
+def test_a_run_calls_no_lapack_routine(fixture_paths, tmp_path,
+                                       monkeypatch):
+    # Dependencies included: scipy's Rotation.from_matrix calls
+    # np.linalg.det unless it is told that its input is a rotation.
+    _, source, target = fixture_paths
+
+    def lapack(*args, **kwargs):
+        raise AssertionError("a numpy.linalg LAPACK routine was called")
+
+    for name in LAPACK_ROUTINES:
+        monkeypatch.setattr(np.linalg, name, lapack)
+    summary = run_pipeline(_config(source, target, tmp_path / "out",
+                                   lambdas=(0.5, 1.0)))
+    assert [entry["jacobian_sites"] for entry in summary["outputs"]] \
+        == [80, 80]
+
+
 def test_zero_workers_count_the_cores_the_process_may_run_on(monkeypatch):
     config = PipelineConfig(source="s.ply", output_dir="out", workers=0)
     monkeypatch.setattr(pipeline.os, "cpu_count", lambda: 64)

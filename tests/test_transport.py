@@ -2,6 +2,7 @@ import collections
 import dataclasses
 import sys
 import threading
+import warnings
 
 import numpy as np
 import pytest
@@ -424,6 +425,87 @@ class TestTransformCovariance:
         assert np.all(np.isfinite(q)) and np.all(np.isfinite(ls))
         assert ls.min() >= 0.5 * np.log(1e-18) - 1e-9
 
+    @pytest.mark.parametrize("first_row", [0, 1820])
+    def test_an_overflowing_variance_names_its_splat(self, first_row):
+        cloud = random_cloud(10, seed=34)
+        cloud.log_scales[6, 0] = 360.0      # exp(720) is no float64
+        cloud.log_scales[8, 2] = 400.0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=f"splat {first_row + 6}: "
+                               "the transported covariance is not finite"):
+                transform_covariance(np.eye(3), cloud.rotations,
+                                     cloud.log_scales, first_row=first_row)
+
+    def test_an_overflowing_jacobian_names_its_splat(self):
+        cloud = random_cloud(4, seed=35)
+        jac = np.tile(np.eye(3), (4, 1, 1))
+        jac[2] *= 1e200
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="splat 2: "):
+                transform_covariance(jac, cloud.rotations, cloud.log_scales)
+
+
+@st.composite
+def spd_batches(draw):
+    """(n, 3, 3) exactly symmetric positive-definite matrices with
+    variances from 1e-18 to 1e4, a distinct, repeated or isotropic
+    spectrum, and either random eigenvectors, the coordinate axes, or the
+    axes perturbed by off-diagonals down to 1e-300."""
+    n = draw(st.integers(1, 8))
+    exps = draw(hnp.arrays(np.float64, 3, elements=st.floats(-18.0, 4.0)))
+    spectrum = draw(st.sampled_from(["distinct", "repeated", "isotropic"]))
+    if spectrum == "repeated":
+        i, j = draw(st.permutations(range(3)))[:2]
+        exps[i] = exps[j]
+    elif spectrum == "isotropic":
+        exps[:] = exps[0]
+    var = 10.0 ** exps
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    axes = draw(st.sampled_from(["rotated", "diagonal", "near-diagonal"]))
+    if axes == "rotated":
+        rot = quat_to_matrix(rng.normal(size=(n, 4)))
+        cov = (rot * var) @ np.swapaxes(rot, 1, 2)
+        return 0.5 * (cov + np.swapaxes(cov, 1, 2))
+    cov = np.zeros((n, 3, 3))
+    cov[:, range(3), range(3)] = var
+    if axes == "near-diagonal":
+        tiny = 10.0 ** draw(st.floats(-300.0, -1.0))
+        for i, j in ((1, 0), (2, 0), (2, 1)):
+            # At most a tenth of sqrt(v_i v_j): the matrix stays definite.
+            bound = min(tiny, 0.1 * np.sqrt(var[i] * var[j]))
+            cov[:, i, j] = cov[:, j, i] = bound * rng.uniform(-1.0, 1.0, n)
+    return cov
+
+
+class TestJacobiEigh:
+    """transport._jacobi_eigh against np.linalg.eigh as the oracle."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(cov=spd_batches(), cut=st.integers(0, 8))
+    def test_matches_the_eigh_oracle(self, cov, cut):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            vals, vecs = transport._jacobi_eigh(cov)
+            cut = min(cut, len(cov))
+            parts = [transport._jacobi_eigh(cov[:cut]),
+                     transport._jacobi_eigh(cov[cut:])]
+        want = np.linalg.eigh(cov)[0][:, ::-1]
+        top = want[:, :1]
+        assert np.all(np.diff(vals, axis=1) <= 0.0)
+        assert np.all(np.abs(vals - want) <= 1e-13 * top)
+        gram = np.swapaxes(vecs, 1, 2) @ vecs
+        assert np.abs(gram - np.eye(3)).max() <= 1e-13
+        assert np.abs(np.linalg.det(vecs) - 1.0).max() <= 1e-13
+        rebuilt = (vecs * vals[:, None, :]) @ np.swapaxes(vecs, 1, 2)
+        rel = np.linalg.norm(rebuilt - cov, axis=(1, 2)) \
+            / np.linalg.norm(cov, axis=(1, 2))
+        assert rel.max() <= 1e-13
+        # The solver is per row: a block's bits are the whole call's.
+        for got, whole in zip(zip(*parts), (vals, vecs)):
+            assert np.concatenate(got).tobytes() == whole.tobytes()
+
 
 class TestDeformCloud:
     def test_identity_short_circuit_bit_exact(self):
@@ -614,10 +696,11 @@ class TestSharedSpanPass:
         cloud, source, deformed = self.scene()
         caller = threading.current_thread()
 
-        def failing(jacobians, rotations, log_scales):
+        def failing(jacobians, rotations, log_scales, first_row):
             if (threading.current_thread() is caller) == (where == "caller"):
                 raise RuntimeError(f"span in the {where}")
-            return transform_covariance(jacobians, rotations, log_scales)
+            return transform_covariance(jacobians, rotations, log_scales,
+                                        first_row)
 
         monkeypatch.setattr(transport, "transform_covariance", failing)
         with pytest.raises(RuntimeError, match=where):
@@ -632,10 +715,11 @@ class TestSharedSpanPass:
         before = len(threading.enumerate())
         alive, ran = [], collections.Counter()
 
-        def counted(jacobians, rotations, log_scales):
+        def counted(jacobians, rotations, log_scales, first_row):
             alive.append(len(threading.enumerate()))
             ran[threading.current_thread()] += 1
-            return transform_covariance(jacobians, rotations, log_scales)
+            return transform_covariance(jacobians, rotations, log_scales,
+                                        first_row)
 
         monkeypatch.setattr(transport, "transform_covariance", counted)
         deform_cloud(cloud, source, deformed, m=30,
