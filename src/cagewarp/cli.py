@@ -87,8 +87,8 @@ def _add_run_flags(parser):
     parser.add_argument("--center-chunk", type=int, dest="center_chunk",
                         help="splats processed per chunk (default 30000)")
     parser.add_argument("--timings-out", type=Path, dest="timings_out",
-                        help="write per-stage wall-clock seconds to this "
-                             "JSON file")
+                        help="write per-stage wall-clock seconds and the "
+                             "peak RSS after each stage to this JSON file")
     parser.add_argument("-v", "--verbose", action="store_true",
                         help="log at DEBUG level")
 

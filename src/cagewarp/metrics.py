@@ -14,7 +14,7 @@ from scipy.spatial import cKDTree
 
 from .cage import (TriangleMesh, inflate_degenerate_axes, read_obj_arrays,
                    triangle_areas)
-from .splats import GaussianCloud, read_vertex_table, write_vertex_table
+from .splats import GaussianCloud, read_vertex_blocks, write_vertex_table
 from .transport import sample_rows, transform_covariance
 
 
@@ -154,8 +154,11 @@ def load_target(path):
     if not lower.endswith(".ply"):
         raise ValueError(f"{path}: unsupported target format "
                          "(expected .obj or .ply)")
-    names, table = read_vertex_table(path, ("x", "y", "z"))
-    points = table[:, [names.index(axis) for axis in "xyz"]].astype(np.float64)
+    with read_vertex_blocks(path, ("x", "y", "z")) as (names, count, blocks):
+        xyz = [names.index(axis) for axis in "xyz"]
+        points = np.empty((count, 3))
+        for first, table in blocks:
+            points[first:first + len(table)] = table[:, xyz]
     if not np.all(np.isfinite(points)):
         raise ValueError(f"{path}: non-finite point coordinates")
     return points
@@ -164,4 +167,5 @@ def load_target(path):
 def write_point_ply(points, path) -> None:
     """Write points (anything as_points accepts) as a binary
     little-endian PLY of float x, y, z."""
-    write_vertex_table(path, ("x", "y", "z"), as_points(points))
+    points = as_points(points)
+    write_vertex_table(path, ("x", "y", "z"), len(points), [points])

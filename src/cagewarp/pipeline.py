@@ -22,12 +22,18 @@ import logging
 import math
 import numbers
 import os
+import sys
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
+
+try:
+    import resource
+except ImportError:     # not every platform has getrusage
+    resource = None
 
 from .cage import (TriangleMesh, bbox_of, build_template_cage, det3,
                    inflate_degenerate_axes, read_cage_obj,
@@ -36,7 +42,7 @@ from .errors import PipelineError
 from .fitting import FitConfig, fit_deformed_cage
 from .metrics import (baseline_bbox_scale, chamfer_distance, load_target,
                       sample_points)
-from .splats import read_gs_ply, write_gs_ply
+from .splats import read_gs_ply, verify_gs_ply, write_gs_ply
 from .transport import SINGULAR_DET, blend_deformation, deform_cloud
 
 logger = logging.getLogger("cagewarp")
@@ -190,6 +196,16 @@ class _Frame:
         return points / self.scale + self.center
 
 
+def _peak_rss_mb() -> float | None:
+    """The process's peak resident set so far in MiB, or None where the
+    platform does not report it (ru_maxrss counts KiB; macOS counts
+    bytes)."""
+    if resource is None:
+        return None
+    peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+    return peak / (2**20 if sys.platform == "darwin" else 2**10)
+
+
 def _lambda_tag(lam: float) -> str:
     return f"{lam:.2f}"
 
@@ -208,8 +224,9 @@ def _artifact_names(config: PipelineConfig, mode: str) -> list[str]:
 
 
 class _Run:
-    """Makes the output directory, tracks artifacts and stage timings, and
-    on failure removes the artifacts and the directories it made.
+    """Makes the output directory, tracks artifacts, stage timings and the
+    peak RSS after each stage, and on failure removes the artifacts and
+    the directories it made.
 
     Only planned names may be claimed: validate checked those against
     the inputs."""
@@ -222,6 +239,7 @@ class _Run:
         self.planned = set(planned)
         self.artifacts: list[Path] = []
         self.timings: dict[str, float] = {}
+        self.peak_rss_mb: dict[str, float] = {}
 
     def claim(self, name: str) -> Path:
         if name not in self.planned:
@@ -242,7 +260,11 @@ class _Run:
             raise PipelineError(name, str(exc)) from exc
         elapsed = time.perf_counter() - started
         self.timings[name] = elapsed
-        logger.info("[%s] done in %.2f s", name, elapsed)
+        peak = _peak_rss_mb()
+        if peak is not None:
+            self.peak_rss_mb[name] = peak
+        logger.info("[%s] done in %.2f s%s", name, elapsed,
+                    "" if peak is None else f", peak RSS {peak:.1f} MB")
 
     def discard_artifacts(self) -> None:
         for path in self.artifacts:
@@ -278,15 +300,16 @@ def _write_fit_trace(path: Path, report) -> None:
 
 
 def _verify_artifacts(run: _Run) -> None:
-    """Re-open every artifact; any unreadable output fails the run. The
-    cage pair is read back as apply-cage reads it."""
+    """Re-open every artifact; any unreadable output fails the run. A
+    splat PLY gets read_gs_ply's checks one row block at a time; the cage
+    pair is read back as apply-cage reads it."""
     for path in run.artifacts:
         if not path.is_file():
             raise PipelineError("verify", f"missing artifact {path}")
         suffix = path.suffix.lower()
         try:
             if suffix == ".ply":
-                read_gs_ply(path)
+                verify_gs_ply(path)
             elif path.name == "deformed_cage.obj":
                 read_deformed_cage(path, read_cage_obj(
                     path.with_name("source_cage.obj")))
@@ -316,9 +339,10 @@ def run_pipeline(config: PipelineConfig, mode: str = "deform",
     before anything is written. Stage failures raise PipelineError tagged
     with the stage name after removing any partially written outputs.
     timings_out optionally names a JSON file for per-stage wall-clock
-    seconds; it is diagnostic output, kept apart from the deterministic
-    artifacts, and may be neither an input nor an artifact; a failure to
-    write it removes the outputs as a stage failure does.
+    seconds and the process's peak RSS in MiB after each stage (where the
+    platform reports it); it is diagnostic output, kept apart from the
+    deterministic artifacts, and may be neither an input nor an artifact;
+    a failure to write it removes the outputs as a stage failure does.
     """
     try:
         config.validate(mode, timings_out)
@@ -329,7 +353,9 @@ def run_pipeline(config: PipelineConfig, mode: str = "deform",
     try:
         summary = _execute(config, mode, run)
         if timings_out is not None:
-            _write_json(Path(timings_out), {"stage_seconds": run.timings})
+            _write_json(Path(timings_out), {
+                "stage_seconds": run.timings,
+                "stage_peak_rss_mb": run.peak_rss_mb})
     except BaseException:
         run.discard_artifacts()
         raise

@@ -6,12 +6,15 @@ The on-disk layout is the de-facto splat PLY: one binary little-endian
     x y z nx ny nz f_dc_0..2 [f_rest_0..K-1] opacity scale_0..2 rot_0..3
 
 with K in {0, 9, 24, 45} for spherical-harmonics degrees 0..3. Normals are
-ignored on read and written as zeros. All in-memory arithmetic is float64;
-conversion to float32 happens only at the file boundary.
+ignored on read and written as zeros. The fields the warp computes on
+(centers, scales, rotations) are float64 in memory and rounded to float32
+only at the file boundary; the pass-through fields (opacity and the SH
+coefficients) stay float32, the file's precision.
 
-Every PLY the package reads or writes goes through read_vertex_table and
-write_vertex_table: the vertex element as one (N, properties) float32
-table plus its property names.
+Every PLY the package reads or writes goes through read_vertex_blocks and
+write_vertex_table: the vertex element as its property names and
+(rows, properties) float32 tables. Reads, and splat writes, take blocks
+of at most BLOCK_BYTES, so no splat PLY body is held whole.
 
 Stored fields are pre-activation: scales as logs, opacity as a logit, the
 rotation as an unnormalized (w, x, y, z) quaternion.
@@ -22,6 +25,8 @@ from __future__ import annotations
 import dataclasses
 import io
 import os
+import tempfile
+from contextlib import ExitStack, contextmanager
 from dataclasses import dataclass
 
 import numpy as np
@@ -35,6 +40,9 @@ from .errors import (
 from .rotations import QUAT_NORM_FLOOR, quat_to_matrix
 
 _SH_REST_WIDTHS = (0, 9, 24, 45)
+# The most bytes of PLY body read or written at a time: 1057 splats at SH
+# width 45.
+BLOCK_BYTES = 1 << 18
 
 
 def _vertex_layout(width: int) -> list[tuple[str | None, list[str]]]:
@@ -49,6 +57,13 @@ def _vertex_layout(width: int) -> list[tuple[str | None, list[str]]]:
             ("rotations", [f"rot_{i}" for i in range(4)])]
 
 
+def _dtype_of(field: str):
+    """float64 for the fields the warp computes on; the others pass
+    through in the file's float32."""
+    return np.float64 if field in ("centers", "log_scales", "rotations") \
+        else np.float32
+
+
 _REQUIRED_PROPERTIES = tuple(name for field, names in _vertex_layout(0)
                              if field for name in names)
 
@@ -58,23 +73,26 @@ class GaussianCloud:
     """An ordered collection of Gaussians stored as arrays-of-fields.
 
     Row i refers to the same Gaussian across every operation in this
-    package; nothing reorders, drops, or inserts rows.
+    package; nothing reorders, drops, or inserts rows. centers,
+    log_scales and rotations are float64; opacity_logits, sh_dc and
+    sh_rest are float32, the file's precision, so a float64 value given
+    for them is rounded to float32 on construction.
     """
 
-    centers: np.ndarray        # (N, 3)
-    log_scales: np.ndarray     # (N, 3)
-    rotations: np.ndarray      # (N, 4) quaternions w, x, y, z
-    opacity_logits: np.ndarray  # (N,)
-    sh_dc: np.ndarray          # (N, 3)
-    sh_rest: np.ndarray        # (N, K), K in {0, 9, 24, 45}
+    centers: np.ndarray        # (N, 3) float64
+    log_scales: np.ndarray     # (N, 3) float64
+    rotations: np.ndarray      # (N, 4) float64 quaternions w, x, y, z
+    opacity_logits: np.ndarray  # (N,) float32
+    sh_dc: np.ndarray          # (N, 3) float32
+    sh_rest: np.ndarray        # (N, K) float32, K in {0, 9, 24, 45}
 
     def __post_init__(self):
-        self.centers = np.ascontiguousarray(self.centers, dtype=np.float64)
-        self.log_scales = np.ascontiguousarray(self.log_scales, dtype=np.float64)
-        self.rotations = np.ascontiguousarray(self.rotations, dtype=np.float64)
-        self.opacity_logits = np.ascontiguousarray(self.opacity_logits, dtype=np.float64)
-        self.sh_dc = np.ascontiguousarray(self.sh_dc, dtype=np.float64)
-        self.sh_rest = np.ascontiguousarray(self.sh_rest, dtype=np.float64)
+        # A value outside float32's range becomes inf, which the finiteness
+        # check below reports.
+        with np.errstate(over="ignore"):
+            for f in dataclasses.fields(self):
+                setattr(self, f.name, np.ascontiguousarray(
+                    getattr(self, f.name), dtype=_dtype_of(f.name)))
         if self.sh_rest.ndim == 1:
             self.sh_rest = self.sh_rest.reshape(len(self.centers), -1)
 
@@ -193,50 +211,103 @@ def _parse_header(stream: io.BufferedReader, path) -> tuple[list[str], int, int]
     return properties, vertex_count, header_bytes
 
 
-def read_vertex_table(path, required) -> tuple[list[str], np.ndarray]:
-    """The vertex element of a binary PLY as (property names, table).
+def _truncated(path, expected: int, offset: int) -> PlyReadError:
+    return PlyReadError(
+        f"{path}: truncated body, expected {expected} bytes after the "
+        f"header but the file ends at byte offset {offset}")
 
-    table is the (count, len(names)) float32 array of the vertex records.
-    Raises PlyFormatError naming the first missing required property and
-    PlyReadError with the byte offset when the body is truncated.
+
+@contextmanager
+def read_vertex_blocks(path, required):
+    """Open the vertex element of a binary PLY for reading in row blocks.
+
+    Yields (names, count, blocks): the property names, the vertex count
+    and an iterator of (first_row, table) pairs in row order, where table
+    is a (rows, len(names)) float32 array of at most BLOCK_BYTES that the
+    next block overwrites. Raises PlyFormatError naming the first missing
+    required property and PlyReadError with the byte offset when the body
+    is truncated, both before any block is read.
     """
-    with open(path, "rb") as stream:
-        names, count, header_bytes = _parse_header(stream, path)
+    with open(path, "rb") as source, ExitStack() as spooled:
+        names, count, header_bytes = _parse_header(source, path)
         for name in required:
             if name not in names:
                 raise PlyFormatError(
                     f"{path}: missing required property {name!r}")
         expected = 4 * count * len(names)
-        # Size a file before allocating, and read a pipe in bounded blocks,
-        # so that a header claiming too many vertices cannot exhaust memory.
-        if stream.seekable():
-            body = os.fstat(stream.fileno()).st_size - header_bytes
-            if body >= expected:
-                table = np.empty((count, len(names)), dtype="<f4")
-                body = stream.readinto(table)
+        # Size a file before allocating. A pipe cannot be sized, so its
+        # body is first copied to a temporary file in bounded blocks: a
+        # header claiming too many vertices cannot exhaust memory.
+        stream = source
+        if source.seekable():
+            body = os.fstat(source.fileno()).st_size - header_bytes
         else:
-            table = bytearray()
-            while block := stream.read(min(expected - len(table), 1 << 16)):
-                table += block
-            body = len(table)
-    if body < expected:
-        raise PlyReadError(
-            f"{path}: truncated body, expected {expected} bytes after "
-            f"the header but the file ends at byte offset "
-            f"{header_bytes + body}")
-    return names, np.frombuffer(table, "<f4").reshape(count, len(names))
+            stream = spooled.enter_context(tempfile.TemporaryFile())
+            while block := source.read(min(expected - stream.tell(),
+                                           BLOCK_BYTES)):
+                stream.write(block)
+            body = stream.tell()
+            stream.seek(0)
+        if body < expected:
+            raise _truncated(path, expected, header_bytes + body)
+        yield names, count, _row_blocks(stream, path, count, len(names),
+                                        header_bytes)
 
 
-def write_vertex_table(path, names, table) -> None:
-    """Write an (N, len(names)) table as the float32 vertex element of a
-    binary little-endian PLY."""
-    table = np.ascontiguousarray(table, dtype="<f4")
+def _row_blocks(stream, path, count: int, width: int, header_bytes: int):
+    rows = max(1, BLOCK_BYTES // max(4 * width, 1))
+    table = np.empty((min(rows, count), width), dtype="<f4")
+    for first in range(0, count, rows):
+        block = table[:min(rows, count - first)]
+        got = stream.readinto(block)
+        if got < block.nbytes:      # the file shrank after it was sized
+            raise _truncated(path, 4 * count * width,
+                             header_bytes + 4 * first * width + got)
+        yield first, block
+
+
+def write_vertex_table(path, names, count: int, blocks) -> None:
+    """Write count records, given as (rows, len(names)) tables in row
+    order, as the float32 vertex element of a binary little-endian PLY.
+
+    A failure part-way through removes the file.
+    """
     header = ["ply", "format binary_little_endian 1.0",
-              f"element vertex {len(table)}",
+              f"element vertex {count}",
               *(f"property float {name}" for name in names), "end_header\n"]
     with open(path, "wb") as stream:
-        stream.write("\n".join(header).encode("ascii"))
-        stream.write(table)
+        try:
+            stream.write("\n".join(header).encode("ascii"))
+            for block in blocks:
+                stream.write(np.ascontiguousarray(block, dtype="<f4"))
+        except BaseException:
+            stream.close()
+            os.remove(path)
+            raise
+
+
+@contextmanager
+def _splat_blocks(path):
+    """read_vertex_blocks for a splat PLY: yields (count, columns, blocks),
+    where columns maps each GaussianCloud field to its table columns (a
+    list, or one index for opacity_logits).
+
+    Raises UnsupportedLayoutError for f_rest counts outside
+    {0, 9, 24, 45}.
+    """
+    with read_vertex_blocks(path, _REQUIRED_PROPERTIES) as (names, count,
+                                                            blocks):
+        width = sum(name.startswith("f_rest_") for name in names)
+        if width not in _SH_REST_WIDTHS or any(
+                f"f_rest_{i}" not in names for i in range(width)):
+            raise UnsupportedLayoutError(
+                f"{path}: {width} f_rest properties do not form a "
+                f"supported layout (expected a complete f_rest_0..K-1 "
+                f"with K in {list(_SH_REST_WIDTHS)})")
+        columns = {field: [names.index(name) for name in props]
+                   for field, props in _vertex_layout(width) if field}
+        columns["opacity_logits"] = names.index("opacity")
+        yield count, columns, blocks
 
 
 def read_gs_ply(path) -> GaussianCloud:
@@ -246,41 +317,58 @@ def read_gs_ply(path) -> GaussianCloud:
     UnsupportedLayoutError for f_rest counts outside {0, 9, 24, 45}, and
     PlyReadError with the byte offset when the body is truncated.
     """
-    names, table = read_vertex_table(path, _REQUIRED_PROPERTIES)
-    width = sum(name.startswith("f_rest_") for name in names)
-    if width not in _SH_REST_WIDTHS or any(
-            f"f_rest_{i}" not in names for i in range(width)):
-        raise UnsupportedLayoutError(
-            f"{path}: {width} f_rest properties do not form a supported "
-            f"layout (expected a complete f_rest_0..K-1 with K in "
-            f"{list(_SH_REST_WIDTHS)})")
-    fields = {}
-    for field, props in _vertex_layout(width):
-        if field:
-            # Column by column, so no float32 copy of the block is made.
-            values = np.empty((len(table), len(props)))
-            for j, name in enumerate(props):
-                values[:, j] = table[:, names.index(name)]
-            fields[field] = values
-    fields["opacity_logits"] = fields["opacity_logits"][:, 0]
+    with _splat_blocks(path) as (count, columns, blocks):
+        fields = {field: np.empty((count, *np.shape(cols)), _dtype_of(field))
+                  for field, cols in columns.items()}
+        for first, table in blocks:
+            for field, cols in columns.items():
+                fields[field][first:first + len(table)] = table[:, cols]
     return GaussianCloud(**fields)
 
 
+def verify_gs_ply(path) -> None:
+    """Apply read_gs_ply's checks to a splat PLY one row block at a time,
+    without holding the cloud: each block is built as a GaussianCloud.
+    Raises what read_gs_ply would."""
+    with _splat_blocks(path) as (_, columns, blocks):
+        for _, table in blocks:
+            GaussianCloud(**{field: table[:, cols]
+                             for field, cols in columns.items()})
+
+
 def write_gs_ply(cloud: GaussianCloud, path) -> None:
-    """Write a cloud as a binary little-endian splat PLY.
+    """Write a cloud as a binary little-endian splat PLY, one row block at
+    a time.
 
     Serialization is deterministic: the same cloud always produces the same
-    bytes, and write -> read -> write is byte-identical.
+    bytes, and write -> read -> write is byte-identical. A value outside
+    float32's range raises ValueError naming its field and row, and leaves
+    no file.
     """
     n = len(cloud)
     if n == 0:
         raise ValueError("refusing to write an empty cloud")
     layout = _vertex_layout(cloud.sh_rest.shape[1])
     names = [name for _, props in layout for name in props]
-    table = np.zeros((n, len(names)), dtype="<f4")
-    end = 0
-    for field, props in layout:
-        start, end = end, end + len(props)
-        if field:
-            table[:, start:end] = getattr(cloud, field).reshape(n, -1)
-    write_vertex_table(path, names, table)
+    owners = [field for field, props in layout for _ in props]
+    rows = BLOCK_BYTES // (4 * len(names))
+
+    def blocks():
+        table = np.zeros((min(rows, n), len(names)), dtype="<f4")
+        for first in range(0, n, rows):
+            block = table[:min(rows, n - first)]
+            end = 0
+            for field, props in layout:
+                start, end = end, end + len(props)
+                if field:
+                    values = getattr(cloud, field)[first:first + len(block)]
+                    with np.errstate(over="ignore"):    # checked below
+                        block[:, start:end] = values.reshape(len(block), -1)
+            if not np.isfinite(block).all():
+                row, col = np.argwhere(~np.isfinite(block))[0]
+                raise ValueError(
+                    f"{owners[col]} of splat {first + row} ({names[col]}) "
+                    f"is outside float32's range")
+            yield block
+
+    write_vertex_table(path, names, n, blocks())

@@ -20,11 +20,11 @@ def random_cloud(n, sh_rest_width=9, seed=0, f32=False):
         sh_rest=rng.normal(size=(n, sh_rest_width)),
     )
     if f32:
-        # Round every field to float32 so a PLY read-back compares exactly.
-        for name in ("centers", "log_scales", "rotations", "opacity_logits",
-                     "sh_dc", "sh_rest"):
-            setattr(cloud, name,
-                    getattr(cloud, name).astype(np.float32).astype(np.float64))
+        # Round the float64 fields to float32 so a PLY read-back compares
+        # exactly; the others are float32 already.
+        cloud = cloud.copy(**{name: getattr(cloud, name).astype(np.float32)
+                              for name in ("centers", "log_scales",
+                                           "rotations")})
     return cloud
 
 

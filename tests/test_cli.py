@@ -152,6 +152,26 @@ def test_an_overflowing_covariance_fails_the_deform_stage(model_files,
     assert not out.exists()
 
 
+def test_a_center_outside_float32_fails_its_lambda_stage(model_files,
+                                                        tmp_path, caplog):
+    # A cage pair scaled by 1e39 moves the centers beyond float32's range;
+    # the write must fail with the splat named, not leave inf for verify.
+    source, _ = model_files
+    cloud = read_gs_ply(source)
+    cage = build_template_cage(cloud.centers, resolution=2)
+    cage_in = (tmp_path / "src.obj", tmp_path / "def.obj")
+    write_cage_obj(cage, cage_in[0])
+    write_cage_obj(cage.with_vertices(cage.vertices * 1e39), cage_in[1])
+    out = tmp_path / "o"
+    with caplog.at_level("ERROR", logger="cagewarp"):
+        code = main(["apply-cage", "-s", str(source), "--cage-in",
+                     *map(str, cage_in), "-o", str(out), "--sites", "60"])
+    assert code == 1
+    assert re.search(r"\[deform-lam1\.00\] centers of splat \d+ \([xyz]\) "
+                     r"is outside float32's range", caplog.text)
+    assert not out.exists()
+
+
 def test_bad_lambda_text_exits_two(model_files, tmp_path):
     source, target = model_files
     with pytest.raises(SystemExit) as excinfo:

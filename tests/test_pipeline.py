@@ -6,17 +6,18 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from cagewarp import pipeline, transport
+from cagewarp import pipeline, splats, transport
 from cagewarp.cage import (TriangleMesh, bbox_of, build_template_cage,
                            interpolate_cage, read_cage_obj, write_cage_obj)
 from cagewarp.errors import PipelineError
 from cagewarp.fitting import FitConfig
 from cagewarp.metrics import baseline_bbox_scale, write_point_ply
 from cagewarp.pipeline import PipelineConfig, run_pipeline
-from cagewarp.splats import covariances_of, read_gs_ply, write_gs_ply
+from cagewarp.splats import (covariances_of, read_gs_ply, verify_gs_ply,
+                             write_gs_ply)
 from cagewarp.transport import deform_cloud
 
-from conftest import random_cloud
+from conftest import random_cloud, traced
 
 
 def _affine(points):
@@ -516,3 +517,103 @@ def test_timings_file_is_optional_diagnostic(fixture_paths, tmp_path):
     assert "fit-cage" in stages and "verify" in stages
     assert all(v >= 0.0 for v in stages.values())
     assert not (out / "timings.json").exists()
+
+
+def test_timings_file_records_the_peak_rss_after_each_stage(
+        fixture_paths, tmp_path, caplog):
+    _, source, target = fixture_paths
+    timings = tmp_path / "timings.json"
+    with caplog.at_level("INFO", logger="cagewarp"):
+        run_pipeline(_config(source, target, tmp_path / "out"),
+                     timings_out=timings)
+    recorded = json.loads(timings.read_text())
+    peaks = recorded["stage_peak_rss_mb"]
+    assert list(peaks) == list(recorded["stage_seconds"])
+    # A high-water mark: positive, and never lower after a later stage.
+    assert 0.0 < min(peaks.values())
+    assert list(peaks.values()) == sorted(peaks.values())
+    assert "[verify] done in " in caplog.text
+    assert f", peak RSS {peaks['verify']:.1f} MB" in caplog.text
+
+
+def _damaging(fault):
+    """A stand-in for pipeline.write_gs_ply that writes the cloud and then
+    puts one fault into the file; each value fault goes into its last
+    row."""
+    write = pipeline.write_gs_ply
+
+    def damaged(cloud, path):
+        write(cloud, path)
+        raw = Path(path).read_bytes()
+        head = raw.index(b"end_header\n") + len(b"end_header\n")
+        names = [line.split()[-1] for line in raw[:head].split(b"\n")
+                 if line.startswith(b"property")]
+
+        def put(name, value):
+            at = head + 4 * ((len(cloud) - 1) * len(names)
+                             + names.index(name))
+            return raw[:at] + np.float32(value).tobytes() + raw[at + 4:]
+
+        if fault == "truncated-body":
+            raw = raw[:-10]
+        elif fault == "nan":
+            raw = put(b"y", np.nan)
+        elif fault == "zero-quaternion":
+            for i in range(4):
+                raw = put(f"rot_{i}".encode(), 0.0)
+        else:
+            raw = raw.replace(b"property float f_rest_8\n",
+                              b"property float f_rest_x\n")
+        Path(path).write_bytes(raw)
+    return damaged
+
+
+@pytest.mark.parametrize("fault, message", [
+    ("truncated-body", "truncated body"),
+    ("nan", "centers contains non-finite values"),
+    ("zero-quaternion", "zero-norm quaternion"),
+    ("broken-f_rest-layout", "9 f_rest properties do not form a supported "
+                             "layout")])
+def test_verify_catches_a_damaged_model(fixture_paths, cage_files, tmp_path,
+                                        monkeypatch, fault, message):
+    # Small blocks, so that verify reads the damaged last row in a later
+    # block than the first.
+    monkeypatch.setattr(splats, "BLOCK_BYTES", 1024)
+    monkeypatch.setattr(pipeline, "write_gs_ply", _damaging(fault))
+    _, source, _ = fixture_paths
+    out = tmp_path / "damaged"
+    with pytest.raises(PipelineError, match=message) as excinfo:
+        _replay(source, cage_files, out, lambdas=(0.5, 1.0))
+    assert excinfo.value.stage == "verify"
+    assert "deformed_lam0.50.ply failed its readback check" \
+        in str(excinfo.value)
+    assert not out.exists()
+
+
+def test_deform_write_verify_holds_one_output_cloud(tmp_path):
+    """Past the loaded source, deforming, writing and verifying 20k
+    splats at SH width 45 holds the output (float32 pass-through fields,
+    float64 computed fields) plus a bounded allowance, not whole-file
+    tables or a float64 read-back."""
+    n = 20000
+    cloud = random_cloud(n, sh_rest_width=45, seed=8)
+    source = tmp_path / "source.ply"
+    write_gs_ply(cloud, source)
+    cage = build_template_cage(cloud.centers, resolution=2)
+    lo, hi = cage.bbox()
+    deformed = cage.with_vertices(
+        cage.vertices + 0.05 * (hi - lo) * np.sin(cage.vertices[:, [1, 2, 0]]))
+    loaded = read_gs_ply(source)
+    out = tmp_path / "deformed.ply"
+
+    def deform_write_verify():
+        moved, _ = deform_cloud(loaded, cage, deformed, m=200,
+                                center_chunk=2048)
+        write_gs_ply(moved, out)
+        verify_gs_ply(out)
+
+    peak, _ = traced(deform_write_verify)
+    output = n * (4 * 49 + 8 * 10)
+    # The allowance: the output's finiteness mask of sh_rest (its widest
+    # field), row blocks and the deform pass's span scratch.
+    assert peak <= output + 45 * n + 2**20

@@ -1,4 +1,5 @@
 import os
+import re
 import threading
 import tracemalloc
 
@@ -7,6 +8,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
+from cagewarp import splats
 from cagewarp.errors import (
     DegenerateRotationError,
     PlyFormatError,
@@ -16,14 +18,18 @@ from cagewarp.errors import (
 from cagewarp.metrics import load_target
 from cagewarp.rotations import quat_to_matrix
 from cagewarp.splats import (
+    BLOCK_BYTES,
     GaussianCloud,
     covariances_of,
     read_gs_ply,
-    read_vertex_table,
+    read_vertex_blocks,
     write_gs_ply,
 )
 
-from conftest import random_cloud
+from conftest import random_cloud, traced
+
+FLOAT64_FIELDS = ("centers", "log_scales", "rotations")
+FLOAT32_FIELDS = ("opacity_logits", "sh_dc", "sh_rest")
 
 
 class TestCloudValidation:
@@ -64,6 +70,35 @@ class TestCloudValidation:
             assert np.array_equal(getattr(out, name), getattr(cloud, name))
             assert not np.shares_memory(getattr(out, name),
                                         getattr(cloud, name)), name
+
+
+class TestFieldDtypes:
+    def test_computed_fields_are_float64_and_pass_through_float32(
+            self, tmp_path):
+        cloud = random_cloud(9, sh_rest_width=45, seed=24)
+        path = tmp_path / "dtypes.ply"
+        write_gs_ply(cloud, path)
+        for held in (cloud, cloud.copy(), read_gs_ply(path)):
+            for name in FLOAT64_FIELDS:
+                assert getattr(held, name).dtype == np.float64, name
+            for name in FLOAT32_FIELDS:
+                assert getattr(held, name).dtype == np.float32, name
+
+    def test_a_float64_pass_through_value_is_rounded(self):
+        cloud = random_cloud(3, seed=25)
+        sh_dc = np.full((3, 3), 0.1)
+        out = cloud.copy(sh_dc=sh_dc)
+        assert out.sh_dc.dtype == np.float32
+        assert np.all(out.sh_dc == np.float32(0.1))
+        assert float(out.sh_dc[0, 0]) != 0.1
+
+    @pytest.mark.parametrize("name", FLOAT32_FIELDS)
+    def test_a_pass_through_value_outside_float32_is_rejected(self, name):
+        cloud = random_cloud(3, seed=26)
+        values = getattr(cloud, name).astype(np.float64)
+        values[(1,) * values.ndim] = 1e39
+        with pytest.raises(ValueError, match=f"{name} contains non-finite"):
+            cloud.copy(**{name: values})
 
 
 class TestCovariance:
@@ -241,6 +276,46 @@ class TestPlyRoundtrip:
             write_gs_ply(cloud, tmp_path / "f.ply")
 
 
+    @pytest.mark.parametrize("field, row, col, prop", [
+        ("centers", 3, 1, "y"), ("log_scales", 1100, 0, "scale_0"),
+        ("rotations", 2200, 3, "rot_3")])
+    def test_a_value_outside_float32_names_its_field_and_row(
+            self, tmp_path, field, row, col, prop):
+        # 2500 splats at SH width 45 are three blocks, so rows 1100 and
+        # 2200 fail after earlier blocks were written.
+        cloud = random_cloud(2500, sh_rest_width=45, seed=27)
+        getattr(cloud, field)[row, col] = -1e39
+        path = tmp_path / "over.ply"
+        path.write_bytes(b"an older file")
+        with pytest.raises(ValueError, match=re.escape(
+                f"{field} of splat {row} ({prop}) is outside float32's "
+                f"range")):
+            write_gs_ply(cloud, path)
+        assert not path.exists()
+
+    def test_block_size_changes_no_byte(self, tmp_path, monkeypatch):
+        cloud = random_cloud(1000, sh_rest_width=24, seed=31)
+        path = tmp_path / "default.ply"
+        write_gs_ply(cloud, path)
+        # 3 rows of 41 properties a block, so the last block is short.
+        monkeypatch.setattr(splats, "BLOCK_BYTES", 3 * 4 * 41)
+        small = tmp_path / "small.ply"
+        write_gs_ply(cloud, small)
+        assert small.read_bytes() == path.read_bytes()
+        back = read_gs_ply(small)
+        for name in FLOAT64_FIELDS + FLOAT32_FIELDS:
+            assert np.array_equal(getattr(back, name),
+                                  getattr(read_gs_ply(path), name)), name
+        assert np.array_equal(load_target(small), back.centers)
+
+    def test_a_value_at_float32_max_is_written(self, tmp_path):
+        cloud = random_cloud(4, seed=28)
+        cloud.centers[2, 0] = np.finfo(np.float32).max
+        path = tmp_path / "max.ply"
+        write_gs_ply(cloud, path)
+        assert read_gs_ply(path).centers[2, 0] == np.finfo(np.float32).max
+
+
 class TestPlyErrors:
     def test_missing_property_named(self, tmp_path):
         cloud = random_cloud(3, seed=16)
@@ -337,6 +412,12 @@ class TestPlyErrors:
             read_gs_ply(bad)
 
 
+def whole_table(path):
+    """The property names and the vertex table joined from its blocks."""
+    with read_vertex_blocks(path, ["x"]) as (names, _, blocks):
+        return names, np.concatenate([table.copy() for _, table in blocks])
+
+
 def read_through_a_fifo(tmp_path, raw, read):
     """read(path) of a named pipe that another thread fills with raw."""
     fifo = tmp_path / "pipe.ply"
@@ -360,10 +441,9 @@ class TestPlyPipe:
         path = tmp_path / "g.ply"
         write_gs_ply(random_cloud(5000, sh_rest_width=45, seed=21), path)
         raw = path.read_bytes()
-        assert len(raw) > 2**20     # more than one block
-        names, table = read_vertex_table(path, ["x"])
-        piped = read_through_a_fifo(tmp_path, raw,
-                                    lambda p: read_vertex_table(p, ["x"]))
+        assert len(raw) > 4 * BLOCK_BYTES   # more than one block
+        names, table = whole_table(path)
+        piped = read_through_a_fifo(tmp_path, raw, whole_table)
         assert piped[0] == names
         assert piped[1].dtype == table.dtype
         assert piped[1].tobytes() == table.tobytes()
@@ -392,3 +472,26 @@ class TestPlyPipe:
             tracemalloc.stop()
         assert peak < 2**20
 
+
+
+class TestBlockedMemory:
+    def test_load_target_holds_only_the_points(self, tmp_path):
+        # A splat PLY as a target: 20k splats at SH width 45 are a 5 MB
+        # body, of which load_target keeps the 0.5 MB of float64 x/y/z.
+        n = 20000
+        path = tmp_path / "target.ply"
+        write_gs_ply(random_cloud(n, sh_rest_width=45, seed=29), path)
+        peak, kept = traced(lambda: load_target(path))
+        assert kept <= 24 * n + 2**12
+        assert peak <= 24 * n + 2 * BLOCK_BYTES
+
+    def test_read_holds_only_the_cloud(self, tmp_path):
+        n = 20000
+        path = tmp_path / "source.ply"
+        write_gs_ply(random_cloud(n, sh_rest_width=45, seed=30), path)
+        cloud_bytes = n * (8 * 10 + 4 * 49)
+        peak, kept = traced(lambda: read_gs_ply(path))
+        assert kept <= cloud_bytes + 2**12
+        # Beyond the cloud: row blocks, and the finiteness mask that the
+        # cloud's check makes of sh_rest, its widest field.
+        assert peak <= cloud_bytes + 45 * n + 2 * BLOCK_BYTES
