@@ -207,22 +207,18 @@ def inflate_degenerate_axes(lo: np.ndarray, hi: np.ndarray):
     """Grow box extents below 1e-3 of the box diagonal to that length.
 
     A fully degenerate box (a single point) gets unit extent on every axis
-    so downstream padding still has something to work with.
+    so downstream padding still has something to work with. Each axis
+    grows by pad = max(floor - extent, 0) / 2 at both ends, with floor
+    1e-3 of the diagonal (1 for a point); an axis with no pad keeps its
+    bits, -0.0 included.
     """
-    lo = np.asarray(lo, dtype=np.float64).copy()
-    hi = np.asarray(hi, dtype=np.float64).copy()
+    lo = np.asarray(lo, dtype=np.float64)
+    hi = np.asarray(hi, dtype=np.float64)
     extent = hi - lo
     diag = float(np.linalg.norm(extent))
-    if diag == 0.0:
-        half = 0.5
-        return lo - half, hi + half
-    floor = 1e-3 * diag
-    thin = extent < floor
-    if np.any(thin):
-        pad = 0.5 * (floor - extent[thin])
-        lo[thin] -= pad
-        hi[thin] += pad
-    return lo, hi
+    pad = 0.5 * np.maximum((1e-3 * diag if diag > 0.0 else 1.0) - extent, 0.0)
+    grow = pad > 0.0
+    return np.where(grow, lo - pad, lo), np.where(grow, hi + pad, hi)
 
 
 def build_template_cage(points: np.ndarray, resolution: int = 2,
@@ -268,41 +264,26 @@ def box_cage(lo: np.ndarray, hi: np.ndarray, resolution: int = 2) -> CageMesh:
     if np.any(hi <= lo):
         raise ValueError("box must have positive extent on every axis")
 
-    # Surface nodes of the (r+1)^3 lattice, in lexicographic (i, j, k)
-    # order so construction is deterministic.
-    side = r + 1
-    ijk = np.stack(np.meshgrid(np.arange(side), np.arange(side),
-                               np.arange(side), indexing="ij"),
-                   axis=-1).reshape(-1, 3)
-    on_surface = np.any((ijk == 0) | (ijk == r), axis=1)
-    surf_ijk = ijk[on_surface]
-    index_of = -np.ones((side, side, side), dtype=np.int64)
-    index_of[surf_ijk[:, 0], surf_ijk[:, 1], surf_ijk[:, 2]] = \
-        np.arange(len(surf_ijk))
-    vertices = lo + surf_ijk / r * (hi - lo)
+    # Surface nodes of the (r+1)^3 lattice, numbered in lexicographic
+    # (i, j, k) order so construction is deterministic.
+    ijk = np.indices((r + 1,) * 3)
+    on_surface = np.any((ijk == 0) | (ijk == r), axis=0)
+    index_of = np.full(on_surface.shape, -1)
+    index_of[on_surface] = np.arange(np.count_nonzero(on_surface))
+    vertices = lo + ijk[:, on_surface].T / r * (hi - lo)
 
-    triangles = []
-    for axis in range(3):
-        b, c = (axis + 1) % 3, (axis + 2) % 3
-        for level in (0, r):
-            for u in range(r):
-                for v in range(r):
-                    corner = {}
-                    for du, dv in ((0, 0), (1, 0), (1, 1), (0, 1)):
-                        node = [0, 0, 0]
-                        node[axis] = level
-                        node[b] = u + du
-                        node[c] = v + dv
-                        corner[(du, dv)] = index_of[tuple(node)]
-                    q00, q10 = corner[(0, 0)], corner[(1, 0)]
-                    q11, q01 = corner[(1, 1)], corner[(0, 1)]
-                    if level == r:   # outward normal +e_axis = e_b x e_c
-                        triangles.append((q00, q10, q11))
-                        triangles.append((q00, q11, q01))
-                    else:            # outward normal -e_axis
-                        triangles.append((q00, q11, q10))
-                        triangles.append((q00, q01, q11))
-    return CageMesh(vertices, np.asarray(triangles, dtype=np.int64))
+    # The faces at levels 0 and r of each axis a, as index sheets
+    # (a, level, u, v) with u along axis a+1 and v along a+2. A quad's
+    # corners are neighbouring sheet entries and its two triangles wind
+    # about e_{a+1} x e_{a+2} = +e_a, outward at level r; at level 0 they
+    # swap their last two corners.
+    sheets = np.stack([np.transpose(index_of, np.roll([0, 1, 2], -a))[[0, r]]
+                       for a in range(3)])
+    q00, q10 = sheets[..., :-1, :-1], sheets[..., 1:, :-1]
+    q11, q01 = sheets[..., 1:, 1:], sheets[..., :-1, 1:]
+    tri = np.stack([q00, q10, q11, q00, q11, q01], -1).reshape(3, 2, -1, 3)
+    tri[:, 0] = tri[:, 0][..., [0, 2, 1]]
+    return CageMesh(vertices, tri.reshape(-1, 3))
 
 
 def interpolate_cage(source: TriangleMesh, deformed: TriangleMesh,

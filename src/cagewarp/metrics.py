@@ -166,6 +166,17 @@ def load_target(path):
 
 def write_point_ply(points, path) -> None:
     """Write points (anything as_points accepts) as a binary
-    little-endian PLY of float x, y, z."""
+    little-endian PLY of float x, y, z.
+
+    A finite coordinate outside float32's range raises ValueError naming
+    its point, before anything is written.
+    """
     points = as_points(points)
-    write_vertex_table(path, ("x", "y", "z"), len(points), [points])
+    with np.errstate(over="ignore"):                # checked below
+        table = points.astype("<f4")
+    overflow = np.isinf(table) & np.isfinite(points)
+    if overflow.any():
+        row, col = np.argwhere(overflow)[0]
+        raise ValueError(f"point {row} ({'xyz'[col]}) is outside float32's "
+                         f"range")
+    write_vertex_table(path, ("x", "y", "z"), len(points), [table])

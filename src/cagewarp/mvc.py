@@ -25,13 +25,14 @@ contiguous rows; one sparse product with the (V, 3T) corner incidence
 sums the corners' lambda_i / d_i into the weights. The routine runs in float64 over every (point, triangle) pair of a chunk,
 and again in long double, one triangle per pair, over the pairs whose
 |det| lies in [DET_SKIP, DET_REFINE): near-coplanar pairs, such as
-points just off a face's supporting plane outside the face, where the
-float64 solve cancels catastrophically.
+points just off a face's supporting plane, over the face or beyond its
+edges, where the float64 solve cancels catastrophically.
 
 Weights are smooth away from the cage surface. Two kinds of rows are
 replaced outright: a point within VERTEX_SNAP of a vertex gets that
-vertex's unit row, and a point on a face (ON_FACE_EPS) gets the
-barycentric coordinates of the first such face. The warp's Jacobian is
+vertex's unit row, and a point on a face (|det| below DET_SKIP and a
+half-sum of arcs within ON_FACE_EPS of pi) gets the barycentric
+coordinates of the first such face. The warp's Jacobian is
 estimated from these weights by central differences in
 transport.jacobian_fd.
 
@@ -58,15 +59,19 @@ from typing import NamedTuple
 import numpy as np
 from scipy import sparse
 
-from .cage import CHUNK_PAIRS, CageMesh, TriangleMesh, edge_table
+from .cage import (CHUNK_PAIRS, CageMesh, TriangleMesh, edge_table,
+                   winding_numbers)
 
 # Distance below which a query point is treated as sitting on a cage
 # vertex, as a fraction of the cage bbox diagonal.
 VERTEX_SNAP = 1e-10
-# A spherical triangle whose half-angle-sum is within this of pi contains
-# the query point in its supporting triangle: on-surface barycentric case.
-# Arc angles come from chords via arcsin, which loses ~sqrt(eps) accuracy
-# near pi (on-edge points), so the threshold sits well above that.
+# A spherical triangle whose half-angle-sum is within this of pi, and
+# whose |det| is below DET_SKIP, contains the query point in its
+# supporting triangle: on-surface barycentric case. pi - h grows with the
+# square of the distance to the face, so alone it would flag points up to
+# ~3e-4 of the triangle's size off it. Arc angles come from chords via
+# arcsin, which loses ~sqrt(eps) accuracy near pi (on-edge points), so the
+# threshold sits well above that.
 ON_FACE_EPS = 1e-7
 # |det [u0 u1 u2]| below which a triangle is taken as exactly coplanar
 # with the query point (outside it) and contributes nothing.
@@ -142,10 +147,12 @@ def mvc_weights(points: np.ndarray, cage: CageMesh,
             bad = miss > 1e-6 * np.maximum(
                 diag, np.linalg.norm(x - centre, axis=1))
         if np.any(bad):
+            i = int(np.argmax(bad))
+            where = "inside" if winding_numbers(x[i:i + 1], cage)[0] > 0.5 \
+                else "too far outside"
             raise ValueError(
-                f"mean value weights vanish at point index "
-                f"{lo + int(np.argmax(bad))}; the query point is too far "
-                "outside the cage")
+                f"mean value weights vanish or miss their point at point "
+                f"index {lo + i}; the query point is {where} the cage")
         if mapped is not None:
             np.matmul(w, deformed.vertices, out=mapped[lo:lo + rows])
     return MVCWeights(weights=weights, cage=cage) if mapped is None \
@@ -324,9 +331,11 @@ def _weights_chunk(x, cage, table, incidence, w, buf):
     # the float64 Cramer solve cancels catastrophically: the same solve,
     # one triangle per pair.
     abs_det = np.abs(det, out=gathered)
-    refine = (abs_det < DET_REFINE) & (abs_det >= DET_SKIP) \
-        & ~on_face & ~snap_rows
-    zero = (abs_det < DET_SKIP) | on_face
+    refine = (abs_det < DET_REFINE) & (abs_det >= DET_SKIP) & ~snap_rows
+    zero = abs_det < DET_SKIP
+    # A pair off the face's plane is never on the face: pi - h shrinks
+    # with the square of the distance, |det| with the distance itself.
+    on_face &= zero
     t_idx, p_idx = np.nonzero(refine)
     if len(t_idx):
         # In blocks of pairs, so the rescue's scratch stays well below

@@ -52,15 +52,15 @@ def weights_chunk(x, cage, table, incidence, w):
     on_face = (np.pi - 0.5 * theta.sum(axis=0)) < ON_FACE_EPS
     snap_rows = np.min(d, axis=0) < VERTEX_SNAP * cage.bbox_diagonal()
     abs_det = np.abs(det)
-    refine = (abs_det < DET_REFINE) & (abs_det >= DET_SKIP) \
-        & ~on_face & ~snap_rows
+    on_face &= abs_det < DET_SKIP
+    refine = (abs_det < DET_REFINE) & (abs_det >= DET_SKIP) & ~snap_rows
     if np.any(refine):
         t_idx, p_idx = np.nonzero(refine)
         uq, _ = unit_directions(verts[tri[t_idx]].T.astype(np.longdouble),
                                 x[p_idx].T[:, None, :])
         one = edge_table(np.array([[0, 1, 2]]))
         lam[:, t_idx, p_idx] = spherical_triangles(uq, one)[1][:, 0]
-    lam = np.where((abs_det < DET_SKIP) | on_face, 0.0, lam / dcorn)
+    lam = np.where(abs_det < DET_SKIP, 0.0, lam / dcorn)
     w[...] = (incidence @ lam.reshape(-1, len(x))).T
     p = np.nonzero(on_face.any(axis=0) & ~snap_rows)[0]
     t = np.argmax(on_face[:, p], axis=0)

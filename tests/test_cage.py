@@ -10,6 +10,7 @@ from cagewarp.cage import (
     TriangleMesh,
     box_cage,
     build_template_cage,
+    inflate_degenerate_axes,
     interpolate_cage,
     read_cage_obj,
     read_deformed_cage,
@@ -21,6 +22,7 @@ from cagewarp.cage import (
 )
 from cagewarp.errors import NonManifoldCageError, TopologyMismatchError
 
+import cage_reference
 from conftest import traced
 
 
@@ -211,6 +213,43 @@ class TestTemplateCage:
             build_template_cage(pts, padding=-0.5)
         with pytest.raises(ValueError):
             build_template_cage(np.zeros((0, 3)))
+
+
+def _axis_bounds():
+    """(lo, hi) of one box axis: a point, a signed zero at either end, or
+    an extent anywhere from far below to far above the other axes'."""
+    coord = st.floats(-1e3, 1e3, allow_nan=False)
+    zero = st.sampled_from([0.0, -0.0])
+    return st.one_of(
+        coord.map(lambda x: (x, x)),
+        st.tuples(zero | st.floats(-1e3, 0.0), zero),
+        st.tuples(zero, zero | st.floats(0.0, 1e3)),
+        st.tuples(coord, st.floats(-15.0, 3.0)).map(
+            lambda xe: (xe[0], xe[0] + 10.0 ** xe[1])))
+
+
+class TestTemplateReference:
+    """box_cage and inflate_degenerate_axes give the bits of their loop
+    and branch forms in cage_reference."""
+
+    @pytest.mark.parametrize("r", range(1, 9))
+    def test_box_cage_matches_the_loop_form(self, r):
+        for lo, hi in [(np.zeros(3), np.ones(3)),
+                       ([-0.0, -2.5, 1e-3], [3.0, 1.0, 7.0]),
+                       ([-1e3, 0.1, -3.0], [1e-9, 0.3, -2.9])]:
+            cage = box_cage(lo, hi, resolution=r)
+            vertices, triangles = cage_reference.box_cage(lo, hi, r)
+            assert cage.vertices.tobytes() == vertices.tobytes()
+            assert cage.triangles.tobytes() == triangles.tobytes()
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(_axis_bounds(), min_size=3, max_size=3))
+    def test_inflate_matches_the_branch_form(self, bounds):
+        lo, hi = np.array(bounds).T
+        got = inflate_degenerate_axes(lo, hi)
+        want = cage_reference.inflate_degenerate_axes(lo, hi)
+        for g, w in zip(got, want):
+            assert g.tobytes() == w.tobytes()
 
 
 class TestValidation:

@@ -278,6 +278,16 @@ class TestTargetIO:
         with pytest.raises(ValueError, match="nan.ply.*non-finite"):
             load_target(path)
 
+    @pytest.mark.parametrize("row", [0, 1])
+    def test_a_point_outside_float32_names_its_row(self, tmp_path, row):
+        pts = np.array([[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]])
+        pts[row, 2 - row] = (-1) ** row * 1e39
+        path = tmp_path / "far.ply"
+        with pytest.raises(ValueError,
+                           match=rf"point {row} \({'zy'[row]}\) is outside"):
+            write_point_ply(pts, path)
+        assert not path.exists()
+
     def test_truncated_point_ply_reports_path_and_offset(self, tmp_path):
         rng = np.random.default_rng(16)
         path = tmp_path / "cloud.ply"

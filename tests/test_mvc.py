@@ -262,6 +262,23 @@ class TestWeights:
         with pytest.raises(ValueError, match="point index 6000;"):
             mvc_weights(pts, cage)
 
+    @pytest.mark.parametrize("x, where", [
+        ((0.2, 0.3, 0.4), "inside"), ((1e4, 0.3, 0.2), "too far outside")])
+    def test_a_row_that_misses_says_where_its_point_is(self, x, where,
+                                                       monkeypatch):
+        # The second row is rolled by one vertex, so it misses its point.
+        cage = box_cage(np.zeros(3), np.ones(3), resolution=1)
+        kernel = mvc._weights_chunk
+
+        def skewed(x, cage, table, incidence, w, buf):
+            kernel(x, cage, table, incidence, w, buf)
+            w[1] = np.roll(w[1], 1)
+
+        monkeypatch.setattr(mvc, "_weights_chunk", skewed)
+        with pytest.raises(ValueError, match=f"point index 1; the query "
+                                             f"point is {where} the cage"):
+            mvc_weights(np.array([(0.5, 0.5, 0.5), x]), cage)
+
     @pytest.mark.parametrize("resolution", [1, 3, 6])
     def test_rows_up_to_a_thousand_diagonals_out_reproduce(self, resolution):
         cage = box_cage(np.zeros(3), np.ones(3), resolution=resolution)

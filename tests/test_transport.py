@@ -145,6 +145,29 @@ class TestJacobians:
         # surface; the halved step keeps it small but not FD-nominal.
         assert np.linalg.norm(j_fd - j_an) < 5e-3 * np.linalg.norm(j_an)
 
+    def test_fd_near_a_face_gives_a_jacobian_or_near_surface_error(self):
+        # Sites 1e-7 to 1e-4 of the diagonal inside face centroids, whose
+        # stencil rows sit where pi - h < mvc.ON_FACE_EPS: no row there
+        # may miss its point and raise a plain ValueError.
+        rng = np.random.default_rng(11)
+        source = build_template_cage(rng.normal(size=(30, 3)), resolution=2)
+        A = np.eye(3) + 0.3 * rng.normal(size=(3, 3))
+        deformed = TriangleMesh(source.vertices @ A.T, source.triangles)
+        v, t = source.vertices, source.triangles
+        normal = source.face_normals()
+        diag = source.bbox_diagonal()
+        returned = 0
+        for frac in [1e-7, 1e-6, 2e-6, 5e-6, 1e-5, 2e-5, 4e-5, 1e-4]:
+            x = v[t].mean(axis=1) - frac * diag * normal
+            for site in x[::3]:
+                try:
+                    jac = jacobian_fd(site[None], source, deformed)
+                except NearSurfaceError:
+                    continue
+                returned += 1
+                assert np.max(np.abs(jac - A)) < 1e-8
+        assert returned >= 6 * 16
+
     def test_topology_mismatch(self):
         source, _ = cage_pair(seed=9)
         rng = np.random.default_rng(10)
