@@ -54,7 +54,7 @@ def main():
           f"{len(cloud.centers)} splats")
 
     # the fit uses every point it is given, so hand it a subsample
-    samples = sample_points(cloud, 3000, seed=0)
+    samples = sample_points(cloud.centers, 3000, seed=0)
     config = FitConfig(iterations=300)
     fitted, report = fit_deformed_cage(samples, target_points, cage, config)
     print(f"fit ran {report.iterations_run} iterations "

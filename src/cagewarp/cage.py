@@ -1,5 +1,5 @@
-"""Triangle meshes and cages: construction, validation, edge tables,
-interpolation, OBJ I/O.
+"""Point inputs, triangle meshes and cages: construction, validation,
+edge tables, interpolation, OBJ I/O.
 
 A cage (CageMesh) is a TriangleMesh checked to be closed and consistently
 wound; it encloses the geometry it will deform. Cage topology is the
@@ -197,9 +197,20 @@ def triangle_areas(vertices: np.ndarray, triangles: np.ndarray) -> np.ndarray:
     return 0.5 * np.linalg.norm(cross, axis=1)
 
 
-def bbox_of(points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(min, max) corners of a raw (N, 3) array."""
-    pts = np.asarray(points, dtype=np.float64)
+def as_points(points, what: str) -> np.ndarray:
+    """points as a C-contiguous float64 (N, 3) array, N >= 1: the one rule
+    for a point input. Anything else, such as a lone (3,) vector or a
+    GaussianCloud (pass its centers), raises ValueError naming what."""
+    shape = np.shape(points)
+    if len(shape) != 2 or shape[1] != 3 or shape[0] == 0:
+        raise ValueError(f"{what} must be a non-empty (N, 3) point array, "
+                         f"got {type(points).__name__} of shape {shape}")
+    return np.ascontiguousarray(points, dtype=np.float64)
+
+
+def bbox_of(points) -> tuple[np.ndarray, np.ndarray]:
+    """(min, max) corners of an (N, 3) point array."""
+    pts = as_points(points, "points")
     return pts.min(axis=0), pts.max(axis=0)
 
 
@@ -240,9 +251,6 @@ def build_template_cage(points: np.ndarray, resolution: int = 2,
     padding : float
         Fractional margin per axis (>= 0).
     """
-    points = np.asarray(points, dtype=np.float64)
-    if points.ndim != 2 or points.shape[1] != 3 or len(points) == 0:
-        raise ValueError("points must be a non-empty (N, 3) array")
     if resolution < 1:
         raise ValueError(f"resolution must be >= 1, got {resolution}")
     if padding < 0:
@@ -385,7 +393,7 @@ def surface_distance(points: np.ndarray, cage: TriangleMesh) -> np.ndarray:
     normal is orthogonal to the edges e0, e1 from corner a, so the
     projection's barycentric right-hand sides are (x - a) . e0 and e1.
     """
-    points = np.atleast_2d(np.asarray(points, dtype=np.float64))
+    points = as_points(points, "points")
     a, b, c = (cage.vertices.T[:, k, None]
                for k in cage.triangles.T)                     # (3, T, 1) each
     e0, e1, bc = b - a, c - a, c - b
@@ -449,7 +457,7 @@ def winding_numbers(points: np.ndarray, cage: TriangleMesh) -> np.ndarray:
     in cage order: the result rounds exactly as a loop over the triangles
     would, at any chunking.
     """
-    points = np.atleast_2d(np.asarray(points, dtype=np.float64))
+    points = as_points(points, "points")
     rows = max(1, CHUNK_PAIRS // len(cage.triangles))
     total = np.empty(len(points))
     for lo in range(0, len(points), rows):

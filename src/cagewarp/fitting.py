@@ -38,9 +38,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.spatial import cKDTree
 
-from .cage import CageMesh, TriangleMesh, dot, winding_numbers
+from .cage import CageMesh, TriangleMesh, as_points, dot, winding_numbers
 from .errors import FitDivergedError
-from .metrics import as_points
 from .mvc import mvc_weights
 
 # Adam's moment decay rates and denominator guard, and how many iterations
@@ -221,8 +220,8 @@ def alignment_loss(positions: np.ndarray, target_points: np.ndarray,
     the fit's state (for these target_points) they come from its
     certified candidates, with the same result.
     """
-    positions = np.asarray(positions, dtype=np.float64)
-    target_points = np.asarray(target_points, dtype=np.float64)
+    positions = as_points(positions, "positions")
+    target_points = as_points(target_points, "target_points")
     if state is None:
         j_pt = cKDTree(target_points).query(positions, k=1)[1]
         j_tp = cKDTree(positions).query(target_points, k=1)[1]
@@ -330,9 +329,9 @@ def fit_deformed_cage(source, target, source_cage: CageMesh,
                       config: FitConfig | None = None):
     """Optimize deformed cage vertices so the source matches the target.
 
-    source, target: GaussianCloud or (N, 3) array. Every point is used;
-    subsample with metrics.sample_points beforehand, which also turns a
-    TriangleMesh target into points.
+    source, target: (N, 3) point arrays (cage.as_points). Every point is
+    used; subsample with metrics.sample_points beforehand, which also
+    turns a TriangleMesh target into points.
 
     config.iterations bounds both stages together. The coarse stage may
     take all but REFINE_ITERATIONS of them; it is skipped when that leaves

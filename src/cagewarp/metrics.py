@@ -3,8 +3,8 @@
 Targets for cage fitting come in three flavors: a triangle mesh (possibly
 open, e.g. a scan or an edited surface), a plain point cloud, or another
 splat model whose centers stand in for its shape. A target is either a
-TriangleMesh or an (N, 3) float64 array; sample_points turns both into
-points for fitting and evaluation.
+TriangleMesh or an (N, 3) point array (cage.as_points); sample_points
+turns both into points for fitting and evaluation.
 """
 
 from __future__ import annotations
@@ -12,43 +12,26 @@ from __future__ import annotations
 import numpy as np
 from scipy.spatial import cKDTree
 
-from .cage import (TriangleMesh, inflate_degenerate_axes, read_obj_arrays,
-                   triangle_areas)
+from .cage import (TriangleMesh, as_points, inflate_degenerate_axes,
+                   read_obj_arrays, triangle_areas)
 from .splats import GaussianCloud, read_vertex_blocks, write_vertex_table
 from .transport import sample_rows, transform_covariance
 
 
-def as_points(obj, what: str = "point set") -> np.ndarray:
-    """The (N, 3) points of a GaussianCloud or array-like.
-
-    Raises ValueError naming `what` unless they form a non-empty (N, 3)
-    array.
-    """
-    pts = obj.centers if isinstance(obj, GaussianCloud) \
-        else np.asarray(obj, dtype=np.float64)
-    if pts.ndim != 2 or pts.shape[1] != 3 or len(pts) == 0:
-        raise ValueError(f"{what} must provide a non-empty (N, 3) point "
-                         f"array, got shape {pts.shape}")
-    return pts
-
-
-def sample_points(geometry, count: int | None, seed: int) -> np.ndarray:
+def sample_points(geometry, count: int, seed: int) -> np.ndarray:
     """Up to count points of a geometry, deterministic for a seed.
 
-    A TriangleMesh is sampled by area (exactly count points; a mesh has
-    no "every row", so count None raises ValueError). Anything as_points
-    accepts yields the rows at count distinct indices drawn without
-    replacement, in increasing order, or every row when count is None or
-    covers them all. A count below 1 raises ValueError.
+    A TriangleMesh is sampled by area (exactly count points). An (N, 3)
+    point array (cage.as_points) yields the rows at count distinct
+    indices drawn without replacement, in increasing order, or every row
+    when count covers them all. A count below 1 raises ValueError.
     """
-    if count is not None and count < 1:
+    if count < 1:
         raise ValueError(f"sample count must be >= 1, got {count}")
     if isinstance(geometry, TriangleMesh):
-        if count is None:
-            raise ValueError("sampling a mesh needs an explicit count")
         return _sample_mesh_surface(geometry, count, seed)
-    points = as_points(geometry)
-    if count is None or count >= len(points):
+    points = as_points(geometry, "geometry")
+    if count >= len(points):
         return points
     return points[sample_rows(len(points), count, seed)]
 
@@ -86,8 +69,8 @@ def chamfer_distance(a, b) -> float:
     mean_a min_b |a - b|^2 + mean_b min_a |b - a|^2. Units are squared
     length; identical sets score zero.
     """
-    pa = as_points(a)
-    pb = as_points(b)
+    pa = as_points(a, "a")
+    pb = as_points(b, "b")
     d_ab, _ = cKDTree(pb).query(pa, k=1)
     d_ba, _ = cKDTree(pa).query(pb, k=1)
     return float(np.mean(d_ab ** 2) + np.mean(d_ba ** 2))
@@ -165,18 +148,19 @@ def load_target(path):
 
 
 def write_point_ply(points, path) -> None:
-    """Write points (anything as_points accepts) as a binary
-    little-endian PLY of float x, y, z.
+    """Write an (N, 3) point array as a binary little-endian PLY of float
+    x, y, z.
 
-    A finite coordinate outside float32's range raises ValueError naming
-    its point, before anything is written.
+    A coordinate that is not finite, or that float32 cannot hold, raises
+    ValueError naming its point, before anything is written.
     """
-    points = as_points(points)
+    points = as_points(points, "points")
     with np.errstate(over="ignore"):                # checked below
         table = points.astype("<f4")
-    overflow = np.isinf(table) & np.isfinite(points)
-    if overflow.any():
-        row, col = np.argwhere(overflow)[0]
-        raise ValueError(f"point {row} ({'xyz'[col]}) is outside float32's "
-                         f"range")
+    bad = ~np.isfinite(table)
+    if bad.any():
+        row, col = np.argwhere(bad)[0]
+        what = "outside float32's range" if np.isfinite(points[row, col]) \
+            else "not finite"
+        raise ValueError(f"point {row} ({'xyz'[col]}) is {what}")
     write_vertex_table(path, ("x", "y", "z"), len(points), [table])

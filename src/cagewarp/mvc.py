@@ -59,8 +59,8 @@ from typing import NamedTuple
 import numpy as np
 from scipy import sparse
 
-from .cage import (CHUNK_PAIRS, CageMesh, TriangleMesh, edge_table,
-                   winding_numbers)
+from .cage import (CHUNK_PAIRS, CageMesh, TriangleMesh, as_points,
+                   edge_table, winding_numbers)
 
 # Distance below which a query point is treated as sitting on a cage
 # vertex, as a fraction of the cage bbox diagonal.
@@ -110,9 +110,7 @@ def mvc_weights(points: np.ndarray, cage: CageMesh,
     rows held at once are bounded by one chunk and no (P, V) matrix is
     formed.
     """
-    points = np.ascontiguousarray(np.atleast_2d(points), dtype=np.float64)
-    if points.ndim != 2 or points.shape[1] != 3:
-        raise ValueError(f"points must be (P, 3), got {points.shape}")
+    points = as_points(points, "points")
     if deformed is not None:
         cage.check_same_topology(deformed)
     tri = cage.triangles
@@ -318,24 +316,15 @@ def _weights_chunk(x, cage, table, incidence, w, buf):
     s = _Scratch.carve(buf, len(verts), len(table.pairs), len(x))
     u, d = _unit_directions(verts.T[:, :, None], x.T[:, None, :], s)
     theta, lam, det = _spherical_triangles(u, table, s)
-    # m's block is free once lam is formed.
-    half_sum, gathered = s.pair[:len(tri)], s.pair[len(tri):2 * len(tri)]
-    _gather(theta, opposite[0], half_sum)
-    for k in (1, 2):
-        half_sum += _gather(theta, opposite[k], gathered)
-    half_sum *= 0.5
-    on_face = np.subtract(np.pi, half_sum, out=half_sum) < ON_FACE_EPS
     snap_rows = np.min(d, axis=0) < VERTEX_SNAP * cage.bbox_diagonal()
 
     # Long-double rescue of near-coplanar (point, triangle) pairs, where
     # the float64 Cramer solve cancels catastrophically: the same solve,
-    # one triangle per pair.
+    # one triangle per pair. m's block is free once lam is formed.
+    gathered = s.pair[:len(tri)]
     abs_det = np.abs(det, out=gathered)
     refine = (abs_det < DET_REFINE) & (abs_det >= DET_SKIP) & ~snap_rows
     zero = abs_det < DET_SKIP
-    # A pair off the face's plane is never on the face: pi - h shrinks
-    # with the square of the distance, |det| with the distance itself.
-    on_face &= zero
     t_idx, p_idx = np.nonzero(refine)
     if len(t_idx):
         # In blocks of pairs, so the rescue's scratch stays well below
@@ -359,8 +348,17 @@ def _weights_chunk(x, cage, table, incidence, w, buf):
     # On-surface rows: barycentric interpolation inside the first flagged
     # triangle replaces the whole row (the weight field is discontinuous
     # across the surface, with on-surface values interpolating the face).
-    p = np.nonzero(on_face.any(axis=0) & ~snap_rows)[0]
-    t = np.argmax(on_face[:, p], axis=0)
+    # A pair off the face's plane is never on the face: pi - h shrinks
+    # with the square of the distance, |det| with the distance itself. So
+    # only coplanar pairs sum their arcs, point-major, so that a point's
+    # pairs come in cage order (flat: a 2-D nonzero costs 25 times more).
+    p, t = np.divmod(np.flatnonzero(zero.T & ~snap_rows[:, None]), len(tri))
+    half_sum = (theta[opposite[0, t], p] + theta[opposite[1, t], p]
+                + theta[opposite[2, t], p]) * 0.5
+    on_face = np.pi - half_sum < ON_FACE_EPS
+    p, t = p[on_face], t[on_face]
+    first = np.diff(p, prepend=-1) != 0
+    p, t = p[first], t[first]
     w[p] = 0.0
     for k in range(3):
         # An arc within fp noise of pi means the point sits on the

@@ -392,7 +392,8 @@ def _execute(config: PipelineConfig, mode: str, run: _Run) -> dict:
     cage_paths = {}
     if mode in ("deform", "fit-cage"):
         with run.stage("sample-source"):
-            samples = sample_points(cloud, config.sample_count, config.seed)
+            samples = sample_points(cloud.centers, config.sample_count,
+                                    config.seed)
 
         with run.stage("fit-cage"):
             src_frame = _Frame.of_points(cloud.centers)

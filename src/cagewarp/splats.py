@@ -93,8 +93,6 @@ class GaussianCloud:
             for f in dataclasses.fields(self):
                 setattr(self, f.name, np.ascontiguousarray(
                     getattr(self, f.name), dtype=_dtype_of(f.name)))
-        if self.sh_rest.ndim == 1:
-            self.sh_rest = self.sh_rest.reshape(len(self.centers), -1)
 
         n = self.centers.shape[0]
         for name, arr, shape in (
@@ -108,10 +106,11 @@ class GaussianCloud:
                 raise ValueError(f"{name} must have shape {shape}, got {arr.shape}")
             if not np.all(np.isfinite(arr)):
                 raise ValueError(f"{name} contains non-finite values")
-        if self.sh_rest.shape[0] != n or self.sh_rest.shape[1] not in _SH_REST_WIDTHS:
+        rest = self.sh_rest.shape
+        if len(rest) != 2 or rest[0] != n or rest[1] not in _SH_REST_WIDTHS:
             raise UnsupportedLayoutError(
                 f"sh_rest width must be one of {list(_SH_REST_WIDTHS)}, "
-                f"got shape {self.sh_rest.shape}")
+                f"got shape {rest}")
         if not np.all(np.isfinite(self.sh_rest)):
             raise ValueError("sh_rest contains non-finite values")
         if n and np.any(np.linalg.norm(self.rotations, axis=1) < QUAT_NORM_FLOOR):

@@ -27,7 +27,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 from scipy.spatial import cKDTree
 
-from .cage import (CHUNK_PAIRS, CageMesh, TriangleMesh, det3,
+from .cage import (CHUNK_PAIRS, CageMesh, TriangleMesh, as_points, det3,
                    surface_distance)
 from .errors import NearSurfaceError
 from .mvc import mvc_weights
@@ -142,7 +142,7 @@ def jacobian_fd(points: np.ndarray, source: CageMesh,
     the stencil and its (6P, 3) image, memory does not grow with P.
     """
     source.check_same_topology(deformed)
-    points = np.ascontiguousarray(np.atleast_2d(points), dtype=np.float64)
+    points = as_points(points, "points")
     base = FD_STEP_FRACTION * source.bbox_diagonal()
     dist = surface_distance(points, source)
     h = np.full(len(points), base)
@@ -177,10 +177,8 @@ def build_jacobian_field(points: np.ndarray, source: CageMesh,
     GRADIENT_NEIGHBORS nearest others (_site_gradients), as cKDTree.query
     answers them: exact ties go the same way on every run of one scipy build.
     """
-    points = np.ascontiguousarray(np.atleast_2d(points), dtype=np.float64)
+    points = as_points(points, "points")
     n = len(points)
-    if n == 0:
-        raise ValueError("cannot build a Jacobian field over zero points")
     if m < 1:
         raise ValueError(f"site count must be >= 1, got {m}")
 

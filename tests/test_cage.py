@@ -8,6 +8,8 @@ from cagewarp import cage as cage_module
 from cagewarp.cage import (
     CageMesh,
     TriangleMesh,
+    as_points,
+    bbox_of,
     box_cage,
     build_template_cage,
     inflate_degenerate_axes,
@@ -21,9 +23,13 @@ from cagewarp.cage import (
     write_cage_obj,
 )
 from cagewarp.errors import NonManifoldCageError, TopologyMismatchError
+from cagewarp.fitting import alignment_loss, fit_deformed_cage
+from cagewarp.metrics import chamfer_distance, sample_points, write_point_ply
+from cagewarp.mvc import mvc_weights
+from cagewarp.transport import build_jacobian_field, jacobian_fd
 
 import cage_reference
-from conftest import traced
+from conftest import random_cloud, traced
 
 
 def unit_tetrahedron():
@@ -428,6 +434,67 @@ class TestMalformedInput:
         error = NonManifoldCageError if mesh_type is CageMesh else ValueError
         with pytest.raises(error, match=r"out of range \[0, 4\)"):
             mesh_type(tet.vertices, tri)
+
+
+_BOX = box_cage(np.zeros(3), np.ones(3), 1)
+_INSIDE = np.array([[0.25, 0.5, 0.5], [0.5, 0.25, 0.75], [0.75, 0.5, 0.25]])
+# (argument name, a call that passes x as that argument), for every
+# function that takes a point array.
+_POINT_INPUTS = {
+    "bbox_of": ("points", lambda x, path: bbox_of(x)),
+    "build_template_cage": ("points",
+                            lambda x, path: build_template_cage(x)),
+    "surface_distance": ("points", lambda x, path: surface_distance(x, _BOX)),
+    "winding_numbers": ("points", lambda x, path: winding_numbers(x, _BOX)),
+    "mvc_weights": ("points", lambda x, path: mvc_weights(x, _BOX)),
+    "jacobian_fd": ("points", lambda x, path: jacobian_fd(x, _BOX, _BOX)),
+    "build_jacobian_field": (
+        "points", lambda x, path: build_jacobian_field(x, _BOX, _BOX, m=2)),
+    "alignment_loss.positions": (
+        "positions", lambda x, path: alignment_loss(x, _INSIDE)),
+    "alignment_loss.target_points": (
+        "target_points", lambda x, path: alignment_loss(_INSIDE, x)),
+    "sample_points": ("geometry", lambda x, path: sample_points(x, 2, 0)),
+    "chamfer_distance.a": ("a", lambda x, path: chamfer_distance(x, _INSIDE)),
+    "chamfer_distance.b": ("b", lambda x, path: chamfer_distance(_INSIDE, x)),
+    "write_point_ply": ("points", write_point_ply),
+    "fit_deformed_cage.source": (
+        "source", lambda x, path: fit_deformed_cage(x, _INSIDE, _BOX)),
+    "fit_deformed_cage.target": (
+        "target", lambda x, path: fit_deformed_cage(_INSIDE, x, _BOX)),
+}
+_NOT_POINTS = {
+    "vector": lambda: np.array([0.5, 0.5, 0.5]),
+    "two-columns": lambda: np.full((4, 2), 0.5),
+    "empty": lambda: np.zeros((0, 3)),
+    "cloud": lambda: random_cloud(5),
+}
+
+
+class TestPointInputs:
+    @pytest.mark.parametrize("kind", _NOT_POINTS)
+    @pytest.mark.parametrize("entry", _POINT_INPUTS)
+    def test_anything_but_n_by_3_points_is_refused(self, tmp_path, entry,
+                                                     kind):
+        name, call = _POINT_INPUTS[entry]
+        path = tmp_path / "points.ply"
+        with pytest.raises(ValueError,
+                           match=rf"^{name} must be a non-empty \(N, 3\)"):
+            call(_NOT_POINTS[kind](), path)
+        assert not path.exists()
+
+    @pytest.mark.parametrize("given", [
+        [[1, 2, 3], [4, 5, 6]],
+        np.arange(6, dtype=np.float32).reshape(2, 3),
+        np.arange(6.0).reshape(3, 2).T,
+    ], ids=["int-list", "float32", "transposed"])
+    def test_a_point_array_comes_back_contiguous_float64(self, given):
+        points = as_points(given, "points")
+        assert points.dtype == np.float64 and points.flags.c_contiguous
+        np.testing.assert_array_equal(points, np.asarray(given, np.float64))
+
+    def test_a_contiguous_float64_array_is_not_copied(self):
+        assert as_points(_INSIDE, "points") is _INSIDE
 
 
 class TestInterpolation:

@@ -445,17 +445,6 @@ def test_fit_is_deterministic():
     np.testing.assert_array_equal(rep_a.loss_trace, rep_b.loss_trace)
 
 
-def test_gaussian_cloud_source_fits_like_its_centers():
-    cloud = random_cloud(500, seed=16)
-    cage = build_template_cage(cloud.centers, resolution=2)
-    targets = cloud.centers + 0.05
-    cfg = FitConfig(iterations=30)
-    from_cloud, rep_a = fit_deformed_cage(cloud, targets, cage, cfg)
-    from_array, rep_b = fit_deformed_cage(cloud.centers, targets, cage, cfg)
-    np.testing.assert_array_equal(from_cloud.vertices, from_array.vertices)
-    np.testing.assert_array_equal(rep_a.loss_trace, rep_b.loss_trace)
-
-
 def test_mesh_target_is_sampled_by_area():
     points = _blob(200, seed=17, scale=0.2)
     cage = build_template_cage(points, resolution=2)

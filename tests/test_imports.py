@@ -331,3 +331,32 @@ def test_the_check_sees_a_linalg_use(tmp_path):
     assert _linalg_uses(module) == [
         (3, "linalg.eigh"), (4, "linalg"), (5, "det"), (6, "scipy.linalg"),
         (7, "linalg")]
+
+
+def _atleast_2d_uses(path):
+    """Lines that use numpy's atleast_2d: as an attribute or an imported
+    name."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    found = [node.lineno for node in ast.walk(tree)
+             if isinstance(node, ast.Attribute) and node.attr == "atleast_2d"
+             or isinstance(node, ast.ImportFrom) and any(
+                 alias.name == "atleast_2d" for alias in node.names)]
+    return sorted(found)
+
+
+@pytest.mark.parametrize("path", MODULES, ids=[p.name for p in MODULES])
+def test_no_module_lifts_a_vector_to_a_point_array(path):
+    # cage.as_points is the one rule for a point input, and it refuses a
+    # lone (3,) vector; np.atleast_2d would let one in where the rest
+    # refuse it.
+    assert _atleast_2d_uses(path) == []
+
+
+def test_the_check_sees_an_atleast_2d_use(tmp_path):
+    module = tmp_path / "m.py"
+    module.write_text("import numpy as np\n"
+                      "a = np.atleast_2d([1.0, 2.0, 3.0])\n"
+                      "b = np.atleast_3d(a)\n"
+                      "from numpy import atleast_1d, atleast_2d\n"
+                      "lift = numpy.atleast_2d\n")
+    assert _atleast_2d_uses(module) == [2, 4, 5]

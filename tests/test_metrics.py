@@ -14,7 +14,8 @@ from cagewarp.metrics import (
     write_point_ply,
 )
 from cagewarp.mvc import deform_points, mvc_weights
-from cagewarp.splats import covariances_of, read_gs_ply, write_gs_ply
+from cagewarp.splats import (covariances_of, read_gs_ply, write_gs_ply,
+                             write_vertex_table)
 from cagewarp.transport import deform_cloud
 
 from conftest import random_cloud
@@ -61,61 +62,51 @@ class TestSampling:
             sample_points(mesh, 10, seed=0)
 
 
-def _indexed_geometry(kind, n):
-    """n points whose x is the row index, as the given point geometry."""
+def _indexed_points(n):
+    """n points whose x is the row index."""
     rng = np.random.default_rng(n)
-    points = np.column_stack([np.arange(n, dtype=np.float64),
-                              rng.standard_normal((n, 2))])
-    if kind == "cloud":
-        return points, dataclasses.replace(random_cloud(n), centers=points)
-    return points, points
+    return np.column_stack([np.arange(n, dtype=np.float64),
+                            rng.standard_normal((n, 2))])
 
 
-_KINDS = st.sampled_from(["array", "cloud"])
 _SEEDS = st.integers(0, 2**32 - 1)
 
 
 class TestSamplePoints:
     @settings(max_examples=40, deadline=None)
-    @given(kind=_KINDS, n=st.integers(2, 60), data=st.data(), seed=_SEEDS)
-    def test_distinct_rows_in_source_order(self, kind, n, data, seed):
-        points, geometry = _indexed_geometry(kind, n)
+    @given(n=st.integers(2, 60), data=st.data(), seed=_SEEDS)
+    def test_distinct_rows_in_source_order(self, n, data, seed):
+        points = _indexed_points(n)
         count = data.draw(st.integers(1, n - 1))
-        out = sample_points(geometry, count, seed)
+        out = sample_points(points, count, seed)
         assert out.shape == (count, 3)
         rows = out[:, 0].astype(np.int64)
         assert np.all(np.diff(rows) > 0)
         np.testing.assert_array_equal(out, points[rows])
 
     @settings(max_examples=40, deadline=None)
-    @given(kind=_KINDS, n=st.integers(1, 60), data=st.data(), seed=_SEEDS)
-    def test_every_row_when_count_is_none_or_covers_all(self, kind, n, data,
-                                                        seed):
-        points, geometry = _indexed_geometry(kind, n)
-        count = data.draw(st.none() | st.integers(n, 3 * n))
-        np.testing.assert_array_equal(sample_points(geometry, count, seed),
+    @given(n=st.integers(1, 60), data=st.data(), seed=_SEEDS)
+    def test_every_row_when_count_covers_all(self, n, data, seed):
+        points = _indexed_points(n)
+        count = data.draw(st.integers(n, 3 * n))
+        np.testing.assert_array_equal(sample_points(points, count, seed),
                                       points)
 
     @settings(max_examples=40, deadline=None)
-    @given(kind=_KINDS, n=st.integers(1, 60), count=st.integers(1, 60),
-           seed=_SEEDS)
-    def test_same_rows_for_same_seed(self, kind, n, count, seed):
-        _, geometry = _indexed_geometry(kind, n)
-        np.testing.assert_array_equal(sample_points(geometry, count, seed),
-                                      sample_points(geometry, count, seed))
+    @given(n=st.integers(1, 60), count=st.integers(1, 60), seed=_SEEDS)
+    def test_same_rows_for_same_seed(self, n, count, seed):
+        points = _indexed_points(n)
+        np.testing.assert_array_equal(sample_points(points, count, seed),
+                                      sample_points(points, count, seed))
 
     @settings(max_examples=40, deadline=None)
-    @given(kind=st.sampled_from(["array", "cloud", "mesh"]),
+    @given(kind=st.sampled_from(["array", "mesh"]),
            count=st.integers(-5, 0), seed=_SEEDS)
     def test_count_below_one_rejected(self, kind, count, seed):
         geometry = two_triangle_mesh() if kind == "mesh" \
-            else _indexed_geometry(kind, 10)[1]
+            else _indexed_points(10)
         with pytest.raises(ValueError, match="sample count"):
             sample_points(geometry, count, seed)
-
-    def test_mesh_needs_explicit_count(self):
-        with pytest.raises(ValueError, match="explicit count"):
-            sample_points(two_triangle_mesh(), None, 0)
 
 
 class TestChamfer:
@@ -274,9 +265,19 @@ class TestTargetIO:
         pts = np.random.default_rng(18).normal(size=(10, 3))
         pts[4, 1] = np.nan
         path = tmp_path / "nan.ply"
-        write_point_ply(pts, path)
+        write_vertex_table(path, ("x", "y", "z"), len(pts), [pts])
         with pytest.raises(ValueError, match="nan.ply.*non-finite"):
             load_target(path)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_a_non_finite_point_names_its_row(self, tmp_path, value):
+        pts = np.ones((4, 3))
+        pts[2, 1] = value
+        pts[3, 0] = np.nan
+        path = tmp_path / "bad.ply"
+        with pytest.raises(ValueError, match=r"point 2 \(y\) is not finite"):
+            write_point_ply(pts, path)
+        assert not path.exists()
 
     @pytest.mark.parametrize("row", [0, 1])
     def test_a_point_outside_float32_names_its_row(self, tmp_path, row):

@@ -43,6 +43,11 @@ class TestCloudValidation:
         with pytest.raises(UnsupportedLayoutError):
             random_cloud(4, sh_rest_width=7)
 
+    def test_one_dimensional_sh_rest_rejected(self):
+        cloud = random_cloud(2, sh_rest_width=9)
+        with pytest.raises(UnsupportedLayoutError, match=r"got shape \(18,\)"):
+            cloud.copy(sh_rest=cloud.sh_rest.ravel())
+
     def test_zero_quaternion_rejected(self):
         cloud = random_cloud(4)
         rot = cloud.rotations.copy()
