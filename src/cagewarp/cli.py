@@ -85,7 +85,8 @@ def _add_run_flags(parser):
                              "0 = one per core this process may run on "
                              "(default)")
     parser.add_argument("--center-chunk", type=int, dest="center_chunk",
-                        help="splats processed per chunk (default 30000)")
+                        help="splats per work unit of the deform pass; "
+                             "changes no output bit (default 30000)")
     parser.add_argument("--timings-out", type=Path, dest="timings_out",
                         help="write per-stage wall-clock seconds and the "
                              "peak RSS after each stage to this JSON file")

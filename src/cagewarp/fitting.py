@@ -293,6 +293,8 @@ def _descend(weight_matrix, targets, neighbors, source_cage, source_normals,
 
     for it in range(1, budget + 1):
         cage_now = source_cage.vertices + delta
+        # One BLAS product of the whole matrix, not mvc's per-row rule: it
+        # has no chunk grid, and it runs every iteration.
         moved = weight_matrix @ cage_now
         if far_targets or not np.all(np.abs(moved) < 1e150):
             raise FitDivergedError(first + it)

@@ -101,14 +101,15 @@ def mvc_weights(points: np.ndarray, cage: CageMesh,
     Points may lie anywhere: inside (all weights positive for convex
     cages), on the surface (barycentric limit), or outside (signed
     weights). Evaluation is chunked to about CHUNK_PAIRS (point,
-    triangle) pairs; rows do not depend on the chunking. A point so far
-    outside that its row vanishes or misses it raises ValueError.
+    triangle) pairs; no bit of a row depends on the chunking. A point so
+    far outside that its row vanishes or misses it raises ValueError.
 
     Returns MVCWeights, or, given a deformed copy of the cage, the points
-    mapped through it, (P, 3): each chunk's rows are then multiplied into
-    the deformed vertices in one reused (rows, V) buffer, so the mapped
-    rows held at once are bounded by one chunk and no (P, V) matrix is
-    formed.
+    mapped through it, (P, 3): each chunk's rows are then mapped by
+    _map_rows from one reused (rows, V) buffer, so the rows held at once
+    are bounded by one chunk and no (P, V) matrix is formed. The mapped
+    points equal deform_points(mvc_weights(points, cage), deformed) bit
+    for bit.
     """
     points = as_points(points, "points")
     if deformed is not None:
@@ -141,7 +142,7 @@ def mvc_weights(points: np.ndarray, cage: CageMesh,
             # Farther out the rows stay finite but stop reproducing their
             # point: on box cages of resolution 1-6 the relative miss was
             # at most 1.1e-9 up to 1e3 diagonals out and 0.67 from 1e4 on.
-            miss = np.linalg.norm(w @ cage.vertices - x, axis=1)
+            miss = np.linalg.norm(_map_rows(w, cage.vertices) - x, axis=1)
             bad = miss > 1e-6 * np.maximum(
                 diag, np.linalg.norm(x - centre, axis=1))
         if np.any(bad):
@@ -152,15 +153,28 @@ def mvc_weights(points: np.ndarray, cage: CageMesh,
                 f"mean value weights vanish or miss their point at point "
                 f"index {lo + i}; the query point is {where} the cage")
         if mapped is not None:
-            np.matmul(w, deformed.vertices, out=mapped[lo:lo + rows])
+            _map_rows(w, deformed.vertices, out=mapped[lo:lo + rows])
     return MVCWeights(weights=weights, cage=cage) if mapped is None \
         else mapped
 
 
 def deform_points(weights: MVCWeights, deformed: TriangleMesh) -> np.ndarray:
-    """Map the weights' query points through a deformed copy of the cage."""
+    """Map the weights' query points through a deformed copy of the cage,
+    by the per-row rule mvc_weights maps its chunks with."""
     weights.cage.check_same_topology(deformed)
-    return weights.weights @ deformed.vertices
+    return _map_rows(weights.weights, deformed.vertices)
+
+
+def _map_rows(w, vertices, out=None):
+    """Rows w (P, V) times vertices (V, 3), into out when given: the one
+    rule that maps MVC rows to positions. numpy's einsum loop sums each
+    row alone and calls no BLAS, whose rounding of a row depends on where
+    it falls in the product, so no bit depends on the chunking. The loop,
+    and so the sums, follow the operands' layout, hence the C order.
+    einsum's loop order is a numpy implementation detail, which the
+    canary test test_mvc.TestMapRows pins."""
+    return np.einsum("pv,cv->pc", np.ascontiguousarray(w),
+                     np.ascontiguousarray(vertices.T), out=out)
 
 
 class _Scratch(NamedTuple):
@@ -325,7 +339,7 @@ def _weights_chunk(x, cage, table, incidence, w, buf):
     abs_det = np.abs(det, out=gathered)
     refine = (abs_det < DET_REFINE) & (abs_det >= DET_SKIP) & ~snap_rows
     zero = abs_det < DET_SKIP
-    t_idx, p_idx = np.nonzero(refine)
+    t_idx, p_idx = np.divmod(np.flatnonzero(refine), len(x))
     if len(t_idx):
         # In blocks of pairs, so the rescue's scratch stays well below
         # buf's however many pairs a chunk refines.

@@ -104,16 +104,17 @@ class GaussianCloud:
         ):
             if arr.shape != shape:
                 raise ValueError(f"{name} must have shape {shape}, got {arr.shape}")
-            if not np.all(np.isfinite(arr)):
+            if not all(np.isfinite(b).all() for b in _blocks_of(arr)):
                 raise ValueError(f"{name} contains non-finite values")
         rest = self.sh_rest.shape
         if len(rest) != 2 or rest[0] != n or rest[1] not in _SH_REST_WIDTHS:
             raise UnsupportedLayoutError(
                 f"sh_rest width must be one of {list(_SH_REST_WIDTHS)}, "
                 f"got shape {rest}")
-        if not np.all(np.isfinite(self.sh_rest)):
+        if not all(np.isfinite(b).all() for b in _blocks_of(self.sh_rest)):
             raise ValueError("sh_rest contains non-finite values")
-        if n and np.any(np.linalg.norm(self.rotations, axis=1) < QUAT_NORM_FLOOR):
+        if any(np.any(np.linalg.norm(b, axis=1) < QUAT_NORM_FLOOR)
+               for b in _blocks_of(self.rotations)):
             raise DegenerateRotationError("cloud contains a zero-norm quaternion")
 
     def __len__(self) -> int:
@@ -137,6 +138,12 @@ class GaussianCloud:
         if len(self) == 0:
             raise ValueError("empty cloud has no bounding box")
         return self.centers.min(axis=0), self.centers.max(axis=0)
+
+
+def _blocks_of(arr: np.ndarray):
+    """arr in blocks of whole rows of at most BLOCK_BYTES."""
+    rows = max(1, BLOCK_BYTES // max(arr[:1].nbytes, 1))
+    return (arr[lo:lo + rows] for lo in range(0, len(arr), rows))
 
 
 def covariances_of(rotations: np.ndarray, log_scales: np.ndarray) -> np.ndarray:

@@ -352,9 +352,9 @@ def deform_cloud(cloud: GaussianCloud, source: CageMesh,
     (center_chunk, V) weight matrix), and re-factors its covariances in
     blocks of CHUNK_PAIRS // 9 rows.
     Opacity and color coefficients always pass through bit-for-bit, as
-    does splat order. workers > 1 shares the fixed span grid among that
-    many threads, the calling one included; the grid does not depend on
-    the worker count, so neither do the results.
+    does splat order. Every step after the field is per row, so
+    center_chunk (the splats per work unit) and workers (threads sharing
+    the units, the calling one included) change neither bits nor order.
 
     Returns (new_cloud, field): field is the JacobianField used, or None
     when covariances were not transported. An exactly-identical cage pair
@@ -388,10 +388,10 @@ def blend_deformation(cloud: GaussianCloud, full: GaussianCloud,
     so, up to rounding, the pair interpolated at lam maps a center x to
     (1 - lam) x + lam x1 and has the Jacobian (1 - lam) I + lam J1 at each
     site, with gradient lam G1. All three are blended here: no MVC runs
-    and each splat keeps its site. The blend runs on deform_cloud's span
-    grid, so the bits do not depend on workers. Returns (new_cloud, blended field or None, as in
-    deform_cloud); lam = 0 gives a bit-exact copy of cloud and lam = 1
-    gives (full, field) themselves.
+    and each splat keeps its site. The blend is per row, so its bits do
+    not depend on center_chunk or workers. Returns (new_cloud, blended
+    field or None, as in deform_cloud); lam = 0 gives a bit-exact copy of
+    cloud and lam = 1 gives (full, field) themselves.
     """
     if lam == 0.0:
         return cloud.copy(), None
@@ -414,10 +414,10 @@ def _transported(cloud: GaussianCloud, field: JacobianField | None,
     """A copy of cloud with centers[lo:hi] = move(lo, hi) and covariances
     carried through field's Jacobians (unchanged when field is None).
 
-    One task per center_chunk rows does both; tasks write disjoint slices
-    of a grid that does not depend on workers, so neither do the bits.
-    Covariances are re-factored in blocks of CHUNK_PAIRS // 9 rows of a
-    span, so their scratch does not grow with center_chunk.
+    One task per center_chunk rows does both. Both are per row, so tasks
+    and threads set the schedule, not the bits. Covariances are
+    re-factored in blocks of CHUNK_PAIRS // 9 rows of a span, so their
+    scratch does not grow with center_chunk.
     With n = min(workers, tasks) > 1, the calling thread takes every n-th
     task and a pool of n - 1 threads the others, so no thread idles while
     the pool works: each pool thread takes its scratch from a glibc arena

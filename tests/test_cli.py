@@ -1,6 +1,7 @@
 """Exercising the command-line interface through its main() entry point."""
 
 import argparse
+import hashlib
 import inspect
 import json
 import re
@@ -294,6 +295,35 @@ def test_apply_cage_replays_a_mirrored_cage(model_files, tmp_path, capsys):
     np.testing.assert_allclose(moved.centers,
                                cloud.centers * [-1.0, 1.0, 1.0],
                                rtol=0, atol=1e-5 * cage.bbox_diagonal())
+
+
+def test_apply_cage_bytes_do_not_depend_on_chunk_or_workers(model_files,
+                                                            tmp_path,
+                                                            capsys):
+    source, _ = model_files
+    cage = build_template_cage(read_gs_ply(source).centers, resolution=3)
+    v = cage.vertices
+    cages = (tmp_path / "src.obj", tmp_path / "bent.obj")
+    write_cage_obj(cage, cages[0])
+    write_cage_obj(TriangleMesh(v + 0.1 * np.sin(2 * v[:, [1, 2, 0]]),
+                                cage.triangles), cages[1])
+    digests = {}
+    for chunk in ("17", None):
+        for workers in ("1", "2"):
+            out = tmp_path / f"c{chunk}-w{workers}"
+            sizing = [] if chunk is None else ["--center-chunk", chunk]
+            assert main(["apply-cage", "-s", str(source), "--cage-in",
+                         *map(str, cages), "-o", str(out), "--sites", "60",
+                         "--lambdas", "0.5,1", "--workers", workers,
+                         *sizing]) == 0
+            digests[chunk, workers] = {
+                p.name: hashlib.sha256(p.read_bytes()).hexdigest()
+                for p in sorted(out.iterdir())}
+    capsys.readouterr()
+    first = digests["17", "1"]
+    assert len(first) == 3
+    for key, digest in digests.items():
+        assert digest == first, key
 
 
 @pytest.mark.parametrize("extra", [

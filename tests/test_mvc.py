@@ -423,17 +423,10 @@ class TestMappedPoints:
         assert len(pts) > 3 * rows
         mapped = mvc_weights(pts, cage, deformed)
         dense = mvc_weights(pts, cage).weights
-        # The rows are the dense rows, multiplied one chunk at a time.
-        by_chunk = np.concatenate([dense[lo:lo + rows] @ deformed.vertices
-                                   for lo in range(0, len(pts), rows)])
-        assert np.array_equal(mapped, by_chunk)
-        # Against one product over all rows, a row may differ in the last
-        # bits: BLAS sums the rows past its kernel's last full block of
-        # rows by another path, so a row's rounding depends on where in
-        # its product it falls.
-        whole = deform_points(MVCWeights(dense, cage), deformed)
-        assert np.max(np.abs(mapped - whole)) \
-            <= 1e-12 * cage.bbox_diagonal()
+        # One mapping rule: chunk by chunk or all rows at once, the same
+        # bits.
+        assert np.array_equal(
+            mapped, deform_points(MVCWeights(dense, cage), deformed))
         assert np.array_equal(mapped[rows - 1], deformed.vertices[40])
         assert np.allclose(mapped[rows],
                            np.array([0.2, 0.5, 0.3])
@@ -481,6 +474,50 @@ class TestMappedPoints:
         pts = interior_points(cage, 4000, seed=resolution)
         peak, kept = traced(lambda: mvc_weights(pts, cage, deformed))
         assert peak - kept <= 2.9 * 2**20
+
+
+class TestMapRows:
+    """Canary for mvc._map_rows, the one rule that maps MVC rows to
+    positions. That numpy's einsum sums a row the same way in any block,
+    at any offset or alignment, is an implementation detail: a numpy
+    release that changes its loop fails here rather than silently
+    changing output bits."""
+
+    @pytest.mark.parametrize("resolution", [2, 3, 6])   # V = 26, 56, 218
+    def test_a_row_has_the_same_bits_in_any_block(self, resolution):
+        vertices = box_cage(-np.ones(3), np.ones(3), resolution).vertices
+        rng = np.random.default_rng(resolution)
+        n = 400
+        rows = rng.normal(size=(n, len(vertices)))
+        want = mvc._map_rows(rows, vertices)
+        # One float past the buffer's start: the whole array is off the
+        # allocator's alignment, and each row off it by its own offset.
+        shifted = np.empty(rows.size + 1)[1:].reshape(rows.shape)
+        shifted[...] = rows
+        for block in (1, 17, 151, n):
+            for first in (0, 5):
+                got = np.empty_like(want)
+                # The leading rows through the returned array, the rest
+                # into out, as mvc_weights writes its chunks.
+                got[:first] = mvc._map_rows(shifted[:first], vertices)
+                for lo in range(first, n, block):
+                    mvc._map_rows(shifted[lo:lo + block], vertices,
+                                  out=got[lo:lo + block])
+                bad = np.flatnonzero(np.any(got != want, axis=1))
+                assert not len(bad), (
+                    f"numpy {np.__version__}: einsum mapped row {bad[0]} "
+                    f"in blocks of {block} from row {first} to other bits "
+                    f"than in one block of {n}; MVC outputs would depend "
+                    f"on the chunk grid")
+
+    def test_the_layout_of_the_rows_does_not_matter(self):
+        vertices = box_cage(-np.ones(3), np.ones(3), 3).vertices
+        rows = np.random.default_rng(7).normal(size=(50, len(vertices)))
+        want = mvc._map_rows(rows, vertices)
+        assert np.array_equal(
+            mvc._map_rows(np.asfortranarray(rows), vertices), want)
+        assert np.array_equal(
+            mvc._map_rows(rows, np.asfortranarray(vertices)), want)
 
 
 class TestGradient:

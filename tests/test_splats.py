@@ -56,6 +56,20 @@ class TestCloudValidation:
             GaussianCloud(cloud.centers, cloud.log_scales, rot,
                           cloud.opacity_logits, cloud.sh_dc, cloud.sh_rest)
 
+    @pytest.mark.parametrize("name, row, bad, error", [
+        ("sh_rest", -1, np.inf, ValueError),
+        ("centers", 9000, np.nan, ValueError),
+        ("rotations", -1, 0.0, DegenerateRotationError),
+    ])
+    def test_a_bad_row_past_the_first_check_block_is_found(self, name, row,
+                                                           bad, error):
+        # 10k splats at SH width 45 span several of the checks' blocks.
+        cloud = random_cloud(10000, sh_rest_width=45, seed=32)
+        values = getattr(cloud, name).copy()
+        values[row] = bad
+        with pytest.raises(error):
+            cloud.copy(**{name: values})
+
     def test_nan_rejected(self):
         cloud = random_cloud(4)
         centers = cloud.centers.copy()
@@ -480,6 +494,17 @@ class TestPlyPipe:
 
 
 class TestBlockedMemory:
+    def test_construction_checks_in_row_blocks(self):
+        # Arrays of the fields' dtypes are taken as they are, so beyond
+        # them the checks hold only one block's masks and squares: not a
+        # (n, 45) finiteness mask or (n, 4) squared quaternions.
+        cloud = random_cloud(50000, sh_rest_width=45, seed=31)
+        fields = [cloud.centers, cloud.log_scales, cloud.rotations,
+                  cloud.opacity_logits, cloud.sh_dc, cloud.sh_rest]
+        peak, kept = traced(lambda: GaussianCloud(*fields))
+        assert kept <= 2**12
+        assert peak <= 2**20
+
     def test_load_target_holds_only_the_points(self, tmp_path):
         # A splat PLY as a target: 20k splats at SH width 45 are a 5 MB
         # body, of which load_target keeps the 0.5 MB of float64 x/y/z.

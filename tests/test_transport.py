@@ -604,12 +604,9 @@ class TestDeformCloud:
         assert uses_gradients(field)
         b, _ = deform_cloud(cloud, source, deformed, m=60, seed=1,
                             center_chunk=17)
-        # BLAS reductions are not bit-stable across matmul shapes, so the
-        # guarantee across chunk sizes is last-ulp agreement, not equality
-        # (byte-identity holds for repeated runs of one configuration).
-        assert np.max(np.abs(a.centers - b.centers)) < 1e-12
-        assert np.max(np.abs(a.log_scales - b.log_scales)) < 1e-12
-        assert np.max(np.abs(a.rotations - b.rotations)) < 1e-12
+        # Every step is per row, so the chunk size changes no bit.
+        for name in ("centers", "log_scales", "rotations"):
+            assert np.array_equal(getattr(a, name), getattr(b, name))
 
     def test_worker_threads_do_not_change_bits(self):
         cloud = random_cloud(500, seed=41)
@@ -623,6 +620,23 @@ class TestDeformCloud:
                             center_chunk=64, workers=4)
         for name in ("centers", "log_scales", "rotations"):
             assert np.array_equal(getattr(a, name), getattr(b, name))
+
+    @pytest.mark.parametrize("resolution", [2, 6])
+    def test_no_bit_depends_on_the_chunk_or_the_workers(self, resolution):
+        cloud = random_cloud(1500, seed=42 + resolution)
+        source = build_template_cage(cloud.centers, resolution=resolution)
+        deformed = jiggled(source, seed=42)
+        want, field = deform_cloud(cloud, source, deformed, m=150, seed=3)
+        assert uses_gradients(field)
+        for chunk in (17, 64, 1057, None):
+            for workers in (1, 3):
+                sizing = {} if chunk is None else {"center_chunk": chunk}
+                got, _ = deform_cloud(cloud, source, deformed, m=150, seed=3,
+                                      workers=workers, **sizing)
+                for name in ("centers", "log_scales", "rotations"):
+                    assert getattr(got, name).tobytes() \
+                        == getattr(want, name).tobytes(), \
+                        (chunk, workers, name)
 
     def test_near_surface_site_fails_before_any_center_moves(self,
                                                             monkeypatch):
