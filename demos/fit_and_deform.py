@@ -12,9 +12,9 @@ import os
 
 import numpy as np
 
-from cagewarp import (FitConfig, GaussianCloud, build_template_cage,
-                      chamfer_distance, deform_cloud, fit_deformed_cage,
-                      sample_points, write_cage_obj, write_gs_ply)
+from cagewarp import (GaussianCloud, build_template_cage, chamfer_distance,
+                      deform_cloud, fit_deformed_cage, sample_points,
+                      write_cage_obj, write_gs_ply)
 
 
 def make_cloud(n, seed):
@@ -55,8 +55,8 @@ def main():
 
     # the fit uses every point it is given, so hand it a subsample
     samples = sample_points(cloud.centers, 3000, seed=0)
-    config = FitConfig(iterations=300)
-    fitted, report = fit_deformed_cage(samples, target_points, cage, config)
+    fitted, report = fit_deformed_cage(samples, target_points, cage,
+                                       iterations=300)
     print(f"fit ran {report.iterations_run} iterations "
           f"(converged={report.converged}): {report.coarse_iterations} on "
           f"{report.coarse_samples} samples and {report.coarse_targets} "

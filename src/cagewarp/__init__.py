@@ -14,7 +14,7 @@ from .errors import (CagewarpError, NonManifoldCageError,
                      NearSurfaceError, PipelineError, PlyFormatError,
                      PlyReadError, TopologyMismatchError,
                      UnsupportedLayoutError)
-from .fitting import FitConfig, FitReport, fit_deformed_cage
+from .fitting import FitReport, fit_deformed_cage
 from .metrics import (baseline_bbox_scale, chamfer_distance, load_target,
                       sample_points)
 from .mvc import MVCWeights, deform_points, mvc_weights
@@ -27,7 +27,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "CageMesh", "CagewarpError", "NonManifoldCageError",
-    "DegenerateRotationError", "FitConfig", "FitDivergedError", "FitReport",
+    "DegenerateRotationError", "FitDivergedError", "FitReport",
     "GaussianCloud", "JacobianField", "MVCWeights", "NearSurfaceError",
     "PipelineConfig", "PipelineError", "PlyFormatError", "PlyReadError",
     "TopologyMismatchError", "TriangleMesh", "UnsupportedLayoutError",

@@ -12,10 +12,10 @@ cannot use, such as cage_in outside apply-cage, an out-of-range value, a
 config-file value of the wrong type and an output that would overwrite an
 input, the --config file included, exit with status 2 before anything is
 written; metrics checks its flags the same way. Flags mirror PipelineConfig,
-whose field names key a --config JSON file (fit settings in a nested "fit"
-object); explicit flags win. Progress and timings go to stderr; the run
-summary is printed to stdout as JSON. The CAGEWARP_LOG environment variable
-sets the log level (DEBUG/INFO/WARNING/ERROR), -v forces DEBUG.
+whose field names key a --config JSON file (fit_x as {"fit": {"x": ...}});
+explicit flags win. Progress and timings go to stderr; the run summary is
+printed to stdout as JSON. The CAGEWARP_LOG environment variable sets the
+log level (DEBUG/INFO/WARNING/ERROR), -v forces DEBUG.
 """
 
 from __future__ import annotations
@@ -28,30 +28,29 @@ import sys
 from pathlib import Path
 
 from .errors import CagewarpError
-from .fitting import FitConfig
 from .pipeline import PipelineConfig, compare_models, run_pipeline
 
 logger = logging.getLogger("cagewarp")
 
-_CONFIG_KEYS = set(PipelineConfig.__dataclass_fields__) - {"fit"}
-_FIT_KEYS = set(FitConfig.__dataclass_fields__)
+_CONFIG_KEYS = set(PipelineConfig.__dataclass_fields__)
 
 
 def _read_config_file(path: Path) -> dict:
+    """A --config file as PipelineConfig keywords; "fit": {name: value}
+    is the one spelling of fit_<name>."""
     data = json.loads(Path(path).read_text(encoding="utf-8"))
     if not isinstance(data, dict):
         raise ValueError(f"{path}: config must be a JSON object")
-    fit_part = data.get("fit", {})
-    if not isinstance(fit_part, dict):
-        raise ValueError(f"{path}: fit must be a JSON object, got "
-                         f"{fit_part!r}")
-    unknown = set(data) - _CONFIG_KEYS - {"fit"}
+    fit = data.pop("fit", {})
+    if not isinstance(fit, dict):
+        raise ValueError(f"{path}: fit must be a JSON object, got {fit!r}")
+    unknown = [key for key in data
+               if key not in _CONFIG_KEYS or key.startswith("fit_")]
+    unknown += [f"fit.{key}" for key in fit
+                if f"fit_{key}" not in _CONFIG_KEYS]
     if unknown:
         raise ValueError(f"{path}: unknown config keys {sorted(unknown)}")
-    bad_fit = set(fit_part) - _FIT_KEYS
-    if bad_fit:
-        raise ValueError(f"{path}: unknown fit keys {sorted(bad_fit)}")
-    return data
+    return {**data, **{f"fit_{key}": value for key, value in fit.items()}}
 
 
 def _parse_lambdas(text: str):
@@ -182,11 +181,6 @@ def _build_config(args, parser) -> PipelineConfig:
     except (OSError, ValueError) as exc:
         parser.error(str(exc))
 
-    fit_cfg = dict(file_cfg.pop("fit", {}))
-    for key in _FIT_KEYS:
-        value = getattr(args, f"fit_{key}", None)
-        if value is not None:
-            fit_cfg[key] = value
     merged = dict(file_cfg)
     for key in _CONFIG_KEYS:
         value = getattr(args, key, None)
@@ -198,7 +192,7 @@ def _build_config(args, parser) -> PipelineConfig:
         parser.error("an output directory is required (--out or config "
                      "file)")
     try:
-        config = PipelineConfig(fit=FitConfig(**fit_cfg), **merged)
+        config = PipelineConfig(**merged)
         config.validate(args.command, args.timings_out, args.config)
     except (TypeError, ValueError) as exc:
         parser.error(f"bad configuration: {exc}")

@@ -71,18 +71,6 @@ NORMAL_WEIGHT = 0.05
 
 
 @dataclass
-class FitConfig:
-    """Knobs for fit_deformed_cage.
-
-    iterations bounds both stages of the fit together. The step and the
-    flip-penalty weight are the constants STEP_SIZE and NORMAL_WEIGHT.
-    """
-
-    iterations: int = 500
-    convergence_tol: float = 1e-5
-
-
-@dataclass
 class FitReport:
     """Per-iteration record of a cage fit.
 
@@ -279,7 +267,7 @@ class _Descent:
 
 
 def _descend(weight_matrix, targets, neighbors, source_cage, source_normals,
-             config, alpha, delta, budget, first):
+             convergence_tol, alpha, delta, budget, first):
     """Adam on the cage vertex offsets, from delta with fresh moments, for
     at most budget iterations. Iterations are numbered from first + 1 in
     a FitDivergedError."""
@@ -320,25 +308,25 @@ def _descend(weight_matrix, targets, neighbors, source_cage, source_normals,
 
         if len(out.best_trace) > CONVERGENCE_WINDOW:
             then = out.best_trace[-CONVERGENCE_WINDOW - 1]
-            if (then - best_loss) < config.convergence_tol * max(abs(then),
-                                                                 1e-300):
+            if (then - best_loss) < convergence_tol * max(abs(then), 1e-300):
                 out.converged = True
                 break
     return out
 
 
 def fit_deformed_cage(source, target, source_cage: CageMesh,
-                      config: FitConfig | None = None):
+                      iterations: int = 500, convergence_tol: float = 1e-5):
     """Optimize deformed cage vertices so the source matches the target.
 
     source, target: (N, 3) point arrays (cage.as_points). Every point is
     used; subsample with metrics.sample_points beforehand, which also
     turns a TriangleMesh target into points.
 
-    config.iterations bounds both stages together. The coarse stage may
-    take all but REFINE_ITERATIONS of them; it is skipped when that leaves
-    it none or either coarse subset has fewer than COARSE_ROWS_PER_VERTEX
-    rows per cage vertex.
+    iterations bounds both stages together. The coarse stage may take all
+    but REFINE_ITERATIONS of them; it is skipped when that leaves it none
+    or either coarse subset has fewer than COARSE_ROWS_PER_VERTEX rows per
+    cage vertex. A stage stops once its best loss improves by a relative
+    less than convergence_tol over CONVERGENCE_WINDOW iterations.
 
     Returns (deformed_cage, FitReport). The returned cage is a
     TriangleMesh, as a fit may invert it, and carries the refine stage's
@@ -346,9 +334,8 @@ def fit_deformed_cage(source, target, source_cage: CageMesh,
     Raises ValueError for fewer than one iteration and FitDivergedError if
     the loss leaves the realm of finite numbers.
     """
-    config = config or FitConfig()
-    if config.iterations < 1:
-        raise ValueError(f"iterations must be >= 1, got {config.iterations}")
+    if iterations < 1:
+        raise ValueError(f"iterations must be >= 1, got {iterations}")
     samples = as_points(source, "source")
     targets = as_points(target, "target")
 
@@ -372,23 +359,22 @@ def fit_deformed_cage(source, target, source_cage: CageMesh,
     coarse_iterations = coarse_samples = coarse_targets = 0
     states = [neighbors]
     floor = COARSE_ROWS_PER_VERTEX * len(source_cage.vertices)
-    if config.iterations > REFINE_ITERATIONS \
+    if iterations > REFINE_ITERATIONS \
             and min(len(sample_sub), len(target_sub)) >= floor:
         states.append(_NeighborState(samples[sample_sub],
                                      targets[target_sub]))
         coarse = _descend(weight_matrix[sample_sub], targets[target_sub],
-                          states[-1], source_cage, source_normals, config,
-                          alpha, delta, config.iterations - REFINE_ITERATIONS,
-                          0)
+                          states[-1], source_cage, source_normals,
+                          convergence_tol, alpha, delta,
+                          iterations - REFINE_ITERATIONS, 0)
         delta = coarse.best_delta
         alpha = REFINE_STEP * alpha
         coarse_iterations = len(coarse.trace)
         coarse_samples, coarse_targets = len(sample_sub), len(target_sub)
 
     refine = _descend(weight_matrix, targets, neighbors, source_cage,
-                      source_normals, config, alpha, delta,
-                      config.iterations - coarse_iterations,
-                      coarse_iterations)
+                      source_normals, convergence_tol, alpha, delta,
+                      iterations - coarse_iterations, coarse_iterations)
     refine_iterations = len(refine.trace)
 
     fitted = TriangleMesh(source_cage.vertices + refine.best_delta,

@@ -25,7 +25,7 @@ import os
 import sys
 import time
 from contextlib import contextmanager
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -39,7 +39,7 @@ from .cage import (TriangleMesh, bbox_of, build_template_cage, det3,
                    inflate_degenerate_axes, read_cage_obj,
                    read_deformed_cage, write_cage_obj)
 from .errors import PipelineError
-from .fitting import FitConfig, fit_deformed_cage
+from .fitting import fit_deformed_cage
 from .metrics import (baseline_bbox_scale, chamfer_distance, load_target,
                       sample_points)
 from .splats import read_gs_ply, verify_gs_ply, write_gs_ply
@@ -57,8 +57,7 @@ CAGE_PADDING = 0.1
 _FIELD_TYPES = {"int": numbers.Integral, "float": numbers.Real, "bool": bool,
                 "str": str, "str | None": (str, type(None)),
                 "tuple": (tuple, list),
-                "tuple | None": (tuple, list, type(None)),
-                "FitConfig": FitConfig}
+                "tuple | None": (tuple, list, type(None))}
 
 
 @dataclass
@@ -73,7 +72,8 @@ class PipelineConfig:
     is the deformation through the cage pair interpolated at the factor.
     jacobian_sites (m) bounds how many Jacobians are evaluated;
     sample_count (N) bounds how many centers/target points the fit sees.
-    The fit's template cage has the margin CAGE_PADDING.
+    The fit's template cage has the margin CAGE_PADDING; fit_iterations
+    and fit_convergence_tol are fit_deformed_cage's keywords.
     cage_in is the (source_cage, deformed_cage) OBJ pair that apply-cage
     replays, and no other mode takes one; a fitted pair is written to
     output_dir. target is required by every mode except apply-cage, where
@@ -85,7 +85,6 @@ class PipelineConfig:
     source: str
     output_dir: str
     target: str | None = None
-    fit: FitConfig = field(default_factory=FitConfig)
     jacobian_sites: int = 10000
     sample_count: int = 30000
     lambdas: tuple = (1.0,)
@@ -93,6 +92,8 @@ class PipelineConfig:
     update_covariance: bool = True
     cage_in: tuple | None = None
     cage_resolution: int = 2
+    fit_iterations: int = 500
+    fit_convergence_tol: float = 1e-5
     center_chunk: int = 30000
     workers: int = 0
 
@@ -105,16 +106,13 @@ class PipelineConfig:
         counts as an input."""
         if mode not in MODES:
             raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
-        for prefix, part in (("", self), ("fit.", self.fit)):
-            for f in fields(part):
-                value, kind = getattr(part, f.name), _FIELD_TYPES.get(f.type)
-                if kind and (not isinstance(value, kind)
-                             or isinstance(value, bool) != (kind is bool)):
-                    raise ValueError(f"{prefix}{f.name} must be {f.type}, "
-                                     f"got {value!r}")
-                if kind is numbers.Real and not math.isfinite(value):
-                    raise ValueError(f"{prefix}{f.name} must be finite, "
-                                     f"got {value!r}")
+        for f in fields(self):
+            value, kind = getattr(self, f.name), _FIELD_TYPES.get(f.type)
+            if kind and (not isinstance(value, kind)
+                         or isinstance(value, bool) != (kind is bool)):
+                raise ValueError(f"{f.name} must be {f.type}, got {value!r}")
+            if kind is numbers.Real and not math.isfinite(value):
+                raise ValueError(f"{f.name} must be finite, got {value!r}")
         if self.cage_in is not None and not (len(self.cage_in) == 2 and all(
                 isinstance(p, str) for p in self.cage_in)):
             raise ValueError("cage_in must be two str paths (source cage, "
@@ -144,9 +142,9 @@ class PipelineConfig:
                 ("workers must be >= 0", self.workers >= 0),
                 ("seed must be >= 0", self.seed >= 0),
                 ("cage_resolution must be >= 1", self.cage_resolution >= 1),
-                ("fit.iterations must be >= 1", self.fit.iterations >= 1),
-                ("fit.convergence_tol must be >= 0",
-                 self.fit.convergence_tol >= 0)):
+                ("fit_iterations must be >= 1", self.fit_iterations >= 1),
+                ("fit_convergence_tol must be >= 0",
+                 self.fit_convergence_tol >= 0)):
             if not holds:
                 raise ValueError(rule)
         paths = [p for p in (self.source, self.target, *(self.cage_in or ()),
@@ -405,7 +403,8 @@ def _execute(config: PipelineConfig, mode: str, run: _Run) -> dict:
             fitted_canonical, report = fit_deformed_cage(
                 src_frame.to_canonical(samples),
                 tgt_frame.to_canonical(target_points),
-                cage_canonical, config.fit)
+                cage_canonical, config.fit_iterations,
+                config.fit_convergence_tol)
             source_cage = cage_canonical.with_vertices(
                 src_frame.from_canonical(cage_canonical.vertices))
             deformed_cage = fitted_canonical.with_vertices(

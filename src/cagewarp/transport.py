@@ -390,11 +390,11 @@ def blend_deformation(cloud: GaussianCloud, full: GaussianCloud,
     site, with gradient lam G1. All three are blended here: no MVC runs
     and each splat keeps its site. The blend is per row, so its bits do
     not depend on center_chunk or workers. Returns (new_cloud, blended
-    field or None, as in deform_cloud); lam = 0 gives a bit-exact copy of
-    cloud and lam = 1 gives (full, field) themselves.
+    field or None, as in deform_cloud); lam = 0 gives (cloud, None) and
+    lam = 1 gives (full, field) themselves, not copies.
     """
     if lam == 0.0:
-        return cloud.copy(), None
+        return cloud, None
     if lam == 1.0:
         return full, field
     if field is not None:

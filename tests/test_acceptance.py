@@ -14,7 +14,7 @@ import pytest
 
 from cagewarp.cage import (CageMesh, TriangleMesh, build_template_cage,
                            interpolate_cage, winding_numbers)
-from cagewarp.fitting import FitConfig, fit_deformed_cage
+from cagewarp.fitting import fit_deformed_cage
 from cagewarp.metrics import baseline_bbox_scale, write_point_ply
 from cagewarp.mvc import deform_points, mvc_weights
 from cagewarp.pipeline import PipelineConfig, run_pipeline
@@ -278,7 +278,7 @@ def test_criterion_7_fit_convergence():
         cage = build_template_cage(points, resolution=2, padding=0.1)
         started = time.perf_counter()
         _, report = fit_deformed_cage(points, targets, cage,
-                                      FitConfig(iterations=500))
+                                      iterations=500)
         elapsed = time.perf_counter() - started
 
         diag_src = np.linalg.norm(points.max(0) - points.min(0))
@@ -338,7 +338,7 @@ def test_criterion_9_end_to_end_determinism(tmp_path):
         def config(out, **kwargs):
             options = dict(
                 source=str(source_path), target=str(target_path),
-                output_dir=str(out), fit=FitConfig(iterations=80),
+                output_dir=str(out), fit_iterations=80,
                 sample_count=800, jacobian_sites=200, lambdas=(0.0, 1.0),
                 seed=3, workers=1)
             options.update(kwargs)

@@ -11,7 +11,6 @@ import pytest
 
 from cagewarp.cage import TriangleMesh, build_template_cage, write_cage_obj
 from cagewarp.cli import _build_parser, main
-from cagewarp.fitting import FitConfig
 from cagewarp.metrics import write_point_ply
 from cagewarp.pipeline import PipelineConfig, compare_models
 from cagewarp.splats import read_gs_ply, write_gs_ply
@@ -186,8 +185,6 @@ def _code_default(command, dest):
     if command == "metrics":
         name = {"samples": "sample_count"}.get(dest, dest)
         return inspect.signature(compare_models).parameters[name].default
-    if dest.startswith("fit_"):
-        return getattr(FitConfig(), dest[len("fit_"):])
     return PipelineConfig.__dataclass_fields__[dest].default
 
 
@@ -333,11 +330,13 @@ def test_apply_cage_bytes_do_not_depend_on_chunk_or_workers(model_files,
     {"fit": {"align_weight": 2.0}}, {"fit": {"barrier_weight": 0.0}},
     {"target_kind": "mesh"}, {"fit": {"step_size": 0.01}},
     {"fit": {"normal_weight": 0.05}}, {"cage_padding": 0.1},
+    # A fit setting is spelt only inside "fit", without its prefix.
+    {"fit_iterations": 7}, {"fit_convergence_tol": 0.0},
 ], ids=["wiggle", "baseline_mode", "cage_out", "fit.seed", "fit.beta1",
         "normalize", "fit.align_weight", "fit.barrier_weight",
         "target_kind", "fit.step_size", "fit.normal_weight",
-        "cage_padding"])
-def test_unknown_config_key_exits_two(model_files, tmp_path, extra):
+        "cage_padding", "fit_iterations", "fit_convergence_tol"])
+def test_unknown_config_key_exits_two(model_files, tmp_path, capsys, extra):
     source, target = model_files
     cfg_path = tmp_path / "bad.json"
     cfg_path.write_text(json.dumps({"source": str(source),
@@ -347,6 +346,9 @@ def test_unknown_config_key_exits_two(model_files, tmp_path, extra):
     with pytest.raises(SystemExit) as excinfo:
         main(["deform", "--config", str(cfg_path)])
     assert excinfo.value.code == 2
+    (key, value), = extra.items()
+    named = f"fit.{next(iter(value))}" if key == "fit" else key
+    assert repr(named) in capsys.readouterr().err
 
 
 def test_output_over_an_input_exits_two(model_files, tmp_path):

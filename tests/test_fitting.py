@@ -8,8 +8,8 @@ from scipy.spatial import cKDTree
 from cagewarp import fitting
 from cagewarp.cage import TriangleMesh, build_template_cage, dot
 from cagewarp.errors import FitDivergedError
-from cagewarp.fitting import (FitConfig, _NeighborState, _normal_term,
-                              alignment_loss, fit_deformed_cage)
+from cagewarp.fitting import (_NeighborState, _normal_term, alignment_loss,
+                              fit_deformed_cage)
 from cagewarp.metrics import sample_points
 from cagewarp.mvc import mvc_weights
 from cagewarp.splats import GaussianCloud
@@ -122,14 +122,14 @@ def test_cached_fit_is_bit_identical_to_fresh_queries(monkeypatch):
     points = _blob(600, seed=19)
     cage = build_template_cage(points, resolution=2)
     targets = _affine(_blob(500, seed=20))
-    cfg = FitConfig(iterations=60)
-    cached, rep_a = fit_deformed_cage(points, targets, cage, cfg)
+    cfg = dict(iterations=60)
+    cached, rep_a = fit_deformed_cage(points, targets, cage, **cfg)
 
     stateless = fitting.alignment_loss
     monkeypatch.setattr(fitting, "alignment_loss",
                         lambda positions, target_points, state=None:
                         stateless(positions, target_points))
-    fresh, rep_b = fit_deformed_cage(points, targets, cage, cfg)
+    fresh, rep_b = fit_deformed_cage(points, targets, cage, **cfg)
     np.testing.assert_array_equal(cached.vertices, fresh.vertices)
     np.testing.assert_array_equal(rep_a.loss_trace, rep_b.loss_trace)
     # A fit may invert the cage, so it returns a plain mesh.
@@ -146,8 +146,7 @@ def test_criterion_7_fit_requeries_under_half_its_rows():
     targets = _affine(points, angle=0.25, scale=(1.2, 0.9, 1.1),
                       shift=(0.15, -0.1, 0.2))
     cage = build_template_cage(points, resolution=2, padding=0.1)
-    _, report = fit_deformed_cage(points, targets, cage,
-                                  FitConfig(iterations=500))
+    _, report = fit_deformed_cage(points, targets, cage, iterations=500)
     assert report.coarse_iterations > 0
     rows = report.sample_rows + report.target_rows
     assert report.sample_requeries + report.target_requeries < rows / 2
@@ -170,7 +169,7 @@ def _single_stage_trace(points, targets, cage, cfg):
     delta = np.zeros_like(cage.vertices)
     m, v = np.zeros_like(delta), np.zeros_like(delta)
     trace = []
-    for it in range(1, cfg.iterations + 1):
+    for it in range(1, cfg["iterations"] + 1):
         verts = cage.vertices + delta
         align, grad_pts = alignment_loss(weights @ verts, targets)
         normal, grad_n = _normal_term(verts, cage.triangles, n0)
@@ -211,8 +210,8 @@ def test_below_the_row_floor_the_fit_is_one_descent(n_points, coarse):
     points = _blob(n_points, seed=22)
     targets = _affine(_blob(n_points, seed=23))
     cage = build_template_cage(points, resolution=2)
-    cfg = FitConfig(iterations=45, convergence_tol=0.0)
-    _, report = fit_deformed_cage(points, targets, cage, cfg)
+    cfg = dict(iterations=45, convergence_tol=0.0)
+    _, report = fit_deformed_cage(points, targets, cage, **cfg)
     assert (report.coarse_iterations > 0) == coarse
     if not coarse:
         np.testing.assert_array_equal(
@@ -225,9 +224,8 @@ def test_a_budget_of_the_refine_reserve_skips_the_coarse_stage():
     points = _blob(3000, seed=24)
     targets = _affine(points)
     cage = build_template_cage(points, resolution=2)
-    cfg = FitConfig(iterations=fitting.REFINE_ITERATIONS,
-                    convergence_tol=0.0)
-    _, report = fit_deformed_cage(points, targets, cage, cfg)
+    cfg = dict(iterations=fitting.REFINE_ITERATIONS, convergence_tol=0.0)
+    _, report = fit_deformed_cage(points, targets, cage, **cfg)
     assert report.coarse_iterations == 0
     np.testing.assert_array_equal(
         report.loss_trace, _single_stage_trace(points, targets, cage, cfg))
@@ -237,7 +235,7 @@ def test_refine_starts_from_the_coarse_best(monkeypatch):
     points = _blob(3000, seed=25)
     targets = _affine(_blob(3000, seed=26))
     cage = build_template_cage(points, resolution=2)
-    cfg = FitConfig(iterations=70)
+    cfg = dict(iterations=70)
     calls = []
     descend = fitting._descend
 
@@ -246,17 +244,17 @@ def test_refine_starts_from_the_coarse_best(monkeypatch):
         return calls[-1][1]
 
     monkeypatch.setattr(fitting, "_descend", recording)
-    fitted, report = fit_deformed_cage(points, targets, cage, cfg)
+    fitted, report = fit_deformed_cage(points, targets, cage, **cfg)
     (c_args, coarse), (r_args, refine) = calls
-    # (weights, targets, neighbors, cage, normals, config, alpha, delta,
-    #  budget, first)
+    # (weights, targets, neighbors, cage, normals, convergence_tol, alpha,
+    #  delta, budget, first)
     assert len(c_args[0]) == report.coarse_samples == 300
     assert len(c_args[1]) == report.coarse_targets == 300
-    assert c_args[8] == cfg.iterations - fitting.REFINE_ITERATIONS
+    assert c_args[8] == cfg["iterations"] - fitting.REFINE_ITERATIONS
     assert report.coarse_iterations == len(coarse.trace)
     assert r_args[6] == fitting.REFINE_STEP * c_args[6]
     assert r_args[7] is coarse.best_delta
-    assert r_args[8] == cfg.iterations - report.coarse_iterations
+    assert r_args[8] == cfg["iterations"] - report.coarse_iterations
     assert r_args[9] == report.coarse_iterations
     assert report.iterations_run == len(coarse.trace) + len(refine.trace)
     assert report.sample_rows == (report.coarse_iterations * 300
@@ -279,7 +277,7 @@ def test_divergence_in_the_refine_stage_names_the_global_iteration(
         monkeypatch):
     points = _blob(3000, seed=27)
     cage = build_template_cage(points, resolution=2)
-    cfg = FitConfig(iterations=70, convergence_tol=0.0)
+    cfg = dict(iterations=70, convergence_tol=0.0)
     stateless = fitting.alignment_loss
     calls = []
 
@@ -290,7 +288,7 @@ def test_divergence_in_the_refine_stage_names_the_global_iteration(
 
     monkeypatch.setattr(fitting, "alignment_loss", blows_up)
     with pytest.raises(FitDivergedError) as excinfo:
-        fit_deformed_cage(points, _affine(points), cage, cfg)
+        fit_deformed_cage(points, _affine(points), cage, **cfg)
     assert excinfo.value.iteration == 35
     # Iterations 1-30 ran on the coarse subset, 31 on every row.
     assert calls[29] == 300 and calls[30] == 3000
@@ -378,8 +376,8 @@ def test_affine_target_recovery():
     points = _blob(1500, seed=8)
     cage = build_template_cage(points, resolution=2, padding=0.15)
     targets = _affine(points)
-    cfg = FitConfig(iterations=400)
-    fitted, report = fit_deformed_cage(points, targets, cage, cfg)
+    cfg = dict(iterations=400)
+    fitted, report = fit_deformed_cage(points, targets, cage, **cfg)
 
     diag = np.linalg.norm(targets.max(axis=0) - targets.min(axis=0))
     assert report.final_chamfer <= 1e-4 * diag * diag
@@ -392,8 +390,8 @@ def test_best_trace_never_increases():
     points = _blob(300, seed=9)
     cage = build_template_cage(points, resolution=2)
     targets = _affine(points, angle=0.2)
-    cfg = FitConfig(iterations=80)
-    _, report = fit_deformed_cage(points, targets, cage, cfg)
+    cfg = dict(iterations=80)
+    _, report = fit_deformed_cage(points, targets, cage, **cfg)
 
     assert report.loss_trace.shape == (report.iterations_run, 3)
     assert report.best_trace.shape == (report.iterations_run,)
@@ -407,8 +405,8 @@ def test_best_trace_never_increases():
 def test_converges_when_target_equals_source():
     points = _blob(200, seed=10)
     cage = build_template_cage(points, resolution=2)
-    cfg = FitConfig(iterations=300)
-    _, report = fit_deformed_cage(points, points.copy(), cage, cfg)
+    cfg = dict(iterations=300)
+    _, report = fit_deformed_cage(points, points.copy(), cage, **cfg)
     assert report.converged
     assert report.iterations_run < 300
     assert report.final_chamfer == pytest.approx(0.0, abs=1e-20)
@@ -418,19 +416,19 @@ def test_divergence_raises_with_iteration():
     # Targets this far away would overflow the loss's squared distances.
     points = _blob(120, seed=12)
     cage = build_template_cage(points, resolution=2)
-    cfg = FitConfig(iterations=50)
+    cfg = dict(iterations=50)
     with pytest.raises(FitDivergedError) as excinfo:
         fit_deformed_cage(points, _affine(points, shift=(1e160, 0, 0)),
-                          cage, cfg)
+                          cage, **cfg)
     assert excinfo.value.iteration == 1
 
 
 def test_warns_when_samples_fall_outside_cage():
     points = _blob(150, seed=14)
     cage = build_template_cage(points[:20], resolution=2, padding=0.0)
-    cfg = FitConfig(iterations=2)
+    cfg = dict(iterations=2)
     with pytest.warns(UserWarning, match="outside"):
-        _, report = fit_deformed_cage(points, _affine(points), cage, cfg)
+        _, report = fit_deformed_cage(points, _affine(points), cage, **cfg)
     assert report.outside_fraction > 0.01
 
 
@@ -438,9 +436,9 @@ def test_fit_is_deterministic():
     points = _blob(250, seed=15)
     cage = build_template_cage(points, resolution=2)
     targets = _affine(points)
-    cfg = FitConfig(iterations=60)
-    first, rep_a = fit_deformed_cage(points, targets, cage, cfg)
-    second, rep_b = fit_deformed_cage(points, targets, cage, cfg)
+    cfg = dict(iterations=60)
+    first, rep_a = fit_deformed_cage(points, targets, cage, **cfg)
+    second, rep_b = fit_deformed_cage(points, targets, cage, **cfg)
     np.testing.assert_array_equal(first.vertices, second.vertices)
     np.testing.assert_array_equal(rep_a.loss_trace, rep_b.loss_trace)
 
@@ -453,8 +451,7 @@ def test_mesh_target_is_sampled_by_area():
                            [1.0, 1, -0.5], [-1.0, 1, -0.5]]),
         triangles=np.array([[0, 1, 2], [0, 2, 3]]))
     targets = sample_points(tri, 300, seed=5)
-    _, report = fit_deformed_cage(points, targets, cage,
-                                  FitConfig(iterations=5))
+    _, report = fit_deformed_cage(points, targets, cage, iterations=5)
     assert np.all(np.isfinite(report.loss_trace))
 
 

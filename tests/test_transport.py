@@ -863,3 +863,12 @@ class TestBlendDeformation:
         assert site_counts(at[0.25]) == (0, 0)
         assert site_counts(at[0.5])[0] == 100
         assert site_counts(at[1.0]) == (0, 100)
+
+    def test_lam_zero_holds_no_second_cloud(self):
+        # The pipeline writes the lam = 0 output and drops it: a copy of
+        # the source would be a whole cloud more at peak, 5.3 MiB for
+        # 20k splats at SH width 45.
+        cloud = random_cloud(20000, sh_rest_width=45, seed=46)
+        full = cloud.copy(centers=cloud.centers + 1.0)
+        peak, _ = traced(lambda: blend_deformation(cloud, full, None, 0.0))
+        assert peak <= 2**12
