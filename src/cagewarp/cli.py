@@ -80,9 +80,11 @@ def _add_run_flags(parser):
                              "(default 30000)")
     parser.add_argument("--workers", type=int,
                         help="threads that share the deform stage's "
-                             "span pass, the calling thread included; "
-                             "0 = one per core this process may run on "
-                             "(default)")
+                             "span pass: the calling thread moves every "
+                             "span's centers, the others re-factor "
+                             "covariances, so peak memory hardly grows "
+                             "with their number; 0 = one per core this "
+                             "process may run on (default)")
     parser.add_argument("--center-chunk", type=int, dest="center_chunk",
                         help="splats per work unit of the deform pass; "
                              "changes no output bit (default 30000)")

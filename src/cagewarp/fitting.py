@@ -38,7 +38,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.spatial import cKDTree
 
-from .cage import CageMesh, TriangleMesh, as_points, dot, winding_numbers
+from .cage import (CageMesh, TriangleMesh, as_points, cross, dot,
+                   winding_numbers)
 from .errors import FitDivergedError
 from .mvc import mvc_weights
 
@@ -226,26 +227,25 @@ def alignment_loss(positions: np.ndarray, target_points: np.ndarray,
 
 def _normal_term(vertices: np.ndarray, triangles: np.ndarray,
                  source_normals: np.ndarray):
-    """Face-flip penalty sum(1 - n_f . n0_f) and its vertex gradient."""
-    v0 = vertices[triangles[:, 0]]
-    e1 = vertices[triangles[:, 1]] - v0
-    e2 = vertices[triangles[:, 2]] - v0
-    c = np.cross(e1, e2)
-    cn = np.linalg.norm(c, axis=1)
+    """Face-flip penalty sum(1 - n_f . n0_f) and its vertex gradient, on
+    component arrays; a bincount per component sums the corners."""
+    v0, v1, v2 = (vertices[triangles[:, k]].T for k in range(3))
+    e1, e2 = v1 - v0, v2 - v0
+    c = cross(e1, e2)
+    cn = np.sqrt(dot(c, c))
     ok = cn > 1e-300
     cn_safe = np.where(ok, cn, 1.0)
-    n = c / cn_safe[:, None]
-    dots = np.einsum("ij,ij->i", n, source_normals)
+    n = [cj / cn_safe for cj in c]
+    n0 = source_normals.T
+    dots = dot(n, n0)
     loss = float(np.sum(np.where(ok, 1.0 - dots, 0.0)))
 
     # d(1 - n.n0)/dc = -(I - n n^T) n0 / |c|
-    g = -(source_normals - n * dots[:, None]) / cn_safe[:, None]
-    g = np.where(ok[:, None], g, 0.0)
-    grad = np.zeros_like(vertices)
-    np.add.at(grad, triangles[:, 0], np.cross(e1 - e2, g))
-    np.add.at(grad, triangles[:, 1], np.cross(e2, g))
-    np.add.at(grad, triangles[:, 2], np.cross(g, e1))
-    return loss, grad
+    g = [np.where(ok, -(n0[j] - n[j] * dots) / cn_safe, 0.0)
+         for j in range(3)]
+    corners = np.hstack([cross(e1 - e2, g), cross(e2, g), cross(g, e1)])
+    return loss, np.stack([np.bincount(triangles.T.ravel(), w, len(vertices))
+                           for w in corners], axis=1)
 
 
 def _stratified_rows(order: np.ndarray) -> np.ndarray:

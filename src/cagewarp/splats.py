@@ -329,6 +329,7 @@ def read_gs_ply(path) -> GaussianCloud:
         for first, table in blocks:
             for field, cols in columns.items():
                 fields[field][first:first + len(table)] = table[:, cols]
+        table = None           # drop the last block before the cloud is built
     return GaussianCloud(**fields)
 
 

@@ -350,11 +350,13 @@ def deform_cloud(cloud: GaussianCloud, source: CageMesh,
     of center_chunk splats moves each span's centers, mapping its MVC
     rows through the deformed cage one CHUNK_PAIRS chunk at a time (no
     (center_chunk, V) weight matrix), and re-factors its covariances in
-    blocks of CHUNK_PAIRS // 9 rows.
+    blocks of CHUNK_PAIRS // 9 rows. The calling thread moves every
+    span's centers, so one MVC scratch buffer serves the run, while
+    workers - 1 others re-factor covariances (_transported).
     Opacity and color coefficients always pass through bit-for-bit, as
     does splat order. Every step after the field is per row, so
-    center_chunk (the splats per work unit) and workers (threads sharing
-    the units, the calling one included) change neither bits nor order.
+    center_chunk (the splats per work unit) and workers change neither
+    bits, nor order, nor the error a failing run raises.
 
     Returns (new_cloud, field): field is the JacobianField used, or None
     when covariances were not transported. An exactly-identical cage pair
@@ -412,16 +414,20 @@ def blend_deformation(cloud: GaussianCloud, full: GaussianCloud,
 def _transported(cloud: GaussianCloud, field: JacobianField | None,
                  center_chunk: int, workers: int, move):
     """A copy of cloud with centers[lo:hi] = move(lo, hi) and covariances
-    carried through field's Jacobians (unchanged when field is None).
+    carried through field's Jacobians (unchanged when field is None), one
+    span of center_chunk rows at a time.
 
-    One task per center_chunk rows does both. Both are per row, so tasks
-    and threads set the schedule, not the bits. Covariances are
-    re-factored in blocks of CHUNK_PAIRS // 9 rows of a span, so their
-    scratch does not grow with center_chunk.
-    With n = min(workers, tasks) > 1, the calling thread takes every n-th
-    task and a pool of n - 1 threads the others, so no thread idles while
-    the pool works: each pool thread takes its scratch from a glibc arena
-    of its own, and one thread fewer is one arena fewer in peak RSS.
+    The calling thread moves every span's centers, so MVC runs on one
+    thread and a run holds one mvc._Scratch buffer whatever workers is:
+    the kernel holds the GIL at chunk size, and a thread of its own would
+    buy little speed for a buffer more. Meanwhile min(workers, spans) - 1
+    pool threads re-factor the spans' covariances, taking spans from one
+    shared iterator, and the caller joins them once its centers are done.
+    Covariances are re-factored in blocks of CHUNK_PAIRS // 9 rows of a
+    span, so their scratch does not grow with center_chunk. Both steps
+    are per row, so spans and threads set the schedule, not the bits. A
+    failure in the centers wins; otherwise the earliest span whose
+    covariances fail raises, as on one thread.
     """
     out = {"centers": np.empty_like(cloud.centers)}
     # A (block, 3, 3) array is as large as a (T, P) array of an MVC chunk.
@@ -429,29 +435,44 @@ def _transported(cloud: GaussianCloud, field: JacobianField | None,
     if field is not None:
         out.update(rotations=np.empty_like(cloud.rotations),
                    log_scales=np.empty_like(cloud.log_scales))
-
-    def _spans(starts):
-        for lo in starts:
-            hi = min(lo + center_chunk, len(cloud))
-            out["centers"][lo:hi] = move(lo, hi)
-            if field is None:
-                continue
-            # The work is per row: blocks set the scratch, not the bits.
-            for a in range(lo, hi, block):
-                b = min(a + block, hi)
-                jac = field.span_jacobians(cloud.centers, a, b)
-                out["rotations"][a:b], out["log_scales"][a:b] = \
-                    transform_covariance(jac, cloud.rotations[a:b],
-                                         cloud.log_scales[a:b], first_row=a)
-
     starts = range(0, len(cloud), center_chunk)
-    n = min(workers, len(starts))
-    if n <= 1:
-        _spans(starts)
-    else:
-        with ThreadPoolExecutor(max_workers=n - 1) as pool:
-            shares = [pool.submit(_spans, starts[k::n]) for k in range(1, n)]
-            _spans(starts[::n])
-            for share in shares:
-                share.result()
+    # range's iterator hands each span to one thread, under the GIL.
+    spans, failed = iter(starts), []
+
+    def covariances():
+        for lo in spans:
+            hi = min(lo + center_chunk, len(cloud))
+            try:
+                # The work is per row: blocks set the scratch, not the bits.
+                for a in range(lo, hi, block):
+                    b = min(a + block, hi)
+                    jac = field.span_jacobians(cloud.centers, a, b)
+                    out["rotations"][a:b], out["log_scales"][a:b] = \
+                        transform_covariance(jac, cloud.rotations[a:b],
+                                             cloud.log_scales[a:b],
+                                             first_row=a)
+            except Exception as exc:
+                # Every earlier span is taken and finishes; no later one
+                # is needed.
+                failed.append((lo, exc))
+                for _ in spans:
+                    pass
+
+    n = 1 if field is None else min(workers, len(starts))
+    with ThreadPoolExecutor(max_workers=max(n - 1, 1)) as pool:
+        shares = [pool.submit(covariances) for _ in range(n - 1)]
+        try:
+            for lo in starts:
+                hi = min(lo + center_chunk, len(cloud))
+                out["centers"][lo:hi] = move(lo, hi)
+        except BaseException:
+            for _ in spans:                     # the pool stops early
+                pass
+            raise
+        if field is not None:
+            covariances()
+        for share in shares:
+            share.result()
+    if failed:
+        raise min(failed)[1]                # the earliest span's failure
     return cloud.copy(**out)

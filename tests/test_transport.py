@@ -10,8 +10,8 @@ from hypothesis import given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 from scipy.spatial import cKDTree
 
-from cagewarp import transport
-from cagewarp.cage import (TriangleMesh, build_template_cage,
+from cagewarp import mvc, transport
+from cagewarp.cage import (CHUNK_PAIRS, TriangleMesh, build_template_cage,
                            interpolate_cage)
 from cagewarp.errors import NearSurfaceError, TopologyMismatchError
 from cagewarp.mvc import mvc_weights
@@ -728,21 +728,61 @@ class TestSharedSpanPass:
             sys.setswitchinterval(interval)
         assert all(out == outs[1] for out in outs.values())
 
-    @pytest.mark.parametrize("where", ["caller", "pool"])
-    def test_a_failing_span_raises(self, monkeypatch, where):
-        cloud, source, deformed = self.scene()
-        caller = threading.current_thread()
+    @staticmethod
+    def failing(monkeypatch, cloud, chunk, centers=(), covariances=()):
+        """Make the listed spans' centers or covariances raise, naming the
+        span."""
+        def mapped(points, cage, deformed=None):
+            # The span pass maps views of the centers; the stencils are not.
+            if np.shares_memory(points, cloud.centers):
+                row = np.flatnonzero((cloud.centers == points[0]).all(1))[0]
+                if row // chunk in centers:
+                    raise RuntimeError(f"centers of span {row // chunk}")
+            return mvc_weights(points, cage, deformed)
 
-        def failing(jacobians, rotations, log_scales, first_row):
-            if (threading.current_thread() is caller) == (where == "caller"):
-                raise RuntimeError(f"span in the {where}")
+        def refactored(jacobians, rotations, log_scales, first_row):
+            if first_row // chunk in covariances:
+                raise RuntimeError(f"covariances of span {first_row // chunk}")
             return transform_covariance(jacobians, rotations, log_scales,
                                         first_row)
 
-        monkeypatch.setattr(transport, "transform_covariance", failing)
-        with pytest.raises(RuntimeError, match=where):
-            deform_cloud(cloud, source, deformed, m=30, center_chunk=25,
-                         workers=3)
+        monkeypatch.setattr(transport, "mvc_weights", mapped)
+        monkeypatch.setattr(transport, "transform_covariance", refactored)
+
+    # The caller moves the centers; the pool shares the covariances.
+    @pytest.mark.parametrize("where", ["caller", "pool"])
+    def test_a_failing_span_raises(self, monkeypatch, where):
+        cloud, source, deformed = self.scene()
+        step = "centers" if where == "caller" else "covariances"
+        self.failing(monkeypatch, cloud, 25, **{step: {3}})
+        for workers in (1, 2, 3, 8):
+            with pytest.raises(RuntimeError, match=f"{step} of span 3"):
+                deform_cloud(cloud, source, deformed, m=30, center_chunk=25,
+                             workers=workers)
+
+    @pytest.mark.parametrize("centers, covariances, message", [
+        ({2}, {0, 1, 3}, "centers of span 2"),
+        ({4}, {0}, "centers of span 4"),
+        ((), {1, 3}, "covariances of span 1"),
+        ((), {2, 4}, "covariances of span 2")],
+        ids=["centers-first", "centers-last-span", "earliest-covariances",
+             "earliest-of-two"])
+    def test_the_same_failure_surfaces_for_any_workers(
+            self, monkeypatch, centers, covariances, message):
+        # A failure in any span's centers comes first, then the earliest
+        # span whose covariances fail, whatever the threads' timing.
+        cloud, source, deformed = self.scene()
+        self.failing(monkeypatch, cloud, 20, centers, covariances)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for workers in (1, 2, 3, 8):
+                with pytest.raises(RuntimeError) as caught:
+                    deform_cloud(cloud, source, deformed, m=30,
+                                 center_chunk=20, workers=workers)
+                assert str(caught.value) == message
+        finally:
+            sys.setswitchinterval(interval)
 
     @pytest.mark.parametrize("workers, spans", [
         (1, 4), (2, 1), (2, 4), (3, 5), (8, 3)])
@@ -761,15 +801,26 @@ class TestSharedSpanPass:
         monkeypatch.setattr(transport, "transform_covariance", counted)
         deform_cloud(cloud, source, deformed, m=30,
                      center_chunk=-(-len(cloud) // spans), workers=workers)
-        # n = min(workers, spans) threads at most, the caller included: one
-        # span or one worker builds no pool. The caller runs every n-th
-        # span itself, not just the first; an idle pool thread may take
-        # two shares.
+        # min(workers, spans) - 1 pool threads at most: one span or one
+        # worker builds no pool. Each span is re-factored once, by one of
+        # the pool threads or the caller.
         n = min(workers, spans)
         assert max(alive) - before <= n - 1
         assert sum(ran.values()) == spans
-        assert ran[threading.current_thread()] == len(range(0, spans, n))
         assert len(ran) <= n
+
+    def test_only_the_caller_runs_mvc(self, monkeypatch):
+        cloud, source, deformed = self.scene()
+        callers = set()
+
+        def recorded(points, cage, deformed=None):
+            callers.add(threading.current_thread())
+            return mvc_weights(points, cage, deformed)
+
+        monkeypatch.setattr(transport, "mvc_weights", recorded)
+        deform_cloud(cloud, source, deformed, m=30, center_chunk=10,
+                     workers=4)
+        assert callers == {threading.current_thread()}
 
 
 class TestPeakMemory:
@@ -820,6 +871,27 @@ class TestPeakMemory:
             peaks.append(peak)
             kept.append(end)
         assert peaks[1] - peaks[0] < kept[1] - kept[0] + 64 * (16000 - 2000)
+
+    def test_more_workers_hold_no_second_mvc_scratch(self):
+        # The caller maps every span's centers, so a run holds one MVC
+        # scratch buffer (2.6 MB at resolution 3) whatever workers is. Each
+        # pool thread adds one 400-row span's covariance scratch, about
+        # 0.2 MB. Frequent thread switches let the spans overlap.
+        cloud = random_cloud(1600, seed=55)
+        cage = build_template_cage(cloud.centers, resolution=3)
+        deformed = jiggled(cage, seed=55)
+        rows = min(CHUNK_PAIRS // len(cage.triangles), 400)
+        scratch = mvc._Scratch.buffer(len(cage.vertices),
+                                      len(cage.edges.pairs), rows).nbytes
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            peaks = {workers: traced(lambda: deform_cloud(
+                cloud, cage, deformed, m=200, center_chunk=400,
+                workers=workers))[0] for workers in (1, 4)}
+        finally:
+            sys.setswitchinterval(interval)
+        assert peaks[4] - peaks[1] < scratch
 
     def test_covariance_blocks_do_not_change_bits(self, monkeypatch):
         cloud = random_cloud(300, seed=54)
