@@ -13,9 +13,10 @@ config-file value of the wrong type and an output that would overwrite an
 input, the --config file included, exit with status 2 before anything is
 written; metrics checks its flags the same way. Flags mirror PipelineConfig,
 whose field names key a --config JSON file (fit_x as {"fit": {"x": ...}});
-explicit flags win. Progress and timings go to stderr; the run summary is
-printed to stdout as JSON. The CAGEWARP_LOG environment variable sets the
-log level (DEBUG/INFO/WARNING/ERROR), -v forces DEBUG.
+explicit flags win. The one exception is --workers, which is parsed, has
+no effect and keys no setting. Progress and timings go to stderr; the run
+summary is printed to stdout as JSON. The CAGEWARP_LOG environment
+variable sets the log level (DEBUG/INFO/WARNING/ERROR), -v forces DEBUG.
 """
 
 from __future__ import annotations
@@ -79,12 +80,8 @@ def _add_run_flags(parser):
                         help="max sampled centers / target points "
                              "(default 30000)")
     parser.add_argument("--workers", type=int,
-                        help="threads that share the deform stage's "
-                             "span pass: the calling thread moves every "
-                             "span's centers, the others re-factor "
-                             "covariances, so peak memory hardly grows "
-                             "with their number; 0 = one per core this "
-                             "process may run on (default)")
+                        help="has no effect: the deform stage runs on "
+                             "the calling thread")
     parser.add_argument("--center-chunk", type=int, dest="center_chunk",
                         help="splats per work unit of the deform pass; "
                              "changes no output bit (default 30000)")

@@ -77,9 +77,8 @@ class PipelineConfig:
     cage_in is the (source_cage, deformed_cage) OBJ pair that apply-cage
     replays, and no other mode takes one; a fitted pair is written to
     output_dir. target is required by every mode except apply-cage, where
-    it only adds a chamfer per output. workers = 0 means one thread per
-    core the process may run on (its CPU affinity where the platform
-    reports one, else the host's core count).
+    it only adds a chamfer per output. center_chunk sets the splats per
+    span of the deform stage's serial pass, and no output bit.
     """
 
     source: str
@@ -95,7 +94,6 @@ class PipelineConfig:
     fit_iterations: int = 500
     fit_convergence_tol: float = 1e-5
     center_chunk: int = 30000
-    workers: int = 0
 
     def validate(self, mode: str = "deform", timings_out=None,
                  config_file=None) -> None:
@@ -139,7 +137,6 @@ class PipelineConfig:
                 ("jacobian_sites must be >= 1", self.jacobian_sites >= 1),
                 ("sample_count must be >= 1", self.sample_count >= 1),
                 ("center_chunk must be >= 1", self.center_chunk >= 1),
-                ("workers must be >= 0", self.workers >= 0),
                 ("seed must be >= 0", self.seed >= 0),
                 ("cage_resolution must be >= 1", self.cage_resolution >= 1),
                 ("fit_iterations must be >= 1", self.fit_iterations >= 1),
@@ -163,15 +160,6 @@ class PipelineConfig:
                 Path(timings_out).resolve() in inputs | artifacts:
             raise ValueError(f"timings_out {timings_out} would overwrite an "
                              "input or an artifact")
-
-    def effective_workers(self) -> int:
-        if self.workers > 0:
-            return self.workers
-        # cpu_count counts the host's cores; a pinned process runs on
-        # fewer, and every extra pool thread brings a glibc arena.
-        if hasattr(os, "sched_getaffinity"):
-            return len(os.sched_getaffinity(0))
-        return os.cpu_count() or 1
 
 
 @dataclass
@@ -448,7 +436,6 @@ def _execute(config: PipelineConfig, mode: str, run: _Run) -> dict:
                             chamfer_to_target(moved)})
     elif mode != "fit-cage":
         lambdas = [float(lam) for lam in config.lambdas]
-        workers = config.effective_workers()
         full = full_field = None
         if any(lambdas):
             with run.stage("deform"):
@@ -456,7 +443,7 @@ def _execute(config: PipelineConfig, mode: str, run: _Run) -> dict:
                     cloud, source_cage, deformed_cage,
                     update_covariance=config.update_covariance,
                     m=config.jacobian_sites, seed=config.seed,
-                    center_chunk=config.center_chunk, workers=workers)
+                    center_chunk=config.center_chunk)
             if full_field is not None:
                 logger.info(
                     "deform: %d Jacobian sites, %d with gradients dropped "
@@ -466,7 +453,7 @@ def _execute(config: PipelineConfig, mode: str, run: _Run) -> dict:
             with run.stage(f"deform-lam{_lambda_tag(lam)}"):
                 moved, jac_field = blend_deformation(
                     cloud, full, full_field, lam,
-                    center_chunk=config.center_chunk, workers=workers)
+                    center_chunk=config.center_chunk)
                 path = run.claim(f"deformed_lam{_lambda_tag(lam)}.ply")
                 write_gs_ply(moved, path)
                 entry = {"lambda": lam, "path": path.name}

@@ -21,7 +21,6 @@ A partial-strength edit blends the identity with the full deformation
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -337,8 +336,7 @@ def _jacobi_eigh(cov: np.ndarray):
 
 def deform_cloud(cloud: GaussianCloud, source: CageMesh,
                  deformed: TriangleMesh, update_covariance: bool = True,
-                 m: int = 10000, seed: int = 0, center_chunk: int = 30000,
-                 workers: int = 1):
+                 m: int = 10000, seed: int = 0, center_chunk: int = 30000):
     """Deform a whole splat cloud through a cage pair.
 
     Centers move by coordinate interpolation; covariances are transported
@@ -346,17 +344,15 @@ def deform_cloud(cloud: GaussianCloud, source: CageMesh,
     Jacobian, carried to the splat along that site's gradient) unless
     update_covariance is off, in which case rotations and scales pass
     through untouched. The field is built first, so a site too near the
-    cage surface fails before any center moves. Then one pass over spans
-    of center_chunk splats moves each span's centers, mapping its MVC
-    rows through the deformed cage one CHUNK_PAIRS chunk at a time (no
-    (center_chunk, V) weight matrix), and re-factors its covariances in
-    blocks of CHUNK_PAIRS // 9 rows. The calling thread moves every
-    span's centers, so one MVC scratch buffer serves the run, while
-    workers - 1 others re-factor covariances (_transported).
+    cage surface fails before any center moves. Then one serial pass
+    (_transported) moves the centers in spans of center_chunk splats,
+    mapping their MVC rows through the deformed cage one CHUNK_PAIRS
+    chunk at a time (no (center_chunk, V) weight matrix), and re-factors
+    the covariances in blocks of CHUNK_PAIRS // 9 rows.
     Opacity and color coefficients always pass through bit-for-bit, as
     does splat order. Every step after the field is per row, so
-    center_chunk (the splats per work unit) and workers change neither
-    bits, nor order, nor the error a failing run raises.
+    center_chunk (the splats per span) changes neither bits, nor order,
+    nor the error a failing run raises.
 
     Returns (new_cloud, field): field is the JacobianField used, or None
     when covariances were not transported. An exactly-identical cage pair
@@ -366,8 +362,6 @@ def deform_cloud(cloud: GaussianCloud, source: CageMesh,
     source.check_same_topology(deformed)
     if len(cloud) == 0:
         raise ValueError("cannot deform an empty cloud")
-    if center_chunk < 1:
-        raise ValueError(f"center_chunk must be >= 1, got {center_chunk}")
 
     if np.array_equal(source.vertices, deformed.vertices):
         return cloud.copy(), None
@@ -375,25 +369,26 @@ def deform_cloud(cloud: GaussianCloud, source: CageMesh,
     field = build_jacobian_field(cloud.centers, source, deformed, m=m,
                                  seed=seed) if update_covariance else None
     return _transported(
-        cloud, field, center_chunk, workers,
+        cloud, field, center_chunk,
         lambda lo, hi: mvc_weights(cloud.centers[lo:hi], source,
                                    deformed)), field
 
 
 def blend_deformation(cloud: GaussianCloud, full: GaussianCloud,
                       field: JacobianField | None, lam: float,
-                      center_chunk: int = 30000, workers: int = 1):
+                      center_chunk: int = 30000):
     """Deform a splat cloud at strength lam, given its full deformation.
 
     full and field are deform_cloud's result for cloud and a cage pair.
     MVC reproduce linear functions and interpolate_cage is affine in lam,
     so, up to rounding, the pair interpolated at lam maps a center x to
     (1 - lam) x + lam x1 and has the Jacobian (1 - lam) I + lam J1 at each
-    site, with gradient lam G1. All three are blended here: no MVC runs
-    and each splat keeps its site. The blend is per row, so its bits do
-    not depend on center_chunk or workers. Returns (new_cloud, blended
-    field or None, as in deform_cloud); lam = 0 gives (cloud, None) and
-    lam = 1 gives (full, field) themselves, not copies.
+    site, with gradient lam G1. All three are blended here, in the
+    serial pass deform_cloud makes: no MVC runs and each splat keeps its
+    site. The blend is per row, so its bits do not depend on
+    center_chunk. Returns (new_cloud, blended field or None, as in
+    deform_cloud); lam = 0 gives (cloud, None) and lam = 1 gives
+    (full, field) themselves, not copies.
     """
     if lam == 0.0:
         return cloud, None
@@ -406,73 +401,42 @@ def blend_deformation(cloud: GaussianCloud, full: GaussianCloud,
     # The increment form keeps an identical cage pair (full equal to
     # cloud) exact.
     return _transported(
-        cloud, field, center_chunk, workers,
+        cloud, field, center_chunk,
         lambda lo, hi: cloud.centers[lo:hi]
         + lam * (full.centers[lo:hi] - cloud.centers[lo:hi])), field
 
 
 def _transported(cloud: GaussianCloud, field: JacobianField | None,
-                 center_chunk: int, workers: int, move):
-    """A copy of cloud with centers[lo:hi] = move(lo, hi) and covariances
-    carried through field's Jacobians (unchanged when field is None), one
-    span of center_chunk rows at a time.
+                 center_chunk: int, move):
+    """A copy of cloud with centers[lo:hi] = move(lo, hi) for each span
+    of center_chunk rows, and covariances carried through field's
+    Jacobians (unchanged when field is None).
 
-    The calling thread moves every span's centers, so MVC runs on one
-    thread and a run holds one mvc._Scratch buffer whatever workers is:
-    the kernel holds the GIL at chunk size, and a thread of its own would
-    buy little speed for a buffer more. Meanwhile min(workers, spans) - 1
-    pool threads re-factor the spans' covariances, taking spans from one
-    shared iterator, and the caller joins them once its centers are done.
-    Covariances are re-factored in blocks of CHUNK_PAIRS // 9 rows of a
-    span, so their scratch does not grow with center_chunk. Both steps
-    are per row, so spans and threads set the schedule, not the bits. A
-    failure in the centers wins; otherwise the earliest span whose
-    covariances fail raises, as on one thread.
+    One loop on the calling thread moves every span's centers, and then
+    re-factors the covariances in blocks of CHUNK_PAIRS // 9 rows over
+    the whole cloud, so a run holds one mvc._Scratch buffer and the
+    covariance scratch does not grow with center_chunk. Both steps are
+    per row, so neither spans nor blocks set a bit, and the first
+    failing step raises. More threads would not pay: this small-array
+    numpy work holds the GIL, so theirs would convoy with this one.
     """
+    if center_chunk < 1:
+        raise ValueError(f"center_chunk must be >= 1, got {center_chunk}")
+    n = len(cloud)
     out = {"centers": np.empty_like(cloud.centers)}
-    # A (block, 3, 3) array is as large as a (T, P) array of an MVC chunk.
-    block = max(1, CHUNK_PAIRS // 9)
+    for lo in range(0, n, center_chunk):
+        hi = min(lo + center_chunk, n)
+        out["centers"][lo:hi] = move(lo, hi)
     if field is not None:
         out.update(rotations=np.empty_like(cloud.rotations),
                    log_scales=np.empty_like(cloud.log_scales))
-    starts = range(0, len(cloud), center_chunk)
-    # range's iterator hands each span to one thread, under the GIL.
-    spans, failed = iter(starts), []
-
-    def covariances():
-        for lo in spans:
-            hi = min(lo + center_chunk, len(cloud))
-            try:
-                # The work is per row: blocks set the scratch, not the bits.
-                for a in range(lo, hi, block):
-                    b = min(a + block, hi)
-                    jac = field.span_jacobians(cloud.centers, a, b)
-                    out["rotations"][a:b], out["log_scales"][a:b] = \
-                        transform_covariance(jac, cloud.rotations[a:b],
-                                             cloud.log_scales[a:b],
-                                             first_row=a)
-            except Exception as exc:
-                # Every earlier span is taken and finishes; no later one
-                # is needed.
-                failed.append((lo, exc))
-                for _ in spans:
-                    pass
-
-    n = 1 if field is None else min(workers, len(starts))
-    with ThreadPoolExecutor(max_workers=max(n - 1, 1)) as pool:
-        shares = [pool.submit(covariances) for _ in range(n - 1)]
-        try:
-            for lo in starts:
-                hi = min(lo + center_chunk, len(cloud))
-                out["centers"][lo:hi] = move(lo, hi)
-        except BaseException:
-            for _ in spans:                     # the pool stops early
-                pass
-            raise
-        if field is not None:
-            covariances()
-        for share in shares:
-            share.result()
-    if failed:
-        raise min(failed)[1]                # the earliest span's failure
+        # A (block, 3, 3) array is as large as a (T, P) array of an MVC
+        # chunk.
+        block = max(1, CHUNK_PAIRS // 9)
+        for lo in range(0, n, block):
+            hi = min(lo + block, n)
+            jac = field.span_jacobians(cloud.centers, lo, hi)
+            out["rotations"][lo:hi], out["log_scales"][lo:hi] = \
+                transform_covariance(jac, cloud.rotations[lo:hi],
+                                     cloud.log_scales[lo:hi], first_row=lo)
     return cloud.copy(**out)

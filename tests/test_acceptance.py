@@ -340,7 +340,7 @@ def test_criterion_9_end_to_end_determinism(tmp_path):
                 source=str(source_path), target=str(target_path),
                 output_dir=str(out), fit_iterations=80,
                 sample_count=800, jacobian_sites=200, lambdas=(0.0, 1.0),
-                seed=3, workers=1)
+                seed=3)
             options.update(kwargs)
             return PipelineConfig(**options)
 

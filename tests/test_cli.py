@@ -235,7 +235,7 @@ def test_config_file_supplies_defaults_cli_overrides(model_files, tmp_path,
 
 @pytest.mark.parametrize("extra", [
     {"lambdas": 0.5}, {"lambdas": "0.5,1"}, {"lambdas": [0.5, "x"]},
-    {"cage_in": 5}, {"update_covariance": "no"}, {"workers": 1.5},
+    {"cage_in": 5}, {"update_covariance": "no"}, {"sample_count": 1.5},
     {"jacobian_sites": 2.5}, {"fit": {"iterations": 2.5}}, {"seed": 1.5},
     {"center_chunk": 100.5}, {"seed": True}, {"cage_resolution": "2"},
     {"source": 1.5}, {"source": ["model.ply"]}, {"target": 7},
@@ -248,7 +248,7 @@ def test_config_file_supplies_defaults_cli_overrides(model_files, tmp_path,
     {"fit": {"step_size": float("inf")}},
     {"fit": {"step_size": float("-inf")}},
 ], ids=["lambdas-number", "lambdas-text", "lambdas-bad-item",
-        "cage_in-number", "update_covariance-text", "workers-float",
+        "cage_in-number", "update_covariance-text", "sample_count-float",
         "jacobian_sites-float", "fit-iterations-float", "seed-float",
         "center_chunk-float", "seed-bool", "cage_resolution-text",
         "source-float", "source-list", "target-number", "fit-number",
@@ -332,10 +332,12 @@ def test_apply_cage_bytes_do_not_depend_on_chunk_or_workers(model_files,
     {"fit": {"normal_weight": 0.05}}, {"cage_padding": 0.1},
     # A fit setting is spelt only inside "fit", without its prefix.
     {"fit_iterations": 7}, {"fit_convergence_tol": 0.0},
+    # --workers is parsed and has no effect; it keys no setting.
+    {"workers": 1},
 ], ids=["wiggle", "baseline_mode", "cage_out", "fit.seed", "fit.beta1",
         "normalize", "fit.align_weight", "fit.barrier_weight",
         "target_kind", "fit.step_size", "fit.normal_weight",
-        "cage_padding", "fit_iterations", "fit_convergence_tol"])
+        "cage_padding", "fit_iterations", "fit_convergence_tol", "workers"])
 def test_unknown_config_key_exits_two(model_files, tmp_path, capsys, extra):
     source, target = model_files
     cfg_path = tmp_path / "bad.json"

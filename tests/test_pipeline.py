@@ -2,6 +2,7 @@
 
 import inspect
 import json
+import threading
 from dataclasses import fields
 from pathlib import Path
 
@@ -11,6 +12,7 @@ import pytest
 from cagewarp import pipeline, splats, transport
 from cagewarp.cage import (TriangleMesh, bbox_of, build_template_cage,
                            interpolate_cage, read_cage_obj, write_cage_obj)
+from cagewarp.cli import main
 from cagewarp.errors import PipelineError
 from cagewarp.metrics import baseline_bbox_scale, write_point_ply
 from cagewarp.pipeline import PipelineConfig, run_pipeline
@@ -44,7 +46,7 @@ def _config(source, target, out_dir, **kwargs):
         source=str(source), output_dir=str(out_dir),
         target=None if target is None else str(target),
         fit_iterations=50, sample_count=400,
-        jacobian_sites=80, lambdas=(1.0,), workers=1)
+        jacobian_sites=80, lambdas=(1.0,))
     defaults.update(kwargs)
     return PipelineConfig(**defaults)
 
@@ -89,16 +91,38 @@ def test_two_runs_are_byte_identical(fixture_paths, tmp_path):
         assert a == b, f"{name} differs between identical runs"
 
 
-def test_worker_count_does_not_change_results(fixture_paths, tmp_path):
+def test_worker_count_does_not_change_results(fixture_paths, tmp_path,
+                                              capsys):
+    # --workers is parsed and has no effect.
     _, source, target = fixture_paths
     outs = {}
-    for workers in (1, 3):
+    for workers in ("1", "3"):
         d = tmp_path / f"w{workers}"
-        run_pipeline(_config(source, target, d, workers=workers,
-                             center_chunk=128, lambdas=(0.25, 0.5, 1.0)))
+        assert main(["deform", "-s", str(source), "-t", str(target), "-o",
+                     str(d), "--iterations", "50", "--samples", "400",
+                     "--sites", "80", "--workers", workers, "--center-chunk",
+                     "128", "--lambdas", "0.25,0.5,1"]) == 0
         outs[workers] = {p.name: p.read_bytes() for p in d.glob("*.ply")}
-    assert len(outs[1]) == 3
-    assert outs[1] == outs[3]
+    capsys.readouterr()
+    assert len(outs["1"]) == 3
+    assert outs["1"] == outs["3"]
+
+
+def test_a_run_starts_no_thread(fixture_paths, cage_files, tmp_path,
+                                monkeypatch):
+    # Four spans and two blended lambdas: the whole deform stage runs on
+    # the calling thread.
+    _, source, _ = fixture_paths
+
+    def refused(self):
+        raise AssertionError(f"thread {self.name} was started")
+
+    monkeypatch.setattr(threading.Thread, "start", refused)
+    summary = run_pipeline(PipelineConfig(
+        source=str(source), output_dir=str(tmp_path / "o"),
+        cage_in=cage_files, jacobian_sites=80, center_chunk=128,
+        lambdas=(0.5, 1.0)), "apply-cage")
+    assert [entry["lambda"] for entry in summary["outputs"]] == [0.5, 1.0]
 
 
 # numpy.linalg's routines that call LAPACK. The first call of one pages its
@@ -125,39 +149,26 @@ def test_a_run_calls_no_lapack_routine(fixture_paths, tmp_path,
         == [80, 80]
 
 
-def test_zero_workers_count_the_cores_the_process_may_run_on(monkeypatch):
-    config = PipelineConfig(source="s.ply", output_dir="out", workers=0)
-    monkeypatch.setattr(pipeline.os, "cpu_count", lambda: 64)
-    monkeypatch.setattr(pipeline.os, "sched_getaffinity", lambda pid: {2, 5},
-                        raising=False)
-    assert config.effective_workers() == 2
-    # Without an affinity call (macOS, Windows) the host count is all
-    # there is.
-    monkeypatch.delattr(pipeline.os, "sched_getaffinity")
-    assert config.effective_workers() == 64
-    monkeypatch.setattr(pipeline.os, "cpu_count", lambda: None)
-    assert config.effective_workers() == 1
-    assert PipelineConfig(source="s.ply", output_dir="out",
-                          workers=3).effective_workers() == 3
-
-
 def test_coarse_to_fine_fit_is_byte_identical_across_runs_and_workers(
-        tmp_path, caplog):
+        tmp_path, caplog, capsys, monkeypatch):
     # 4000 samples give coarse subsets of 400 rows, above the 260 a res-2
-    # cage needs, so the fit runs both stages.
+    # cage needs, so the fit runs both stages. The CLI sets the log level
+    # from CAGEWARP_LOG, and --workers is parsed and has no effect.
+    monkeypatch.setenv("CAGEWARP_LOG", "INFO")
     cloud = random_cloud(4000, seed=8)
     source, target = tmp_path / "source.ply", tmp_path / "target.ply"
     write_gs_ply(cloud, source)
     write_point_ply(_affine(cloud.centers), target)
     runs = {}
-    for name, workers in (("w1", 1), ("w2", 2), ("w2-again", 2)):
+    for name, workers in (("w1", "1"), ("w2", "2"), ("w2-again", "2")):
         d = tmp_path / name
         with caplog.at_level("INFO", logger="cagewarp"):
-            run_pipeline(_config(source, target, d, workers=workers,
-                                 fit_iterations=60,
-                                 sample_count=4000, jacobian_sites=200,
-                                 center_chunk=1500))
+            assert main(["deform", "-s", str(source), "-t", str(target),
+                         "-o", str(d), "--iterations", "60", "--samples",
+                         "4000", "--sites", "200", "--center-chunk",
+                         "1500", "--workers", workers]) == 0
         runs[name] = {p.name: p.read_bytes() for p in d.iterdir()}
+    capsys.readouterr()
     assert runs["w1"] == runs["w2"] == runs["w2-again"]
     assert len(runs["w1"]) == 5
 
@@ -472,7 +483,7 @@ def test_lambda_sweep_is_served_from_one_deform(fixture_paths, cage_files,
     monkeypatch.setattr(pipeline, "write_gs_ply", keep_and_write)
     monkeypatch.setattr(transport, "mvc_weights", count_mvc)
     out = tmp_path / "sweep"
-    summary = _replay(source, cage_files, out, workers=2)
+    summary = _replay(source, cage_files, out)
     sweep_calls = len(mvc_calls)
     mvc_calls.clear()
     _replay(source, cage_files, tmp_path / "one", lambdas=(1.0,))

@@ -1,4 +1,3 @@
-import collections
 import dataclasses
 import sys
 import threading
@@ -10,9 +9,8 @@ from hypothesis import given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 from scipy.spatial import cKDTree
 
-from cagewarp import mvc, transport
-from cagewarp.cage import (CHUNK_PAIRS, TriangleMesh, build_template_cage,
-                           interpolate_cage)
+from cagewarp import transport
+from cagewarp.cage import TriangleMesh, build_template_cage, interpolate_cage
 from cagewarp.errors import NearSurfaceError, TopologyMismatchError
 from cagewarp.mvc import mvc_weights
 from cagewarp.rotations import quat_to_matrix
@@ -28,6 +26,29 @@ from cagewarp.transport import (
 
 from conftest import cage_pair, interior_points, random_cloud, traced
 from jacobian_oracle import jacobian_analytic
+
+
+def on_threads(count, call):
+    """call()'s results from count threads started at once, with frequent
+    thread switches, so that state two calls shared would show."""
+    results = [None] * count
+
+    def run(i):
+        results[i] = call()
+
+    threads = [threading.Thread(target=run, args=(i,)) for i in range(count)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert all(result is not None for result in results)
+    return results
 
 
 def jiggled(source, amplitude=0.05, seed=0):
@@ -612,14 +633,14 @@ class TestDeformCloud:
         cloud = random_cloud(500, seed=41)
         source = build_template_cage(cloud.centers, resolution=2)
         deformed = jiggled(source, seed=41)
-        # identical chunk grid, so threading only changes who computes what
         a, field = deform_cloud(cloud, source, deformed, m=80, seed=2,
-                                center_chunk=64, workers=1)
+                                center_chunk=64)
         assert uses_gradients(field)
-        b, _ = deform_cloud(cloud, source, deformed, m=80, seed=2,
-                            center_chunk=64, workers=4)
-        for name in ("centers", "log_scales", "rotations"):
-            assert np.array_equal(getattr(a, name), getattr(b, name))
+        # Four worker threads of the caller's, each running one pass.
+        for b, _ in on_threads(4, lambda: deform_cloud(
+                cloud, source, deformed, m=80, seed=2, center_chunk=64)):
+            for name in ("centers", "log_scales", "rotations"):
+                assert np.array_equal(getattr(a, name), getattr(b, name))
 
     @pytest.mark.parametrize("resolution", [2, 6])
     def test_no_bit_depends_on_the_chunk_or_the_workers(self, resolution):
@@ -629,14 +650,16 @@ class TestDeformCloud:
         want, field = deform_cloud(cloud, source, deformed, m=150, seed=3)
         assert uses_gradients(field)
         for chunk in (17, 64, 1057, None):
-            for workers in (1, 3):
-                sizing = {} if chunk is None else {"center_chunk": chunk}
-                got, _ = deform_cloud(cloud, source, deformed, m=150, seed=3,
-                                      workers=workers, **sizing)
+            sizing = {} if chunk is None else {"center_chunk": chunk}
+            # On the calling thread and on a worker thread of its own.
+            for on_worker in (False, True):
+                run = lambda: deform_cloud(cloud, source, deformed, m=150,
+                                           seed=3, **sizing)
+                got, _ = on_threads(1, run)[0] if on_worker else run()
                 for name in ("centers", "log_scales", "rotations"):
                     assert getattr(got, name).tobytes() \
                         == getattr(want, name).tobytes(), \
-                        (chunk, workers, name)
+                        (chunk, on_worker, name)
 
     def test_near_surface_site_fails_before_any_center_moves(self,
                                                             monkeypatch):
@@ -669,6 +692,11 @@ class TestDeformCloud:
             deform_cloud(cloud, source, deformed, m=10,
                          update_covariance=update_covariance,
                          center_chunk=center_chunk)
+        full, field = deform_cloud(cloud, source, deformed, m=10,
+                                   update_covariance=update_covariance)
+        with pytest.raises(ValueError, match="center_chunk"):
+            blend_deformation(cloud, full, field, 0.5,
+                              center_chunk=center_chunk)
 
     @pytest.mark.parametrize("update_covariance, scale", [
         (True, 1.1), (False, 1.1), (True, 1.0)])
@@ -694,7 +722,7 @@ class TestDeformCloud:
 
 
 class TestSharedSpanPass:
-    """workers threads share the span pass, the calling thread included."""
+    """deform_cloud and blend_deformation share one serial span pass."""
 
     @staticmethod
     def scene():
@@ -706,32 +734,26 @@ class TestSharedSpanPass:
     def test_bits_do_not_depend_on_workers(self, spans):
         cloud, source, deformed = self.scene()
         chunk = -(-len(cloud) // spans)
-        outs = {}
-        # Frequent thread switches, so that a span written by two threads
-        # or by none would show in the bytes.
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            for workers in (1, 2, 3, 8):
-                full, field = deform_cloud(cloud, source, deformed, m=30,
-                                           center_chunk=chunk,
-                                           workers=workers)
-                assert uses_gradients(field)
-                half, _ = blend_deformation(cloud, full, field, 0.5,
-                                            center_chunk=chunk,
-                                            workers=workers)
-                outs[workers] = [getattr(c, name).tobytes()
-                                 for c in (full, half)
-                                 for name in ("centers", "rotations",
-                                              "log_scales")]
-        finally:
-            sys.setswitchinterval(interval)
-        assert all(out == outs[1] for out in outs.values())
+
+        def run():
+            full, field = deform_cloud(cloud, source, deformed, m=30,
+                                       center_chunk=chunk)
+            assert uses_gradients(field)
+            half, _ = blend_deformation(cloud, full, field, 0.5,
+                                        center_chunk=chunk)
+            return [getattr(c, name).tobytes() for c in (full, half)
+                    for name in ("centers", "rotations", "log_scales")]
+
+        # Passes run at once on the caller's worker threads share no state.
+        want = run()
+        for workers in (1, 2, 3, 8):
+            assert all(out == want for out in on_threads(workers, run))
 
     @staticmethod
     def failing(monkeypatch, cloud, chunk, centers=(), covariances=()):
         """Make the listed spans' centers or covariances raise, naming the
-        span."""
+        span of the first failing row, as transform_covariance names its
+        first failing splat."""
         def mapped(points, cage, deformed=None):
             # The span pass maps views of the centers; the stencils are not.
             if np.shares_memory(points, cloud.centers):
@@ -741,24 +763,24 @@ class TestSharedSpanPass:
             return mvc_weights(points, cage, deformed)
 
         def refactored(jacobians, rotations, log_scales, first_row):
-            if first_row // chunk in covariances:
-                raise RuntimeError(f"covariances of span {first_row // chunk}")
+            for row in range(first_row, first_row + len(rotations)):
+                if row // chunk in covariances:
+                    raise RuntimeError(f"covariances of span {row // chunk}")
             return transform_covariance(jacobians, rotations, log_scales,
                                         first_row)
 
         monkeypatch.setattr(transport, "mvc_weights", mapped)
         monkeypatch.setattr(transport, "transform_covariance", refactored)
 
-    # The caller moves the centers; the pool shares the covariances.
-    @pytest.mark.parametrize("where", ["caller", "pool"])
-    def test_a_failing_span_raises(self, monkeypatch, where):
+    # caller: the centers, which the caller's move maps span by span;
+    # pool: the covariances, whose blocks pool the rows of every span.
+    @pytest.mark.parametrize("step", ["centers", "covariances"],
+                             ids=["caller", "pool"])
+    def test_a_failing_span_raises(self, monkeypatch, step):
         cloud, source, deformed = self.scene()
-        step = "centers" if where == "caller" else "covariances"
         self.failing(monkeypatch, cloud, 25, **{step: {3}})
-        for workers in (1, 2, 3, 8):
-            with pytest.raises(RuntimeError, match=f"{step} of span 3"):
-                deform_cloud(cloud, source, deformed, m=30, center_chunk=25,
-                             workers=workers)
+        with pytest.raises(RuntimeError, match=f"{step} of span 3"):
+            deform_cloud(cloud, source, deformed, m=30, center_chunk=25)
 
     @pytest.mark.parametrize("centers, covariances, message", [
         ({2}, {0, 1, 3}, "centers of span 2"),
@@ -769,58 +791,14 @@ class TestSharedSpanPass:
              "earliest-of-two"])
     def test_the_same_failure_surfaces_for_any_workers(
             self, monkeypatch, centers, covariances, message):
-        # A failure in any span's centers comes first, then the earliest
-        # span whose covariances fail, whatever the threads' timing.
+        # Every span's centers move before any covariance is re-factored,
+        # so a failure in any span's centers comes first, then the
+        # earliest span whose covariances fail.
         cloud, source, deformed = self.scene()
         self.failing(monkeypatch, cloud, 20, centers, covariances)
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            for workers in (1, 2, 3, 8):
-                with pytest.raises(RuntimeError) as caught:
-                    deform_cloud(cloud, source, deformed, m=30,
-                                 center_chunk=20, workers=workers)
-                assert str(caught.value) == message
-        finally:
-            sys.setswitchinterval(interval)
-
-    @pytest.mark.parametrize("workers, spans", [
-        (1, 4), (2, 1), (2, 4), (3, 5), (8, 3)])
-    def test_at_most_workers_minus_one_threads_start(self, monkeypatch,
-                                                     workers, spans):
-        cloud, source, deformed = self.scene()
-        before = len(threading.enumerate())
-        alive, ran = [], collections.Counter()
-
-        def counted(jacobians, rotations, log_scales, first_row):
-            alive.append(len(threading.enumerate()))
-            ran[threading.current_thread()] += 1
-            return transform_covariance(jacobians, rotations, log_scales,
-                                        first_row)
-
-        monkeypatch.setattr(transport, "transform_covariance", counted)
-        deform_cloud(cloud, source, deformed, m=30,
-                     center_chunk=-(-len(cloud) // spans), workers=workers)
-        # min(workers, spans) - 1 pool threads at most: one span or one
-        # worker builds no pool. Each span is re-factored once, by one of
-        # the pool threads or the caller.
-        n = min(workers, spans)
-        assert max(alive) - before <= n - 1
-        assert sum(ran.values()) == spans
-        assert len(ran) <= n
-
-    def test_only_the_caller_runs_mvc(self, monkeypatch):
-        cloud, source, deformed = self.scene()
-        callers = set()
-
-        def recorded(points, cage, deformed=None):
-            callers.add(threading.current_thread())
-            return mvc_weights(points, cage, deformed)
-
-        monkeypatch.setattr(transport, "mvc_weights", recorded)
-        deform_cloud(cloud, source, deformed, m=30, center_chunk=10,
-                     workers=4)
-        assert callers == {threading.current_thread()}
+        with pytest.raises(RuntimeError) as caught:
+            deform_cloud(cloud, source, deformed, m=30, center_chunk=20)
+        assert str(caught.value) == message
 
 
 class TestPeakMemory:
@@ -871,27 +849,6 @@ class TestPeakMemory:
             peaks.append(peak)
             kept.append(end)
         assert peaks[1] - peaks[0] < kept[1] - kept[0] + 64 * (16000 - 2000)
-
-    def test_more_workers_hold_no_second_mvc_scratch(self):
-        # The caller maps every span's centers, so a run holds one MVC
-        # scratch buffer (2.6 MB at resolution 3) whatever workers is. Each
-        # pool thread adds one 400-row span's covariance scratch, about
-        # 0.2 MB. Frequent thread switches let the spans overlap.
-        cloud = random_cloud(1600, seed=55)
-        cage = build_template_cage(cloud.centers, resolution=3)
-        deformed = jiggled(cage, seed=55)
-        rows = min(CHUNK_PAIRS // len(cage.triangles), 400)
-        scratch = mvc._Scratch.buffer(len(cage.vertices),
-                                      len(cage.edges.pairs), rows).nbytes
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            peaks = {workers: traced(lambda: deform_cloud(
-                cloud, cage, deformed, m=200, center_chunk=400,
-                workers=workers))[0] for workers in (1, 4)}
-        finally:
-            sys.setswitchinterval(interval)
-        assert peaks[4] - peaks[1] < scratch
 
     def test_covariance_blocks_do_not_change_bits(self, monkeypatch):
         cloud = random_cloud(300, seed=54)
