@@ -21,8 +21,11 @@ computed once per unique edge of the cage's edge table (cage.edges)
 and gathered to the corners, negated where a triangle runs the edge
 backwards (negation and |a - b| = |b - a| are exact). Arrays are
 vertex-major, (rows, points) per component, so every gather takes whole
-contiguous rows; one sparse product with the (V, 3T) corner incidence
-sums the corners' lambda_i / d_i into the weights. The routine runs in float64 over every (point, triangle) pair of a chunk,
+contiguous rows, and each gather of a chunk is one ndarray.take by an
+index table built once per call (_Plan); each vertex's corners'
+lambda_i / d_i are summed slot by slot from 0.0, in the order a sparse
+corner-incidence product would sum them. The routine runs in float64
+over every (point, triangle) pair of a chunk,
 and again in long double, one triangle per pair, over the pairs whose
 |det| lies in [DET_SKIP, DET_REFINE): near-coplanar pairs, such as
 points just off a face's supporting plane, over the face or beyond its
@@ -32,8 +35,9 @@ Weights are smooth away from the cage surface. Two kinds of rows are
 replaced outright: a point within VERTEX_SNAP of a vertex gets that
 vertex's unit row, and a point on a face (|det| below DET_SKIP and a
 half-sum of arcs within ON_FACE_EPS of pi) gets the barycentric
-coordinates of the first such face. The warp's Jacobian is
-estimated from these weights by central differences in
+coordinates of the first such face. A chunk none of whose pairs needs
+the rescue, the on-face test or the snap skips their masks. The warp's
+Jacobian is estimated from these weights by central differences in
 transport.jacobian_fd.
 
 Points are evaluated in chunks of about CHUNK_PAIRS (point, triangle)
@@ -42,13 +46,14 @@ rows through it as soon as they are checked, so the rows held at once,
 like the kernel's scratch, are bounded by one chunk, whatever the point
 count; only a caller that keeps the weights, as the cage fit does, holds
 a (P, V) matrix. The kernel's arrays are views into one buffer per call,
-4V + 12E floats a point (about twenty (T, P) arrays, 2.5 MiB), that
-every chunk reuses (_Scratch), so the allocator never sees them freed
-between chunks: arrays freed at a chunk's end can leave the top of
-glibc's heap free, which glibc hands back to the OS and faults in again
-for the next chunk (61 000 minor faults in one call at 2900 points x 432
-triangles, against 640 with the buffer). The kernel sums in cage.dot's
-and cage.cross's order, so the buffer does not change a weight's bits.
+4V + 12E floats a point on the template cages (about twenty (T, P)
+arrays, 1.3 MiB), that every chunk reuses (_Scratch), so the allocator
+never sees them freed between chunks: arrays freed at a chunk's end can
+leave the top of glibc's heap free, which glibc hands back to the OS and
+faults in again for the next chunk (61 000 minor faults in one call at
+2900 points x 432 triangles, against 640 with the buffer). The kernel
+sums in cage.dot's and cage.cross's order, so the buffer does not change
+a weight's bits.
 """
 
 from __future__ import annotations
@@ -57,7 +62,6 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-from scipy import sparse
 
 from .cage import (CHUNK_PAIRS, CageMesh, TriangleMesh, as_points,
                    edge_table, winding_numbers)
@@ -114,38 +118,35 @@ def mvc_weights(points: np.ndarray, cage: CageMesh,
     points = as_points(points, "points")
     if deformed is not None:
         cage.check_same_topology(deformed)
-    tri = cage.triangles
-    table = cage.edges
-    # Column k*T + t of the corner incidence is corner k of triangle t.
-    incidence = sparse.csr_matrix(
-        (np.ones(tri.size), (tri.T.ravel(), np.arange(tri.size))),
-        shape=(len(cage.vertices), tri.size))
-    rows = max(1, CHUNK_PAIRS // max(len(tri), 1))
+    plan = _Plan.of(cage.edges, len(cage.vertices),
+                    VERTEX_SNAP * cage.bbox_diagonal())
+    rows = max(1, CHUNK_PAIRS // plan.n_tri)
+    n = min(rows, len(points))
     centre, diag = 0.5 * sum(cage.bbox()), cage.bbox_diagonal()
     # Every row, or, when mapping, one chunk's rows at a time.
     mapped = None if deformed is None else np.empty((len(points), 3))
-    weights = np.empty((len(points) if mapped is None
-                        else min(rows, len(points)), len(cage.vertices)))
-    buf = _Scratch.buffer(len(cage.vertices), len(table.pairs),
-                          min(rows, len(points)))
+    weights = np.empty((len(points) if mapped is None else n, plan.n_verts))
+    buf = plan.buffer(n)
+    s = plan.carve(buf, n)
     for lo in range(0, len(points), rows):
         x = points[lo:lo + rows]
+        if len(x) < n:
+            s = plan.carve(buf, len(x))
         w = weights[lo:lo + rows] if mapped is None else weights[:len(x)]
-        _weights_chunk(x, cage, table, incidence, w, buf)
+        _weights_chunk(x, cage, plan, w, s)
         total = w.sum(axis=1)
         # A zero total counts too: far enough outside, every triangle's
         # contribution is dropped and the row is all zeros.
         bad = ~np.isfinite(total) \
             | (np.abs(total) <= 1e-12 * np.abs(w).max(axis=1))
-        if not np.any(bad):
+        if not bad.any():
             w /= total[:, None]
             # Farther out the rows stay finite but stop reproducing their
             # point: on box cages of resolution 1-6 the relative miss was
             # at most 1.1e-9 up to 1e3 diagonals out and 0.67 from 1e4 on.
-            miss = np.linalg.norm(_map_rows(w, cage.vertices) - x, axis=1)
-            bad = miss > 1e-6 * np.maximum(
-                diag, np.linalg.norm(x - centre, axis=1))
-        if np.any(bad):
+            bad = _norms(_map_rows(w, cage.vertices) - x) \
+                > 1e-6 * np.maximum(diag, _norms(x - centre))
+        if bad.any():
             i = int(np.argmax(bad))
             where = "inside" if winding_numbers(x[i:i + 1], cage)[0] > 0.5 \
                 else "too far outside"
@@ -177,187 +178,250 @@ def _map_rows(w, vertices, out=None):
                      np.ascontiguousarray(vertices.T), out=out)
 
 
-class _Scratch(NamedTuple):
-    """A chunk's arrays, as blocks of rows of n points in one flat buffer.
+def _norms(r):
+    """np.linalg.norm(r, axis=1) of a fresh (P, 3) array r, the same
+    sums, over r."""
+    r *= r
+    return np.sqrt(np.add.reduce(r, axis=1), out=r[:, 0])
 
-    Arrays whose lifetimes do not overlap share a block: the corner cross
-    products cr (9T rows) take the place of the edge end directions (6E
-    rows; 2E = 3T on a closed cage), the vector area m and a temporary
-    (4T rows) that of the edge cross products, and det (T rows) that of
-    g. Outside the buffer a chunk allocates only boolean (T, n) masks,
-    the (V, n) weight sums and, for the long-double rescue, a _Scratch
-    of its own for CHUNK_PAIRS // 32 pairs at most.
+
+class _Scratch(NamedTuple):
+    """A chunk's arrays, as blocks of rows of n points in one flat buffer
+    (see _Plan.carve for which array each block holds when). Outside it
+    a chunk allocates only arrays of n items and, where near-coplanar
+    pairs occur, boolean (T, n) masks and a long-double buffer for
+    CHUNK_PAIRS // 32 pairs at most."""
+
+    d: np.ndarray            # (V, n) distances
+    theta: np.ndarray        # (E, n) arc angles
+    big: np.ndarray          # edge end directions, then cr
+    arena: np.ndarray        # edge cross products, g and the rest
+    u: np.ndarray            # (3V, n) unit directions, at the arena's end
+
+
+class _Plan(NamedTuple):
+    """A cage's index tables for the kernel, built once per call, so that
+    each gather of a chunk is one ndarray.take of whole contiguous rows.
+
+    ends gathers the edge end directions (end a's three components, then
+    end b's) from u's (3V, n) rows. cr_rows and cr_sign give cr[j, k] =
+    the edge cross product c_j of the edge opposite corner k, times -1
+    where the triangle runs that edge backwards (an exact operation).
+    corner0 gathers corner 0's directions, opposite_120 g at the edges
+    opposite corners 1, 2 and 0 of each triangle, and slots, for slot s
+    of vertex i, the row of the s-th of its corners in the corners' (3T)
+    order, or row 3T, which holds zeros, for vertices with fewer: the
+    sums over the slots, from 0.0, add each vertex's corners in the order
+    a sparse (V, 3T) incidence product did. Every index is in range, so
+    take's mode "clip" never clips: it only spares the copy of out that
+    take makes in its default mode.
     """
 
-    u: np.ndarray            # (3V, n) unit directions
-    d: np.ndarray            # (V, n) distances
-    edge_ends: np.ndarray    # (6E, n) edge end directions, then cr
-    pair: np.ndarray         # (3E, n) edge cross products, then m
-    theta: np.ndarray        # (E, n) arc angles
-    g: np.ndarray            # (E, n) theta / (2 |c|), then det
-    tmp: np.ndarray          # (E, n) temporary
-
-    @staticmethod
-    def block_ends(n_verts, n_edges):
-        """The row each block ends at; the last is 4V + 12E."""
-        return np.cumsum([3 * n_verts, n_verts, 6 * n_edges, 3 * n_edges,
-                          n_edges, n_edges, n_edges])
+    n_verts: int
+    n_edges: int
+    n_tri: int
+    sizes: tuple             # rows a point of each _Scratch block
+    ends: np.ndarray         # (6E,)
+    cr_rows: np.ndarray      # (9T,)
+    cr_sign: np.ndarray      # (3T, 1)
+    corner0: np.ndarray      # (3T,)
+    opposite_120: np.ndarray  # (3T,)
+    slots: np.ndarray        # (K V,)
+    snap: float              # VERTEX_SNAP times the bbox diagonal
 
     @classmethod
-    def buffer(cls, n_verts, n_edges, n, dtype=np.float64):
+    def of(cls, table, n_verts, snap=0.0):
+        """The plan of an EdgeTable over n_verts vertices."""
+        tri, pairs, opposite, backwards = table
+        n_edges, n_tri = len(pairs), len(tri)
+        corner = tri.T.ravel()                  # corner k * T + t's vertex
+        counts = np.bincount(corner, minlength=n_verts)
+        order = np.argsort(corner, kind="stable")
+        rank = np.arange(len(order)) - np.repeat(
+            np.cumsum(counts) - counts, counts)
+        slots = np.full((counts.max(), n_verts), 3 * n_tri)
+        slots[rank, corner[order]] = order
+        comp = np.arange(3)[:, None]
+        sizes = (n_verts, n_edges, max(6 * n_edges, 9 * n_tri,
+                                       3 * n_tri + 1 + n_verts),
+                 max(5 * n_edges + 3 * n_verts, 9 * n_tri, slots.size))
+        return cls(
+            n_verts, n_edges, n_tri, sizes,
+            np.concatenate([(comp * n_verts + pairs[:, 0]).ravel(),
+                            (comp * n_verts + pairs[:, 1]).ravel()]),
+            (comp[:, :, None] * n_edges + opposite).ravel(),
+            np.where(backwards, -1.0, 1.0).reshape(-1, 1),
+            (comp * n_verts + tri[:, 0]).ravel(),
+            opposite[[1, 2, 0]].ravel(), slots.ravel(), snap)
+
+    def buffer(self, n, dtype=np.float64):
         """A flat buffer for chunks of up to n points."""
-        return np.empty(cls.block_ends(n_verts, n_edges)[-1] * n, dtype)
+        return np.empty(sum(self.sizes) * n, dtype)
 
-    @classmethod
-    def carve(cls, buf, n_verts, n_edges, n):
-        """The blocks of an n-point chunk, from the front of buf."""
-        ends = cls.block_ends(n_verts, n_edges)
-        return cls(*np.split(buf[:ends[-1] * n].reshape(-1, n), ends[:-1]))
+    def carve(self, buf, n):
+        """The _Scratch of an n-point chunk, from the front of buf.
 
-
-def _gather(a, rows, out):
-    """a[rows] written into out. rows come from an edge or triangle table,
-    so mode "clip" never clips: it only spares the copy of out that
-    np.take makes in its default mode."""
-    return np.take(a, rows, axis=0, out=out, mode="clip")
-
-
-def _dot_into(p, q, out, tmp):
-    """cage.dot(p, q) written into out, over tmp: the same sums in the
-    same order."""
-    np.multiply(p[0], q[0], out=out)
-    for j in (1, 2):
-        out += np.multiply(p[j], q[j], out=tmp)
-    return out
+        In the arena, c (3E rows), g (E) and a temporary (E) come first
+        and u (3V) last; once cr is gathered into big and det formed in
+        the arena's first T rows, g's gathers, m and its products take
+        the rest of its first 9T rows, and the slot sums its first KV.
+        big holds the corner sums' pad row and (V, n) total after cr's
+        first 3T rows (lam).
+        """
+        b = buf[:sum(self.sizes) * n].reshape(-1, n)
+        d, th, big, _ = np.cumsum(self.sizes)
+        u = 5 * self.n_edges
+        return _Scratch(b[:d], b[d:th], b[th:big], b[big:],
+                        b[big + u:big + u + 3 * self.n_verts])
 
 
 def _unit_directions(corners, x, s):
     """Unit directions (3, V, n) and distances (V, n) from points x
-    (3, 1, n) to corners (3, V, 1), in s.u and s.d."""
+    (3, 1, n) to corners (3, V, 1), in s.u and s.d: cage.dot's sums."""
     u = np.subtract(corners, x, out=s.u.reshape(3, -1, s.u.shape[1]))
-    d = _dot_into(u, u, s.d, s.edge_ends[:len(s.d)])
+    sq = np.multiply(u, u, out=s.big[:s.u.shape[0]].reshape(u.shape))
+    d = np.add(sq[0], sq[1], out=s.d)
+    d += sq[2]
     np.maximum(np.sqrt(d, out=d), 1e-300, out=d)
     u /= d
     return u, d
 
 
-def _edge_terms(u, edges, s):
+def _edge_terms(u, plan, s):
     """Arc angle theta, g = theta / (2 |c|) and cross product c per edge.
 
     Each is a function of the edge alone, shared by the (usually two)
     triangles on its sides: theta and g are (E, n), and c = e_a x e_b
     for the edge (a, b) is (3, E, n), by component.
     """
-    ua, ub = s.edge_ends.reshape(2, 3, len(edges), -1)
-    for j in range(3):
-        _gather(u[j], edges[:, 0], ua[j])
-        _gather(u[j], edges[:, 1], ub[j])
+    n_edges, n = plan.n_edges, s.d.shape[1]
+    ends = s.big[:6 * n_edges]
+    u.reshape(-1, n).take(plan.ends, axis=0, out=ends, mode="clip")
+    ua, ub = ends.reshape(2, 3, n_edges, n)
     # Arc-plane normal scaled by sin(theta), and a Cramer adjugate row of
     # [e0 e1 e2] for the corner opposite the edge: cage.cross.
-    c = s.pair.reshape(3, len(edges), -1)
+    c = s.arena[:3 * n_edges].reshape(3, n_edges, n)
+    tmp = s.arena[4 * n_edges:5 * n_edges]
     for j in range(3):
         np.multiply(ua[(j + 1) % 3], ub[(j + 2) % 3], out=c[j])
-        c[j] -= np.multiply(ua[(j + 2) % 3], ub[(j + 1) % 3], out=s.tmp)
+        c[j] -= np.multiply(ua[(j + 2) % 3], ub[(j + 1) % 3], out=tmp)
     # From the chord length: stable for both tiny and obtuse angles.
     ua -= ub
-    theta = _dot_into(ua, ua, s.theta, s.tmp)
+    ua *= ua
+    theta = np.add(ua[0], ua[1], out=s.theta)
+    theta += ua[2]
     np.sqrt(theta, out=theta)
     theta *= 0.5
-    np.arcsin(np.clip(theta, 0.0, 1.0, out=theta), out=theta)
+    # np.clip(theta, 0.0, 1.0): theta is >= +0.0 or NaN.
+    np.arcsin(np.minimum(theta, 1.0, out=theta), out=theta)
     theta *= 2.0
-    g = _dot_into(c, c, s.g, s.tmp)
+    sq = np.multiply(c, c, out=ub)
+    g = np.add(sq[0], sq[1], out=s.arena[3 * n_edges:4 * n_edges])
+    g += sq[2]
     np.sqrt(g, out=g)
     # Guarded against |c| ~ 0.
-    np.copyto(g, 1.0, where=g < 1e-300)
+    if not g.min() >= 1e-300:
+        np.copyto(g, 1.0, where=g < 1e-300)
     g *= 2.0
     return theta, np.divide(theta, g, out=g), c
 
 
-def _spherical_triangles(u, table, s):
-    """Arc angles, Cramer coefficients and det of spherical triangles.
+def _spherical_triangles(u, plan, s):
+    """Arc angles, Cramer coefficients and |det| of spherical triangles.
 
     u (3, V, n) holds the unit directions from n points to V vertices, by
     component, in any float dtype, s is the _Scratch they sit in, and
-    table is the triangles' cage.EdgeTable. theta (E, n) is the arc angle
-    of each edge, so theta[opposite[k]] is the one opposite corner k. lam
-    (3, T, n) solves [e0 e1 e2] lam = m for the vector area m, and det =
-    det [e0 e1 e2], for the corner directions e of each triangle. All
+    plan is the triangles' _Plan. theta (E, n) is the arc angle of each
+    edge, so theta[opposite[k]] is the one opposite corner k. lam (3, T,
+    n) solves [e0 e1 e2] lam = m for the vector area m, and abs_det =
+    |det [e0 e1 e2]|, for the corner directions e of each triangle. All
     three are views into s.
     """
-    tri, pairs, opposite, backwards = table
-    n_tri = len(tri)
-    theta, g, edge_cross = _edge_terms(u, pairs, s)
-    # cr[j, k] = (e_{k+1} x e_{k+2})_j: the shared edge product, negated
-    # (an exact operation) where the triangle runs the edge backwards.
-    cr = s.edge_ends[:9 * n_tri].reshape(3, 3, n_tri, -1)
-    for j in range(3):
-        for k in range(3):
-            _gather(edge_cross[j], opposite[k], cr[j, k])
-            np.negative(cr[j, k], out=cr[j, k], where=backwards[k])
-    # m = 1/2 sum_k theta_k * cr_k / |cr_k|.
-    m = s.pair[:3 * n_tri].reshape(3, n_tri, -1)
-    prod, g_k = s.pair[3 * n_tri:4 * n_tri], s.tmp[:n_tri]
-    np.multiply(_gather(g, opposite[0], g_k), cr[:, 0], out=m)
-    for k in (1, 2):
-        _gather(g, opposite[k], g_k)
-        for j in range(3):
-            m[j] += np.multiply(g_k, cr[j, k], out=prod)
-    # det = e_0 . cr_0, as cage.dot sums it, in g's block.
-    det = np.multiply(_gather(u[0], tri[:, 0], g_k), cr[0, 0],
-                      out=s.g[:n_tri])
-    for j in (1, 2):
-        det += np.multiply(_gather(u[j], tri[:, 0], g_k), cr[j, 0], out=g_k)
-    # lam[k] = m . cr_k, as cage.dot sums it, over the x components.
+    n_tri, n = plan.n_tri, s.d.shape[1]
+    theta, g, c = _edge_terms(u, plan, s)
+    # cr[j, k] = (e_{k+1} x e_{k+2})_j, from the shared edge products.
+    cr = s.big[:9 * n_tri]
+    c.reshape(-1, n).take(plan.cr_rows, axis=0, out=cr, mode="clip")
+    cr = cr.reshape(3, 3 * n_tri, n)
+    cr *= plan.cr_sign
+    cr = cr.reshape(3, 3, n_tri, n)
+    # det = e_0 . cr_0, as cage.dot sums it, in the arena's first T rows.
+    e0 = s.arena[:3 * n_tri]
+    u.reshape(-1, n).take(plan.corner0, axis=0, out=e0, mode="clip")
+    e0 = e0.reshape(3, n_tri, n)
+    e0 *= cr[:, 0]
+    det = np.add(e0[0], e0[1], out=e0[0])
+    det += e0[2]
+    # m = 1/2 sum_k theta_k * cr_k / |cr_k|, summed over k in order.
+    g_k = s.arena[n_tri:4 * n_tri]
+    g.take(plan.opposite_120, axis=0, out=g_k, mode="clip")
+    g1, g2, g0 = g_k.reshape(3, n_tri, n)
+    m = np.multiply(cr[:, 0], g0,
+                    out=s.arena[6 * n_tri:9 * n_tri].reshape(3, n_tri, n))
+    prod = s.arena[3 * n_tri:6 * n_tri].reshape(3, n_tri, n)
+    m += np.multiply(cr[:, 1], g1, out=prod)
+    m += np.multiply(cr[:, 2], g2, out=prod)
+    # lam[k] = m . cr_k, as cage.dot sums it, in cr[0].
+    cr *= m[:, None]
     lam = cr[0]
-    for k in range(3):
-        lam[k] *= m[0]
-        lam[k] += np.multiply(m[1], cr[1, k], out=prod)
-        lam[k] += np.multiply(m[2], cr[2, k], out=prod)
-    np.copyto(g_k, det)
-    np.copyto(g_k, 1.0, where=np.abs(det, out=prod) < 1e-300)
-    lam /= g_k
-    return theta, lam, det
+    lam += cr[1]
+    lam += cr[2]
+    abs_det = np.abs(det, out=s.arena[n_tri:2 * n_tri])
+    if abs_det.min() >= 1e-300:
+        lam /= det
+    else:
+        safe = prod[0]
+        np.copyto(safe, det)
+        np.copyto(safe, 1.0, where=abs_det < 1e-300)
+        lam /= safe
+    return theta, lam, abs_det
 
 
-def _weights_chunk(x, cage, table, incidence, w, buf):
+def _weights_chunk(x, cage, plan, w, s):
     """Write the unnormalized weights of points x (P, 3) into w (P, V),
-    over the flat scratch buffer buf."""
-    verts = cage.vertices
-    tri = cage.triangles
-    opposite = table.opposite
+    over the chunk's _Scratch s."""
+    verts, tri = cage.vertices, cage.triangles
+    n_tri, opposite = plan.n_tri, cage.edges.opposite
     # Vertex-major: every per-vertex, per-edge and per-corner array is
     # (rows, P), so each gather takes whole contiguous rows.
-    s = _Scratch.carve(buf, len(verts), len(table.pairs), len(x))
     u, d = _unit_directions(verts.T[:, :, None], x.T[:, None, :], s)
-    theta, lam, det = _spherical_triangles(u, table, s)
-    snap_rows = np.min(d, axis=0) < VERTEX_SNAP * cage.bbox_diagonal()
+    theta, lam, abs_det = _spherical_triangles(u, plan, s)
+    snap_rows = d.min(axis=0) < plan.snap
 
-    # Long-double rescue of near-coplanar (point, triangle) pairs, where
-    # the float64 Cramer solve cancels catastrophically: the same solve,
-    # one triangle per pair. m's block is free once lam is formed.
-    gathered = s.pair[:len(tri)]
-    abs_det = np.abs(det, out=gathered)
-    refine = (abs_det < DET_REFINE) & (abs_det >= DET_SKIP) & ~snap_rows
-    zero = abs_det < DET_SKIP
-    t_idx, p_idx = np.divmod(np.flatnonzero(refine), len(x))
-    if len(t_idx):
+    # Near-coplanar pairs are rare, and a chunk without them (NaN aside)
+    # skips their masks. The long-double rescue is for those where the
+    # float64 Cramer solve cancels catastrophically: the same solve, one
+    # triangle per pair.
+    zero = None
+    if not abs_det.min() >= DET_REFINE:
+        refine = (abs_det < DET_REFINE) & (abs_det >= DET_SKIP) & ~snap_rows
+        zero = abs_det < DET_SKIP
+        t_idx, p_idx = np.divmod(np.flatnonzero(refine), len(x))
         # In blocks of pairs, so the rescue's scratch stays well below
-        # buf's however many pairs a chunk refines.
+        # the chunk's however many pairs a chunk refines.
         block = max(1, CHUNK_PAIRS // 32)
-        one = edge_table(np.array([[0, 1, 2]]))
-        ld_buf = _Scratch.buffer(3, 3, min(block, len(t_idx)), np.longdouble)
+        one = _Plan.of(edge_table(np.array([[0, 1, 2]])), 3)
+        ld_buf = one.buffer(min(block, len(t_idx)), np.longdouble)
         for lo in range(0, len(t_idx), block):
             tb, pb = t_idx[lo:lo + block], p_idx[lo:lo + block]
-            sq = _Scratch.carve(ld_buf, 3, 3, len(tb))
+            sq = one.carve(ld_buf, len(tb))
             uq, _ = _unit_directions(verts[tri[tb]].T.astype(np.longdouble),
                                      x[pb].T[:, None, :], sq)
             lam[:, tb, pb] = _spherical_triangles(uq, one, sq)[1][:, 0]
+        np.copyto(lam, 0.0, where=zero)
 
-    for k in range(3):
-        lam[k] /= _gather(d, tri[:, k], gathered)
-    np.copyto(lam, 0.0, where=zero)
-    # Into C order: a row's sum in mvc_weights then does not depend on P.
-    w[...] = (incidence @ lam.reshape(-1, len(x))).T
+    # Each vertex's corners' lambda_i / d_i, summed slot by slot from 0.0
+    # (a +0.0 pad adds nothing to a sum that starts there), into C order:
+    # a row's sum in mvc_weights then does not depend on P.
+    flat = s.big[:3 * n_tri + 1]
+    flat[-1] = 0.0
+    k_v = s.arena[:len(plan.slots)]
+    flat.take(plan.slots, axis=0, out=k_v, mode="clip")
+    k_v = k_v.reshape(-1, plan.n_verts, len(x))
+    k_v /= d
+    total = s.big[3 * n_tri + 1:3 * n_tri + 1 + plan.n_verts]
+    np.add.reduce(k_v, axis=0, out=total, initial=0.0)
+    np.copyto(w, total.T)
 
     # On-surface rows: barycentric interpolation inside the first flagged
     # triangle replaces the whole row (the weight field is discontinuous
@@ -366,22 +430,25 @@ def _weights_chunk(x, cage, table, incidence, w, buf):
     # with the square of the distance, |det| with the distance itself. So
     # only coplanar pairs sum their arcs, point-major, so that a point's
     # pairs come in cage order (flat: a 2-D nonzero costs 25 times more).
-    p, t = np.divmod(np.flatnonzero(zero.T & ~snap_rows[:, None]), len(tri))
-    half_sum = (theta[opposite[0, t], p] + theta[opposite[1, t], p]
-                + theta[opposite[2, t], p]) * 0.5
-    on_face = np.pi - half_sum < ON_FACE_EPS
-    p, t = p[on_face], t[on_face]
-    first = np.diff(p, prepend=-1) != 0
-    p, t = p[first], t[first]
-    w[p] = 0.0
-    for k in range(3):
-        # An arc within fp noise of pi means the point sits on the
-        # opposite edge; that corner's weight is exactly zero.
-        th = theta[opposite[k, t], p]
-        s_k = np.where(np.pi - th < ON_FACE_EPS, 0.0, np.sin(th))
-        w[p, tri[t, k]] += s_k * d[tri[t, (k + 1) % 3], p] \
-            * d[tri[t, (k + 2) % 3], p]
+    if zero is not None:
+        p, t = np.divmod(np.flatnonzero(zero.T & ~snap_rows[:, None]),
+                         n_tri)
+        half_sum = (theta[opposite[0, t], p] + theta[opposite[1, t], p]
+                    + theta[opposite[2, t], p]) * 0.5
+        on_face = np.pi - half_sum < ON_FACE_EPS
+        p, t = p[on_face], t[on_face]
+        first = np.diff(p, prepend=-1) != 0
+        p, t = p[first], t[first]
+        w[p] = 0.0
+        for k in range(3):
+            # An arc within fp noise of pi means the point sits on the
+            # opposite edge; that corner's weight is exactly zero.
+            th = theta[opposite[k, t], p]
+            s_k = np.where(np.pi - th < ON_FACE_EPS, 0.0, np.sin(th))
+            w[p, tri[t, k]] += s_k * d[tri[t, (k + 1) % 3], p] \
+                * d[tri[t, (k + 2) % 3], p]
 
-    p = np.nonzero(snap_rows)[0]
-    w[p] = 0.0
-    w[p, np.argmin(d[:, p], axis=0)] = 1.0
+    if snap_rows.any():
+        p = np.nonzero(snap_rows)[0]
+        w[p] = 0.0
+        w[p, np.argmin(d[:, p], axis=0)] = 1.0

@@ -304,10 +304,11 @@ def _jacobi_eigh(cov: np.ndarray):
     row, so a row's bits do not depend on its batch.
     """
     d = [cov[..., i, i] for i in range(3)]
-    # off[k] is the entry off row and column k, and v[j] eigenvector j,
-    # each as component arrays.
+    # off[k] is the entry off row and column k, as component arrays, and
+    # v[j] eigenvector j, one (3, ...) array: one call updates its three
+    # components, with the same products and sums.
     off = [cov[..., 2, 1], cov[..., 2, 0], cov[..., 1, 0]]
-    v = [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]
+    v = list(np.eye(3).reshape((3, 3) + (1,) * d[0].ndim))
     for _ in range(JACOBI_SWEEPS):
         for p, q, r in ((0, 1, 2), (0, 2, 1), (1, 2, 0)):
             apq = off[r]
@@ -317,19 +318,17 @@ def _jacobi_eigh(cov: np.ndarray):
                           out=np.zeros_like(den), where=den > 0.0)
             c = 1.0 / np.sqrt(1.0 + t * t)
             s = t * c
-            d[p], d[q] = d[p] - t * apq, d[q] + t * apq
+            t *= apq
+            d[p], d[q] = d[p] - t, d[q] + t
             # a_rp is off[q] and a_rq is off[p].
             off[r], off[q], off[p] = (0.0, c * off[q] - s * off[p],
                                       s * off[q] + c * off[p])
-            v[p], v[q] = ([c * x - s * y for x, y in zip(v[p], v[q])],
-                          [s * x + c * y for x, y in zip(v[p], v[q])])
+            v[p], v[q] = c * v[p] - s * v[q], s * v[p] + c * v[q]
     for i, j in ((0, 1), (1, 2), (0, 1)):
         swap = d[j] > d[i]
         d[i], d[j] = np.where(swap, d[j], d[i]), np.where(swap, d[i], d[j])
-        v[i], v[j] = ([np.where(swap, y, x) for x, y in zip(v[i], v[j])],
-                      [np.where(swap, x, y) for x, y in zip(v[i], v[j])])
-    sign = np.where(det3(v) < 0.0, -1.0, 1.0)
-    v[2] = [x * sign for x in v[2]]
+        v[i], v[j] = np.where(swap, v[j], v[i]), np.where(swap, v[i], v[j])
+    v[2] = v[2] * np.where(det3(v) < 0.0, -1.0, 1.0)
     return (np.stack(d, axis=-1),
             np.stack([np.stack(col, axis=-1) for col in v], axis=-1))
 
@@ -362,6 +361,8 @@ def deform_cloud(cloud: GaussianCloud, source: CageMesh,
     source.check_same_topology(deformed)
     if len(cloud) == 0:
         raise ValueError("cannot deform an empty cloud")
+    if center_chunk < 1:
+        raise ValueError(f"center_chunk must be >= 1, got {center_chunk}")
 
     if np.array_equal(source.vertices, deformed.vertices):
         return cloud.copy(), None
@@ -390,6 +391,8 @@ def blend_deformation(cloud: GaussianCloud, full: GaussianCloud,
     deform_cloud); lam = 0 gives (cloud, None) and lam = 1 gives
     (full, field) themselves, not copies.
     """
+    if center_chunk < 1:
+        raise ValueError(f"center_chunk must be >= 1, got {center_chunk}")
     if lam == 0.0:
         return cloud, None
     if lam == 1.0:
@@ -420,8 +423,6 @@ def _transported(cloud: GaussianCloud, field: JacobianField | None,
     failing step raises. More threads would not pay: this small-array
     numpy work holds the GIL, so theirs would convoy with this one.
     """
-    if center_chunk < 1:
-        raise ValueError(f"center_chunk must be >= 1, got {center_chunk}")
     n = len(cloud)
     out = {"centers": np.empty_like(cloud.centers)}
     for lo in range(0, n, center_chunk):

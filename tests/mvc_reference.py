@@ -3,11 +3,14 @@ reference that cagewarp.mvc's in-place kernel must match bit for bit.
 
 cagewarp.mvc writes every array of a chunk into one reused buffer; this
 module computes the same sums, in the same order, into fresh arrays, one
-expression per formula, with cage.dot and cage.cross. weights_chunk
-takes the arguments of mvc._weights_chunk except its scratch buffer.
+expression per formula, with cage.dot and cage.cross, and sums each
+vertex's corners by a sparse (V, 3T) incidence product. weights_chunk
+takes the arguments of mvc._weights_chunk except its index tables and
+scratch.
 """
 
 import numpy as np
+from scipy import sparse
 
 from cagewarp.cage import cross, dot, edge_table
 from cagewarp.mvc import DET_REFINE, DET_SKIP, ON_FACE_EPS, VERTEX_SNAP
@@ -42,9 +45,13 @@ def spherical_triangles(u, table):
     return theta, lam / np.where(np.abs(det) < 1e-300, 1.0, det), det
 
 
-def weights_chunk(x, cage, table, incidence, w):
+def weights_chunk(x, cage, w):
     """The unnormalized weights of points x (P, 3), written into w."""
-    verts, tri = cage.vertices, cage.triangles
+    verts, tri, table = cage.vertices, cage.triangles, cage.edges
+    # Column k*T + t of the corner incidence is corner k of triangle t.
+    incidence = sparse.csr_matrix(
+        (np.ones(tri.size), (tri.T.ravel(), np.arange(tri.size))),
+        shape=(len(verts), tri.size))
     u, d = unit_directions(verts.T[:, :, None], x.T[:, None, :])
     theta, lam, det = spherical_triangles(u, table)
     theta = theta[table.opposite]                       # (3, T, P)

@@ -4,11 +4,16 @@ import argparse
 import hashlib
 import inspect
 import json
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import cagewarp
 from cagewarp.cage import TriangleMesh, build_template_cage, write_cage_obj
 from cagewarp.cli import _build_parser, main
 from cagewarp.metrics import write_point_ply
@@ -477,3 +482,40 @@ def test_cage_in_outside_apply_cage_exits_two(model_files, tmp_path,
               "--samples", "300", "--iterations", "5"])
     assert excinfo.value.code == 2
     assert not out.exists()
+
+
+def test_the_cli_freezes_the_collector_at_exit(model_files, tmp_path,
+                                               capsys):
+    # The child's own hook is registered before cagewarp.cli is imported,
+    # so it runs after the CLI's: by then gc.freeze has run, and the
+    # outputs, written before exit, match an in-process run's.
+    source, _ = model_files
+    cage = build_template_cage(read_gs_ply(source).centers, resolution=2)
+    cages = (tmp_path / "src.obj", tmp_path / "big.obj")
+    write_cage_obj(cage, cages[0])
+    write_cage_obj(TriangleMesh(1.1 * cage.vertices, cage.triangles),
+                   cages[1])
+
+    def argv(out):
+        return ["apply-cage", "-s", str(source), "--cage-in",
+                *map(str, cages), "-o", str(out), "--sites", "60",
+                "--lambdas", "0.5,1"]
+
+    child = ("import atexit, gc, sys\n"
+             "atexit.register(lambda: print('frozen', "
+             "gc.get_freeze_count() > 0))\n"
+             "from cagewarp.cli import main\n"
+             f"sys.exit(main({argv(tmp_path / 'child')!r}))\n")
+    env = {**os.environ,
+           "PYTHONPATH": str(Path(cagewarp.__file__).parents[1])}
+    run = subprocess.run([sys.executable, "-c", child], env=env,
+                         capture_output=True, text=True, timeout=300)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.splitlines()[-1] == "frozen True"
+    assert main(argv(tmp_path / "here")) == 0
+    capsys.readouterr()
+    files = sorted(p.name for p in (tmp_path / "here").iterdir())
+    assert files == sorted(p.name for p in (tmp_path / "child").iterdir())
+    for name in files:
+        assert (tmp_path / "child" / name).read_bytes() \
+            == (tmp_path / "here" / name).read_bytes(), name

@@ -270,8 +270,8 @@ class TestWeights:
         cage = box_cage(np.zeros(3), np.ones(3), resolution=1)
         kernel = mvc._weights_chunk
 
-        def skewed(x, cage, table, incidence, w, buf):
-            kernel(x, cage, table, incidence, w, buf)
+        def skewed(x, cage, plan, w, s):
+            kernel(x, cage, plan, w, s)
             w[1] = np.roll(w[1], 1)
 
         monkeypatch.setattr(mvc, "_weights_chunk", skewed)
@@ -297,24 +297,28 @@ class TestInPlaceKernel:
     mvc_reference computes the same sums as plain expressions."""
 
     @staticmethod
-    def awkward_points(cage, seed):
+    def awkward_groups(cage, seed):
         """Inside, outside, at and next to vertices, on edges, next to
         faces, and just off a face's plane outside the face, where pairs
-        take the long-double rescue."""
+        take the long-double rescue: one (N, 3) array per kind."""
         rng = np.random.default_rng(seed)
         lo, hi = cage.bbox()
         v, t = cage.vertices, cage.triangles
         a, b, c = v[t[:, 0]], v[t[:, 1]], v[t[:, 2]]
         normal = np.cross(b - a, c - a)
         normal /= np.linalg.norm(normal, axis=1)[:, None]
-        return np.concatenate([
+        return [
             rng.uniform(lo + 0.02 * (hi - lo), hi - 0.02 * (hi - lo),
                         (400, 3)),
             rng.uniform(lo - 0.5 * (hi - lo), hi + 0.5 * (hi - lo), (60, 3)),
             v, v + 1e-12 * rng.normal(size=v.shape),
             a + rng.uniform(size=(len(t), 1)) * (b - a),
             (a + b + c) / 3 + 1e-9 * rng.normal(size=a.shape),
-            a + 2.0 * (b - a) + 1e-8 * normal])
+            a + 2.0 * (b - a) + 1e-8 * normal]
+
+    @classmethod
+    def awkward_points(cls, cage, seed):
+        return np.concatenate(cls.awkward_groups(cage, seed))
 
     @pytest.mark.parametrize("resolution", [1, 2, 3, 6])
     def test_matches_the_expression_form_bit_for_bit(self, resolution,
@@ -333,10 +337,43 @@ class TestInPlaceKernel:
         assert any(refined)
         monkeypatch.setattr(
             mvc, "_weights_chunk",
-            lambda x, cage, table, incidence, w, buf:
-            mvc_reference.weights_chunk(x, cage, table, incidence, w))
+            lambda x, cage, plan, w, s:
+            mvc_reference.weights_chunk(x, cage, w))
         want = mvc_weights(pts, cage).weights, mvc_weights(pts, cage,
                                                            deformed)
+        for g, w in zip(got, want):
+            assert g.tobytes() == w.tobytes()
+
+    @settings(max_examples=30, deadline=None)
+    @given(resolution=st.integers(1, 6), seed=st.integers(0, 2**16),
+           per_group=st.integers(1, 12), rows=st.integers(1, 3 * 84))
+    def test_no_bit_depends_on_the_rows_per_chunk(self, resolution, seed,
+                                                  per_group, rows):
+        # Up to 12 points of each of the seven kinds, near-face,
+        # vertex-snap and rescued rows among them, at any rows per chunk
+        # from one to three times all 84, with and without a deformed
+        # cage, against the expression form in one chunk.
+        rng = np.random.default_rng(seed)
+        cage = build_template_cage(rng.normal(size=(30, 3)),
+                                   resolution=resolution)
+        deformed = TriangleMesh(
+            cage.vertices + 0.05 * rng.normal(size=cage.vertices.shape),
+            cage.triangles)
+        pts = np.concatenate([
+            g[rng.choice(len(g), min(per_group, len(g)), replace=False)]
+            for g in self.awkward_groups(cage, seed)])
+        pts = pts[rng.permutation(len(pts))]
+        n_tri = len(cage.triangles)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(mvc, "CHUNK_PAIRS", rows * n_tri)
+            got = mvc_weights(pts, cage).weights, mvc_weights(pts, cage,
+                                                              deformed)
+            patch.setattr(mvc, "CHUNK_PAIRS", len(pts) * n_tri)
+            patch.setattr(mvc, "_weights_chunk",
+                          lambda x, cage, plan, w, s:
+                          mvc_reference.weights_chunk(x, cage, w))
+            want = mvc_weights(pts, cage).weights, mvc_weights(pts, cage,
+                                                               deformed)
         for g, w in zip(got, want):
             assert g.tobytes() == w.tobytes()
 
@@ -465,15 +502,17 @@ class TestMappedPoints:
     @pytest.mark.parametrize("resolution", [2, 3, 6])
     def test_scratch_of_one_chunk(self, resolution):
         # A chunk's arrays live in one buffer of 4V + 12E items a point,
-        # about twenty (T, P) arrays of CHUNK_PAIRS pairs (2.5 MiB), and
-        # no temporary outside it is larger than a (rows, V) row block.
-        # The same arrays allocated one by one traced 3.2-3.3 MiB here.
+        # about twenty (T, P) arrays of CHUNK_PAIRS pairs (1.3 MiB), and
+        # no temporary outside it is larger than a (rows, V) row block;
+        # with the call's index tables this traced 1.41-1.44 MiB. At
+        # 2**14 pairs, the same arrays allocated one by one traced
+        # 3.2-3.3 MiB.
         cage = build_template_cage(np.array([[-1.0] * 3, [1.0] * 3]),
                                    resolution=resolution)
         deformed = TriangleMesh(1.1 * cage.vertices, cage.triangles)
         pts = interior_points(cage, 4000, seed=resolution)
         peak, kept = traced(lambda: mvc_weights(pts, cage, deformed))
-        assert peak - kept <= 2.9 * 2**20
+        assert peak - kept <= 1.55 * 2**20
 
 
 class TestMapRows:

@@ -684,19 +684,29 @@ class TestDeformCloud:
     @pytest.mark.parametrize("update_covariance", [True, False])
     @pytest.mark.parametrize("center_chunk", [0, -7])
     def test_center_chunk_below_one_rejected(self, center_chunk,
-                                             update_covariance):
+                                             update_covariance,
+                                             monkeypatch):
         cloud = random_cloud(30, seed=42)
         source = build_template_cage(cloud.centers, resolution=2)
         deformed = TriangleMesh(source.vertices * 1.1, source.triangles)
-        with pytest.raises(ValueError, match="center_chunk"):
-            deform_cloud(cloud, source, deformed, m=10,
-                         update_covariance=update_covariance,
-                         center_chunk=center_chunk)
+        # Refused before any work, the Jacobian field included, and on
+        # the identical-cage and lambda in {0, 1} short circuits too.
+        fields = []
+        monkeypatch.setattr(transport, "build_jacobian_field",
+                            lambda *a, **k: fields.append(a))
+        for target in (deformed, source):
+            with pytest.raises(ValueError, match="center_chunk"):
+                deform_cloud(cloud, source, target, m=10,
+                             update_covariance=update_covariance,
+                             center_chunk=center_chunk)
+        assert fields == []
+        monkeypatch.undo()
         full, field = deform_cloud(cloud, source, deformed, m=10,
                                    update_covariance=update_covariance)
-        with pytest.raises(ValueError, match="center_chunk"):
-            blend_deformation(cloud, full, field, 0.5,
-                              center_chunk=center_chunk)
+        for lam in (0.0, 0.5, 1.0):
+            with pytest.raises(ValueError, match="center_chunk"):
+                blend_deformation(cloud, full, field, lam,
+                                  center_chunk=center_chunk)
 
     @pytest.mark.parametrize("update_covariance, scale", [
         (True, 1.1), (False, 1.1), (True, 1.0)])
